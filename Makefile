@@ -3,9 +3,9 @@ GO ?= go
 # The committed bench-trajectory document for this PR sequence. CI's bench
 # job regenerates the same document and gates on >10% throughput regressions
 # against the last committed BENCH_*.json.
-BENCH_OUT ?= BENCH_PR8.json
+BENCH_OUT ?= BENCH_PR13.json
 
-.PHONY: build test vet lint lint-tool bench bench-json bench-json-all bench-compare scenarios scenarios-live live-smoke fuzz fuzz-live fuzz-codec livebench soak clean
+.PHONY: build test vet lint lint-tool bench bench-json bench-json-all bench-compare scenarios scenarios-live live-smoke fuzz fuzz-live fuzz-codec livebench benchmark-smoke soak clean
 
 build:
 	$(GO) build ./...
@@ -98,6 +98,15 @@ livebench:
 	$(GO) run ./cmd/prestige-bench -livebench \
 		-livebench-pprof livebench-pprof -json LIVEBENCH.json
 
+# The repo benchmark (BENCHMARK.json, benchmark/README.md) as a smoke test:
+# one short sat-small run, gated on the exit code only. The exit code is the
+# benchmark's correctness gate — committed prefixes agree, every request
+# applied exactly once and in order, no acknowledged request lost — and a
+# 10 s window on a shared host is far too short for its numbers to mean
+# anything: they are advisory. Build output lands in .bench_build/.
+benchmark-smoke:
+	bash benchmark/run.sh --workload sat-small --seed 1 --seconds 10 --trace 0
+
 # The nightly soak gate, locally: SOAK_DUR of live cluster under rolling
 # follower churn, scraped at baseline/mid/end, exiting nonzero unless every
 # resource-flatness gate (ledger, heap, goroutines, p99) holds. Verdict JSON
@@ -109,4 +118,4 @@ soak:
 
 clean:
 	rm -f bench.json soak-verdict.json LIVEBENCH.json
-	rm -rf bin fuzz-failures soak-metrics livebench-pprof
+	rm -rf bin fuzz-failures soak-metrics livebench-pprof .bench_build

@@ -186,3 +186,103 @@ func TestClientThinkTime(t *testing.T) {
 		t.Fatal("next request not sent after think time")
 	}
 }
+
+// blockNotifs plays one replica acknowledging block seq: filler transactions
+// with the client's proposal at position pos, one signature over the tree's
+// root. It returns the client's Notif and, for replay tests, a filler's.
+func blockNotifs(prop *types.Prop, from types.ServerID, keys *crypto.KeyPair, status bool, seq types.SeqNum, pos, size int) (own, filler *types.Notif) {
+	txds := make([]types.Digest, size)
+	leaves := make([]types.Digest, size)
+	for i := range leaves {
+		txds[i] = types.HashBytes([]byte{byte(i), byte(seq), 'f'})
+		if i == pos {
+			txds[i] = prop.D
+		}
+		leaves[i] = types.NotifLeaf(txds[i], status)
+	}
+	root, paths := types.NotifProofs(leaves)
+	sig := keys.Sign(types.NotifStatement(from, 1, seq, root))
+	other := (pos + 1) % size
+	mk := func(i int) *types.Notif {
+		return &types.Notif{From: from, V: 1, N: seq, TxD: txds[i], Status: status,
+			Index: uint32(i), Path: paths[i], Sig: sig}
+	}
+	return mk(pos), mk(other)
+}
+
+// TestClientQuorumMixesBatchedAndOneLeaf: the f+1 rule counts servers, not
+// Notif shapes — one replica's per-block acknowledgement plus another's
+// one-leaf re-notification complete the request.
+func TestClientQuorumMixesBatchedAndOneLeaf(t *testing.T) {
+	c, env, _, serverKeys := newTestClient(t)
+	c.Start()
+	prop := env.broadcasts[0].(*types.Prop)
+	batched, _ := blockNotifs(prop, 1, serverKeys[1], true, 4, 5, 15)
+	c.OnNotif(1, batched)
+	if c.Stats.Committed != 0 {
+		t.Fatal("committed on one server's notification")
+	}
+	// The same server again, in the other shape, is still one server.
+	c.OnNotif(1, notifFor(prop, 1, serverKeys[1], true))
+	if c.Stats.Committed != 0 {
+		t.Fatal("two Notifs from one server counted twice")
+	}
+	c.OnNotif(2, notifFor(prop, 2, serverKeys[2], true))
+	if c.Stats.Committed != 1 {
+		t.Fatalf("committed = %d, want 1 after a batched and a one-leaf Notif", c.Stats.Committed)
+	}
+}
+
+// TestClientRejectsTamperedProof: every field the proof binds — path, index,
+// status — and the block the signature belongs to.
+func TestClientRejectsTamperedProof(t *testing.T) {
+	c, env, _, serverKeys := newTestClient(t)
+	c.Start()
+	prop := env.broadcasts[0].(*types.Prop)
+	genuine := func(from types.ServerID) *types.Notif {
+		n, _ := blockNotifs(prop, from, serverKeys[from], true, 4, 5, 15)
+		return n
+	}
+	tamper := map[string]func(n *types.Notif){
+		"path": func(n *types.Notif) {
+			n.Path = append([]types.Digest(nil), n.Path...)
+			n.Path[2][0] ^= 1
+		},
+		"shorter path": func(n *types.Notif) { n.Path = n.Path[:len(n.Path)-1] },
+		"index":        func(n *types.Notif) { n.Index ^= 1 },
+		"index beyond the tree": func(n *types.Notif) {
+			n.Index |= 1 << len(n.Path)
+		},
+		"status": func(n *types.Notif) { n.Status = false },
+		"signature of another block": func(n *types.Notif) {
+			other, _ := blockNotifs(prop, n.From, serverKeys[n.From], true, 5, 5, 15)
+			n.Sig = other.Sig
+		},
+		"signature of another server": func(n *types.Notif) {
+			n.Sig = genuine(n.From + 1).Sig
+		},
+	}
+	for name, f := range tamper {
+		for _, from := range []types.ServerID{1, 2, 3} {
+			n := genuine(from)
+			f(n)
+			c.OnNotif(from, n)
+		}
+		if c.Stats.Committed != 0 || c.Stats.Rejected != 0 {
+			t.Fatalf("tampered %s accepted by the quorum", name)
+		}
+	}
+	// A filler transaction's genuine Notif is not about this request.
+	for _, from := range []types.ServerID{1, 2} {
+		_, filler := blockNotifs(prop, from, serverKeys[from], true, 4, 5, 15)
+		c.OnNotif(from, filler)
+	}
+	if c.Stats.Committed != 0 {
+		t.Fatal("another transaction's Notif accepted")
+	}
+	c.OnNotif(1, genuine(1))
+	c.OnNotif(2, genuine(2))
+	if c.Stats.Committed != 1 {
+		t.Fatal("genuine batched quorum rejected")
+	}
+}

@@ -187,8 +187,8 @@ func (n *Node) pruneBelowBase() {
 	if n.ckptVoted < base {
 		n.ckptVoted = base
 	}
-	for d, seq := range n.committedTx {
-		if seq <= base {
+	for d, out := range n.committedTx {
+		if out.seq <= base {
 			delete(n.committedTx, d)
 		}
 	}

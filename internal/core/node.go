@@ -292,8 +292,9 @@ type Node struct {
 	ordStash map[types.SeqNum]*types.Ord
 
 	// committedTx lets the node answer duplicate proposals and complaints
-	// for already-committed transactions.
-	committedTx map[types.Digest]types.SeqNum
+	// for already-committed transactions, with the result they committed
+	// with.
+	committedTx map[types.Digest]txOutcome
 
 	// --- Complaint / view-change trigger state ---
 	propSeen     map[types.Digest]*types.Prop    // proposals observed as a follower
@@ -361,6 +362,13 @@ type Node struct {
 	tokenSeq uint64
 }
 
+// txOutcome is where a transaction committed and the per-transaction
+// consensus result (TxBlock.Status) its block recorded for it.
+type txOutcome struct {
+	seq    types.SeqNum
+	status bool
+}
+
 type stashedMsg struct {
 	from consensus.Origin
 	msg  types.Message
@@ -376,7 +384,7 @@ func New(cfg Config) *Node {
 		prepared:        make(map[types.SeqNum]*pendingProposal),
 		ordStash:        make(map[types.SeqNum]*types.Ord),
 		ordVoted:        make(map[types.SeqNum]types.View),
-		committedTx:     make(map[types.Digest]types.SeqNum),
+		committedTx:     make(map[types.Digest]txOutcome),
 		propSeen:        make(map[types.Digest]*types.Prop),
 		comptSeen:       make(map[types.Digest]types.ClientID),
 		comptProp:       make(map[types.Digest]*types.Prop),

@@ -1,0 +1,138 @@
+package core
+
+import (
+	"bytes"
+	"testing"
+
+	"prestigebft/internal/consensus"
+	"prestigebft/internal/types"
+)
+
+// TestOneNotifSignaturePerBlock: however a block reaches a replica — the
+// leader's own apply loop, a follower's TxBlockMsg, a straggler's sync
+// replay — the replica acknowledges it with one signed statement, and every
+// Notif it emits for the block carries that one signature with its own
+// leaf's proof.
+func TestOneNotifSignaturePerBlock(t *testing.T) {
+	const batch, blocks = 5, 3
+	r := newRigDepth(t, 4, batch, 0)
+	r.down[4] = true
+	for seq := 1; seq <= 2*batch; seq++ {
+		r.submit(seq)
+	}
+	// Server 4 returns, still at genesis, and learns blocks 1 and 2 through
+	// SyncUp when block 3's broadcast exposes the gap.
+	if h := r.nodes[4].Store().TxHeight(); h != 0 {
+		t.Fatalf("downed server advanced to %d", h)
+	}
+	r.down[4] = false
+	for seq := 2*batch + 1; seq <= blocks*batch; seq++ {
+		r.submit(seq)
+	}
+	for id, node := range r.nodes {
+		if h := node.Store().TxHeight(); h != blocks {
+			t.Fatalf("server %d height = %d, want %d", id, h, blocks)
+		}
+		sigOf := make(map[types.SeqNum][]byte)
+		leaves := make(map[types.SeqNum]map[uint32]bool)
+		acks := 0
+		for _, n := range r.notifs[id] {
+			if len(n.Path) == 0 {
+				// A one-leaf re-notification: the rig hands the proposal that
+				// completes a batch to the leader first, so a follower may
+				// see it only after the block committed.
+				continue
+			}
+			acks++
+			if !r.reg.VerifyServer(id, n.SigningBytes(), n.Sig) {
+				t.Fatalf("server %d block %d leaf %d: proof does not verify", id, n.N, n.Index)
+			}
+			if sig, ok := sigOf[n.N]; ok && !bytes.Equal(sig, n.Sig) {
+				t.Fatalf("server %d signed block %d more than once", id, n.N)
+			}
+			sigOf[n.N] = n.Sig
+			if leaves[n.N] == nil {
+				leaves[n.N] = make(map[uint32]bool)
+			}
+			leaves[n.N][n.Index] = true
+		}
+		if acks != blocks*batch {
+			t.Fatalf("server %d sent %d block acknowledgements, want %d", id, acks, blocks*batch)
+		}
+		if len(sigOf) != blocks {
+			t.Fatalf("server %d acknowledged %d blocks, want %d", id, len(sigOf), blocks)
+		}
+		for seq, seen := range leaves {
+			if len(seen) != batch {
+				t.Fatalf("server %d block %d: %d distinct leaves, want %d", id, seq, len(seen), batch)
+			}
+		}
+		if bytes.Equal(sigOf[1], sigOf[2]) {
+			t.Fatalf("server %d reused one signature across blocks", id)
+		}
+	}
+}
+
+// rejectEven is a state machine that refuses every transaction with an even
+// timestamp: the block still orders it, with Status false.
+type rejectEven struct{}
+
+func (rejectEven) Apply(tx *types.Transaction) bool { return tx.Timestamp%2 == 1 }
+
+// TestRenotifyCarriesCommittedStatus: a client that re-sends (or complains
+// about) a transaction the state machine rejected must be told so again —
+// the duplicate path used to answer "accepted" whatever the block recorded.
+func TestRenotifyCarriesCommittedStatus(t *testing.T) {
+	r := newRigCfg(t, 4, 1, 0, func(c *Config) { c.StateMachine = rejectEven{} })
+	// Followers first, so nobody sees the proposal as a duplicate of the
+	// block the leader commits synchronously.
+	submit := func(seq int) *types.Prop {
+		prop := r.clientProp(seq)
+		for id := types.ServerID(4); id >= 1; id-- {
+			r.exec(id, r.nodes[id].OnMessage(r.now, consensus.FromClient(1), prop))
+		}
+		return prop
+	}
+	accepted, rejected := submit(1), submit(2)
+	for id := range r.nodes {
+		if n := r.notifs[id]; len(n) != 2 || !n[0].Status || n[1].Status {
+			t.Fatalf("server %d commit notifs = %+v, want accepted then rejected", id, n)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		prop   *types.Prop
+		resend func()
+		status bool
+	}{
+		{"re-sent rejected proposal", rejected, func() { r.submit(2) }, false},
+		{"complaint about a rejected proposal", rejected, func() { r.complain(rejected) }, false},
+		{"re-sent accepted proposal", accepted, func() { r.submit(1) }, true},
+	} {
+		before := make(map[types.ServerID]int)
+		for id := range r.nodes {
+			before[id] = len(r.notifs[id])
+		}
+		tc.resend()
+		for id := range r.nodes {
+			fresh := r.notifs[id][before[id]:]
+			if len(fresh) != 1 {
+				t.Fatalf("%s: server %d sent %d notifs, want 1", tc.name, id, len(fresh))
+			}
+			n := fresh[0]
+			if n.TxD != tc.prop.D || n.Status != tc.status || n.N != types.SeqNum(tc.prop.Tx.Timestamp) {
+				t.Fatalf("%s: server %d re-notified seq %d status %v, want seq %d status %v",
+					tc.name, id, n.N, n.Status, tc.prop.Tx.Timestamp, tc.status)
+			}
+			if len(n.Path) != 0 || n.Index != 0 {
+				t.Fatalf("%s: re-notification is not the one-leaf form", tc.name)
+			}
+			if !r.reg.VerifyServer(id, n.SigningBytes(), n.Sig) {
+				t.Fatalf("%s: server %d re-notification does not verify", tc.name, id)
+			}
+		}
+	}
+	if h := r.nodes[1].Store().TxHeight(); h != 2 {
+		t.Fatalf("height = %d: a duplicate was re-proposed", h)
+	}
+}

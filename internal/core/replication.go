@@ -20,9 +20,9 @@ func (n *Node) onProp(now time.Duration, from consensus.Origin, m *types.Prop, r
 	if !n.cfg.Registry.VerifyClient(m.Tx.Client, m.SigningBytes(), m.Sig) {
 		return nil
 	}
-	if seq, ok := n.committedTx[m.D]; ok {
+	if out, ok := n.committedTx[m.D]; ok {
 		// Duplicate of a committed transaction: re-notify.
-		return []consensus.Effect{n.notifyClient(m.Tx.Client, seq, m.D, true)}
+		return []consensus.Effect{n.renotify(m.Tx.Client, m.D, out)}
 	}
 	if n.state == Leader && n.leaderConfirmed {
 		return n.enqueueTx(now, m)
@@ -528,19 +528,30 @@ func (n *Node) onTxBlock(now time.Duration, m *types.TxBlockMsg) []consensus.Eff
 }
 
 // recordCommit updates commit bookkeeping and emits client notifications
-// for every transaction in the block.
+// for every transaction in the block — under one signature: the block's
+// (digest, status) pairs become the leaves of a Merkle tree, the replica
+// signs the root once, and each Notif carries that signature plus its own
+// leaf's path (types/notifproof.go). Every commit path (leader apply,
+// follower TxBlockMsg, sync replay) ends here.
 func (n *Node) recordCommit(blk *types.TxBlock) []consensus.Effect {
-	var effs []consensus.Effect
+	seq, v := blk.Header.N, n.View()
+	digests := make([]types.Digest, len(blk.Txs))
+	leaves := make([]types.Digest, len(blk.Txs))
 	for i := range blk.Txs {
-		tx := &blk.Txs[i]
-		d := tx.Digest()
-		n.committedTx[d] = blk.Header.N
+		digests[i] = blk.Txs[i].Digest()
+		leaves[i] = types.NotifLeaf(digests[i], txStatus(blk, i))
+	}
+	root, paths := types.NotifProofs(leaves)
+	sig := n.sign(types.NotifStatement(n.cfg.ID, v, seq, root))
+	effs := make([]consensus.Effect, 0, len(digests))
+	for i, d := range digests {
+		status := txStatus(blk, i)
+		n.committedTx[d] = txOutcome{seq: seq, status: status}
 		delete(n.pendingByDigest, d)
-		status := true
-		if i < len(blk.Status) {
-			status = blk.Status[i]
-		}
-		effs = append(effs, n.notifyClient(tx.Client, blk.Header.N, d, status))
+		effs = append(effs, consensus.SendClient{To: blk.Txs[i].Client, Msg: &types.Notif{
+			From: n.cfg.ID, V: v, N: seq, TxD: d, Status: status,
+			Index: uint32(i), Path: paths[i], Sig: sig,
+		}})
 		// A commit settles any pending complaint for the transaction.
 		if _, ok := n.comptSeen[d]; ok {
 			effs = append(effs, consensus.CancelTimer{Kind: TimerCompt, Key: timerKeyFromDigest(d)})
@@ -550,15 +561,23 @@ func (n *Node) recordCommit(blk *types.TxBlock) []consensus.Effect {
 		}
 		delete(n.propSeen, d)
 	}
-	delete(n.ordVoted, blk.Header.N)
-	delete(n.prepared, blk.Header.N)
-	delete(n.ordStash, blk.Header.N)
+	delete(n.ordVoted, seq)
+	delete(n.prepared, seq)
+	delete(n.ordStash, seq)
 	return effs
 }
 
-// notifyClient builds the Notif effect for one transaction.
-func (n *Node) notifyClient(client types.ClientID, seq types.SeqNum, d types.Digest, status bool) consensus.Effect {
-	notif := &types.Notif{From: n.cfg.ID, V: n.View(), N: seq, TxD: d, Status: status}
+// txStatus is transaction i's consensus result; a block without a Status
+// entry for it (never produced by the ledger) reads as accepted.
+func txStatus(blk *types.TxBlock, i int) bool {
+	return i >= len(blk.Status) || blk.Status[i]
+}
+
+// renotify answers a re-sent proposal or complaint for a transaction that
+// already committed: a Notif for that transaction alone (the one-leaf tree),
+// carrying the result the block recorded.
+func (n *Node) renotify(client types.ClientID, d types.Digest, out txOutcome) consensus.Effect {
+	notif := &types.Notif{From: n.cfg.ID, V: n.View(), N: out.seq, TxD: d, Status: out.status}
 	notif.Sig = n.sign(notif.SigningBytes())
 	return consensus.SendClient{To: client, Msg: notif}
 }

@@ -30,8 +30,8 @@ func (n *Node) onCompt(now time.Duration, from consensus.Origin, m *types.Compt)
 	}
 	var effs []consensus.Effect
 	// Already committed: re-notify the client, no inspection needed.
-	if seq, ok := n.committedTx[d]; ok {
-		effs = append(effs, n.notifyClient(prop.Tx.Client, seq, d, true))
+	if out, ok := n.committedTx[d]; ok {
+		effs = append(effs, n.renotify(prop.Tx.Client, d, out))
 		return effs
 	}
 	first := false

@@ -1,6 +1,7 @@
 // Package liveharness implements the scenario.Environment seam over a live
-// cluster: real runtime.Runtime replicas speaking gob over loopback TCP,
-// real signatures, real proof-of-work, and wall-clock time. The same
+// cluster: real runtime.Runtime replicas speaking the transport's wire format
+// (Config.WireCodec, binary by default) over loopback TCP, real signatures,
+// real proof-of-work, and wall-clock time. The same
 // declarative chaos scenarios that run on the discrete-event simulator
 // (internal/scenario) replay here against actual processes — the paper's
 // deployment mode (a real testbed with netem-injected faults, §6.1)

@@ -106,11 +106,15 @@ type Runtime struct {
 	mu          sync.Mutex
 	clientAddrs map[types.ClientID]string
 	timers      map[timerKey]*timerState
-	puzzle      *puzzleState
-	stopOnce    sync.Once
-	stopped     chan struct{}
-	done        chan struct{}
-	rng         *rand.Rand
+	// timerGen numbers timer arms. A counter, not the clock: two arms of one
+	// key inside a clock tick must still get distinct generations, or the
+	// first arm's already-queued timerEvent passes for the second's.
+	timerGen uint64
+	puzzle   *puzzleState
+	stopOnce sync.Once
+	stopped  chan struct{}
+	done     chan struct{}
+	rng      *rand.Rand
 }
 
 type timerState struct {
@@ -341,7 +345,8 @@ func (rt *Runtime) setTimer(ef consensus.SetTimer) {
 	if st, ok := rt.timers[key]; ok {
 		st.timer.Stop()
 	}
-	gen := uint64(time.Now().UnixNano())
+	rt.timerGen++
+	gen := rt.timerGen
 	st := &timerState{gen: gen}
 	st.timer = time.AfterFunc(ef.Delay, func() {
 		select {

@@ -285,6 +285,70 @@ func TestStaleTimerGenerationIgnoredAfterCancel(t *testing.T) {
 	}
 }
 
+// rearmProbe arms one timer key over and over inside a single effect batch:
+// rearmCount zero-delay arms, each of which expires at once and queues its
+// timerEvent before the next arm replaces it, then one arm with a real
+// delay. Only that last arm is live.
+type rearmProbe struct {
+	fired chan time.Time
+}
+
+const (
+	rearmCount = 2000 // below the event queue's capacity, so no expiry blocks
+	rearmDelay = 200 * time.Millisecond
+)
+
+func (p *rearmProbe) ID() types.ServerID { return 1 }
+func (p *rearmProbe) Init(now time.Duration) []consensus.Effect {
+	effs := make([]consensus.Effect, 0, rearmCount+1)
+	for i := 0; i < rearmCount; i++ {
+		effs = append(effs, consensus.SetTimer{Kind: 1, Key: 9})
+	}
+	return append(effs, consensus.SetTimer{Kind: 1, Key: 9, Delay: rearmDelay})
+}
+func (p *rearmProbe) OnMessage(time.Duration, consensus.Origin, types.Message) []consensus.Effect {
+	return nil
+}
+func (p *rearmProbe) OnTimer(time.Duration, consensus.TimerKind, uint64) []consensus.Effect {
+	p.fired <- time.Now()
+	return nil
+}
+func (p *rearmProbe) OnPuzzleSolved(time.Duration, uint64, []byte, types.Digest) []consensus.Effect {
+	return nil
+}
+
+// TestTightRearmFiresOnce: generations used to come from the wall clock, so
+// two arms inside one clock tick shared a generation and the first arm's
+// queued expiration was accepted as the second's — the timer fired at once
+// instead of after its delay. With a counter every arm is distinct: of
+// rearmCount+1 arms of one key exactly one fires, and not before the last
+// arm's delay.
+func TestTightRearmFiresOnce(t *testing.T) {
+	p := &rearmProbe{fired: make(chan time.Time, rearmCount+1)}
+	rt := runtime.New(runtime.Config{
+		Replica:   p,
+		Peers:     map[types.ServerID]string{},
+		Transport: transport.NewServerTransport(1),
+		Logf:      func(string, ...any) {},
+	})
+	begin := time.Now()
+	go rt.Run()
+	defer rt.Stop()
+	select {
+	case at := <-p.fired:
+		if early := rearmDelay - at.Sub(begin); early > 0 {
+			t.Fatalf("timer fired %v before the live arm's delay: a stale expiration was accepted", early)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the live arm never fired")
+	}
+	select {
+	case <-p.fired:
+		t.Fatal("timer fired twice")
+	case <-time.After(300 * time.Millisecond):
+	}
+}
+
 // TestDeliverAfterStop: Deliver on a stopped runtime must return promptly
 // without blocking or panicking (transport read loops race teardown), and
 // Stop must be idempotent with Wait observing loop exit.

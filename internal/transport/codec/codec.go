@@ -8,7 +8,9 @@
 //     encoded as their two's-complement uint64 bit pattern, not zigzag —
 //     protocol values are non-negative in practice, and the cast round-trips
 //     all values either way;
-//   - digests are 32 raw bytes, no length prefix;
+//   - digests are 32 raw bytes, no length prefix; a run of digests
+//     (Notif.Path) is a uvarint count followed by the digests, the count
+//     capped at types.MaxNotifPathLen;
 //   - byte strings are uvarint length followed by the bytes; length 0
 //     decodes as nil (gob equivalence: gob does not distinguish empty from
 //     nil, so neither does this codec);
@@ -90,6 +92,11 @@ func Append(buf []byte, msg types.Message) (out []byte, ok bool) {
 		buf = appendUvarint(buf, uint64(m.N))
 		buf = append(buf, m.TxD[:]...)
 		buf = appendBool(buf, m.Status)
+		buf = appendUvarint(buf, uint64(m.Index))
+		buf = appendUvarint(buf, uint64(len(m.Path)))
+		for i := range m.Path {
+			buf = append(buf, m.Path[i][:]...)
+		}
 		buf = appendBytes(buf, m.Sig)
 	case *types.Ord:
 		buf = append(buf, kindOrd)
@@ -210,6 +217,8 @@ func Decode(data []byte) (types.Message, error) {
 		m.N = types.SeqNum(r.uvarint())
 		r.digest(&m.TxD)
 		m.Status = r.bool()
+		m.Index = r.uint32()
+		m.Path = r.digests(types.MaxNotifPathLen)
 		m.Sig = r.bytes()
 		msg = m
 	case kindOrd:
@@ -450,6 +459,35 @@ func (r *reader) count() int {
 		return 0
 	}
 	return int(v)
+}
+
+func (r *reader) uint32() uint32 {
+	v := r.uvarint()
+	if v > math.MaxUint32 {
+		r.fail()
+		return 0
+	}
+	return uint32(v)
+}
+
+// digests reads a counted run of digests. The count is checked against max
+// and against the bytes remaining before anything is allocated: count()'s
+// one-byte-per-element bound alone would let a frame ask for 32 times its
+// own size.
+func (r *reader) digests(max int) []types.Digest {
+	n := r.count()
+	if n > max || n > len(r.buf)/32 {
+		r.fail()
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	ds := make([]types.Digest, n)
+	for i := range ds {
+		r.digest(&ds[i])
+	}
+	return ds
 }
 
 func (r *reader) bool() bool {

@@ -49,6 +49,10 @@ func sampleMessages() []types.Message {
 		},
 		&types.Prop{Tx: types.Transaction{Timestamp: -1, Client: 1}},
 		&types.Notif{From: 2, V: 1, N: 9, TxD: types.Digest{6}, Status: true, Sig: []byte("s")},
+		&types.Notif{From: 3, V: 2, N: 10, TxD: types.Digest{7}, Index: 5,
+			Path: []types.Digest{{0xA1}, {0xA2}, {0xA3}}, Sig: []byte("block-sig")},
+		&types.Notif{From: 4, V: 2, N: 11, TxD: types.Digest{8}, Status: true, Index: 1<<32 - 1,
+			Path: make([]types.Digest, types.MaxNotifPathLen), Sig: []byte("deepest")},
 		&types.Ord{From: 1, V: 1, N: 5, Prev: types.Digest{7}, Txs: block.Txs, Sig: []byte("leader")},
 		&types.Ord{From: 1, V: 1, N: 6, Sig: []byte("empty-batch")},
 		&types.OrdReply{From: 3, V: 1, N: 5, D: types.Digest{3}, Sig: []byte("vote")},
@@ -190,6 +194,71 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	hostile = append(hostile, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F) // tx count ~2^32
 	if _, err := Decode(hostile); err == nil {
 		t.Error("hostile count accepted")
+	}
+}
+
+// TestNotifGoldenBytes pins the kindNotif layout byte for byte (DESIGN.md
+// §14): kind, From, V, N as uvarints, the 32-byte TxD, the status byte, the
+// leaf index and the path count as uvarints, the path's digests back to
+// back, then the length-prefixed signature.
+func TestNotifGoldenBytes(t *testing.T) {
+	m := &types.Notif{
+		From: 3, V: 300, N: 70000, TxD: types.Digest{0xD1, 0xD2}, Status: true,
+		Index: 5, Path: []types.Digest{{0xA1}, {0xA2}, {0xA3}}, Sig: []byte{0x51, 0x52},
+	}
+	digest := func(first ...byte) []byte { return append(first, make([]byte, 32-len(first))...) }
+	var want []byte
+	want = append(want, kindNotif, 0x03)  // kind, From
+	want = append(want, 0xAC, 0x02)       // V = 300
+	want = append(want, 0xF0, 0xA2, 0x04) // N = 70000
+	want = append(want, digest(0xD1, 0xD2)...)
+	want = append(want, 0x01, 0x05, 0x03) // status, index, path count
+	want = append(want, digest(0xA1)...)
+	want = append(want, digest(0xA2)...)
+	want = append(want, digest(0xA3)...)
+	want = append(want, 0x02, 0x51, 0x52) // signature
+	got, _ := Append(nil, m)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("kindNotif layout changed:\n got %x\nwant %x", got, want)
+	}
+	// The one-leaf form: index 0, no path — two zero bytes.
+	alone, _ := Append(nil, &types.Notif{From: 1, Sig: []byte{0x51}})
+	wantAlone := append([]byte{kindNotif, 1, 0, 0}, digest()...)
+	wantAlone = append(wantAlone, 0, 0, 0, 1, 0x51)
+	if !bytes.Equal(alone, wantAlone) {
+		t.Fatalf("one-leaf kindNotif layout changed:\n got %x\nwant %x", alone, wantAlone)
+	}
+}
+
+// TestDecodeBoundsNotifPath: the path count is checked against the cap and
+// against the bytes actually present before the path is allocated.
+func TestDecodeBoundsNotifPath(t *testing.T) {
+	head := append([]byte{kindNotif, 1, 1, 1}, make([]byte, 32)...) // From V N TxD
+	head = append(head, 1, 0)                                       // status, index
+	body := make([]byte, (types.MaxNotifPathLen+1)*32+1)            // digests + empty sig
+	for _, tc := range []struct {
+		name  string
+		count []byte
+	}{
+		{"over the cap, bytes present", []byte{types.MaxNotifPathLen + 1}},
+		{"hostile count", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x07}},
+	} {
+		data := append(append(append([]byte(nil), head...), tc.count...), body...)
+		if _, err := Decode(data); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// Within the cap but more digests than the frame holds.
+	short := append(append([]byte(nil), head...), 4)
+	short = append(short, make([]byte, 3*32+20)...)
+	if _, err := Decode(short); err == nil {
+		t.Error("path count beyond the frame's bytes accepted")
+	}
+	// An index that does not fit uint32 is refused, not truncated.
+	wide := append([]byte{kindNotif, 1, 1, 1}, make([]byte, 32)...)
+	wide = append(wide, 1, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0)
+	if _, err := Decode(wide); err == nil {
+		t.Error("index 2^32 accepted")
 	}
 }
 

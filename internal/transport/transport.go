@@ -1,6 +1,10 @@
-// Package transport carries protocol messages over TCP with encoding/gob,
-// for live multi-process deployments (cmd/prestige-server and
-// cmd/prestige-client). The discrete-event simulator bypasses it entirely.
+// Package transport carries protocol messages over TCP for live
+// deployments (cmd/prestige-server, cmd/prestige-client, liveharness). The
+// wire format is chosen per connection by the dialer (WireCodec): by default
+// length-prefixed binary frames — transport/codec for the hot message kinds,
+// an embedded encoding/gob blob for the view-change kinds the codec does not
+// cover — or, on request, the legacy gob stream. The discrete-event
+// simulator bypasses the package entirely.
 //
 // Connections are lazy and cached: the first send to a peer dials it;
 // failures drop the message (BFT consensus tolerates loss — retransmission

@@ -54,29 +54,42 @@ func (m *Prop) Signature() []byte { return m.Sig }
 
 // Notif notifies a client that its transaction committed. A client considers
 // its transaction committed upon receiving f+1 matching Notifs.
+//
+// The signature does not cover the transaction alone: it covers the root of
+// a Merkle tree over the (TxD, Status) pairs of the whole block N, and
+// (Index, Path) prove this transaction's pair is leaf Index of that tree
+// (notifproof.go). A replica therefore signs once per block, and every Notif
+// it sends for the block carries the same Sig. A Notif about one transaction
+// by itself is the one-leaf tree: Index 0, no Path.
 type Notif struct {
 	From   ServerID
 	V      View
-	N      SeqNum // sequence number of the committing txBlock
-	TxD    Digest // digest of the client's transaction
-	Status bool   // per-transaction consensus result
-	Sig    []byte
+	N      SeqNum   // sequence number of the committing txBlock
+	TxD    Digest   // digest of the client's transaction
+	Status bool     // per-transaction consensus result
+	Index  uint32   // position of (TxD, Status) among the block's leaves
+	Path   []Digest // sibling hashes from the leaf up to the root
+	Sig    []byte   // over NotifStatement(From, V, N, root)
 }
 
-func (m *Notif) Type() string  { return "Notif" }
-func (m *Notif) WireSize() int { return headerSize + 2 + 8 + 8 + 32 + 1 + sigSize }
+func (m *Notif) Type() string { return "Notif" }
+
+// WireSize counts the proof: the path's digests plus the index, which needs
+// one bit per path level — nothing for a one-leaf Notif.
+func (m *Notif) WireSize() int {
+	return headerSize + 2 + 8 + 8 + 32 + 1 + (len(m.Path)+7)/8 + 32*len(m.Path) + sigSize
+}
+
+// SigningBytes recomputes the root from (TxD, Status, Index, Path), so one
+// signature check proves both that From signed the block's root and that
+// this transaction and status are under it. A malformed proof (see
+// NotifRoot) yields nil, the empty statement, which no replica ever signs.
 func (m *Notif) SigningBytes() []byte {
-	buf := make([]byte, 0, 2+8+8+32+1)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.From))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.V))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.N))
-	buf = append(buf, m.TxD[:]...)
-	if m.Status {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+	root, ok := NotifRoot(NotifLeaf(m.TxD, m.Status), m.Index, m.Path)
+	if !ok {
+		return nil
 	}
-	return buf
+	return NotifStatement(m.From, m.V, m.N, root)
 }
 func (m *Notif) Signature() []byte { return m.Sig }
 

@@ -38,6 +38,7 @@ func TestSigningBytesDomainSeparation(t *testing.T) {
 	msgs := []Signed{
 		&Prop{Tx: Transaction{Timestamp: 11, Client: cli}, D: d},
 		&Notif{From: from, V: v, N: n, TxD: d, Status: true},
+		&Notif{From: from, V: v, N: n, TxD: d, Status: true, Index: 1, Path: []Digest{d}},
 		&Compt{Prop: Prop{Tx: Transaction{Timestamp: 11, Client: cli}, D: d}},
 		&ConfVC{From: from, V: v, Reason: ReasonComplaint, TxD: d, Client: cli},
 		&ReVC{From: from, To: peer, V: v},
@@ -61,6 +62,17 @@ func TestSigningBytesDomainSeparation(t *testing.T) {
 	sameStatement := map[string]bool{
 		"Ord/OrdReply": true,
 		"Cmt/CmtReply": true,
+	}
+
+	// A Notif signs "notif" ‖ From ‖ V ‖ N ‖ root, the root being a hash no
+	// test can choose. Give the statement itself the shared digest as its
+	// root: it shares sender, view, seq and digest with every vote
+	// statement above and must still match none of them.
+	notifStmt := NotifStatement(from, v, n, d)
+	for _, m := range msgs {
+		if bytes.Equal(notifStmt, m.SigningBytes()) {
+			t.Errorf("Notif statement over root d equals %s signing bytes", m.Type())
+		}
 	}
 
 	for i, a := range msgs {

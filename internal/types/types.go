@@ -3,9 +3,10 @@
 // implementations (HotStuff, SBFT, Prosecutor).
 //
 // All structures are plain values so they can be passed through the in-process
-// discrete-event simulator without serialization and through the TCP transport
-// with encoding/gob. Signable structures expose SigningBytes, a canonical
-// binary encoding that is independent of gob.
+// discrete-event simulator without serialization and through the TCP
+// transport, which encodes them with transport/codec (hot kinds) or
+// encoding/gob (the rest, and the legacy stream). Signable structures expose
+// SigningBytes, a canonical binary encoding that is independent of both.
 package types
 
 import (
