@@ -5,7 +5,7 @@ GO ?= go
 # against the last committed BENCH_*.json.
 BENCH_OUT ?= BENCH_PR13.json
 
-.PHONY: build test vet lint lint-tool bench bench-json bench-json-all bench-compare scenarios scenarios-live live-smoke fuzz fuzz-live fuzz-codec livebench benchmark-smoke soak clean
+.PHONY: build test vet lint lint-tool bench bench-json bench-json-all bench-compare scenarios scenarios-live live-smoke fuzz fuzz-live fuzz-codec no-gob benchmark-smoke soak clean
 
 build:
 	$(GO) build ./...
@@ -13,8 +13,8 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The determinism lint tool: the five internal/lint analyzers (maporder,
-# walltime, nogoroutine, wiremap, msgswitch) compiled into a vettool.
+# The determinism lint tool: the four internal/lint analyzers (maporder,
+# walltime, nogoroutine, msgswitch) compiled into a vettool.
 LINT_TOOL := bin/prestige-lint
 
 # Build the tool and print its absolute path, so callers can run
@@ -84,19 +84,18 @@ fuzz:
 fuzz-live:
 	$(GO) run ./cmd/prestige-bench -fuzz 5 -fuzz-seed $(FUZZ_SEED) -live
 
-# Coverage-guided fuzzing of the binary wire codec against gob: anything
-# that decodes must re-encode and round-trip identically through both
-# codecs. CI runs this leg on every PR.
+# Coverage-guided fuzzing of the wire codec against itself: anything that
+# decodes must re-encode to the same bytes, and generated messages must
+# survive Append → Decode unchanged. CI runs this leg on every PR.
 FUZZ_CODEC_TIME ?= 30s
 fuzz-codec:
-	$(GO) test -fuzz=FuzzCodecGobEquivalence -fuzztime=$(FUZZ_CODEC_TIME) ./internal/transport/codec
+	$(GO) test -run '^$$' -fuzz=FuzzCodecRoundTrip -fuzztime=$(FUZZ_CODEC_TIME) ./internal/transport/codec
 
-# The live fast-lane microbenchmark: codec × verify pipeline × window over
-# loopback clusters, with per-cell CPU profiles. Compare against the
-# committed LIVEBENCH_PR<k>.json — ratios, not absolutes.
-livebench:
-	$(GO) run ./cmd/prestige-bench -livebench \
-		-livebench-pprof livebench-pprof -json LIVEBENCH.json
+# There is one wire format. Fails if encoding/gob is imported anywhere in
+# the module.
+no-gob:
+	@if grep -rn '"encoding/gob"' --include='*.go' .; then \
+		echo "encoding/gob is imported; the wire format is internal/transport/codec"; exit 1; fi
 
 # The repo benchmark (BENCHMARK.json, benchmark/README.md) as a smoke test:
 # one short sat-small run, gated on the exit code only. The exit code is the
@@ -117,5 +116,5 @@ soak:
 		-soak-out soak-verdict.json -soak-metrics-dir soak-metrics
 
 clean:
-	rm -f bench.json soak-verdict.json LIVEBENCH.json
-	rm -rf bin fuzz-failures soak-metrics livebench-pprof .bench_build
+	rm -f bench.json soak-verdict.json
+	rm -rf bin fuzz-failures soak-metrics .bench_build

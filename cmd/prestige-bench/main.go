@@ -88,10 +88,6 @@ func main() {
 	soakOut := flag.String("soak-out", "", "write the soak verdict JSON here (nightly CI archives it)")
 	soakMetricsDir := flag.String("soak-metrics-dir", "", "archive raw /metrics snapshots (baseline/mid/end, per replica) into this directory")
 	ckptInterval := flag.Int("checkpoint-interval", 16, "checkpoint/compaction interval for -soak clusters (0 disables compaction — the ledger-flat gate then fails by design)")
-	livebench := flag.Bool("livebench", false, "run the live fast-lane microbenchmark sweep (wire codec × verify pipeline × window) on loopback clusters; -json writes the sweep rows")
-	livebenchWindow := flag.Duration("livebench-window", 10*time.Second, "measured window per livebench cell (after a fixed warmup)")
-	livebenchClients := flag.Int("livebench-clients", 48, "closed-loop clients per livebench cell (enough to keep the cluster CPU-bound)")
-	livebenchPprof := flag.String("livebench-pprof", "", "write one CPU profile per livebench cell into this directory (empty = disabled)")
 	flag.Parse()
 
 	harness.Workers = *workers
@@ -122,11 +118,6 @@ func main() {
 
 	if *soak > 0 {
 		runSoak(*soak, *ckptInterval, *soakOut, *soakMetricsDir)
-		return
-	}
-
-	if *livebench {
-		runLivebench(*livebenchWindow, *livebenchClients, *livebenchPprof, *jsonPath)
 		return
 	}
 

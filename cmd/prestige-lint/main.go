@@ -1,6 +1,6 @@
-// Command prestige-lint is the determinism lint suite's vet tool: the five
-// internal/lint analyzers (maporder, walltime, nogoroutine, wiremap,
-// msgswitch) compiled into one binary speaking the `go vet -vettool`
+// Command prestige-lint is the determinism lint suite's vet tool: the four
+// internal/lint analyzers (maporder, walltime, nogoroutine, msgswitch)
+// compiled into one binary speaking the `go vet -vettool`
 // unit-checker protocol. Run it through the go command, which supplies
 // type-checked package units and export data:
 //

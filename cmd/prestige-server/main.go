@@ -50,8 +50,6 @@ func main() {
 	policy := flag.Duration("rotate", 0, "timing-policy view rotation period (0 = disabled)")
 	rngSeed := flag.Int64("rng-seed", 0, "runtime RNG seed for reproducible timer jitter and puzzle nonces (0 = wall clock)")
 	admin := flag.String("admin", "", "admin listen address serving /metrics and /healthz (empty = disabled)")
-	wireCodec := flag.String("wire-codec", "binary", "outbound wire encoding: binary (zero-copy fast lane) or gob (legacy; inbound always auto-detects)")
-	verifyWorkers := flag.Int("verify-workers", 2, "inbound verify-pipeline workers pre-checking signatures off the event loop (0 = inline verification, no pipeline)")
 	verbose := flag.Bool("v", false, "log traces")
 	flag.Parse()
 
@@ -65,9 +63,7 @@ func main() {
 	}
 
 	reg, serverKeys, _ := crypto.GenerateDeployment(*seed, *n, *clients)
-	if *verifyWorkers > 0 {
-		reg.EnableVerifiedCache(0)
-	}
+	reg.EnableVerifiedCache(0)
 	sid := types.ServerID(*id)
 	nodeCfg := core.Config{
 		ID:                 sid,
@@ -89,25 +85,16 @@ func main() {
 
 	tr := transport.NewServerTransport(sid)
 	tr.SetLogf(log.Printf)
-	switch *wireCodec {
-	case "binary":
-		tr.SetWireCodec(transport.CodecBinary)
-	case "gob":
-		tr.SetWireCodec(transport.CodecGob)
-	default:
-		log.Fatalf("unknown -wire-codec %q (want binary or gob)", *wireCodec)
-	}
 	var mreg *metrics.Registry
 	if *admin != "" {
 		mreg = metrics.NewRegistry()
 		metrics.RegisterProcessMetrics(mreg)
 	}
-	var pool *verifier.Pool
-	if *verifyWorkers > 0 {
-		pool = verifier.New(verifier.Config{Registry: reg, Workers: *verifyWorkers})
-		if mreg != nil {
-			runtime.RegisterVerifierMetrics(mreg, pool, reg)
-		}
+	// Inbound signatures are pre-verified off the event loop, warming the
+	// registry's verified-fact cache.
+	pool := verifier.New(verifier.Config{Registry: reg})
+	if mreg != nil {
+		runtime.RegisterVerifierMetrics(mreg, pool, reg)
 	}
 	rt := runtime.New(runtime.Config{
 		Replica:         node,
@@ -169,9 +156,7 @@ func main() {
 	log.Printf("prestige-server %d/%d listening on %s (leader of view 1: server 1)", *id, *n, tr.Addr())
 	rt.Run()
 	rt.Wait()
-	if pool != nil {
-		pool.Close()
-	}
+	pool.Close()
 	tr.Close()
 	log.Printf("prestige-server %d stopped", *id)
 }

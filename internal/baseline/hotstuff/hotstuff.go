@@ -19,6 +19,7 @@ import (
 
 	"prestigebft/internal/consensus"
 	"prestigebft/internal/crypto"
+	"prestigebft/internal/harness"
 	"prestigebft/internal/ledger"
 	"prestigebft/internal/quorum"
 	"prestigebft/internal/types"
@@ -345,4 +346,27 @@ func (r *Replica) onNewView(now time.Duration, m *NewView) []consensus.Effect {
 	}
 	effs = append(effs, r.maybePropose(now, true)...)
 	return effs
+}
+
+// init registers the baseline with the experiment harness so clusters can
+// be built with Options{Protocol: harness.HotStuff}.
+func init() {
+	harness.RegisterProtocol(harness.HotStuff, func(env harness.FactoryEnv) consensus.Replica {
+		cfg := Config{
+			ID:        env.ID,
+			N:         env.N,
+			Keys:      env.Keys,
+			Registry:  env.Registry,
+			BatchSize: env.Opts.BatchSize,
+			// The paper sets HotStuff's initial timeout to 1 s (§6.2); the
+			// harness's TimeoutMax plays that role when customized.
+			ViewTimeout: env.Opts.TimeoutMax,
+			ViewPolicy:  env.Opts.ViewPolicy,
+			RNG:         env.RNG,
+		}
+		if env.Opts.StateMachine != nil {
+			cfg.StateMachine = env.Opts.StateMachine()
+		}
+		return New(cfg)
+	})
 }

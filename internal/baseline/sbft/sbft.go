@@ -25,7 +25,6 @@ import (
 	"prestigebft/internal/harness"
 	"prestigebft/internal/ledger"
 	"prestigebft/internal/quorum"
-	"prestigebft/internal/transport"
 	"prestigebft/internal/types"
 )
 
@@ -561,17 +560,8 @@ func (r *Replica) notifyClient(client types.ClientID, seq types.SeqNum, d types.
 	return consensus.SendClient{To: client, Msg: notif}
 }
 
-// init registers the baseline with the harness, and its wire set with the
-// transport codec (each protocol package owns its own wire types). Before
-// this registration existed, SBFT messages could not cross a live TCP link
-// at all — gob rejects unregistered concrete types behind an interface.
+// init registers the baseline with the experiment harness.
 func init() {
-	transport.RegisterWireTypes(
-		&PrePrepare{},
-		&Share{},
-		&Proof{},
-		&NewView{},
-	)
 	harness.RegisterProtocol(harness.SBFT, func(env harness.FactoryEnv) consensus.Replica {
 		cfg := Config{
 			ID:          env.ID,

@@ -94,7 +94,7 @@ func (n *Node) openCkptRound(header types.CheckpointHeader, state []byte) []cons
 	vote.Sig = n.sign(vote.SigningBytes())
 	round := &ckptRound{header: header, state: state, coll: coll, vote: vote}
 	n.ckptRounds[header.Seq] = round
-	coll.Add(n.cfg.Registry, n.cfg.ID, n.sign(coll.Statement()))
+	n.voteOwn(coll)
 	effs := []consensus.Effect{consensus.Broadcast{Msg: vote}}
 	stash := n.ckptStash[header.Seq]
 	delete(n.ckptStash, header.Seq)

@@ -127,7 +127,7 @@ func (n *Node) startInstance(now time.Duration, batch []types.Transaction) []con
 		ordColl: quorum.NewCollector(types.QCOrdering, blk.Header.V, blk.Header.N, digest, n.quorumSize()),
 		started: now,
 	}
-	inst.ordColl.Add(n.cfg.Registry, n.cfg.ID, n.sign(inst.ordColl.Statement()))
+	n.voteOwn(inst.ordColl)
 	n.inflight[seq] = inst
 	ord := &types.Ord{From: n.cfg.ID, V: blk.Header.V, N: blk.Header.N, Prev: blk.Header.PrevHash, Txs: batch}
 	ord.Sig = n.sign(ord.SigningBytes())
@@ -344,7 +344,7 @@ func (n *Node) onOrdReply(now time.Duration, m *types.OrdReply) []consensus.Effe
 	ordQC := inst.ordColl.QC()
 	inst.block.OrderingQC = ordQC
 	inst.cmtColl = quorum.NewCollector(types.QCCommit, m.V, m.N, ordQC.Digest, n.quorumSize())
-	inst.cmtColl.Add(n.cfg.Registry, n.cfg.ID, n.sign(inst.cmtColl.Statement()))
+	n.voteOwn(inst.cmtColl)
 	cmt := &types.Cmt{From: n.cfg.ID, V: m.V, N: m.N, OrderingQC: ordQC}
 	cmt.Sig = n.sign(cmt.SigningBytes())
 	return []consensus.Effect{consensus.Broadcast{Msg: cmt}}
@@ -486,7 +486,12 @@ func (n *Node) applyCommittedPrefix() []consensus.Effect {
 			return effs
 		}
 		delete(n.inflight, next)
-		if err := n.store.AppendTxBlock(n.cfg.Registry, inst.block); err != nil {
+		// Both certificates are this node's own work — collectors it seeded
+		// with its own vote and fed verified replies (or, for an adopted
+		// block, an ordering_QC it verified when it locked it) — so the
+		// append checks chain linkage only; re-verifying them would spend an
+		// ed25519 verify per QC on this node's own signature.
+		if err := n.store.AppendTxBlockUnchecked(n.cfg.Registry, inst.block); err != nil {
 			// Should be impossible (the block extends our own tip). Nothing
 			// above the failed block can chain anymore: drop the window and
 			// let the next proposal — or a view change — restart cleanly.

@@ -104,7 +104,7 @@ func (n *Node) startInspection(now time.Duration, reason types.ConfReason, txd t
 	n.replStopped = true // confirming a view change stops replication in V
 	n.inspecting = quorum.NewCollector(types.QCConf, v, types.SeqNum(n.cfg.ID), types.Digest{}, n.confirmSize())
 	// Count our own confirmation.
-	n.inspecting.Add(n.cfg.Registry, n.cfg.ID, n.sign(n.inspecting.Statement()))
+	n.voteOwn(n.inspecting)
 	conf := &types.ConfVC{From: n.cfg.ID, V: v, Reason: reason, TxD: txd, Client: client}
 	conf.Sig = n.sign(conf.SigningBytes())
 	return []consensus.Effect{
@@ -281,7 +281,7 @@ func (n *Node) becomeCandidate(now time.Duration, nonce []byte, hr types.Digest)
 	if n.lastVotedView < n.vPrime {
 		n.lastVotedView = n.vPrime
 		n.lastVotedFor = n.cfg.ID
-		n.voteColl.Add(n.cfg.Registry, n.cfg.ID, n.sign(n.voteColl.Statement()))
+		n.voteOwn(n.voteColl)
 	}
 	return []consensus.Effect{
 		n.trace(consensus.TraceCandidate, n.vPrime, n.campRP),
@@ -481,7 +481,7 @@ func (n *Node) becomeLeader(now time.Duration) []consensus.Effect {
 	}
 	n.pendingVcBlock = blk
 	n.vcYesColl = quorum.NewCollector(types.QCGeneric, blk.V, 0, blk.Hash(), n.quorumSize())
-	n.vcYesColl.Add(n.cfg.Registry, n.cfg.ID, n.sign(n.vcYesColl.Statement()))
+	n.voteOwn(n.vcYesColl)
 	msg := &types.VcBlockMsg{From: n.cfg.ID, Block: *blk}
 	msg.Sig = n.sign(msg.SigningBytes())
 	return []consensus.Effect{
@@ -664,7 +664,7 @@ func (n *Node) adoptInstance(now time.Duration, blk *types.TxBlock) []consensus.
 		started: now,
 		adopted: true,
 	}
-	inst.cmtColl.Add(n.cfg.Registry, n.cfg.ID, n.sign(inst.cmtColl.Statement()))
+	n.voteOwn(inst.cmtColl)
 	n.inflight[seq] = inst
 	for i := range cp.Txs {
 		n.pendingByDigest[cp.Txs[i].Digest()] = true

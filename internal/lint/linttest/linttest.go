@@ -61,7 +61,7 @@ func exportData(t *testing.T) map[string]string {
 	expOnce.Do(func() {
 		cmd := exec.Command("go", "list", "-export", "-deps",
 			"-f", "{{if .Export}}{{.ImportPath}}={{.Export}}{{end}}",
-			"time", "math/rand", "encoding/gob",
+			"time", "math/rand",
 			"prestigebft/internal/types")
 		cmd.Dir = RepoRoot(t)
 		out, err := cmd.Output()

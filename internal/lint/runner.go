@@ -1,4 +1,4 @@
-// Package lint assembles the determinism lint suite: the five analyzers that
+// Package lint assembles the determinism lint suite: the four analyzers that
 // enforce the simulator's reproducibility contract (DESIGN.md §11), plus the
 // shared runner that applies //lint:allow suppression and polices the
 // directives themselves. cmd/prestige-lint drives this package through the
@@ -18,7 +18,6 @@ import (
 	"prestigebft/internal/lint/msgswitch"
 	"prestigebft/internal/lint/nogoroutine"
 	"prestigebft/internal/lint/walltime"
-	"prestigebft/internal/lint/wiremap"
 )
 
 // Analyzers returns the full determinism suite in stable order.
@@ -27,7 +26,6 @@ func Analyzers() []*analysis.Analyzer {
 		maporder.Analyzer,
 		walltime.Analyzer,
 		nogoroutine.Analyzer,
-		wiremap.Analyzer,
 		msgswitch.Analyzer,
 	}
 }

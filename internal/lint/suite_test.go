@@ -8,13 +8,12 @@ import (
 	"prestigebft/internal/lint/msgswitch"
 	"prestigebft/internal/lint/nogoroutine"
 	"prestigebft/internal/lint/walltime"
-	"prestigebft/internal/lint/wiremap"
 )
 
 // The fixture package path sits under internal/core so the
 // deterministic-set analyzers (maporder, walltime, nogoroutine) fire with
-// their default -pkgs configuration; wiremap and msgswitch apply
-// everywhere and ignore the path.
+// their default -pkgs configuration; msgswitch applies everywhere and
+// ignores the path.
 const fixturePath = "prestigebft/internal/core/lintfixture"
 
 func TestMaporderFixture(t *testing.T) {
@@ -29,24 +28,20 @@ func TestNogoroutineFixture(t *testing.T) {
 	linttest.Check(t, "testdata/nogoroutine", fixturePath, nogoroutine.Analyzer)
 }
 
-func TestWiremapFixture(t *testing.T) {
-	linttest.Check(t, "testdata/wiremap", fixturePath, wiremap.Analyzer)
-}
-
 func TestMsgswitchFixture(t *testing.T) {
 	linttest.Check(t, "testdata/msgswitch", fixturePath, msgswitch.Analyzer)
 }
 
-// TestFixturesUnderFullSuite runs every fixture under all five analyzers at
+// TestFixturesUnderFullSuite runs every fixture under all four analyzers at
 // once — the way cmd/prestige-lint runs them — to prove no analyzer
 // reports surprise findings on another's fixture.
 func TestFixturesUnderFullSuite(t *testing.T) {
-	all := []string{"maporder", "walltime", "nogoroutine", "wiremap", "msgswitch"}
+	all := []string{"maporder", "walltime", "nogoroutine", "msgswitch"}
 	for _, dir := range all {
 		t.Run(dir, func(t *testing.T) {
 			linttest.Check(t, "testdata/"+dir, fixturePath,
 				maporder.Analyzer, walltime.Analyzer, nogoroutine.Analyzer,
-				wiremap.Analyzer, msgswitch.Analyzer)
+				msgswitch.Analyzer)
 		})
 	}
 }

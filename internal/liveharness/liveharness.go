@@ -1,8 +1,8 @@
 // Package liveharness implements the scenario.Environment seam over a live
 // cluster: real runtime.Runtime replicas speaking the transport's wire format
-// (Config.WireCodec, binary by default) over loopback TCP, real signatures,
-// real proof-of-work, and wall-clock time. The same
-// declarative chaos scenarios that run on the discrete-event simulator
+// over loopback TCP, real signatures (pre-verified off the event loop by a
+// verifier.Pool per replica), real proof-of-work, and wall-clock time. The
+// same declarative chaos scenarios that run on the discrete-event simulator
 // (internal/scenario) replay here against actual processes — the paper's
 // deployment mode (a real testbed with netem-injected faults, §6.1)
 // finally gets first-class scenario coverage.
@@ -69,17 +69,6 @@ type Config struct {
 	// HealthTimeout bounds WaitHealthy's poll for every replica's /healthz
 	// to go green. Default 10s of wall clock.
 	HealthTimeout time.Duration
-	// WireCodec selects the wire encoding every transport negotiates:
-	// "binary" (default — the zero-copy fast lane for hot message kinds,
-	// gob fallback for the long tail) or "gob" (the legacy stream codec).
-	WireCodec string
-	// VerifyWorkers sizes each replica's inbound verify pipeline: inbound
-	// signatures and QCs are pre-verified off the event-loop goroutine,
-	// warming the registry's verified-fact cache. 0 means the pool default
-	// (verifier.DefaultWorkers); negative disables both the pipeline and
-	// the cache, keeping every signature check inline on the event loop
-	// (the pre-fast-lane behavior, used as the livebench baseline).
-	VerifyWorkers int
 	// Logf observes harness events; nil is silent.
 	Logf func(format string, args ...any)
 	// OnTrace, if non-nil, observes every protocol trace with the replica
@@ -103,9 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HealthTimeout == 0 {
 		c.HealthTimeout = 10 * time.Second
-	}
-	if c.WireCodec == "" {
-		c.WireCodec = "binary"
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -142,7 +128,7 @@ type server struct {
 	tr      *transport.Transport
 	lf      *transport.LinkFaults
 	rt      *runtime.Runtime
-	pool    *verifier.Pool // verify pipeline of the current runtime, nil when disabled
+	pool    *verifier.Pool // verify pipeline of the current runtime
 	running bool
 }
 
@@ -211,7 +197,6 @@ type Env struct {
 	opts harness.Options
 	cfg  Config
 	reg  *crypto.Registry
-	wire transport.WireCodec
 
 	servers []*server
 	clients []*liveClient
@@ -257,32 +242,19 @@ func New(o harness.Options, cfg Config) (*Env, error) {
 		}
 	}
 
-	var wire transport.WireCodec
-	switch cfg.WireCodec {
-	case "binary":
-		wire = transport.CodecBinary
-	case "gob":
-		wire = transport.CodecGob
-	default:
-		return nil, fmt.Errorf("unknown wire codec %q (want binary or gob)", cfg.WireCodec)
-	}
-
 	reg, serverKeys, clientKeys := crypto.GenerateDeployment(uint64(o.Seed)+0x5eed, o.N, o.Clients)
 	// A real deployment verifies what it receives, whatever the
 	// simulation profile chose for speed.
 	reg.VerifySignatures = true
-	if cfg.VerifyWorkers >= 0 {
-		// The registry is shared by every in-process replica, so the
-		// verified-fact cache dedupes across the whole cluster: a QC checked
-		// by one replica is a cache hit for the other three.
-		reg.EnableVerifiedCache(0)
-	}
+	// The registry is shared by every in-process replica, so the
+	// verified-fact cache dedupes across the whole cluster: a QC checked by
+	// one replica is a cache hit for the other three.
+	reg.EnableVerifiedCache(0)
 
 	e := &Env{
 		opts:    o,
 		cfg:     cfg,
 		reg:     reg,
-		wire:    wire,
 		peerMap: make(map[types.ServerID]string, o.N),
 		stop:    make(chan struct{}),
 		crashed: make(map[types.ServerID]bool),
@@ -295,7 +267,6 @@ func New(o harness.Options, cfg Config) (*Env, error) {
 		id := types.ServerID(i)
 		s := &server{env: e, id: id}
 		tr := transport.NewServerTransport(id)
-		tr.SetWireCodec(wire)
 		lf := e.newLinkFaults(int64(i))
 		tr.SetFaults(lf)
 		if err := tr.Listen("127.0.0.1:0", s.deliver); err != nil {
@@ -362,7 +333,6 @@ func New(o harness.Options, cfg Config) (*Env, error) {
 		cid := types.ClientID(i)
 		lc := &liveClient{env: e, id: cid}
 		tr := transport.NewClientTransport(cid)
-		tr.SetWireCodec(wire)
 		clf := e.newLinkFaults(int64(1000 + i))
 		tr.SetFaults(clf)
 		if err := tr.Listen("127.0.0.1:0", lc.deliver); err != nil {
@@ -524,15 +494,12 @@ func (e *Env) spawnRuntime(s *server) {
 	s.mu.Lock()
 	tr := s.tr
 	s.mu.Unlock()
-	// Each runtime gets its own verify pipeline (sized by cfg); the pool is
-	// closed in stopServer after the event loop exits, so a crash/recover
-	// cycle replaces it along with the runtime. The pipelines all warm the
-	// one shared registry cache.
-	var pool *verifier.Pool
-	if e.cfg.VerifyWorkers >= 0 {
-		pool = verifier.New(verifier.Config{Registry: e.reg, Workers: e.cfg.VerifyWorkers})
-		runtime.RegisterVerifierMetrics(s.reg, pool, e.reg)
-	}
+	// Each runtime gets its own verify pipeline; the pool is closed in
+	// stopServer after the event loop exits, so a crash/recover cycle
+	// replaces it along with the runtime. The pipelines all warm the one
+	// shared registry cache.
+	pool := verifier.New(verifier.Config{Registry: e.reg})
+	runtime.RegisterVerifierMetrics(s.reg, pool, e.reg)
 	rt := runtime.New(runtime.Config{
 		Replica:         s.replica,
 		Peers:           e.peerMap,
@@ -637,7 +604,6 @@ func (e *Env) Recover(id types.ServerID) {
 		default:
 		}
 		tr := transport.NewServerTransport(id)
-		tr.SetWireCodec(e.wire)
 		lf := e.newLinkFaults(int64(id))
 		tr.SetFaults(lf)
 		if err := tr.Listen(s.addr, s.deliver); err != nil {

@@ -68,6 +68,34 @@ func TestLiveScrapeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLivePprofOnAdminPort: a running replica can be CPU-profiled over its
+// admin port — the same listener that serves /metrics and /healthz.
+func TestLivePprofOnAdminPort(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live TCP cluster; skipped with -short")
+	}
+	env, err := liveharness.New(shape(4, 44), liveharness.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	env.Start()
+	if err := env.WaitHealthy(); err != nil {
+		t.Fatalf("cluster never turned healthy: %v", err)
+	}
+	for _, path := range []string{"/debug/pprof/profile?seconds=1", "/debug/pprof/heap", "/debug/pprof/"} {
+		resp, err := http.Get("http://" + env.AdminAddr(2) + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || len(body) == 0 {
+			t.Errorf("GET %s: status %d, %d bytes; want 200 with a body", path, resp.StatusCode, len(body))
+		}
+	}
+}
+
 // TestLiveViewChangeCountsOncePerReplica crashes the leader and never
 // recovers it: the survivors run exactly one view change. Each survivor's
 // prestige_viewchange_total must read exactly 1 — installs are deduped per

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 )
 
@@ -44,15 +45,18 @@ func HealthHandler(fn HealthFunc) http.Handler {
 	})
 }
 
-// AdminServer is the /metrics + /healthz HTTP listener a replica exposes on
-// its admin port.
+// AdminServer is the /metrics + /healthz + /debug/pprof HTTP listener a
+// replica exposes on its admin port.
 type AdminServer struct {
 	ln  net.Listener
 	srv *http.Server
 }
 
-// ServeAdmin binds addr (e.g. "127.0.0.1:0") and serves /metrics from reg
-// and /healthz from health in a background goroutine. Callers own Close.
+// ServeAdmin binds addr (e.g. "127.0.0.1:0") and serves /metrics from reg,
+// /healthz from health, and the runtime profiles under /debug/pprof/ (the
+// way to profile a live replica: `go tool pprof
+// http://<admin>/debug/pprof/profile?seconds=15`) in a background goroutine.
+// Callers own Close.
 func ServeAdmin(addr string, reg *Registry, health HealthFunc) (*AdminServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -61,6 +65,11 @@ func ServeAdmin(addr string, reg *Registry, health HealthFunc) (*AdminServer, er
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/healthz", HealthHandler(health))
+	mux.HandleFunc("/debug/pprof/", pprof.Index) // also serves heap, goroutine, allocs, ...
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go srv.Serve(ln)
 	return &AdminServer{ln: ln, srv: srv}, nil

@@ -52,21 +52,27 @@ func (c *Collector) Count() int { return len(c.signers) }
 // registry. It returns true exactly once: when the threshold is first
 // reached. Duplicate or invalid signatures are ignored.
 func (c *Collector) Add(reg *crypto.Registry, from types.ServerID, sig []byte) bool {
-	if c.done {
-		return false
-	}
-	if _, dup := c.signers[from]; dup {
-		return false
-	}
-	if !reg.VerifyServer(from, c.stmt, sig) {
-		return false
-	}
+	return c.open(from) && reg.VerifyServer(from, c.stmt, sig) && c.record(from, sig)
+}
+
+// AddOwn records the collecting server's own vote: a signature it has just
+// produced over Statement with its own key, which there is nothing to learn
+// from verifying. Otherwise it behaves exactly like Add.
+func (c *Collector) AddOwn(self types.ServerID, sig []byte) bool {
+	return c.open(self) && c.record(self, sig)
+}
+
+// open reports whether a vote from id could still count: the threshold has
+// not been reached and id has not voted.
+func (c *Collector) open(id types.ServerID) bool {
+	_, dup := c.signers[id]
+	return !c.done && !dup
+}
+
+func (c *Collector) record(from types.ServerID, sig []byte) bool {
 	c.signers[from] = sig
-	if len(c.signers) >= c.threshold {
-		c.done = true
-		return true
-	}
-	return false
+	c.done = len(c.signers) >= c.threshold
+	return c.done
 }
 
 // Matches reports whether the collector is for the given statement identity.

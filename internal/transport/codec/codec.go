@@ -1,6 +1,5 @@
-// Package codec is the hand-rolled binary wire codec for the hot PrestigeBFT
-// message types — the live fast lane that replaces gob's per-message type
-// reflection and self-describing stream overhead (DESIGN.md §14).
+// Package codec is the hand-rolled binary wire codec for every PrestigeBFT
+// message: the one format the live transport speaks (DESIGN.md §14).
 //
 // Encoding rules:
 //   - integers (views, sequence numbers, lengths, counts, timestamps) are
@@ -8,17 +7,24 @@
 //     encoded as their two's-complement uint64 bit pattern, not zigzag —
 //     protocol values are non-negative in practice, and the cast round-trips
 //     all values either way;
+//   - one-byte enums (QC.Kind, ConfVC.Reason) and booleans are one raw byte;
 //   - digests are 32 raw bytes, no length prefix; a run of digests
 //     (Notif.Path) is a uvarint count followed by the digests, the count
 //     capped at types.MaxNotifPathLen;
 //   - byte strings are uvarint length followed by the bytes; length 0
-//     decodes as nil (gob equivalence: gob does not distinguish empty from
-//     nil, so neither does this codec);
+//     decodes as nil (the format does not distinguish empty from nil);
+//     CampVC.Nonce is additionally capped at MaxNonceLen;
 //   - repeated fields are a uvarint count followed by the elements; count 0
 //     decodes as nil maps/slices;
 //   - optional fields (SyncResp.Snapshot) are a presence byte (0/1);
-//   - maps (VcBlock.RP/CI) are encoded in ascending key order so encoding
-//     is deterministic; decoding accepts any order.
+//   - maps (VcBlock.RP/CI) are encoded in ascending key order.
+//
+// The encoding is canonical: Decode accepts exactly the byte strings Append
+// produces. Non-minimal varints, booleans other than 0/1, integers that
+// overflow their field, unsorted or duplicate map keys, and trailing bytes
+// are all rejected, so every accepted frame re-encodes to itself. Counts are
+// checked against the bytes actually remaining (at each element's minimum
+// encoded size) before anything is allocated.
 //
 // Decoding never copies payload bytes: Transaction.Data, signatures, and
 // nonces are subslices of the input buffer. Callers own the buffer and must
@@ -26,8 +32,8 @@
 // one buffer per inbound frame, which the decoded message then owns.
 //
 // Each message is framed as one kind byte followed by its body. Kind numbers
-// are part of the wire protocol (negotiated by the transport's version
-// magic); new kinds may be appended but existing numbers never change.
+// are the wire protocol; new kinds may be appended but existing numbers
+// never change.
 package codec
 
 import (
@@ -54,37 +60,34 @@ const (
 	kindSyncReq
 	kindSyncResp
 	kindCkptVote
+	kindCompt
+	kindConfVC
+	kindReVC
+	kindCampVC
+	kindVcBlockMsg
+	kindVcYes
+	kindRef
+	kindRdone
 )
+
+// MaxNonceLen caps CampVC.Nonce on decode. Honest proof-of-work nonces are 8
+// bytes; the cap keeps a hostile campaign from carrying a payload.
+const MaxNonceLen = 64
 
 // ErrUnknownKind reports a frame whose kind byte this codec version does not
 // understand.
 var ErrUnknownKind = errors.New("codec: unknown message kind")
 
-var errTruncated = errors.New("codec: truncated message")
-
-// Encodable reports whether the codec has a binary encoding for msg. The
-// transport falls back to gob for everything else.
-func Encodable(msg types.Message) bool {
-	switch msg.(type) {
-	case *types.Prop, *types.Notif, *types.Ord, *types.OrdReply, *types.Cmt,
-		*types.CmtReply, *types.Adopt, *types.TxBlockMsg, *types.VoteCP,
-		*types.SyncReq, *types.SyncResp, *types.CkptVote:
-		return true
-	default:
-		return false
-	}
-}
+var errMalformed = errors.New("codec: truncated, out-of-range or non-canonical field")
 
 // Append encodes msg (kind byte + body) onto buf and returns the extended
-// slice. ok is false when msg has no binary encoding; buf is returned
-// unchanged in that case.
+// slice. ok is false when msg is not one of the wire set's 20 kinds (the
+// sim-only baseline messages); buf is returned unchanged in that case.
 func Append(buf []byte, msg types.Message) (out []byte, ok bool) {
 	switch m := msg.(type) {
 	case *types.Prop:
 		buf = append(buf, kindProp)
-		buf = appendTx(buf, &m.Tx)
-		buf = append(buf, m.D[:]...)
-		buf = appendBytes(buf, m.Sig)
+		buf = appendProp(buf, m)
 	case *types.Notif:
 		buf = append(buf, kindNotif)
 		buf = appendUvarint(buf, uint64(m.From))
@@ -189,6 +192,62 @@ func Append(buf []byte, msg types.Message) (out []byte, ok bool) {
 		buf = appendUvarint(buf, uint64(m.Seq))
 		buf = append(buf, m.StateHash[:]...)
 		buf = appendBytes(buf, m.Sig)
+	case *types.Compt:
+		buf = append(buf, kindCompt)
+		buf = appendProp(buf, &m.Prop)
+		buf = appendBytes(buf, m.Sig)
+	case *types.ConfVC:
+		buf = append(buf, kindConfVC)
+		buf = appendUvarint(buf, uint64(m.From))
+		buf = appendUvarint(buf, uint64(m.V))
+		buf = append(buf, byte(m.Reason))
+		buf = append(buf, m.TxD[:]...)
+		buf = appendUvarint(buf, uint64(m.Client))
+		buf = appendBytes(buf, m.Sig)
+	case *types.ReVC:
+		buf = append(buf, kindReVC)
+		buf = appendUvarint(buf, uint64(m.From))
+		buf = appendUvarint(buf, uint64(m.To))
+		buf = appendUvarint(buf, uint64(m.V))
+		buf = appendBytes(buf, m.Sig)
+	case *types.CampVC:
+		buf = append(buf, kindCampVC)
+		buf = appendUvarint(buf, uint64(m.From))
+		buf = appendQC(buf, &m.ConfQC)
+		buf = appendUvarint(buf, uint64(m.V))
+		buf = appendUvarint(buf, uint64(m.VPrime))
+		buf = appendUvarint(buf, uint64(m.RP))
+		buf = appendUvarint(buf, uint64(m.CI))
+		buf = appendBytes(buf, m.Nonce)
+		buf = append(buf, m.HR[:]...)
+		buf = appendUvarint(buf, uint64(m.TxN))
+		buf = append(buf, m.TxHash[:]...)
+		buf = appendUvarint(buf, uint64(m.VcN))
+		buf = appendBytes(buf, m.Sig)
+	case *types.VcBlockMsg:
+		buf = append(buf, kindVcBlockMsg)
+		buf = appendUvarint(buf, uint64(m.From))
+		buf = appendVcBlock(buf, &m.Block)
+		buf = appendBytes(buf, m.Sig)
+	case *types.VcYes:
+		buf = append(buf, kindVcYes)
+		buf = appendUvarint(buf, uint64(m.From))
+		buf = appendUvarint(buf, uint64(m.V))
+		buf = append(buf, m.BlockHash[:]...)
+		buf = appendBytes(buf, m.Sig)
+	case *types.Ref:
+		buf = append(buf, kindRef)
+		buf = appendUvarint(buf, uint64(m.From))
+		buf = appendUvarint(buf, uint64(m.V))
+		buf = appendBytes(buf, m.Sig)
+	case *types.Rdone:
+		buf = append(buf, kindRdone)
+		buf = appendUvarint(buf, uint64(m.From))
+		buf = appendUvarint(buf, uint64(m.V))
+		buf = appendQC(buf, &m.RsQC)
+		buf = appendUvarint(buf, uint64(m.RP))
+		buf = appendUvarint(buf, uint64(m.CI))
+		buf = appendBytes(buf, m.Sig)
 	default:
 		return buf, false
 	}
@@ -199,20 +258,18 @@ func Append(buf []byte, msg types.Message) (out []byte, ok bool) {
 // see the package comment on buffer ownership.
 func Decode(data []byte) (types.Message, error) {
 	if len(data) == 0 {
-		return nil, errTruncated
+		return nil, errMalformed
 	}
 	r := reader{buf: data[1:]}
 	var msg types.Message
 	switch data[0] {
 	case kindProp:
 		m := &types.Prop{}
-		readTx(&r, &m.Tx)
-		r.digest(&m.D)
-		m.Sig = r.bytes()
+		readProp(&r, m)
 		msg = m
 	case kindNotif:
 		m := &types.Notif{}
-		m.From = types.ServerID(r.uvarint())
+		m.From = r.serverID()
 		m.V = types.View(r.uvarint())
 		m.N = types.SeqNum(r.uvarint())
 		r.digest(&m.TxD)
@@ -223,21 +280,16 @@ func Decode(data []byte) (types.Message, error) {
 		msg = m
 	case kindOrd:
 		m := &types.Ord{}
-		m.From = types.ServerID(r.uvarint())
+		m.From = r.serverID()
 		m.V = types.View(r.uvarint())
 		m.N = types.SeqNum(r.uvarint())
 		r.digest(&m.Prev)
-		if n := r.count(); n > 0 {
-			m.Txs = make([]types.Transaction, n)
-			for i := range m.Txs {
-				readTx(&r, &m.Txs[i])
-			}
-		}
+		m.Txs = readTxs(&r)
 		m.Sig = r.bytes()
 		msg = m
 	case kindOrdReply:
 		m := &types.OrdReply{}
-		m.From = types.ServerID(r.uvarint())
+		m.From = r.serverID()
 		m.V = types.View(r.uvarint())
 		m.N = types.SeqNum(r.uvarint())
 		r.digest(&m.D)
@@ -245,7 +297,7 @@ func Decode(data []byte) (types.Message, error) {
 		msg = m
 	case kindCmt:
 		m := &types.Cmt{}
-		m.From = types.ServerID(r.uvarint())
+		m.From = r.serverID()
 		m.V = types.View(r.uvarint())
 		m.N = types.SeqNum(r.uvarint())
 		readQC(&r, &m.OrderingQC)
@@ -253,7 +305,7 @@ func Decode(data []byte) (types.Message, error) {
 		msg = m
 	case kindCmtReply:
 		m := &types.CmtReply{}
-		m.From = types.ServerID(r.uvarint())
+		m.From = r.serverID()
 		m.V = types.View(r.uvarint())
 		m.N = types.SeqNum(r.uvarint())
 		r.digest(&m.D)
@@ -261,48 +313,38 @@ func Decode(data []byte) (types.Message, error) {
 		msg = m
 	case kindAdopt:
 		m := &types.Adopt{}
-		m.From = types.ServerID(r.uvarint())
+		m.From = r.serverID()
 		m.V = types.View(r.uvarint())
 		readTxBlock(&r, &m.Block)
 		m.Sig = r.bytes()
 		msg = m
 	case kindTxBlockMsg:
 		m := &types.TxBlockMsg{}
-		m.From = types.ServerID(r.uvarint())
+		m.From = r.serverID()
 		readTxBlock(&r, &m.Block)
 		m.Sig = r.bytes()
 		msg = m
 	case kindVoteCP:
 		m := &types.VoteCP{}
-		m.From = types.ServerID(r.uvarint())
-		m.Cand = types.ServerID(r.uvarint())
+		m.From = r.serverID()
+		m.Cand = r.serverID()
 		m.VPrime = types.View(r.uvarint())
-		if n := r.count(); n > 0 {
-			m.Locked = make([]types.TxBlock, n)
-			for i := range m.Locked {
-				readTxBlock(&r, &m.Locked[i])
-			}
-		}
+		m.Locked = readTxBlocks(&r)
 		m.Sig = r.bytes()
 		msg = m
 	case kindSyncReq:
 		m := &types.SyncReq{}
-		m.From = types.ServerID(r.uvarint())
-		m.Kind = types.SyncKind(r.uvarint())
+		m.From = r.serverID()
+		m.Kind = types.SyncKind(r.uint8())
 		m.Start = r.uvarint()
 		m.End = r.uvarint()
 		msg = m
 	case kindSyncResp:
 		m := &types.SyncResp{}
-		m.From = types.ServerID(r.uvarint())
-		m.Kind = types.SyncKind(r.uvarint())
-		if n := r.count(); n > 0 {
-			m.TxBlocks = make([]types.TxBlock, n)
-			for i := range m.TxBlocks {
-				readTxBlock(&r, &m.TxBlocks[i])
-			}
-		}
-		if n := r.count(); n > 0 {
+		m.From = r.serverID()
+		m.Kind = types.SyncKind(r.uint8())
+		m.TxBlocks = readTxBlocks(&r)
+		if n := r.count(minVcBlock); n > 0 {
 			m.VcBlocks = make([]types.VcBlock, n)
 			for i := range m.VcBlocks {
 				readVcBlock(&r, &m.VcBlocks[i])
@@ -323,9 +365,75 @@ func Decode(data []byte) (types.Message, error) {
 		msg = m
 	case kindCkptVote:
 		m := &types.CkptVote{}
-		m.From = types.ServerID(r.uvarint())
+		m.From = r.serverID()
 		m.Seq = types.SeqNum(r.uvarint())
 		r.digest(&m.StateHash)
+		m.Sig = r.bytes()
+		msg = m
+	case kindCompt:
+		m := &types.Compt{}
+		readProp(&r, &m.Prop)
+		m.Sig = r.bytes()
+		msg = m
+	case kindConfVC:
+		m := &types.ConfVC{}
+		m.From = r.serverID()
+		m.V = types.View(r.uvarint())
+		m.Reason = types.ConfReason(r.byte())
+		r.digest(&m.TxD)
+		m.Client = types.ClientID(r.uint32())
+		m.Sig = r.bytes()
+		msg = m
+	case kindReVC:
+		m := &types.ReVC{}
+		m.From = r.serverID()
+		m.To = r.serverID()
+		m.V = types.View(r.uvarint())
+		m.Sig = r.bytes()
+		msg = m
+	case kindCampVC:
+		m := &types.CampVC{}
+		m.From = r.serverID()
+		readQC(&r, &m.ConfQC)
+		m.V = types.View(r.uvarint())
+		m.VPrime = types.View(r.uvarint())
+		m.RP = int64(r.uvarint())
+		m.CI = int64(r.uvarint())
+		if m.Nonce = r.bytes(); len(m.Nonce) > MaxNonceLen {
+			r.fail()
+		}
+		r.digest(&m.HR)
+		m.TxN = types.SeqNum(r.uvarint())
+		r.digest(&m.TxHash)
+		m.VcN = types.View(r.uvarint())
+		m.Sig = r.bytes()
+		msg = m
+	case kindVcBlockMsg:
+		m := &types.VcBlockMsg{}
+		m.From = r.serverID()
+		readVcBlock(&r, &m.Block)
+		m.Sig = r.bytes()
+		msg = m
+	case kindVcYes:
+		m := &types.VcYes{}
+		m.From = r.serverID()
+		m.V = types.View(r.uvarint())
+		r.digest(&m.BlockHash)
+		m.Sig = r.bytes()
+		msg = m
+	case kindRef:
+		m := &types.Ref{}
+		m.From = r.serverID()
+		m.V = types.View(r.uvarint())
+		m.Sig = r.bytes()
+		msg = m
+	case kindRdone:
+		m := &types.Rdone{}
+		m.From = r.serverID()
+		m.V = types.View(r.uvarint())
+		readQC(&r, &m.RsQC)
+		m.RP = int64(r.uvarint())
+		m.CI = int64(r.uvarint())
 		m.Sig = r.bytes()
 		msg = m
 	default:
@@ -356,6 +464,12 @@ func appendBool(buf []byte, b bool) []byte {
 func appendBytes(buf, b []byte) []byte {
 	buf = appendUvarint(buf, uint64(len(b)))
 	return append(buf, b...)
+}
+
+func appendProp(buf []byte, m *types.Prop) []byte {
+	buf = appendTx(buf, &m.Tx)
+	buf = append(buf, m.D[:]...)
+	return appendBytes(buf, m.Sig)
 }
 
 func appendTx(buf []byte, t *types.Transaction) []byte {
@@ -404,15 +518,15 @@ func appendVcBlock(buf []byte, b *types.VcBlock) []byte {
 	buf = append(buf, b.PrevHash[:]...)
 	buf = appendQC(buf, &b.ConfQC)
 	buf = appendQC(buf, &b.VcQC)
-	buf = appendUvarint(buf, uint64(len(b.RP)))
-	for _, id := range types.SortedKeys(b.RP) {
+	buf = appendRepMap(buf, b.RP)
+	return appendRepMap(buf, b.CI)
+}
+
+func appendRepMap(buf []byte, m map[types.ServerID]int64) []byte {
+	buf = appendUvarint(buf, uint64(len(m)))
+	for _, id := range types.SortedKeys(m) {
 		buf = appendUvarint(buf, uint64(id))
-		buf = appendUvarint(buf, uint64(b.RP[id]))
-	}
-	buf = appendUvarint(buf, uint64(len(b.CI)))
-	for _, id := range types.SortedKeys(b.CI) {
-		buf = appendUvarint(buf, uint64(id))
-		buf = appendUvarint(buf, uint64(b.CI[id]))
+		buf = appendUvarint(buf, uint64(m[id]))
 	}
 	return buf
 }
@@ -429,16 +543,19 @@ type reader struct {
 
 func (r *reader) fail() {
 	if r.err == nil {
-		r.err = errTruncated
+		r.err = errMalformed
 	}
 }
 
+// uvarint reads one minimally encoded uvarint: a multi-byte encoding whose
+// last byte is zero carries leading zero groups and is refused, so every
+// value has exactly one accepted spelling.
 func (r *reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.buf[n-1] == 0) {
 		r.fail()
 		return 0
 	}
@@ -446,37 +563,50 @@ func (r *reader) uvarint() uint64 {
 	return v
 }
 
-// count reads a repetition count and bounds it against the bytes remaining
-// (every element costs at least one byte), so a hostile count cannot force a
-// huge allocation before the truncation is noticed.
-func (r *reader) count() int {
+// bounded reads a uvarint that must fit a narrower field; a wider value is
+// refused rather than truncated.
+func (r *reader) bounded(max uint64) uint64 {
+	v := r.uvarint()
+	if v > max {
+		r.fail()
+		return 0
+	}
+	return v
+}
+
+func (r *reader) uint8() uint8             { return uint8(r.bounded(math.MaxUint8)) }
+func (r *reader) uint32() uint32           { return uint32(r.bounded(math.MaxUint32)) }
+func (r *reader) serverID() types.ServerID { return types.ServerID(r.bounded(math.MaxUint16)) }
+
+// Minimum encoded sizes of the repeated elements, in bytes: what count
+// divides the remaining buffer by.
+const (
+	minTx      = 3                                // timestamp, client, data length
+	minQC      = 1 + 1 + 1 + 32 + 1 + 1           // kind, view, seq, digest, two counts
+	minTxBlock = 1 + 1 + 32 + 1 + 1 + 1 + 2*minQC // header, two counts, two QCs
+	minVcBlock = 1 + 1 + 32 + 2*minQC + 1 + 1     // view, leader, prev, two QCs, two counts
+	minRepPair = 2                                // server ID, value
+)
+
+// count reads a repetition count and bounds it against the bytes remaining,
+// given that every element encodes to at least minElem bytes, so a hostile
+// count cannot force an allocation the frame could not back.
+func (r *reader) count(minElem int) int {
 	v := r.uvarint()
 	if r.err != nil {
 		return 0
 	}
-	if v > uint64(len(r.buf)) || v > math.MaxInt32 {
+	if v > uint64(len(r.buf)/minElem) {
 		r.fail()
 		return 0
 	}
 	return int(v)
 }
 
-func (r *reader) uint32() uint32 {
-	v := r.uvarint()
-	if v > math.MaxUint32 {
-		r.fail()
-		return 0
-	}
-	return uint32(v)
-}
-
-// digests reads a counted run of digests. The count is checked against max
-// and against the bytes remaining before anything is allocated: count()'s
-// one-byte-per-element bound alone would let a frame ask for 32 times its
-// own size.
+// digests reads a counted run of at most max digests.
 func (r *reader) digests(max int) []types.Digest {
-	n := r.count()
-	if n > max || n > len(r.buf)/32 {
+	n := r.count(32)
+	if n > max {
 		r.fail()
 		return nil
 	}
@@ -490,17 +620,25 @@ func (r *reader) digests(max int) []types.Digest {
 	return ds
 }
 
-func (r *reader) bool() bool {
+func (r *reader) byte() byte {
 	if r.err != nil {
-		return false
+		return 0
 	}
 	if len(r.buf) < 1 {
 		r.fail()
-		return false
+		return 0
 	}
 	b := r.buf[0]
 	r.buf = r.buf[1:]
-	return b != 0
+	return b
+}
+
+func (r *reader) bool() bool {
+	b := r.byte()
+	if b > 1 {
+		r.fail()
+	}
+	return b == 1
 }
 
 func (r *reader) digest(d *types.Digest) {
@@ -515,10 +653,9 @@ func (r *reader) digest(d *types.Digest) {
 	r.buf = r.buf[32:]
 }
 
-// bytes returns a zero-copy subslice of the input; length 0 yields nil
-// (matching gob, which erases the empty/nil distinction).
+// bytes returns a zero-copy subslice of the input; length 0 yields nil.
 func (r *reader) bytes() []byte {
-	n := r.count()
+	n := r.count(1)
 	if r.err != nil || n == 0 {
 		return nil
 	}
@@ -527,32 +664,42 @@ func (r *reader) bytes() []byte {
 	return b
 }
 
+func readProp(r *reader, m *types.Prop) {
+	readTx(r, &m.Tx)
+	r.digest(&m.D)
+	m.Sig = r.bytes()
+}
+
 func readTx(r *reader, t *types.Transaction) {
 	t.Timestamp = int64(r.uvarint())
-	t.Client = types.ClientID(r.uvarint())
+	t.Client = types.ClientID(r.uint32())
 	t.Data = r.bytes()
 }
 
+func readTxs(r *reader) []types.Transaction {
+	n := r.count(minTx)
+	if n == 0 {
+		return nil
+	}
+	txs := make([]types.Transaction, n)
+	for i := range txs {
+		readTx(r, &txs[i])
+	}
+	return txs
+}
+
 func readQC(r *reader, qc *types.QC) {
-	if r.err != nil {
-		return
-	}
-	if len(r.buf) < 1 {
-		r.fail()
-		return
-	}
-	qc.Kind = types.QCKind(r.buf[0])
-	r.buf = r.buf[1:]
+	qc.Kind = types.QCKind(r.byte())
 	qc.View = types.View(r.uvarint())
 	qc.Seq = types.SeqNum(r.uvarint())
 	r.digest(&qc.Digest)
-	if n := r.count(); n > 0 {
+	if n := r.count(1); n > 0 {
 		qc.Signers = make([]types.ServerID, n)
 		for i := range qc.Signers {
-			qc.Signers[i] = types.ServerID(r.uvarint())
+			qc.Signers[i] = r.serverID()
 		}
 	}
-	if n := r.count(); n > 0 {
+	if n := r.count(1); n > 0 {
 		qc.Sigs = make([][]byte, n)
 		for i := range qc.Sigs {
 			qc.Sigs[i] = r.bytes()
@@ -564,14 +711,9 @@ func readTxBlock(r *reader, b *types.TxBlock) {
 	b.Header.V = types.View(r.uvarint())
 	b.Header.N = types.SeqNum(r.uvarint())
 	r.digest(&b.Header.PrevHash)
-	b.Header.BatchLen = uint32(r.uvarint())
-	if n := r.count(); n > 0 {
-		b.Txs = make([]types.Transaction, n)
-		for i := range b.Txs {
-			readTx(r, &b.Txs[i])
-		}
-	}
-	if n := r.count(); n > 0 {
+	b.Header.BatchLen = r.uint32()
+	b.Txs = readTxs(r)
+	if n := r.count(1); n > 0 {
 		b.Status = make([]bool, n)
 		for i := range b.Status {
 			b.Status[i] = r.bool()
@@ -581,24 +723,44 @@ func readTxBlock(r *reader, b *types.TxBlock) {
 	readQC(r, &b.CommitQC)
 }
 
+func readTxBlocks(r *reader) []types.TxBlock {
+	n := r.count(minTxBlock)
+	if n == 0 {
+		return nil
+	}
+	blocks := make([]types.TxBlock, n)
+	for i := range blocks {
+		readTxBlock(r, &blocks[i])
+	}
+	return blocks
+}
+
 func readVcBlock(r *reader, b *types.VcBlock) {
 	b.V = types.View(r.uvarint())
-	b.LeaderID = types.ServerID(r.uvarint())
+	b.LeaderID = r.serverID()
 	r.digest(&b.PrevHash)
 	readQC(r, &b.ConfQC)
 	readQC(r, &b.VcQC)
-	if n := r.count(); n > 0 {
-		b.RP = make(map[types.ServerID]int64, n)
-		for i := 0; i < n; i++ {
-			id := types.ServerID(r.uvarint())
-			b.RP[id] = int64(r.uvarint())
-		}
+	b.RP = readRepMap(r)
+	b.CI = readRepMap(r)
+}
+
+// readRepMap reads a reputation map, insisting on the strictly ascending key
+// order Append writes (which also rules out duplicate keys).
+func readRepMap(r *reader) map[types.ServerID]int64 {
+	n := r.count(minRepPair)
+	if n == 0 {
+		return nil
 	}
-	if n := r.count(); n > 0 {
-		b.CI = make(map[types.ServerID]int64, n)
-		for i := 0; i < n; i++ {
-			id := types.ServerID(r.uvarint())
-			b.CI[id] = int64(r.uvarint())
+	m := make(map[types.ServerID]int64, n)
+	prev := -1
+	for i := 0; i < n; i++ {
+		id := r.serverID()
+		if int(id) <= prev {
+			r.fail()
 		}
+		prev = int(id)
+		m[id] = int64(r.uvarint())
 	}
+	return m
 }

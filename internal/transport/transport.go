@@ -1,9 +1,9 @@
 // Package transport carries protocol messages over TCP for live
-// deployments (cmd/prestige-server, cmd/prestige-client, liveharness). The
-// wire format is chosen per connection by the dialer (WireCodec): by default
-// length-prefixed binary frames — transport/codec for the hot message kinds,
-// an embedded encoding/gob blob for the view-change kinds the codec does not
-// cover — or, on request, the legacy gob stream. The discrete-event
+// deployments (cmd/prestige-server, cmd/prestige-client, liveharness). There
+// is one wire format and no negotiation: a connection is a sequence of
+// frames, each a uvarint body length followed by the body — the sender's
+// server and client IDs as uvarints, then one transport/codec message
+// (DESIGN.md §14). Anything else on the socket closes it. The discrete-event
 // simulator bypasses the package entirely.
 //
 // Connections are lazy and cached: the first send to a peer dials it;
@@ -20,9 +20,7 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -125,51 +123,29 @@ type Transport struct {
 	faults   *LinkFaults
 	delayq   map[string]chan delayedMsg
 	accepted map[net.Conn]struct{}
-	codec    WireCodec
 	closed   bool
 	done     chan struct{}
 }
 
-// WireCodec selects the outbound encoding for new connections.
+// WireCodec, CodecBinary and SetWireCodec are a one-value shim for
+// benchmark/replay.go, which names them and cannot change in the PR that
+// removed the second format. Delete with the next benchmark PR.
 type WireCodec int
 
-const (
-	// CodecGob streams gob-encoded envelopes — the legacy format every
-	// transport accepts inbound.
-	CodecGob WireCodec = iota
-	// CodecBinary opens connections with the binary-codec magic and frames
-	// hot messages through transport/codec, falling back to an embedded gob
-	// blob for the long tail. Inbound direction always auto-detects, so a
-	// binary sender interoperates with any receiver of this package.
-	CodecBinary
-)
+// CodecBinary is the only wire format.
+const CodecBinary WireCodec = 1
 
-// binaryMagic is the 4-byte preamble a binary-codec dialer writes before its
-// first frame. A gob stream physically could begin with these bytes (its
-// first byte is a message length), but that requires an exact 4-byte match
-// against an 80-byte first gob message that no wire type here produces; the
-// deployments in this repo configure both sides consistently anyway.
-const binaryMagic = "PBW1"
+// SetWireCodec is a no-op: there is nothing left to select.
+func (t *Transport) SetWireCodec(WireCodec) {}
 
-// maxFrame bounds one binary frame (64 MiB) so a corrupt or hostile length
-// prefix cannot force an unbounded allocation.
+// maxFrame bounds one frame (64 MiB) so a corrupt or hostile length prefix
+// is refused outright.
 const maxFrame = 1 << 26
 
-// Envelope frame markers: the byte after the sender IDs that says how the
-// message body is encoded.
-const (
-	frameGob    byte = 0 // body is a self-contained gob blob of the Envelope
-	frameBinary byte = 1 // body is a transport/codec message
-)
-
-// SetWireCodec selects the encoding used for connections dialed after the
-// call (existing connections keep their negotiated format). The inbound
-// direction is unaffected: every transport auto-detects both formats.
-func (t *Transport) SetWireCodec(c WireCodec) {
-	t.mu.Lock()
-	t.codec = c
-	t.mu.Unlock()
-}
+// frameChunk is the most a frame's buffer grows ahead of the bytes that have
+// actually arrived: a peer that announces a large frame and stalls holds this
+// much, not the announced size.
+const frameChunk = 64 << 10
 
 // delayedMsg is one latency-injected message waiting in a per-peer queue.
 type delayedMsg struct {
@@ -193,33 +169,18 @@ func (t *Transport) Stats() Stats {
 }
 
 type conn struct {
-	mu  sync.Mutex
-	enc *gob.Encoder // gob mode only
-	c   net.Conn
-
-	// Binary-codec mode. The magic preamble is written lazily under mu by
-	// the first encode, so a connection installed in the cache is complete
-	// from any goroutine's perspective. scratch is the reusable frame
-	// buffer; it grows to the largest frame the connection has sent.
-	bin          bool
-	cw           *countingWriter
-	magicPending bool
-	scratch      []byte
+	mu sync.Mutex
+	c  net.Conn
+	cw *countingWriter
+	// scratch is the reusable frame buffer; it grows to the largest frame
+	// the connection has sent.
+	scratch []byte
 }
 
-// encode serializes env onto the connection in its negotiated format.
+// encode writes env to the connection as one frame.
 func (cn *conn) encode(env *Envelope) error {
 	cn.mu.Lock()
 	defer cn.mu.Unlock()
-	if !cn.bin {
-		return cn.enc.Encode(env)
-	}
-	if cn.magicPending {
-		if _, err := io.WriteString(cn.cw, binaryMagic); err != nil {
-			return err
-		}
-		cn.magicPending = false
-	}
 	// Build the body after a MaxVarintLen64 hole, then back-fill the length
 	// prefix so header+body go out in one write.
 	if cap(cn.scratch) < binary.MaxVarintLen64 {
@@ -239,27 +200,19 @@ func (cn *conn) encode(env *Envelope) error {
 	return err
 }
 
-// appendEnvelope appends env's frame body: sender IDs, a format marker, and
-// the message — binary-coded for hot kinds, an embedded self-contained gob
-// blob for the long tail.
+// appendEnvelope appends env's frame body: the sender IDs, then the message.
 func appendEnvelope(buf []byte, env *Envelope) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(env.FromServer))
 	buf = binary.AppendUvarint(buf, uint64(env.FromClient))
-	mark := len(buf)
-	buf = append(buf, frameBinary)
-	if out, ok := codec.Append(buf, env.Msg); ok {
-		return out, nil
+	out, ok := codec.Append(buf, env.Msg)
+	if !ok {
+		return nil, fmt.Errorf("transport: %T is not a wire message", env.Msg)
 	}
-	buf[mark] = frameGob
-	var blob bytes.Buffer
-	if err := gob.NewEncoder(&blob).Encode(env); err != nil {
-		return nil, err
-	}
-	return append(buf, blob.Bytes()...), nil
+	return out, nil
 }
 
-// decodeEnvelope parses one binary frame body. The decoded message aliases
-// buf (the codec is zero-copy), so each frame gets its own buffer.
+// decodeEnvelope parses one frame body. The decoded message aliases buf (the
+// codec is zero-copy), so each frame gets its own buffer.
 func decodeEnvelope(buf []byte) (*Envelope, error) {
 	fromServer, n := binary.Uvarint(buf)
 	if n <= 0 {
@@ -270,32 +223,15 @@ func decodeEnvelope(buf []byte) (*Envelope, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("transport: bad frame sender")
 	}
-	buf = buf[n:]
-	if len(buf) < 1 {
-		return nil, fmt.Errorf("transport: empty frame")
+	msg, err := codec.Decode(buf[n:])
+	if err != nil {
+		return nil, err
 	}
-	marker := buf[0]
-	buf = buf[1:]
-	env := &Envelope{FromServer: types.ServerID(fromServer), FromClient: types.ClientID(fromClient)}
-	switch marker {
-	case frameBinary:
-		msg, err := codec.Decode(buf)
-		if err != nil {
-			return nil, err
-		}
-		env.Msg = msg
-	case frameGob:
-		if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(env); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("transport: unknown frame marker %d", marker)
-	}
-	return env, nil
+	return &Envelope{FromServer: types.ServerID(fromServer), FromClient: types.ClientID(fromClient), Msg: msg}, nil
 }
 
-// countingWriter counts the bytes gob actually puts on the wire, both
-// globally and against the destination peer.
+// countingWriter counts the bytes actually put on the wire, both globally
+// and against the destination peer.
 type countingWriter struct {
 	w  net.Conn
 	n  *atomic.Uint64
@@ -416,27 +352,51 @@ func (t *Transport) Listen(addr string, h Handler) error {
 	if err != nil {
 		return err
 	}
-	t.listener = ln
-	t.handler = h
-	go t.acceptLoop()
+	t.serve(ln, h)
 	return nil
 }
 
+// serve starts the accept loop on an already-bound listener.
+func (t *Transport) serve(ln net.Listener, h Handler) {
+	t.listener = ln
+	t.handler = h
+	go t.acceptLoop()
+}
+
+// Accept-error backoff: a persistent Accept failure (EMFILE, ENFILE, ...)
+// retries after a pause that doubles from acceptBackoffBase to
+// acceptBackoffCap and resets on the first success, like net/http's Serve.
+const (
+	acceptBackoffBase = 5 * time.Millisecond
+	acceptBackoffCap  = time.Second
+)
+
 func (t *Transport) acceptLoop() {
+	var pause time.Duration
 	for {
 		c, err := t.listener.Accept()
-		if err != nil {
-			select {
-			case <-t.done:
-				return
-			default:
-				continue
-			}
+		if err == nil {
+			pause = 0
+			go t.readLoop(c)
+			continue
 		}
-		go t.readLoop(c)
+		if pause == 0 {
+			pause = acceptBackoffBase
+		} else if pause *= 2; pause > acceptBackoffCap {
+			pause = acceptBackoffCap
+		}
+		select {
+		case <-t.done:
+			return
+		case <-time.After(pause):
+		}
 	}
 }
 
+// readLoop drains length-prefixed frames from an accepted connection until
+// it fails, misframes, or carries an undecodable message — any of which
+// closes it. Each frame is read into its own buffer, which the decoded
+// message then owns (the codec aliases it instead of copying).
 func (t *Transport) readLoop(c net.Conn) {
 	t.mu.Lock()
 	if t.closed {
@@ -450,51 +410,44 @@ func (t *Transport) readLoop(c net.Conn) {
 		t.mu.Lock()
 		delete(t.accepted, c)
 		t.mu.Unlock()
+		c.Close()
 	}()
 	br := bufio.NewReader(c)
-	if magic, err := br.Peek(len(binaryMagic)); err == nil && string(magic) == binaryMagic {
-		br.Discard(len(binaryMagic))
-		t.readBinary(c, br)
-		return
-	}
-	dec := gob.NewDecoder(br)
-	for {
-		var env Envelope
-		if err := dec.Decode(&env); err != nil {
-			c.Close()
-			return
-		}
-		if t.handler != nil {
-			t.delivered.Add(1)
-			t.handler(&env)
-		}
-	}
-}
-
-// readBinary drains length-prefixed binary frames from a connection that
-// announced the binary codec. Each frame is read into its own buffer, which
-// the decoded message then owns (the codec aliases it instead of copying).
-func (t *Transport) readBinary(c net.Conn, br *bufio.Reader) {
 	for {
 		size, err := binary.ReadUvarint(br)
 		if err != nil || size > maxFrame {
-			c.Close()
 			return
 		}
-		buf := make([]byte, size)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			c.Close()
+		buf, err := readFrame(br, int(size))
+		if err != nil {
 			return
 		}
 		env, err := decodeEnvelope(buf)
 		if err != nil {
-			c.Close()
 			return
 		}
 		if t.handler != nil {
 			t.delivered.Add(1)
 			t.handler(env)
 		}
+	}
+}
+
+// readFrame reads a size-byte frame body into one contiguous buffer without
+// trusting size up front: the buffer starts at frameChunk and doubles only
+// as bytes arrive, so memory held tracks data received, not data announced.
+func readFrame(r io.Reader, size int) ([]byte, error) {
+	buf := make([]byte, min(size, frameChunk))
+	for n := 0; ; {
+		if _, err := io.ReadFull(r, buf[n:]); err != nil {
+			return nil, err
+		}
+		if n = len(buf); n == size {
+			return buf, nil
+		}
+		grown := make([]byte, n+min(n, size-n))
+		copy(grown, buf)
+		buf = grown
 	}
 }
 
@@ -664,7 +617,6 @@ func (t *Transport) getConn(addr string, respectBackoff bool) (cn *conn, cached 
 			return nil, false, fmt.Errorf("send %s: backing off after %d failures", addr, failures)
 		}
 	}
-	mode := t.codec
 	t.mu.Unlock()
 
 	raw, err := net.Dial("tcp", addr)
@@ -675,15 +627,7 @@ func (t *Transport) getConn(addr string, respectBackoff bool) (cn *conn, cached 
 	}
 	t.mu.Lock()
 	pc := t.peer(addr)
-	cw := &countingWriter{w: raw, n: &t.bytes, pn: &pc.bytes}
-	cn = &conn{c: raw}
-	if mode == CodecBinary {
-		cn.bin = true
-		cn.cw = cw
-		cn.magicPending = true
-	} else {
-		cn.enc = gob.NewEncoder(cw)
-	}
+	cn = &conn{c: raw, cw: &countingWriter{w: raw, n: &t.bytes, pn: &pc.bytes}}
 	switch {
 	case t.closed:
 		pc.dropped++

@@ -4,9 +4,9 @@
 //
 // All structures are plain values so they can be passed through the in-process
 // discrete-event simulator without serialization and through the TCP
-// transport, which encodes them with transport/codec (hot kinds) or
-// encoding/gob (the rest, and the legacy stream). Signable structures expose
-// SigningBytes, a canonical binary encoding that is independent of both.
+// transport, which encodes every message kind with transport/codec.
+// Signable structures expose SigningBytes, a canonical binary encoding that
+// is independent of the wire format.
 package types
 
 import (
