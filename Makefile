@@ -42,6 +42,7 @@ test-short:
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+	$(GO) test -bench DeliverToHandled -benchmem -benchtime 2000x -run '^$$' ./internal/runtime
 
 # Regenerate the bench trajectory exactly as CI's bench job runs it:
 # fig4c + pipeline sweep + the full chaos-scenario suite, one JSON document.

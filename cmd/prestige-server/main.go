@@ -22,6 +22,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -29,7 +30,6 @@ import (
 	"prestigebft/internal/consensus"
 	"prestigebft/internal/core"
 	"prestigebft/internal/crypto"
-	"prestigebft/internal/crypto/verifier"
 	"prestigebft/internal/metrics"
 	"prestigebft/internal/runtime"
 	"prestigebft/internal/transport"
@@ -90,17 +90,11 @@ func main() {
 		mreg = metrics.NewRegistry()
 		metrics.RegisterProcessMetrics(mreg)
 	}
-	// Inbound signatures are pre-verified off the event loop, warming the
-	// registry's verified-fact cache.
-	pool := verifier.New(verifier.Config{Registry: reg})
-	if mreg != nil {
-		runtime.RegisterVerifierMetrics(mreg, pool, reg)
-	}
 	rt := runtime.New(runtime.Config{
 		Replica:         node,
 		Peers:           peerMap,
 		Transport:       tr,
-		Verifier:        pool,
+		Verifier:        reg,
 		PuzzleBitsPerRP: *bits,
 		Seed:            *rngSeed,
 		Metrics:         mreg,
@@ -116,14 +110,7 @@ func main() {
 		},
 	})
 
-	handler := func(env *transport.Envelope) {
-		if env.FromClient != 0 {
-			// Learn the client's return address from its first message
-			// (demo convention: clients listen on 9000+ID locally).
-			rt.RegisterClient(env.FromClient, fmt.Sprintf("127.0.0.1:%d", 9000+env.FromClient))
-		}
-		rt.Deliver(env)
-	}
+	handler := newHandler(rt.RegisterClient, rt.Deliver)
 	if err := tr.Listen(*listen, handler); err != nil {
 		log.Fatalf("listen: %v", err)
 	}
@@ -156,9 +143,25 @@ func main() {
 	log.Printf("prestige-server %d/%d listening on %s (leader of view 1: server 1)", *id, *n, tr.Addr())
 	rt.Run()
 	rt.Wait()
-	pool.Close()
 	tr.Close()
 	log.Printf("prestige-server %d stopped", *id)
+}
+
+// newHandler is the transport handler: it learns a client's return address
+// from its first message (demo convention: clients listen on 9000+ID
+// locally) and registers it once per client ID — not a runtime lock and an
+// address allocation per Prop — then hands the envelope to deliver. An
+// address learned some other way still overrides it: register overwrites.
+func newHandler(register func(types.ClientID, string), deliver func(*transport.Envelope)) transport.Handler {
+	var known sync.Map // types.ClientID -> struct{}
+	return func(env *transport.Envelope) {
+		if id := env.FromClient; id != 0 {
+			if _, seen := known.LoadOrStore(id, struct{}{}); !seen {
+				register(id, fmt.Sprintf("127.0.0.1:%d", 9000+id))
+			}
+		}
+		deliver(env)
+	}
 }
 
 // healthOf folds the runtime's liveness sample and the transport's peer

@@ -297,7 +297,6 @@ type Node struct {
 	committedTx map[types.Digest]txOutcome
 
 	// --- Complaint / view-change trigger state ---
-	propSeen     map[types.Digest]*types.Prop    // proposals observed as a follower
 	comptSeen    map[types.Digest]types.ClientID // complaints observed (by tx digest)
 	comptProp    map[types.Digest]*types.Prop
 	comptExpired map[types.Digest]bool // own timer expired without commit
@@ -385,7 +384,6 @@ func New(cfg Config) *Node {
 		ordStash:        make(map[types.SeqNum]*types.Ord),
 		ordVoted:        make(map[types.SeqNum]types.View),
 		committedTx:     make(map[types.Digest]txOutcome),
-		propSeen:        make(map[types.Digest]*types.Prop),
 		comptSeen:       make(map[types.Digest]types.ClientID),
 		comptProp:       make(map[types.Digest]*types.Prop),
 		comptExpired:    make(map[types.Digest]bool),
@@ -558,7 +556,7 @@ func (n *Node) OnMessage(now time.Duration, from consensus.Origin, msg types.Mes
 	switch m := msg.(type) {
 	// Client-facing.
 	case *types.Prop:
-		return n.onProp(now, from, m, false)
+		return n.onProp(now, m)
 	case *types.Compt:
 		return n.onCompt(now, from, m)
 	case *types.Notif:

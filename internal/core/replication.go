@@ -11,27 +11,27 @@ import (
 // --- Proposal intake ---------------------------------------------------------
 
 // onProp handles a client proposal (§4.3 "Invoking a consensus service").
-// Followers hold proposals only as complaint evidence; the leader batches
-// them into consensus instances.
-func (n *Node) onProp(now time.Duration, from consensus.Origin, m *types.Prop, relayed bool) []consensus.Effect {
+// The leader batches proposals into consensus instances, and any replica
+// answers a re-sent proposal for a committed transaction; otherwise a
+// non-leader has no use for a proposal (a complaint carries its own copy)
+// and drops it before paying for the signature check.
+func (n *Node) onProp(now time.Duration, m *types.Prop) []consensus.Effect {
+	out, committed := n.committedTx[m.D]
+	leading := n.state == Leader && n.leaderConfirmed
+	if !committed && !leading {
+		return nil
+	}
 	if m.Tx.Digest() != m.D {
 		return nil
 	}
 	if !n.cfg.Registry.VerifyClient(m.Tx.Client, m.SigningBytes(), m.Sig) {
 		return nil
 	}
-	if out, ok := n.committedTx[m.D]; ok {
+	if committed {
 		// Duplicate of a committed transaction: re-notify.
 		return []consensus.Effect{n.renotify(m.Tx.Client, m.D, out)}
 	}
-	if n.state == Leader && n.leaderConfirmed {
-		return n.enqueueTx(now, m)
-	}
-	// Followers remember the proposal as evidence for a future complaint.
-	if _, seen := n.propSeen[m.D]; !seen {
-		n.propSeen[m.D] = m
-	}
-	return nil
+	return n.enqueueTx(now, m)
 }
 
 // enqueueTx adds a verified transaction to the leader's batch queue and
@@ -564,7 +564,6 @@ func (n *Node) recordCommit(blk *types.TxBlock) []consensus.Effect {
 			delete(n.comptProp, d)
 			delete(n.comptExpired, d)
 		}
-		delete(n.propSeen, d)
 	}
 	delete(n.ordVoted, seq)
 	delete(n.prepared, seq)

@@ -1,160 +1,29 @@
-// Package verifier is the live stack's inbound verification pipeline: a
-// worker pool that pre-verifies message signatures and quorum certificates
-// off the runtime's serial event-loop goroutine.
+// Package verifier is the live stack's inbound pre-verification step: one
+// stateless function that runs, for each message kind, the signature and
+// quorum-certificate checks the core is about to run itself.
 //
-// The pool does not annotate messages or change any verification outcome.
+// Preverify does not annotate messages or change any verification outcome.
 // It warms the registry's verified-fact cache (crypto.EnableVerifiedCache):
-// a worker runs the same VerifyServer/VerifyClient/VerifyQC calls the core
-// will run, so by the time the message reaches the event loop the core's
-// inline calls are cache hits. Verification failures are deliberately
+// the caller — runtime.Deliver, on the transport's per-connection reader
+// goroutine — runs the same VerifyServer/VerifyClient/VerifyQC calls the
+// core will run, so by the time the message reaches the event loop the
+// core's inline calls are cache hits. Verification failures are deliberately
 // ignored here — the core re-verifies (a miss) and rejects exactly as it
-// would without the pool, so the pipeline cannot change protocol behaviour,
-// only shift where the ed25519 math happens. The simulator never constructs
-// a pool, keeping simulated trajectories byte-identical.
-//
-// Ordering: Submit shards by an opaque key (callers pass the sender), and
-// each shard is a FIFO channel drained by one worker, so messages from one
-// peer are delivered in arrival order — the same per-sender FIFO the
-// transport's read loop provided when it delivered inline.
+// would without this step, so it cannot change protocol behaviour, only
+// shift where the ed25519 math happens. The package starts no goroutines
+// and holds no state; the simulator never calls it, keeping simulated
+// trajectories byte-identical.
 package verifier
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"prestigebft/internal/crypto"
 	"prestigebft/internal/types"
 )
 
-// Config parameterizes a Pool.
-type Config struct {
-	// Registry verifies against the deployment's identities. It should have
-	// a verified-fact cache enabled; without one the pool's work is wasted
-	// (every verification repeats in the core).
-	Registry *crypto.Registry
-	// Workers is the number of verification goroutines (and shards).
-	// Non-positive selects DefaultWorkers.
-	Workers int
-	// Queue is the per-shard queue depth. Non-positive selects DefaultQueue.
-	// A full shard blocks Submit — backpressure propagates to the
-	// transport's per-connection read loop, exactly like a full event queue.
-	Queue int
-}
-
-// Defaults for Config.
-const (
-	DefaultWorkers = 2
-	DefaultQueue   = 256
-)
-
-type task struct {
-	msg     types.Message
-	deliver func()
-}
-
-// Pool is a sharded verification worker pool. Create with New, hand its
-// Submit to the transport delivery path, and Close it after the runtime
-// that consumes its deliveries has stopped.
-type Pool struct {
-	reg    *crypto.Registry
-	shards []chan task
-	wg     sync.WaitGroup
-
-	mu        sync.RWMutex
-	closed    bool
-	closeOnce sync.Once
-
-	submitted atomic.Uint64
-	bypassed  atomic.Uint64
-}
-
-// New creates and starts a pool.
-func New(cfg Config) *Pool {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = DefaultWorkers
-	}
-	queue := cfg.Queue
-	if queue <= 0 {
-		queue = DefaultQueue
-	}
-	p := &Pool{reg: cfg.Registry, shards: make([]chan task, workers)}
-	for i := range p.shards {
-		ch := make(chan task, queue)
-		p.shards[i] = ch
-		p.wg.Add(1)
-		go p.worker(ch)
-	}
-	return p
-}
-
-// Submit pre-verifies msg on the shard selected by key and then calls
-// deliver. Messages submitted with the same key are delivered in submission
-// order. After Close, deliver runs synchronously without pre-verification
-// (the core still verifies everything itself).
-func (p *Pool) Submit(key uint64, msg types.Message, deliver func()) {
-	p.mu.RLock()
-	if p.closed {
-		p.mu.RUnlock()
-		p.bypassed.Add(1)
-		deliver()
-		return
-	}
-	p.submitted.Add(1)
-	p.shards[key%uint64(len(p.shards))] <- task{msg, deliver}
-	p.mu.RUnlock()
-}
-
-// Close drains the shards and stops the workers. Queued messages are still
-// delivered (pre-verified) before Close returns; later Submits deliver
-// synchronously. Idempotent.
-func (p *Pool) Close() {
-	p.closeOnce.Do(func() {
-		p.mu.Lock()
-		p.closed = true
-		for _, ch := range p.shards {
-			close(ch)
-		}
-		p.mu.Unlock()
-		p.wg.Wait()
-	})
-}
-
-// Workers returns the number of verification goroutines.
-func (p *Pool) Workers() int { return len(p.shards) }
-
-// Stats returns how many messages went through the pipeline and how many
-// bypassed it (submitted after Close).
-func (p *Pool) Stats() (submitted, bypassed uint64) {
-	return p.submitted.Load(), p.bypassed.Load()
-}
-
-// QueueDepth returns the total number of tasks currently queued across all
-// shards — the backpressure gauge exported by the runtime metrics.
-func (p *Pool) QueueDepth() int {
-	n := 0
-	for _, ch := range p.shards {
-		n += len(ch)
-	}
-	return n
-}
-
-func (p *Pool) worker(ch chan task) {
-	defer p.wg.Done()
-	for t := range ch {
-		p.preverify(t.msg)
-		t.deliver()
-	}
-}
-
-// preverify runs the registry checks the core will repeat, populating the
-// verified-fact cache on success. Results are discarded: a failure here is
-// re-discovered (and rejected) by the core's own call.
-func (p *Pool) preverify(msg types.Message) {
-	reg := p.reg
-	if reg == nil {
-		return
-	}
+// Preverify runs the registry checks the core will repeat for msg,
+// populating reg's verified-fact cache on success. Results are discarded: a
+// failure here is re-discovered (and rejected) by the core's own call.
+func Preverify(reg *crypto.Registry, msg types.Message) {
 	switch m := msg.(type) {
 	case *types.Prop:
 		reg.VerifyClient(m.Tx.Client, m.SigningBytes(), m.Sig)
@@ -169,54 +38,54 @@ func (p *Pool) preverify(msg types.Message) {
 		reg.VerifyServer(m.From, m.SigningBytes(), m.Sig)
 	case *types.CampVC:
 		reg.VerifyServer(m.From, m.SigningBytes(), m.Sig)
-		p.warmQC(&m.ConfQC)
+		warmQC(reg, &m.ConfQC)
 	case *types.VoteCP:
 		reg.VerifyServer(m.From, m.SigningBytes(), m.Sig)
 		for i := range m.Locked {
-			p.warmQC(&m.Locked[i].OrderingQC)
+			warmQC(reg, &m.Locked[i].OrderingQC)
 		}
 	case *types.VcBlockMsg:
 		reg.VerifyServer(m.From, m.SigningBytes(), m.Sig)
-		p.warmQC(&m.Block.ConfQC)
-		p.warmQC(&m.Block.VcQC)
+		warmQC(reg, &m.Block.ConfQC)
+		warmQC(reg, &m.Block.VcQC)
 	case *types.VcYes:
 		reg.VerifyServer(m.From, m.SigningBytes(), m.Sig)
 	case *types.Ref:
 		reg.VerifyServer(m.From, m.SigningBytes(), m.Sig)
 	case *types.Rdone:
 		reg.VerifyServer(m.From, m.SigningBytes(), m.Sig)
-		p.warmQC(&m.RsQC)
+		warmQC(reg, &m.RsQC)
 	case *types.Ord:
 		reg.VerifyServer(m.From, m.SigningBytes(), m.Sig)
 	case *types.OrdReply:
 		reg.VerifyServer(m.From, m.SigningBytes(), m.Sig)
 	case *types.Cmt:
 		reg.VerifyServer(m.From, m.SigningBytes(), m.Sig)
-		p.warmQC(&m.OrderingQC)
+		warmQC(reg, &m.OrderingQC)
 	case *types.CmtReply:
 		reg.VerifyServer(m.From, m.SigningBytes(), m.Sig)
 	case *types.Adopt:
 		reg.VerifyServer(m.From, m.SigningBytes(), m.Sig)
-		p.warmQC(&m.Block.OrderingQC)
+		warmQC(reg, &m.Block.OrderingQC)
 	case *types.TxBlockMsg:
 		reg.VerifyServer(m.From, m.SigningBytes(), m.Sig)
-		p.warmQC(&m.Block.OrderingQC)
-		p.warmQC(&m.Block.CommitQC)
+		warmQC(reg, &m.Block.OrderingQC)
+		warmQC(reg, &m.Block.CommitQC)
 	case *types.CkptVote:
 		reg.VerifyServer(m.From, m.SigningBytes(), m.Sig)
 	case *types.SyncResp:
 		for i := range m.TxBlocks {
-			p.warmQC(&m.TxBlocks[i].OrderingQC)
-			p.warmQC(&m.TxBlocks[i].CommitQC)
+			warmQC(reg, &m.TxBlocks[i].OrderingQC)
+			warmQC(reg, &m.TxBlocks[i].CommitQC)
 		}
 		for i := range m.VcBlocks {
-			p.warmQC(&m.VcBlocks[i].ConfQC)
-			p.warmQC(&m.VcBlocks[i].VcQC)
+			warmQC(reg, &m.VcBlocks[i].ConfQC)
+			warmQC(reg, &m.VcBlocks[i].VcQC)
 		}
 		if m.Snapshot != nil {
-			p.warmQC(&m.Snapshot.Cert.QC)
-			p.warmQC(&m.Snapshot.Anchor.OrderingQC)
-			p.warmQC(&m.Snapshot.Anchor.CommitQC)
+			warmQC(reg, &m.Snapshot.Cert.QC)
+			warmQC(reg, &m.Snapshot.Anchor.OrderingQC)
+			warmQC(reg, &m.Snapshot.Anchor.CommitQC)
 		}
 	default:
 		// Unknown kinds (baseline protocols, future messages) pass through
@@ -227,9 +96,9 @@ func (p *Pool) preverify(msg types.Message) {
 // warmQC verifies a certificate at threshold 0: shape and signatures only.
 // A success lands the QC's fact in the cache; the core's later VerifyQC
 // re-checks its real threshold against the cached fact.
-func (p *Pool) warmQC(qc *types.QC) {
+func warmQC(reg *crypto.Registry, qc *types.QC) {
 	if qc.IsZero() {
 		return
 	}
-	_ = p.reg.VerifyQC(qc, 0)
+	_ = reg.VerifyQC(qc, 0)
 }

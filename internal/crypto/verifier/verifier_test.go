@@ -1,54 +1,41 @@
 package verifier
 
 import (
-	"sync"
 	"testing"
 
 	"prestigebft/internal/crypto"
 	"prestigebft/internal/types"
 )
 
-func deployment(t *testing.T) (*crypto.Registry, map[types.ServerID]*crypto.KeyPair, map[types.ClientID]*crypto.KeyPair) {
+func deployment(t *testing.T) (*crypto.Registry, map[types.ServerID]*crypto.KeyPair) {
 	t.Helper()
-	reg, servers, clients := crypto.GenerateDeployment(0x5eed, 4, 2)
+	reg, servers, _ := crypto.GenerateDeployment(0x5eed, 4, 2)
 	reg.EnableVerifiedCache(0)
-	return reg, servers, clients
+	return reg, servers
 }
 
-// TestPreverifyWarmsCache: a message that went through the pool must make
-// the core's subsequent inline verification a cache hit.
+// TestPreverifyWarmsCache: a pre-verified message makes the core's
+// subsequent inline verification a cache hit.
 func TestPreverifyWarmsCache(t *testing.T) {
-	reg, servers, _ := deployment(t)
-	p := New(Config{Registry: reg, Workers: 1})
-	defer p.Close()
-
+	reg, servers := deployment(t)
 	m := &types.OrdReply{From: 2, V: 1, N: 3, D: types.Digest{7}}
 	m.Sig = servers[2].Sign(m.SigningBytes())
 
-	done := make(chan struct{})
-	p.Submit(uint64(m.From), m, func() { close(done) })
-	<-done
+	Preverify(reg, m)
 
 	h0, _ := reg.CacheStats()
 	if !reg.VerifyServer(m.From, m.SigningBytes(), m.Sig) {
 		t.Fatal("valid signature rejected")
 	}
-	h1, _ := reg.CacheStats()
-	if h1 != h0+1 {
+	if h1, _ := reg.CacheStats(); h1 != h0+1 {
 		t.Fatalf("core verification was not a cache hit (hits %d -> %d)", h0, h1)
-	}
-	if sub, byp := p.Stats(); sub != 1 || byp != 0 {
-		t.Fatalf("stats = %d/%d, want 1/0", sub, byp)
 	}
 }
 
-// TestPreverifyWarmsQC: a Cmt's ordering_QC pre-verified by the pool must
-// make the core's VerifyQC at the real threshold a cache hit.
+// TestPreverifyWarmsQC: a pre-verified Cmt's ordering_QC makes the core's
+// VerifyQC at the real threshold a cache hit.
 func TestPreverifyWarmsQC(t *testing.T) {
-	reg, servers, _ := deployment(t)
-	p := New(Config{Registry: reg, Workers: 1})
-	defer p.Close()
-
+	reg, servers := deployment(t)
 	qc := types.QC{Kind: types.QCOrdering, View: 1, Seq: 4, Digest: types.Digest{9}}
 	stmt := qc.StatementBytes()
 	for id := types.ServerID(1); id <= 3; id++ {
@@ -58,9 +45,7 @@ func TestPreverifyWarmsQC(t *testing.T) {
 	m := &types.Cmt{From: 1, V: 1, N: 4, OrderingQC: qc}
 	m.Sig = servers[1].Sign(m.SigningBytes())
 
-	done := make(chan struct{})
-	p.Submit(uint64(m.From), m, func() { close(done) })
-	<-done
+	Preverify(reg, m)
 
 	h0, _ := reg.CacheStats()
 	if err := reg.VerifyQC(&m.OrderingQC, 3); err != nil {
@@ -71,93 +56,19 @@ func TestPreverifyWarmsQC(t *testing.T) {
 	}
 }
 
-// TestBadSignatureStillDelivered: the pipeline never filters — a message
-// with a garbage signature is delivered and the core's verification still
-// fails.
-func TestBadSignatureStillDelivered(t *testing.T) {
-	reg, _, _ := deployment(t)
-	p := New(Config{Registry: reg, Workers: 1})
-	defer p.Close()
-
+// TestPreverifyCachesNoFailure: a bad signature leaves nothing behind — the
+// core's own check still runs the math and still fails.
+func TestPreverifyCachesNoFailure(t *testing.T) {
+	reg, _ := deployment(t)
 	m := &types.OrdReply{From: 2, V: 1, N: 3, D: types.Digest{7}, Sig: []byte("garbage")}
-	done := make(chan struct{})
-	p.Submit(uint64(m.From), m, func() { close(done) })
-	<-done
+
+	Preverify(reg, m)
+
+	h0, _ := reg.CacheStats()
 	if reg.VerifyServer(m.From, m.SigningBytes(), m.Sig) {
 		t.Fatal("garbage signature accepted")
 	}
-}
-
-// TestPerKeyFIFO: deliveries for one key preserve submission order even
-// with several workers.
-func TestPerKeyFIFO(t *testing.T) {
-	reg, servers, _ := deployment(t)
-	p := New(Config{Registry: reg, Workers: 4, Queue: 8})
-	defer p.Close()
-
-	const n = 64
-	var mu sync.Mutex
-	got := make([]int, 0, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		m := &types.OrdReply{From: 2, V: 1, N: types.SeqNum(i), D: types.Digest{1}}
-		m.Sig = servers[2].Sign(m.SigningBytes())
-		p.Submit(7, m, func() {
-			mu.Lock()
-			got = append(got, i)
-			mu.Unlock()
-			wg.Done()
-		})
-	}
-	wg.Wait()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("delivery order violated at %d: got %v", i, got[:i+1])
-		}
-	}
-}
-
-// TestSubmitAfterClose: post-Close submissions deliver synchronously and
-// count as bypassed.
-func TestSubmitAfterClose(t *testing.T) {
-	reg, servers, _ := deployment(t)
-	p := New(Config{Registry: reg, Workers: 2})
-	p.Close()
-	p.Close() // idempotent
-
-	m := &types.OrdReply{From: 1, V: 1, N: 1, D: types.Digest{1}}
-	m.Sig = servers[1].Sign(m.SigningBytes())
-	delivered := false
-	p.Submit(1, m, func() { delivered = true })
-	if !delivered {
-		t.Fatal("post-Close submit did not deliver synchronously")
-	}
-	if _, byp := p.Stats(); byp != 1 {
-		t.Fatalf("bypassed = %d, want 1", byp)
-	}
-}
-
-// TestCloseDrains: everything submitted before Close is delivered by the
-// time Close returns.
-func TestCloseDrains(t *testing.T) {
-	reg, servers, _ := deployment(t)
-	p := New(Config{Registry: reg, Workers: 2, Queue: 128})
-	const n = 100
-	var mu sync.Mutex
-	count := 0
-	for i := 0; i < n; i++ {
-		m := &types.CmtReply{From: types.ServerID(1 + i%4), V: 1, N: types.SeqNum(i), D: types.Digest{2}}
-		m.Sig = servers[m.From].Sign(m.SigningBytes())
-		p.Submit(uint64(m.From), m, func() {
-			mu.Lock()
-			count++
-			mu.Unlock()
-		})
-	}
-	p.Close()
-	if count != n {
-		t.Fatalf("Close returned with %d/%d deliveries", count, n)
+	if h1, _ := reg.CacheStats(); h1 != h0 {
+		t.Fatal("a failed pre-verification was answered from the cache")
 	}
 }

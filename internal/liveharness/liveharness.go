@@ -1,7 +1,7 @@
 // Package liveharness implements the scenario.Environment seam over a live
 // cluster: real runtime.Runtime replicas speaking the transport's wire format
-// over loopback TCP, real signatures (pre-verified off the event loop by a
-// verifier.Pool per replica), real proof-of-work, and wall-clock time. The
+// over loopback TCP, real signatures (pre-verified on the transport's reader
+// goroutines, off the event loop), real proof-of-work, and wall-clock time. The
 // same declarative chaos scenarios that run on the discrete-event simulator
 // (internal/scenario) replay here against actual processes — the paper's
 // deployment mode (a real testbed with netem-injected faults, §6.1)
@@ -37,7 +37,6 @@ import (
 	"prestigebft/internal/consensus"
 	"prestigebft/internal/core"
 	"prestigebft/internal/crypto"
-	"prestigebft/internal/crypto/verifier"
 	"prestigebft/internal/faults"
 	"prestigebft/internal/harness"
 	"prestigebft/internal/metrics"
@@ -128,7 +127,6 @@ type server struct {
 	tr      *transport.Transport
 	lf      *transport.LinkFaults
 	rt      *runtime.Runtime
-	pool    *verifier.Pool // verify pipeline of the current runtime
 	running bool
 }
 
@@ -494,17 +492,11 @@ func (e *Env) spawnRuntime(s *server) {
 	s.mu.Lock()
 	tr := s.tr
 	s.mu.Unlock()
-	// Each runtime gets its own verify pipeline; the pool is closed in
-	// stopServer after the event loop exits, so a crash/recover cycle
-	// replaces it along with the runtime. The pipelines all warm the one
-	// shared registry cache.
-	pool := verifier.New(verifier.Config{Registry: e.reg})
-	runtime.RegisterVerifierMetrics(s.reg, pool, e.reg)
 	rt := runtime.New(runtime.Config{
 		Replica:         s.replica,
 		Peers:           e.peerMap,
 		Transport:       tr,
-		Verifier:        pool,
+		Verifier:        e.reg, // one registry, so all replicas warm one cache
 		PuzzleBitsPerRP: e.cfg.PuzzleBitsPerRP,
 		Metrics:         s.reg,
 		OnCommit:        e.met.onCommit,
@@ -525,7 +517,6 @@ func (e *Env) spawnRuntime(s *server) {
 	}
 	s.mu.Lock()
 	s.rt = rt
-	s.pool = pool
 	s.running = true
 	s.mu.Unlock()
 	go rt.Run()
@@ -535,19 +526,13 @@ func (e *Env) spawnRuntime(s *server) {
 // goroutine touches the replica afterwards) and tears down its transport.
 func (e *Env) stopServer(s *server) {
 	s.mu.Lock()
-	rt, tr, pool, running := s.rt, s.tr, s.pool, s.running
+	rt, tr, running := s.rt, s.tr, s.running
 	s.running = false
 	s.rt = nil
-	s.pool = nil
 	s.mu.Unlock()
 	if rt != nil && running {
 		rt.Stop()
 		rt.Wait()
-	}
-	if pool != nil {
-		// After Stop+Wait the runtime discards deliveries, so draining the
-		// pool cannot block on a full event queue.
-		pool.Close()
 	}
 	if tr != nil {
 		e.retire(tr)

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"prestigebft/internal/consensus"
-	"prestigebft/internal/crypto"
-	"prestigebft/internal/crypto/verifier"
 	"prestigebft/internal/metrics"
 	"prestigebft/internal/transport"
 	"prestigebft/internal/types"
@@ -166,26 +164,22 @@ func RegisterTransportMetrics(reg *metrics.Registry, tr *transport.Transport) {
 	})
 }
 
-// RegisterVerifierMetrics mirrors a verify pipeline's counters into reg on
-// every scrape: messages routed through (and around) the pool, the current
-// queue depth (the backpressure signal), and the registry's verified-fact
-// cache hit/miss totals. Same keyed-hook contract as the transport mirror.
-func RegisterVerifierMetrics(reg *metrics.Registry, pool *verifier.Pool, cr *crypto.Registry) {
+// registerVerifierMetrics mirrors rt's pre-verification counters and the
+// verified-fact cache hit/miss totals of the registry it warms into reg on
+// every scrape. Same keyed-hook contract as the transport mirror.
+func registerVerifierMetrics(reg *metrics.Registry, rt *Runtime) {
 	submitted := reg.NewCounter("prestige_verifier_submitted_total",
-		"Messages routed through the verify pipeline.").With()
+		"Inbound envelopes pre-verified before the event loop.").With()
 	bypassed := reg.NewCounter("prestige_verifier_bypassed_total",
-		"Messages delivered around the pipeline (submitted after Close).").With()
-	depth := reg.NewGauge("prestige_verifier_queue_depth",
-		"Messages waiting in the verify pipeline's shards.").With()
+		"Inbound envelopes enqueued without pre-verification.").With()
 	hits := reg.NewCounter("prestige_verified_cache_hits_total",
 		"Verified-fact cache hits across all verification calls.").With()
 	misses := reg.NewCounter("prestige_verified_cache_misses_total",
 		"Verified-fact cache misses across all verification calls.").With()
+	cr := rt.cfg.Verifier
 	reg.OnGather("verifier", func() {
-		sub, byp := pool.Stats()
-		submitted.Mirror(float64(sub))
-		bypassed.Mirror(float64(byp))
-		depth.Set(float64(pool.QueueDepth()))
+		submitted.Mirror(float64(rt.preverified.Load()))
+		bypassed.Mirror(float64(rt.bypassed.Load()))
 		if cr != nil {
 			h, m := cr.CacheStats()
 			hits.Mirror(float64(h))

@@ -57,13 +57,12 @@ type Config struct {
 	// Registration is idempotent, so a harness re-hosting a replica in a
 	// fresh runtime passes the same registry and counters continue.
 	Metrics *metrics.Registry
-	// Verifier, when non-nil, routes inbound envelopes through the verify
-	// pipeline before they reach the event queue: signatures and QCs are
-	// pre-verified on the pool's workers (warming the registry's
-	// verified-fact cache) so the core's inline verification calls become
-	// cache hits. The pool is owned by whoever created it — the runtime
-	// never closes it; close it after Stop+Wait.
-	Verifier *verifier.Pool
+	// Verifier, when non-nil, is the registry the replica verifies against:
+	// Deliver pre-verifies each inbound envelope's signatures and QCs on the
+	// calling goroutine (the transport's per-connection reader), warming the
+	// registry's verified-fact cache so the core's inline verification calls
+	// on the event loop become cache hits.
+	Verifier *crypto.Registry
 }
 
 type timerKey struct {
@@ -94,6 +93,18 @@ type Runtime struct {
 
 	events chan any
 	ins    *instruments
+
+	// Pre-verification accounting: envelopes Deliver verified before
+	// enqueueing, and envelopes it enqueued as they came.
+	preverified atomic.Uint64
+	bypassed    atomic.Uint64
+	// notLeader is the event loop's advisory hint to Deliver that this
+	// replica does not lead its view, so a client Prop is not worth
+	// pre-verifying (a non-leader core drops it unverified). The zero value
+	// means "pre-verify". Never a safety input: the core re-checks
+	// everything it acts on, so a stale hint only moves one verification
+	// between a reader goroutine and the loop.
+	notLeader atomic.Bool
 
 	// Health snapshot, written by the event loop's sampler and read by the
 	// /healthz handler goroutine: the replica's last observed view and
@@ -151,6 +162,7 @@ func New(cfg Config) *Runtime {
 	}
 	if cfg.Metrics != nil {
 		rt.ins = newInstruments(cfg.Metrics)
+		registerVerifierMetrics(cfg.Metrics, rt)
 		if cfg.Transport != nil {
 			RegisterTransportMetrics(cfg.Metrics, cfg.Transport)
 		}
@@ -182,17 +194,26 @@ func (rt *Runtime) RegisterClient(id types.ClientID, addr string) {
 	rt.mu.Unlock()
 }
 
-// Deliver enqueues an inbound envelope (the transport handler). With a
-// verify pipeline installed, the envelope detours through the pool first;
-// sharding by sender preserves the per-peer FIFO order the transport's read
-// loops provide.
+// Deliver is the transport handler: it pre-verifies the envelope on the
+// calling goroutine, then enqueues it for the event loop. The transport
+// calls it from one reader goroutine per connection, so messages from one
+// sender verify and enqueue in arrival order and different senders verify in
+// parallel; a full event queue blocks only the senders that are writing.
 func (rt *Runtime) Deliver(env *transport.Envelope) {
-	if v := rt.cfg.Verifier; v != nil {
-		key := uint64(env.FromServer)<<32 | uint64(env.FromClient)
-		v.Submit(key, env.Msg, func() { rt.enqueue(env) })
-		return
+	if reg := rt.cfg.Verifier; reg != nil && !rt.skipPreverify(env.Msg) {
+		verifier.Preverify(reg, env.Msg)
+		rt.preverified.Add(1)
+	} else {
+		rt.bypassed.Add(1)
 	}
 	rt.enqueue(env)
+}
+
+// skipPreverify reports whether the core is expected to drop msg without
+// verifying it: a client proposal at a replica that is not the leader.
+func (rt *Runtime) skipPreverify(msg types.Message) bool {
+	_, isProp := msg.(*types.Prop)
+	return isProp && rt.notLeader.Load()
 }
 
 func (rt *Runtime) enqueue(env *transport.Envelope) {
@@ -223,6 +244,9 @@ func (rt *Runtime) Run() {
 	// State gauges additionally need the replica to be observable.
 	var sampleC <-chan time.Time
 	obs, _ := rt.cfg.Replica.(observable)
+	// Published before the first health sample, so a runtime that reports
+	// its loop alive has a hint that reflects the replica.
+	rt.publishLeaderHint(obs)
 	if rt.ins != nil {
 		rt.healthObserved.Store(true)
 		ticker := time.NewTicker(sampleInterval)
@@ -260,6 +284,19 @@ func (rt *Runtime) Run() {
 				rt.execute(rt.cfg.Replica.OnPuzzleSolved(rt.now(), e.token, e.nonce, e.hr))
 			}
 		}
+		rt.publishLeaderHint(obs)
+	}
+}
+
+// publishLeaderHint refreshes notLeader from the replica. Event loop only.
+func (rt *Runtime) publishLeaderHint(obs observable) {
+	if obs == nil {
+		return
+	}
+	// Load before Store: the hint changes once per view, and the reader
+	// goroutines share its cache line.
+	if nl := obs.CurrentLeader() != rt.cfg.Replica.ID(); nl != rt.notLeader.Load() {
+		rt.notLeader.Store(nl)
 	}
 }
 

@@ -14,19 +14,36 @@ import (
 	"prestigebft/internal/types"
 )
 
-// TestLiveClusterCommits boots a real 4-server cluster over loopback TCP
-// with real signatures and real proof-of-work, submits transactions from a
-// real client transport, and waits for f+1 notifications.
-func TestLiveClusterCommits(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live TCP test")
-	}
+// liveCluster is a real 4-server cluster over loopback TCP with real
+// signatures and real proof-of-work, plus client 1's transport, which
+// reports a transaction once f+1 servers have notified it.
+type liveCluster struct {
+	peers     map[types.ServerID]string
+	runtimes  map[types.ServerID]*runtime.Runtime
+	clientTr  *transport.Transport
+	clientKey *crypto.KeyPair
+	committed chan types.Digest
+}
+
+// nodeSetup is one server's configuration, handed to bootCluster's customize
+// hook before the node and its runtime are built.
+type nodeSetup struct {
+	core core.Config
+	rt   runtime.Config
+	// wrap, when set, interposes on the replica the runtime hosts.
+	wrap func(*core.Node) consensus.Replica
+}
+
+func bootCluster(t *testing.T, customize func(*nodeSetup)) *liveCluster {
+	t.Helper()
 	const n = 4
 	reg, serverKeys, clientKeys := crypto.GenerateDeployment(77, n, 2)
-
-	peers := make(map[types.ServerID]string, n)
-	transports := make([]*transport.Transport, 0, n)
-	runtimes := make([]*runtime.Runtime, 0, n)
+	c := &liveCluster{
+		peers:     make(map[types.ServerID]string, n),
+		runtimes:  make(map[types.ServerID]*runtime.Runtime, n),
+		clientKey: clientKeys[1],
+		committed: make(chan types.Digest, 16),
+	}
 
 	// Bind listeners first (with late-bound handlers) so the peer map is
 	// complete before any runtime starts.
@@ -34,10 +51,9 @@ func TestLiveClusterCommits(t *testing.T) {
 		mu sync.Mutex
 		fn transport.Handler
 	}
-	handlers := make([]*lateHandler, 0, n)
-	ids := make([]types.ServerID, 0, n)
-	for i := 1; i <= n; i++ {
-		id := types.ServerID(i)
+	transports := make(map[types.ServerID]*transport.Transport, n)
+	handlers := make(map[types.ServerID]*lateHandler, n)
+	for id := types.ServerID(1); id <= n; id++ {
 		tr := transport.NewServerTransport(id)
 		lh := &lateHandler{}
 		if err := tr.Listen("127.0.0.1:0", func(env *transport.Envelope) {
@@ -50,23 +66,16 @@ func TestLiveClusterCommits(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		transports = append(transports, tr)
-		handlers = append(handlers, lh)
-		ids = append(ids, id)
-		peers[id] = tr.Addr()
+		t.Cleanup(tr.Close)
+		transports[id], handlers[id] = tr, lh
+		c.peers[id] = tr.Addr()
 	}
-	defer func() {
-		for _, tr := range transports {
-			tr.Close()
-		}
-	}()
 
 	// Client listener.
-	clientTr := transport.NewClientTransport(1)
+	c.clientTr = transport.NewClientTransport(1)
 	var mu sync.Mutex
 	notifs := make(map[types.Digest]map[types.ServerID]bool)
-	committed := make(chan types.Digest, 16)
-	if err := clientTr.Listen("127.0.0.1:0", func(env *transport.Envelope) {
+	if err := c.clientTr.Listen("127.0.0.1:0", func(env *transport.Envelope) {
 		notif, ok := env.Msg.(*types.Notif)
 		if !ok {
 			return
@@ -80,7 +89,7 @@ func TestLiveClusterCommits(t *testing.T) {
 		set[env.FromServer] = true
 		if len(set) == types.ConfirmSize(n) {
 			select {
-			case committed <- notif.TxD:
+			case c.committed <- notif.TxD:
 			default:
 			}
 		}
@@ -88,43 +97,55 @@ func TestLiveClusterCommits(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	defer clientTr.Close()
+	t.Cleanup(c.clientTr.Close)
 
-	for i, id := range ids {
-		node := core.New(core.Config{
-			ID: id, N: n, Keys: serverKeys[id], Registry: reg,
-			BatchSize: 2, PuzzleBitsPerRP: 2,
-		})
-		rt := runtime.New(runtime.Config{
-			Replica:         node,
-			Peers:           peers,
-			Transport:       transports[i],
-			PuzzleBitsPerRP: 2,
-			Logf:            func(string, ...any) {},
-		})
-		rt.RegisterClient(1, clientTr.Addr())
-		handlers[i].mu.Lock()
-		handlers[i].fn = rt.Deliver
-		handlers[i].mu.Unlock()
-		runtimes = append(runtimes, rt)
-		go rt.Run()
-	}
-	defer func() {
-		for _, rt := range runtimes {
-			rt.Stop()
+	for id := types.ServerID(1); id <= n; id++ {
+		ns := &nodeSetup{
+			core: core.Config{
+				ID: id, N: n, Keys: serverKeys[id], Registry: reg,
+				BatchSize: 2, PuzzleBitsPerRP: 2,
+			},
+			rt: runtime.Config{
+				Peers:           c.peers,
+				Transport:       transports[id],
+				PuzzleBitsPerRP: 2,
+				Logf:            func(string, ...any) {},
+			},
 		}
-	}()
+		if customize != nil {
+			customize(ns)
+		}
+		node := core.New(ns.core)
+		ns.rt.Replica = node
+		if ns.wrap != nil {
+			ns.rt.Replica = ns.wrap(node)
+		}
+		rt := runtime.New(ns.rt)
+		rt.RegisterClient(1, c.clientTr.Addr())
+		handlers[id].mu.Lock()
+		handlers[id].fn = rt.Deliver
+		handlers[id].mu.Unlock()
+		c.runtimes[id] = rt
+		go rt.Run()
+		t.Cleanup(rt.Stop)
+	}
+	return c
+}
 
-	// Submit four transactions and wait for quorum notifications.
-	keys := clientKeys[1]
+// submitAndWait broadcasts count transactions from client 1 and waits for
+// f+1 notifications of each; it returns the proposals.
+func (c *liveCluster) submitAndWait(t *testing.T, count int) []*types.Prop {
+	t.Helper()
 	want := make(map[types.Digest]bool)
-	for seq := 1; seq <= 4; seq++ {
+	props := make([]*types.Prop, 0, count)
+	for seq := 1; seq <= count; seq++ {
 		tx := types.Transaction{Timestamp: int64(seq), Client: 1, Data: []byte(fmt.Sprintf("tx-%d", seq))}
 		prop := &types.Prop{Tx: tx, D: tx.Digest()}
-		prop.Sig = keys.Sign(prop.SigningBytes())
+		prop.Sig = c.clientKey.Sign(prop.SigningBytes())
 		want[prop.D] = true
-		for _, addr := range peers {
-			if err := clientTr.Send(addr, prop); err != nil {
+		props = append(props, prop)
+		for _, addr := range c.peers {
+			if err := c.clientTr.Send(addr, prop); err != nil {
 				t.Fatalf("send: %v", err)
 			}
 		}
@@ -132,12 +153,23 @@ func TestLiveClusterCommits(t *testing.T) {
 	deadline := time.After(10 * time.Second)
 	for len(want) > 0 {
 		select {
-		case d := <-committed:
+		case d := <-c.committed:
 			delete(want, d)
 		case <-deadline:
 			t.Fatalf("timed out with %d transactions unconfirmed", len(want))
 		}
 	}
+	return props
+}
+
+// TestLiveClusterCommits boots a real 4-server cluster over loopback TCP
+// with real signatures and real proof-of-work, submits transactions from a
+// real client transport, and waits for f+1 notifications.
+func TestLiveClusterCommits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live TCP test")
+	}
+	bootCluster(t, nil).submitAndWait(t, 4)
 }
 
 // TestRuntimeTimerSemantics: SetTimer replaces, CancelTimer disarms.

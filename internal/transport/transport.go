@@ -74,17 +74,17 @@ type PeerStats struct {
 	BackoffRefused uint64
 }
 
-// peerCounters is the mutable form of PeerStats. Scalar fields are guarded
-// by Transport.mu; bytes is atomic because the counting writer runs outside
-// the lock.
+// peerCounters is the mutable form of PeerStats. Every field is atomic, so
+// a send resolves its peer's counters once (Transport.peer) and bumps them
+// without the transport-wide lock.
 type peerCounters struct {
-	sent           uint64
-	dropped        uint64
-	dials          uint64
-	redials        uint64
-	evictions      uint64
-	retries        uint64
-	backoffRefused uint64
+	sent           atomic.Uint64
+	dropped        atomic.Uint64
+	dials          atomic.Uint64
+	redials        atomic.Uint64
+	evictions      atomic.Uint64
+	retries        atomic.Uint64
+	backoffRefused atomic.Uint64
 	bytes          atomic.Uint64
 }
 
@@ -115,12 +115,15 @@ type Transport struct {
 	bytes           atomic.Uint64
 	sendsAfterClose atomic.Uint64
 
+	peers  sync.Map // addr -> *peerCounters
+	faults atomic.Pointer[LinkFaults]
+	// dial opens an outbound connection; tests swap it for a hook.
+	dial func(addr string, timeout time.Duration) (net.Conn, error)
+
 	mu       sync.Mutex
 	conns    map[string]*conn
 	backoff  map[string]*backoffState
-	peers    map[string]*peerCounters
 	logf     func(format string, args ...any)
-	faults   *LinkFaults
 	delayq   map[string]chan delayedMsg
 	accepted map[net.Conn]struct{}
 	closed   bool
@@ -250,9 +253,9 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 func newTransport(self Envelope) *Transport {
 	return &Transport{
 		self:     self,
+		dial:     dialTCP,
 		conns:    make(map[string]*conn),
 		backoff:  make(map[string]*backoffState),
-		peers:    make(map[string]*peerCounters),
 		delayq:   make(map[string]chan delayedMsg),
 		accepted: make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
@@ -268,34 +271,37 @@ func (t *Transport) SetLogf(logf func(format string, args ...any)) {
 	t.mu.Unlock()
 }
 
-// peer returns addr's counters, creating them on first touch. Caller holds
-// t.mu.
+// dialTCP is the production dialer: a TCP connect bounded by timeout.
+func dialTCP(addr string, timeout time.Duration) (net.Conn, error) {
+	return net.DialTimeout("tcp", addr, timeout)
+}
+
+// peer returns addr's counters, creating them on first touch.
 func (t *Transport) peer(addr string) *peerCounters {
-	pc := t.peers[addr]
-	if pc == nil {
-		pc = &peerCounters{}
-		t.peers[addr] = pc
+	if pc, ok := t.peers.Load(addr); ok {
+		return pc.(*peerCounters)
 	}
-	return pc
+	pc, _ := t.peers.LoadOrStore(addr, &peerCounters{})
+	return pc.(*peerCounters)
 }
 
 // PeerStats snapshots the per-peer counters, keyed by peer address.
 func (t *Transport) PeerStats() map[string]PeerStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]PeerStats, len(t.peers))
-	for addr, pc := range t.peers {
-		out[addr] = PeerStats{
-			Sent:           pc.sent,
-			Dropped:        pc.dropped,
+	out := make(map[string]PeerStats)
+	t.peers.Range(func(addr, v any) bool {
+		pc := v.(*peerCounters)
+		out[addr.(string)] = PeerStats{
+			Sent:           pc.sent.Load(),
+			Dropped:        pc.dropped.Load(),
 			Bytes:          pc.bytes.Load(),
-			Dials:          pc.dials,
-			Redials:        pc.redials,
-			Evictions:      pc.evictions,
-			Retries:        pc.retries,
-			BackoffRefused: pc.backoffRefused,
+			Dials:          pc.dials.Load(),
+			Redials:        pc.redials.Load(),
+			Evictions:      pc.evictions.Load(),
+			Retries:        pc.retries.Load(),
+			BackoffRefused: pc.backoffRefused.Load(),
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -333,18 +339,10 @@ func NewClientTransport(id types.ClientID) *Transport {
 
 // SetFaults routes outbound sends through a fault-injection layer (nil
 // removes it). Install before traffic starts; swapping mid-flight is safe.
-func (t *Transport) SetFaults(f *LinkFaults) {
-	t.mu.Lock()
-	t.faults = f
-	t.mu.Unlock()
-}
+func (t *Transport) SetFaults(f *LinkFaults) { t.faults.Store(f) }
 
 // Faults returns the installed fault layer (nil when none).
-func (t *Transport) Faults() *LinkFaults {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.faults
-}
+func (t *Transport) Faults() *LinkFaults { return t.faults.Load() }
 
 // Listen accepts inbound connections on addr and feeds envelopes to h.
 func (t *Transport) Listen(addr string, h Handler) error {
@@ -462,40 +460,36 @@ func readFrame(r io.Reader, size int) ([]byte, error) {
 // and injected latency hands the message to a per-peer delay queue whose
 // drainer transmits in send order (TCP in-order semantics preserved).
 func (t *Transport) Send(addr string, msg types.Message) error {
+	pc := t.peer(addr)
 	t.sent.Add(1)
-	t.mu.Lock()
-	t.peer(addr).sent++
-	t.mu.Unlock()
+	pc.sent.Add(1)
 	if f := t.Faults(); f != nil {
 		drop, delay := f.plan(addr)
 		if drop {
-			t.dropPeer(addr)
+			t.drop(pc)
 			return nil
 		}
 		if delay > 0 {
-			t.enqueueDelayed(addr, delayedMsg{at: time.Now().Add(delay), msg: msg})
+			t.enqueueDelayed(addr, pc, delayedMsg{at: time.Now().Add(delay), msg: msg})
 			return nil
 		}
 	}
-	return t.transmit(addr, msg)
+	return t.transmit(addr, pc, msg)
 }
 
-// dropPeer records one dropped message globally and against addr.
-func (t *Transport) dropPeer(addr string) {
+// drop records one dropped message globally and against the peer.
+func (t *Transport) drop(pc *peerCounters) {
 	t.dropped.Add(1)
-	t.mu.Lock()
-	t.peer(addr).dropped++
-	t.mu.Unlock()
+	pc.dropped.Add(1)
 }
 
 // enqueueDelayed appends a latency-injected message to addr's FIFO delay
 // queue, spawning its drainer on first use.
-func (t *Transport) enqueueDelayed(addr string, dm delayedMsg) {
+func (t *Transport) enqueueDelayed(addr string, pc *peerCounters, dm delayedMsg) {
 	t.mu.Lock()
 	if t.closed {
-		t.peer(addr).dropped++
 		t.mu.Unlock()
-		t.dropped.Add(1)
+		t.drop(pc)
 		t.sendsAfterClose.Add(1)
 		return
 	}
@@ -503,19 +497,19 @@ func (t *Transport) enqueueDelayed(addr string, dm delayedMsg) {
 	if !ok {
 		q = make(chan delayedMsg, delayQueueCap)
 		t.delayq[addr] = q
-		go t.drainDelayed(addr, q)
+		go t.drainDelayed(addr, pc, q)
 	}
 	t.mu.Unlock()
 	select {
 	case q <- dm:
 	default:
-		t.dropPeer(addr) // saturated slow link: tail drop
+		t.drop(pc) // saturated slow link: tail drop
 	}
 }
 
 // drainDelayed transmits one peer's delayed messages in order, sleeping
 // until each release time. Exits when the transport closes.
-func (t *Transport) drainDelayed(addr string, q chan delayedMsg) {
+func (t *Transport) drainDelayed(addr string, pc *peerCounters, q chan delayedMsg) {
 	timer := time.NewTimer(0)
 	defer timer.Stop()
 	for {
@@ -537,7 +531,7 @@ func (t *Transport) drainDelayed(addr string, q chan delayedMsg) {
 				case <-timer.C:
 				}
 			}
-			t.transmit(addr, dm.msg)
+			t.transmit(addr, pc, dm.msg)
 		}
 	}
 }
@@ -552,8 +546,8 @@ func (t *Transport) drainDelayed(addr string, q chan delayedMsg) {
 // reachable — an immediate encode failure there is a real loss), and the
 // retry itself never retries, so there is no loop. Dropped is counted only
 // when the message is finally lost.
-func (t *Transport) transmit(addr string, msg types.Message) error {
-	cn, cached, err := t.getConn(addr, true)
+func (t *Transport) transmit(addr string, pc *peerCounters, msg types.Message) error {
+	cn, cached, err := t.getConn(addr, pc, true)
 	if err != nil {
 		return err
 	}
@@ -563,22 +557,20 @@ func (t *Transport) transmit(addr string, msg types.Message) error {
 		t.noteSuccess(addr)
 		return nil
 	} else if !cached {
-		t.dropConn(addr, cn, true)
+		t.dropConn(addr, pc, cn, true)
 		t.noteFailure(addr)
 		return fmt.Errorf("send %s: %w", addr, err)
 	}
 	// Stale cached connection: evict it (no drop counted yet — the message
 	// is still in hand) and retry once over a fresh connection.
-	t.dropConn(addr, cn, false)
-	t.mu.Lock()
-	t.peer(addr).retries++
-	t.mu.Unlock()
-	cn, _, err = t.getConn(addr, false)
+	t.dropConn(addr, pc, cn, false)
+	pc.retries.Add(1)
+	cn, _, err = t.getConn(addr, pc, false)
 	if err != nil {
 		return fmt.Errorf("send %s: retry: %w", addr, err)
 	}
 	if err := cn.encode(&env); err != nil {
-		t.dropConn(addr, cn, true)
+		t.dropConn(addr, pc, cn, true)
 		t.noteFailure(addr)
 		return fmt.Errorf("send %s: retry: %w", addr, err)
 	}
@@ -593,12 +585,11 @@ func (t *Transport) transmit(addr string, msg types.Message) error {
 // as dropped and advance the backoff window; respectBackoff=false skips the
 // backoff refusal for the retry path, which must attempt its single redial
 // unconditionally.
-func (t *Transport) getConn(addr string, respectBackoff bool) (cn *conn, cached bool, err error) {
+func (t *Transport) getConn(addr string, pc *peerCounters, respectBackoff bool) (cn *conn, cached bool, err error) {
 	t.mu.Lock()
 	if t.closed {
-		t.peer(addr).dropped++
 		t.mu.Unlock()
-		t.dropped.Add(1)
+		t.drop(pc)
 		t.sendsAfterClose.Add(1)
 		return nil, false, fmt.Errorf("send %s: transport closed", addr)
 	}
@@ -608,32 +599,31 @@ func (t *Transport) getConn(addr string, respectBackoff bool) (cn *conn, cached 
 	}
 	if respectBackoff {
 		if bo := t.backoff[addr]; bo != nil && time.Now().Before(bo.until) {
-			pc := t.peer(addr)
-			pc.dropped++
-			pc.backoffRefused++
 			failures := bo.failures
 			t.mu.Unlock()
-			t.dropped.Add(1)
+			t.drop(pc)
+			pc.backoffRefused.Add(1)
 			return nil, false, fmt.Errorf("send %s: backing off after %d failures", addr, failures)
 		}
 	}
 	t.mu.Unlock()
 
-	raw, err := net.Dial("tcp", addr)
+	// The caller may be a replica's event loop: a black-holed peer (SYNs
+	// dropped, not refused) must cost it at most one backoff window, not the
+	// OS connect timeout.
+	raw, err := t.dial(addr, backoffCap)
 	if err != nil {
-		t.dropPeer(addr)
+		t.drop(pc)
 		t.noteFailure(addr)
 		return nil, false, fmt.Errorf("dial %s: %w", addr, err)
 	}
 	t.mu.Lock()
-	pc := t.peer(addr)
 	cn = &conn{c: raw, cw: &countingWriter{w: raw, n: &t.bytes, pn: &pc.bytes}}
 	switch {
 	case t.closed:
-		pc.dropped++
 		t.mu.Unlock()
 		cn.c.Close()
-		t.dropped.Add(1)
+		t.drop(pc)
 		t.sendsAfterClose.Add(1)
 		return nil, false, fmt.Errorf("send %s: transport closed", addr)
 	case t.conns[addr] != nil:
@@ -644,9 +634,8 @@ func (t *Transport) getConn(addr string, respectBackoff bool) (cn *conn, cached 
 		cn.c.Close()
 		return existing, true, nil
 	default:
-		pc.dials++
-		if pc.dials > 1 {
-			pc.redials++
+		if pc.dials.Add(1) > 1 {
+			pc.redials.Add(1)
 		}
 		t.conns[addr] = cn
 		t.mu.Unlock()
@@ -658,19 +647,15 @@ func (t *Transport) getConn(addr string, respectBackoff bool) (cn *conn, cached 
 // for addr) and closes it. countLoss additionally records one dropped
 // message globally and against the peer — false on the retry path, where
 // the message is not lost yet.
-func (t *Transport) dropConn(addr string, cn *conn, countLoss bool) {
+func (t *Transport) dropConn(addr string, pc *peerCounters, cn *conn, countLoss bool) {
 	t.mu.Lock()
-	pc := t.peer(addr)
-	if countLoss {
-		pc.dropped++
-	}
 	if t.conns != nil && t.conns[addr] == cn {
 		delete(t.conns, addr)
-		pc.evictions++
+		pc.evictions.Add(1)
 	}
 	t.mu.Unlock()
 	if countLoss {
-		t.dropped.Add(1)
+		t.drop(pc)
 	}
 	cn.c.Close()
 }

@@ -208,6 +208,39 @@ func TestAcceptBackoff(t *testing.T) {
 	}
 }
 
+// TestDialIsBounded: a black-holed peer (SYNs dropped, never refused) costs
+// the sending goroutine — a replica's event loop — at most backoffCap, not the
+// OS connect timeout. The hook is such a peer: it answers only when the bound
+// it was given runs out, and never if it was given none.
+func TestDialIsBounded(t *testing.T) {
+	tr := NewServerTransport(1)
+	defer tr.Close()
+	tr.dial = func(_ string, timeout time.Duration) (net.Conn, error) {
+		if timeout <= 0 {
+			timeout = time.Minute
+		}
+		time.Sleep(timeout)
+		return nil, &net.OpError{Op: "dial", Net: "tcp", Err: syscall.ETIMEDOUT}
+	}
+	const peer = "192.0.2.1:7001"
+	start := time.Now()
+	err := tr.Send(peer, &types.SyncReq{From: 1, Kind: types.SyncTx, Start: 1, End: 1})
+	took := time.Since(start)
+	if err == nil {
+		t.Fatal("send to a black-holed peer succeeded")
+	}
+	if took < backoffCap || took > backoffCap+time.Second {
+		t.Fatalf("dial parked the sender for %v, want about backoffCap (%v)", took, backoffCap)
+	}
+	// The failed dial is an ordinary failure: counted, and backed off.
+	if st := tr.PeerStats()[peer]; st.Sent != 1 || st.Dropped != 1 {
+		t.Fatalf("peer stats after the failed dial: %+v, want 1 sent, 1 dropped", st)
+	}
+	if dead := tr.Unreachable(); len(dead) != 1 || dead[0] != peer {
+		t.Fatalf("unreachable = %v, want [%s]", dead, peer)
+	}
+}
+
 // TestStalledLengthPrefixHoldsOneChunk: an unauthenticated peer that sends
 // only a 64 MiB length prefix and then stalls reserves one frameChunk, not
 // the announced size.
