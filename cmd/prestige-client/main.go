@@ -28,6 +28,9 @@ func main() {
 	flag.Parse()
 
 	addrs := strings.Split(*peers, ",")
+	for i := range addrs {
+		addrs[i] = strings.TrimSpace(addrs[i])
+	}
 	if len(addrs) != *n {
 		log.Fatalf("expected %d peer addresses, got %d", *n, len(addrs))
 	}
@@ -71,18 +74,13 @@ func main() {
 	}
 	log.Printf("client %d listening on %s, driving %d servers for %v", cid, listen, *n, *duration)
 
-	// sendAll fires msg at every server. Individual send errors are expected
-	// under faults (up to f servers may be down); only total unreachability
-	// is worth surfacing.
+	// sendAll queues msg for every server. Losses are expected under faults
+	// (up to f servers may be down); only total unreachability is worth
+	// surfacing.
 	sendAll := func(msg types.Message) {
-		failed := 0
-		for _, a := range addrs {
-			if err := tr.Send(strings.TrimSpace(a), msg); err != nil {
-				failed++
-			}
-		}
-		if failed == len(addrs) {
-			log.Printf("all %d sends failed; cluster unreachable?", failed)
+		tr.Broadcast(addrs, msg)
+		if dead := tr.Unreachable(); len(dead) == len(addrs) {
+			log.Printf("all %d servers unreachable; cluster down?", len(dead))
 		}
 	}
 

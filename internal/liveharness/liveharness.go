@@ -197,6 +197,7 @@ type Env struct {
 	reg  *crypto.Registry
 
 	servers []*server
+	addrs   []string // servers[i].addr: a client Broadcast's destinations
 	clients []*liveClient
 	peerMap map[types.ServerID]string
 	met     *collector
@@ -284,6 +285,7 @@ func New(o harness.Options, cfg Config) (*Env, error) {
 		s.adm = adm
 		e.peerMap[id] = s.addr
 		e.servers = append(e.servers, s)
+		e.addrs = append(e.addrs, s.addr)
 	}
 
 	// Replicas, mirroring harness.NewCluster's wiring.
@@ -801,16 +803,12 @@ func (lc *liveClient) deliver(env *transport.Envelope) {
 // are directly comparable to simulated ones.
 func (lc *liveClient) Now() time.Duration { return lc.env.scenarioNow() }
 
-// Broadcast implements client.Env: send to every server address. Sends to
-// crashed servers fail against the dead listener and back off, exactly
-// like a real client hammering a dead endpoint.
+// Broadcast implements client.Env: send to every server address. A crashed
+// server's dead listener refuses the dial and the client's transport backs
+// off, like any real client hammering a dead endpoint; loss is part of the
+// model, so the error is dropped.
 func (lc *liveClient) Broadcast(msg types.Message) {
-	for _, s := range lc.env.servers {
-		// Send errors are part of the model here: a crashed server's dead
-		// listener refuses the dial and the client backs off, like any real
-		// client hammering a dead endpoint.
-		_ = lc.tr.Send(s.addr, msg)
-	}
+	_ = lc.tr.Broadcast(lc.env.addrs, msg)
 }
 
 // SetTimer implements client.Env on wall-clock timers (scaled). The

@@ -1,29 +1,19 @@
-// Package verifier is the live stack's inbound pre-verification step: one
-// stateless function that runs, for each message kind, the signature and
-// quorum-certificate checks the core is about to run itself.
-//
-// Preverify does not annotate messages or change any verification outcome.
-// It warms the registry's verified-fact cache (crypto.EnableVerifiedCache):
-// the caller — runtime.Deliver, on the transport's per-connection reader
-// goroutine — runs the same VerifyServer/VerifyClient/VerifyQC calls the
-// core will run, so by the time the message reaches the event loop the
-// core's inline calls are cache hits. Verification failures are deliberately
-// ignored here — the core re-verifies (a miss) and rejects exactly as it
-// would without this step, so it cannot change protocol behaviour, only
-// shift where the ed25519 math happens. The package starts no goroutines
-// and holds no state; the simulator never calls it, keeping simulated
-// trajectories byte-identical.
-package verifier
+package runtime
 
 import (
 	"prestigebft/internal/crypto"
 	"prestigebft/internal/types"
 )
 
-// Preverify runs the registry checks the core will repeat for msg,
-// populating reg's verified-fact cache on success. Results are discarded: a
-// failure here is re-discovered (and rejected) by the core's own call.
-func Preverify(reg *crypto.Registry, msg types.Message) {
+// preverify is the inbound pre-verification step: for each message kind it
+// runs the signature and quorum-certificate checks the core is about to run
+// itself, on Deliver's goroutine, so that reg's verified-fact cache
+// (crypto.EnableVerifiedCache) turns the core's inline calls on the event
+// loop into hits. It does not annotate messages, and results are discarded: a
+// failure here is re-discovered (and rejected) by the core's own call, so it
+// cannot change protocol behaviour, only where the ed25519 math happens. The
+// simulator never calls it, keeping simulated trajectories byte-identical.
+func preverify(reg *crypto.Registry, msg types.Message) {
 	switch m := msg.(type) {
 	case *types.Prop:
 		reg.VerifyClient(m.Tx.Client, m.SigningBytes(), m.Sig)

@@ -1,4 +1,4 @@
-package verifier
+package runtime
 
 import (
 	"testing"
@@ -21,7 +21,7 @@ func TestPreverifyWarmsCache(t *testing.T) {
 	m := &types.OrdReply{From: 2, V: 1, N: 3, D: types.Digest{7}}
 	m.Sig = servers[2].Sign(m.SigningBytes())
 
-	Preverify(reg, m)
+	preverify(reg, m)
 
 	h0, _ := reg.CacheStats()
 	if !reg.VerifyServer(m.From, m.SigningBytes(), m.Sig) {
@@ -45,7 +45,7 @@ func TestPreverifyWarmsQC(t *testing.T) {
 	m := &types.Cmt{From: 1, V: 1, N: 4, OrderingQC: qc}
 	m.Sig = servers[1].Sign(m.SigningBytes())
 
-	Preverify(reg, m)
+	preverify(reg, m)
 
 	h0, _ := reg.CacheStats()
 	if err := reg.VerifyQC(&m.OrderingQC, 3); err != nil {
@@ -62,7 +62,7 @@ func TestPreverifyCachesNoFailure(t *testing.T) {
 	reg, _ := deployment(t)
 	m := &types.OrdReply{From: 2, V: 1, N: 3, D: types.Digest{7}, Sig: []byte("garbage")}
 
-	Preverify(reg, m)
+	preverify(reg, m)
 
 	h0, _ := reg.CacheStats()
 	if reg.VerifyServer(m.From, m.SigningBytes(), m.Sig) {

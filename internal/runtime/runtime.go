@@ -15,7 +15,6 @@ import (
 
 	"prestigebft/internal/consensus"
 	"prestigebft/internal/crypto"
-	"prestigebft/internal/crypto/verifier"
 	"prestigebft/internal/metrics"
 	"prestigebft/internal/transport"
 	"prestigebft/internal/types"
@@ -90,6 +89,9 @@ type puzzleEvent struct {
 type Runtime struct {
 	cfg   Config
 	start time.Time
+	// others is every peer's address but this replica's: where a
+	// consensus.Broadcast goes.
+	others []string
 
 	events chan any
 	ins    *instruments
@@ -160,6 +162,11 @@ func New(cfg Config) *Runtime {
 		done:        make(chan struct{}),
 		rng:         rand.New(rand.NewSource(seed)),
 	}
+	for id, addr := range cfg.Peers {
+		if id != cfg.Replica.ID() {
+			rt.others = append(rt.others, addr)
+		}
+	}
 	if cfg.Metrics != nil {
 		rt.ins = newInstruments(cfg.Metrics)
 		registerVerifierMetrics(cfg.Metrics, rt)
@@ -201,7 +208,7 @@ func (rt *Runtime) RegisterClient(id types.ClientID, addr string) {
 // parallel; a full event queue blocks only the senders that are writing.
 func (rt *Runtime) Deliver(env *transport.Envelope) {
 	if reg := rt.cfg.Verifier; reg != nil && !rt.skipPreverify(env.Msg) {
-		verifier.Preverify(reg, env.Msg)
+		preverify(reg, env.Msg)
 		rt.preverified.Add(1)
 	} else {
 		rt.bypassed.Add(1)
@@ -300,24 +307,25 @@ func (rt *Runtime) publishLeaderHint(obs observable) {
 	}
 }
 
+// execute applies the replica's effects. Sends only enqueue (package
+// transport, "Outbound path"), so the loop does no socket I/O. Loss is within
+// the fault model and send errors are dropped here: the transport counts
+// every loss and logs a peer's unreachable/recovered transitions once per
+// episode.
 func (rt *Runtime) execute(effs []consensus.Effect) {
 	for _, e := range effs {
 		switch ef := e.(type) {
 		case consensus.Send:
-			rt.sendServer(ef.To, ef.Msg)
-		case consensus.Broadcast:
-			for id := range rt.cfg.Peers {
-				if id != rt.cfg.Replica.ID() {
-					rt.sendServer(id, ef.Msg)
-				}
+			if addr, ok := rt.cfg.Peers[ef.To]; ok {
+				rt.cfg.Transport.Send(addr, ef.Msg)
 			}
+		case consensus.Broadcast:
+			rt.cfg.Transport.Broadcast(rt.others, ef.Msg)
 		case consensus.SendClient:
 			rt.mu.Lock()
 			addr, ok := rt.clientAddrs[ef.To]
 			rt.mu.Unlock()
 			if ok {
-				// Loss is within the fault model; the transport logs
-				// unreachable/recovered transitions once per episode.
 				rt.cfg.Transport.Send(addr, ef.Msg)
 			}
 		case consensus.SetTimer:
@@ -361,18 +369,6 @@ func (rt *Runtime) sample(obs observable) {
 		rt.healthHeight.Store(uint64(obs.ChainHeight()))
 	}
 	rt.healthSampled.Store(time.Now().UnixNano())
-}
-
-func (rt *Runtime) sendServer(to types.ServerID, msg types.Message) {
-	addr, ok := rt.cfg.Peers[to]
-	if !ok {
-		return
-	}
-	// Loss is within the fault model. Per-send error logging used to flood
-	// the log with one line per attempt against a dead peer; the transport
-	// now counts every failure (Stats/PeerStats) and logs only the
-	// unreachable → backoff-capped → recovered transitions.
-	rt.cfg.Transport.Send(addr, msg)
 }
 
 func (rt *Runtime) setTimer(ef consensus.SetTimer) {

@@ -37,8 +37,9 @@ type PeerFaults struct {
 // once), a degrade layer (gray failure, swapped at runtime), per-peer
 // overrides, and partition blocks. A message to addr is dropped if the link
 // is blocked or by the maximum of the applicable drop rates; otherwise it is
-// delayed by base + degrade + per-peer samples, clamped so deliveries to one
-// peer stay FIFO (TCP in-order semantics, matching sim.Network's lastArr).
+// delayed by base + degrade + per-peer samples. The peer's send queue keeps
+// deliveries to one peer FIFO whatever the samples (TCP in-order semantics,
+// matching sim.Network's lastArr).
 type LinkFaults struct {
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -53,7 +54,6 @@ type LinkFaults struct {
 
 	perPeer map[string]PeerFaults
 	blocked map[string]bool
-	release map[string]time.Time // FIFO clamp: earliest release per peer
 }
 
 // NewLinkFaults creates a fault layer with its own seeded RNG (injected
@@ -63,7 +63,6 @@ func NewLinkFaults(seed int64) *LinkFaults {
 		rng:     rand.New(rand.NewSource(seed)),
 		perPeer: make(map[string]PeerFaults),
 		blocked: make(map[string]bool),
-		release: make(map[string]time.Time),
 	}
 }
 
@@ -128,8 +127,8 @@ func (f *LinkFaults) Blocked(addr string) bool {
 	return f.blocked[addr]
 }
 
-// plan decides the fate of one message to addr: dropped, or transmitted
-// after delay. The release clamp keeps per-peer ordering under jitter.
+// plan decides the fate of one message to addr: dropped, or released to the
+// wire after delay.
 func (f *LinkFaults) plan(addr string) (drop bool, delay time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -156,22 +155,7 @@ func (f *LinkFaults) plan(addr string) (drop bool, delay time.Duration) {
 	if pf.Extra > 0 || pf.Jitter > 0 {
 		delay += normalDelay(f.rng, pf.Extra, pf.Jitter)
 	}
-	if delay < 0 {
-		delay = 0
-	}
-	// FIFO clamp: never release before the previous message to this peer —
-	// a zero-delay sample must still queue behind earlier delayed traffic,
-	// or it would overtake it (TCP never reorders one connection's bytes).
-	now := time.Now()
-	at := now.Add(delay)
-	if last := f.release[addr]; at.Before(last) {
-		at = last
-	}
-	if at.After(now) {
-		f.release[addr] = at
-		return false, at.Sub(now)
-	}
-	return false, 0
+	return false, max(delay, 0)
 }
 
 // normalDelay draws Normal(mean, stddev) floored at zero.

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -15,10 +14,10 @@ func ref(v int) types.Message {
 }
 
 // TestKillAndRestartPeer is the connection-eviction regression test: a peer
-// dies, the cached connection must be evicted (sends fail instead of
-// vanishing into a dead socket forever), redials must back off instead of
-// hammering the dead address, and once the peer restarts on the same
-// address the transport must recover without any process restart.
+// dies, the established connection must be evicted (sends are counted lost
+// instead of vanishing into a dead socket forever), redials must back off
+// instead of hammering the dead address, and once the peer restarts on the
+// same address the transport must recover without any process restart.
 func TestKillAndRestartPeer(t *testing.T) {
 	h, ch := collect()
 	srv := NewServerTransport(2)
@@ -28,6 +27,7 @@ func TestKillAndRestartPeer(t *testing.T) {
 	addr := srv.Addr()
 	cli := NewServerTransport(1)
 	defer cli.Close()
+	stats := func() PeerStats { return cli.PeerStats()[addr] }
 
 	if err := cli.Send(addr, ref(1)); err != nil {
 		t.Fatal(err)
@@ -35,32 +35,28 @@ func TestKillAndRestartPeer(t *testing.T) {
 	<-ch
 
 	// Kill the peer. The next write may succeed into the kernel buffer,
-	// but within a bounded window a send must fail and evict the conn.
+	// but within a bounded window a write must fail and evict the conn.
 	srv.Close()
-	evicted := false
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cli.Send(addr, ref(2)) != nil {
-			evicted = true
-			break
-		}
+	eventually(t, "the dead peer's connection to be evicted and a send dropped", func() bool {
+		cli.Send(addr, ref(2))
 		time.Sleep(10 * time.Millisecond)
-	}
-	if !evicted {
-		t.Fatal("sends to a dead peer never started failing — the cached connection was not evicted")
-	}
+		return stats().Evictions > 0 && stats().Dropped > 0
+	})
+	eventually(t, "the dead peer to be listed unreachable", func() bool {
+		cli.Send(addr, ref(2)) // a send after a window expires re-opens it, longer
+		dead := cli.Unreachable()
+		return len(dead) == 1 && dead[0] == addr
+	})
 
-	// While the peer stays dead, redials are rate-limited: at least one
-	// near-immediate follow-up send must fail fast on the backoff window
-	// rather than dialing (dial errors mention "dial", backoff does not).
-	sawBackoff := false
-	for i := 0; i < 20 && !sawBackoff; i++ {
-		if err := cli.Send(addr, ref(3)); err != nil && strings.Contains(err.Error(), "backing off") {
-			sawBackoff = true
-		}
-	}
-	if !sawBackoff {
-		t.Fatal("no send failed fast on the redial backoff while the peer was dead")
+	// While the peer stays dead, redials are rate-limited: messages sent
+	// inside the backoff window are dropped without a dial.
+	dials := stats().Dials
+	eventually(t, "a send to be refused by the redial backoff", func() bool {
+		cli.Send(addr, ref(3))
+		return stats().BackoffRefused > 0
+	})
+	if d := stats().Dials; d != dials {
+		t.Fatalf("dials went %d -> %d while the peer was dead", dials, d)
 	}
 
 	// Restart the peer on the same address: the transport must redial
@@ -70,22 +66,17 @@ func TestKillAndRestartPeer(t *testing.T) {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
 	defer srv2.Close()
-	recovered := false
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if err := cli.Send(addr, ref(4)); err == nil {
-			recovered = true
-			break
+	eventually(t, "the transport to recover after the peer restarted", func() bool {
+		cli.Send(addr, ref(4))
+		select {
+		case <-ch:
+			return true
+		case <-time.After(20 * time.Millisecond):
+			return false
 		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if !recovered {
-		t.Fatal("transport did not recover after the peer restarted")
-	}
-	select {
-	case <-ch:
-	case <-time.After(5 * time.Second):
-		t.Fatal("recovered send was never delivered")
+	})
+	if dead := cli.Unreachable(); len(dead) != 0 {
+		t.Fatalf("unreachable = %v after recovery", dead)
 	}
 }
 
@@ -97,6 +88,9 @@ func TestSendAfterCloseFails(t *testing.T) {
 	cli.Close()
 	if err := cli.Send("127.0.0.1:1", ref(1)); err == nil {
 		t.Fatal("send on a closed transport succeeded")
+	}
+	if n, st := cli.SendsAfterClose(), cli.Stats(); n != 1 || st.Sent != 1 || st.Dropped != 1 {
+		t.Fatalf("SendsAfterClose = %d, stats %+v; want 1 send, refused and dropped", n, st)
 	}
 	cli.Close() // double Close must be a no-op
 }
@@ -190,8 +184,9 @@ func TestLinkFaultsDropRate(t *testing.T) {
 }
 
 // TestLinkFaultsLatencyOrdering: injected jittery latency delays messages
-// but the FIFO clamp keeps per-peer delivery in send order, matching the
-// simulator's TCP in-order semantics.
+// but per-peer delivery stays in send order, matching the simulator's TCP
+// in-order semantics — also across the moment the latency goes away, when
+// undelayed messages are sent while delayed ones are still waiting.
 func TestLinkFaultsLatencyOrdering(t *testing.T) {
 	h, ch := collect()
 	srv := NewServerTransport(2)
@@ -205,28 +200,36 @@ func TestLinkFaultsLatencyOrdering(t *testing.T) {
 	cli.SetFaults(lf)
 	lf.Degrade(20*time.Millisecond, 15*time.Millisecond, 0)
 
-	const sends = 30
+	const delayed, sends = 30, 2000
 	start := time.Now()
-	for i := 0; i < sends; i++ {
-		if err := cli.Send(srv.Addr(), ref(i)); err != nil {
-			t.Fatal(err)
+	go func() {
+		for i := 0; i < sends; i++ {
+			if i == delayed {
+				lf.Restore()
+			}
+			if err := cli.Send(srv.Addr(), ref(i)); err != nil {
+				t.Error(err)
+				return
+			}
+			if i > delayed {
+				// Keep sending across the instant the last delayed message
+				// is released.
+				time.Sleep(50 * time.Microsecond)
+			}
 		}
-	}
-	last := -1
+	}()
 	for i := 0; i < sends; i++ {
 		select {
 		case env := <-ch:
-			v := int(env.Msg.(*types.Ref).V)
-			if v <= last {
-				t.Fatalf("delivery out of order: %d after %d", v, last)
+			if v := int(env.Msg.(*types.Ref).V); v != i {
+				t.Fatalf("delivery out of order: got %d, want %d", v, i)
 			}
-			last = v
+			if i == delayed-1 && time.Since(start) < 15*time.Millisecond {
+				t.Fatalf("%d messages with ~20ms injected latency arrived in %v — latency not applied", delayed, time.Since(start))
+			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("timed out after %d deliveries", i)
 		}
-	}
-	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
-		t.Fatalf("30 messages with ~20ms injected latency arrived in %v — latency not applied", elapsed)
 	}
 }
 
