@@ -5,7 +5,7 @@ GO ?= go
 # against the last committed BENCH_*.json.
 BENCH_OUT ?= BENCH_PR13.json
 
-.PHONY: build test vet lint lint-tool bench bench-json bench-json-all bench-compare scenarios scenarios-live live-smoke fuzz fuzz-live fuzz-codec no-gob benchmark-smoke soak clean
+.PHONY: build test vet lint lint-tool bench bench-json bench-json-all bench-compare scenarios scenarios-live live-smoke fuzz fuzz-live fuzz-codec no-gob benchmark-smoke cluster-smoke soak clean
 
 build:
 	$(GO) build ./...
@@ -106,6 +106,12 @@ no-gob:
 # anything: they are advisory. Build output lands in .bench_build/.
 benchmark-smoke:
 	bash benchmark/run.sh --workload sat-small --seed 1 --seconds 10 --trace 0
+
+# The two binaries against each other: four prestige-server processes on
+# loopback, /healthz green on each, then prestige-client for 3 s; fails
+# unless the client commits something. BASE_PORT=<n> moves every port.
+cluster-smoke:
+	bash scripts/cluster_smoke.sh
 
 # The nightly soak gate, locally: SOAK_DUR of live cluster under rolling
 # follower churn, scraped at baseline/mid/end, exiting nonzero unless every

@@ -70,7 +70,7 @@ type benchOutput struct {
 }
 
 func main() {
-	experiment := flag.String("experiment", "all", "experiment to run (fig4c, fig6..fig14, peak, pipeline, scenarios, all)")
+	experiment := flag.String("experiment", "all", "experiment to run (fig4c, fig6..fig14, peak, pipeline, all)")
 	scenarios := flag.String("scenario", "", "run chaos scenarios instead: a comma-separated list of names, or 'all'")
 	full := flag.Bool("full", false, "run at paper scale (minutes of wall clock per figure)")
 	list := flag.Bool("list", false, "list available experiments and scenarios")
@@ -162,13 +162,6 @@ func main() {
 
 	if *experiment == "all" {
 		for _, n := range names {
-			// The chaos suite is excluded from "all": it emits invariant
-			// verdicts, not perf rows, and only the -scenario path enforces
-			// them through the exit code. Run it explicitly via -scenario
-			// (gating) or -experiment scenarios (report only).
-			if n == "scenarios" {
-				continue
-			}
 			run(n)
 		}
 	} else {

@@ -1,6 +1,7 @@
 // Command prestige-client drives a live PrestigeBFT cluster with a
 // closed-loop workload and reports throughput and latency — the live-mode
-// counterpart of the simulator's workload clients.
+// counterpart of the simulator's workload clients: the same client.Client,
+// hosted on a TCP transport by runtime.ClientHost.
 package main
 
 import (
@@ -9,10 +10,11 @@ import (
 	"log"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
+	"prestigebft/internal/client"
 	"prestigebft/internal/crypto"
+	"prestigebft/internal/runtime"
 	"prestigebft/internal/transport"
 	"prestigebft/internal/types"
 )
@@ -42,97 +44,45 @@ func main() {
 	}
 
 	tr := transport.NewClientTransport(cid)
-	quorum := types.ConfirmSize(*n)
-
-	var mu sync.Mutex
-	notifs := make(map[types.Digest]map[types.ServerID]bool)
-	committed := make(chan types.Digest, 64)
-	handler := func(env *transport.Envelope) {
-		notif, ok := env.Msg.(*types.Notif)
-		if !ok || env.FromServer == 0 {
-			return
-		}
-		if !reg.VerifyServer(env.FromServer, notif.SigningBytes(), notif.Sig) {
-			return
-		}
-		mu.Lock()
-		set := notifs[notif.TxD]
-		if set == nil {
-			set = make(map[types.ServerID]bool)
-			notifs[notif.TxD] = set
-		}
-		set[env.FromServer] = true
-		done := len(set) == quorum
-		mu.Unlock()
-		if done {
-			committed <- notif.TxD
-		}
-	}
+	host := runtime.NewClientHost(tr, addrs, client.Config{
+		ID:          cid,
+		Keys:        keys,
+		Registry:    reg,
+		N:           *n,
+		PayloadSize: *payload,
+		Timeout:     *timeout,
+	})
+	// Demo convention: servers answer client c on 127.0.0.1:9000+c.
 	listen := fmt.Sprintf("127.0.0.1:%d", 9000+cid)
-	if err := tr.Listen(listen, handler); err != nil {
+	if err := tr.Listen(listen, host.Deliver); err != nil {
 		log.Fatalf("listen %s: %v", listen, err)
 	}
 	log.Printf("client %d listening on %s, driving %d servers for %v", cid, listen, *n, *duration)
 
-	// sendAll queues msg for every server. Losses are expected under faults
-	// (up to f servers may be down); only total unreachability is worth
-	// surfacing.
-	sendAll := func(msg types.Message) {
-		tr.Broadcast(addrs, msg)
-		if dead := tr.Unreachable(); len(dead) == len(addrs) {
-			log.Printf("all %d servers unreachable; cluster down?", len(dead))
-		}
-	}
+	host.Start()
+	time.Sleep(*duration)
+	host.Stop()
+	stats := host.Stats()
+	dead := tr.Unreachable()
+	tr.Close()
 
-	var latencies []time.Duration
-	complaints := 0
-	deadline := time.Now().Add(*duration)
-	seq := 0
-	for time.Now().Before(deadline) {
-		seq++
-		tx := types.Transaction{
-			Timestamp: int64(cid)<<32 | int64(seq),
-			Client:    cid,
-			Data:      make([]byte, *payload),
-		}
-		prop := &types.Prop{Tx: tx, D: tx.Digest()}
-		prop.Sig = keys.Sign(prop.SigningBytes())
-		start := time.Now()
-		sendAll(prop)
-	wait:
-		for {
-			select {
-			case d := <-committed:
-				if d == prop.D {
-					latencies = append(latencies, time.Since(start))
-					break wait
-				}
-			case <-time.After(*timeout):
-				// Complain (§4.2.1) and keep waiting.
-				complaints++
-				compt := &types.Compt{Prop: *prop}
-				compt.Sig = keys.Sign(compt.SigningBytes())
-				sendAll(compt)
-				if time.Now().After(deadline) {
-					break wait
-				}
-			}
-		}
+	if stats.Committed == 0 {
+		// Losses are expected under faults (up to f servers may be down);
+		// only total failure is worth explaining.
+		log.Fatalf("no transactions committed (%d rejected, %d complaints, %d of %d servers unreachable)",
+			stats.Rejected, stats.Complaints, len(dead), *n)
 	}
-
-	if len(latencies) == 0 {
-		log.Fatal("no transactions committed")
-	}
+	latencies := stats.Latencies
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	var sum time.Duration
 	for _, l := range latencies {
 		sum += l
 	}
-	fmt.Printf("committed: %d txs in %v\n", len(latencies), *duration)
-	fmt.Printf("throughput: %.1f tx/s (single closed-loop client)\n", float64(len(latencies))/duration.Seconds())
+	fmt.Printf("committed: %d txs in %v\n", stats.Committed, *duration)
+	fmt.Printf("throughput: %.1f tx/s (single closed-loop client)\n", float64(stats.Committed)/duration.Seconds())
 	fmt.Printf("latency: mean %v, p50 %v, p99 %v\n",
 		(sum / time.Duration(len(latencies))).Round(time.Microsecond),
 		latencies[len(latencies)/2].Round(time.Microsecond),
 		latencies[len(latencies)*99/100].Round(time.Microsecond))
-	fmt.Printf("complaints: %d\n", complaints)
+	fmt.Printf("complaints: %d\n", stats.Complaints)
 }

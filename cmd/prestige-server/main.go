@@ -20,12 +20,10 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"prestigebft/internal/consensus"
 	"prestigebft/internal/core"
@@ -94,7 +92,7 @@ func main() {
 		Replica:         node,
 		Peers:           peerMap,
 		Transport:       tr,
-		Verifier:        reg,
+		Registry:        reg,
 		PuzzleBitsPerRP: *bits,
 		Seed:            *rngSeed,
 		Metrics:         mreg,
@@ -118,7 +116,7 @@ func main() {
 	var draining atomic.Bool
 	if *admin != "" {
 		adm, err := metrics.ServeAdmin(*admin, mreg, func() metrics.Health {
-			return healthOf(rt, tr, draining.Load())
+			return rt.Health(draining.Load())
 		})
 		if err != nil {
 			log.Fatalf("admin listen: %v", err)
@@ -162,33 +160,4 @@ func newHandler(register func(types.ClientID, string), deliver func(*transport.E
 		}
 		deliver(env)
 	}
-}
-
-// healthOf folds the runtime's liveness sample and the transport's peer
-// connectivity into the /healthz document. The replica is healthy when its
-// event loop sampled recently and no peer sits in a redial-backoff window;
-// a draining server always reports unhealthy so probes stop routing to it.
-func healthOf(rt *runtime.Runtime, tr *transport.Transport, draining bool) metrics.Health {
-	h := metrics.Health{Ok: true, Draining: draining, Detail: map[string]string{}}
-	if draining {
-		h.Ok = false
-		h.Detail["draining"] = "shutdown in progress"
-	}
-	view, height, age, ok := rt.HealthSnapshot()
-	switch {
-	case !ok:
-		h.Ok = false
-		h.Detail["loop"] = "no liveness sample yet"
-	case age > 4*time.Second:
-		h.Ok = false
-		h.Detail["loop"] = "stalled: last sample " + age.Truncate(time.Millisecond).String() + " ago"
-	default:
-		h.Detail["view"] = strconv.FormatUint(uint64(view), 10)
-		h.Detail["height"] = strconv.FormatUint(uint64(height), 10)
-	}
-	if dead := tr.Unreachable(); len(dead) > 0 {
-		h.Ok = false
-		h.Detail["peers"] = "unreachable: " + strings.Join(dead, ",")
-	}
-	return h
 }

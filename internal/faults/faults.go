@@ -4,7 +4,7 @@
 //	F1 — timeout attacks: faulty servers mirror the randomized timeouts of f
 //	     correct servers to force simultaneous campaigns (split votes).
 //	     Implemented by seeding an attacker's RNG identically to its
-//	     victim's (a harness concern; see harness.WithTimeoutAttack).
+//	     victim's (a harness concern; see harness.Options.TimeoutAttack).
 //	F2 — quiet participants: faulty servers do not respond to any request.
 //	F3 — equivocation: faulty servers reply with erroneous messages.
 //	F4 — repeated view-change attacks: faulty servers campaign for

@@ -1,13 +1,11 @@
 package harness
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
 	"prestigebft/internal/client"
 	"prestigebft/internal/consensus"
-	"prestigebft/internal/core"
 	"prestigebft/internal/crypto"
 	"prestigebft/internal/faults"
 	"prestigebft/internal/ledger"
@@ -104,13 +102,6 @@ type Options struct {
 	// an RNG seeded identically to a randomly chosen correct server's.
 	TimeoutAttack bool
 
-	// ModelBitsPerRP is the proof-of-work difficulty (zero bits per rp
-	// unit) used by the virtual solve-time model. Default 4, calibrated to
-	// the paper's measured attack costs (see core.Config.PuzzleBitsPerRP).
-	// The replicas verify with PuzzleBits < 0 in simulation: difficulty is
-	// carried by the time model (DESIGN.md §4).
-	ModelBitsPerRP int
-
 	// ClientThinkTime throttles clients: delay between a commit and the
 	// next request. Zero keeps clients fully closed-loop.
 	ClientThinkTime time.Duration
@@ -177,164 +168,46 @@ func (o *Options) withDefaults() Options {
 	if out.ClientTimeout == 0 {
 		out.ClientTimeout = 2 * time.Second
 	}
-	if out.ModelBitsPerRP == 0 {
-		out.ModelBitsPerRP = 4
-	}
 	if out.PipelineDepth == 0 {
 		out.PipelineDepth = DefaultPipelineDepth
 	}
 	return out
 }
 
-// Cluster is one simulated deployment.
+// Cluster is one simulated deployment: a Deployment hosted on the
+// discrete-event scheduler and the simulated fabric.
 type Cluster struct {
-	Opts    Options
+	*Deployment
 	Sched   *sim.Scheduler
 	Net     *sim.Network
 	Metrics *Metrics
-
-	Registry *crypto.Registry
-	Replicas []consensus.Replica // wrapped replicas, index = ServerID-1
-	Nodes    []*core.Node        // PrestigeBFT nodes (nil entries for baselines)
-	Wrappers []*faults.Wrapper   // fault wrappers (nil for correct servers)
-	Clients  []*client.Client
+	Clients []*client.Client
 
 	runtimes []*simRuntime
 }
 
 // NewCluster builds a deployment. Call Start, then Run.
 func NewCluster(opts Options) *Cluster {
-	o := opts.withDefaults()
-	sched := sim.NewScheduler(o.Seed)
-	net := sim.NewNetwork(sched, o.Net)
-	reg, serverKeys, clientKeys := crypto.GenerateDeployment(uint64(o.Seed)+0x5eed, o.N, o.Clients)
-	reg.VerifySignatures = o.VerifySignatures
-
+	// Simulation: puzzle difficulty is enforced by the time model.
+	d := NewDeployment(opts, -1)
+	sched := sim.NewScheduler(d.Opts.Seed)
 	c := &Cluster{
-		Opts:     o,
-		Sched:    sched,
-		Net:      net,
-		Metrics:  NewMetrics(sched),
-		Registry: reg,
-		Replicas: make([]consensus.Replica, o.N),
-		Nodes:    make([]*core.Node, o.N),
-		Wrappers: make([]*faults.Wrapper, o.N),
+		Deployment: d,
+		Sched:      sched,
+		Net:        sim.NewNetwork(sched, d.Opts.Net),
+		Metrics:    NewMetrics(sched.Now),
 	}
-
-	// F1 victim assignment: faulty servers mirror the timeout RNG of f
-	// randomly picked correct servers.
-	seedRNG := rand.New(rand.NewSource(o.Seed * 7919))
-	rngSeed := make([]int64, o.N+1)
-	var correct []types.ServerID
-	for i := 1; i <= o.N; i++ {
-		rngSeed[i] = o.Seed<<16 + int64(i)
-		if !o.Faults[types.ServerID(i)].IsFaulty() {
-			correct = append(correct, types.ServerID(i))
-		}
-	}
-	if o.TimeoutAttack && len(correct) > 0 {
-		for i := 1; i <= o.N; i++ {
-			if o.Faults[types.ServerID(i)].IsFaulty() {
-				victim := correct[seedRNG.Intn(len(correct))]
-				rngSeed[i] = rngSeed[victim]
-			}
-		}
-	}
-
-	for i := 1; i <= o.N; i++ {
-		id := types.ServerID(i)
-		spec := o.Faults[id]
-		nodeRNG := rand.New(rand.NewSource(rngSeed[i]))
-
-		var replica consensus.Replica
-		var node *core.Node
-		if o.Protocol == PrestigeBFT {
-			cfg := core.Config{
-				ID:                 id,
-				N:                  o.N,
-				Keys:               serverKeys[id],
-				Registry:           reg,
-				BatchSize:          o.BatchSize,
-				PipelineDepth:      o.PipelineDepth,
-				CheckpointInterval: o.CheckpointInterval,
-				TimeoutMin:         o.TimeoutMin,
-				TimeoutMax:         o.TimeoutMax,
-				ViewPolicy:         o.ViewPolicy,
-				RefreshThreshold:   o.RefreshThreshold,
-				PuzzleBitsPerRP:    -1, // simulation: difficulty enforced by the time model
-				RNG:                nodeRNG,
-			}
-			if o.StateMachine != nil {
-				cfg.StateMachine = o.StateMachine()
-			}
-			if o.Engine != nil {
-				cfg.Engine = o.Engine()
-			}
-			if spec.RepeatedVC {
-				// The attacker's levers: minimal trigger delay (campaign
-				// the instant a change is possible — still enough for an
-				// election round trip, which also bounds its candidacy
-				// timer) and, under S2, the compensation gate.
-				cfg.TimeoutMin = 20 * time.Millisecond
-				cfg.TimeoutMax = 25 * time.Millisecond
-				if spec.Smart {
-					eng := cfg.Engine
-					if eng == nil {
-						eng = reputation.New()
-						cfg.Engine = eng
-					}
-					cfg.CampaignGate = func(res reputation.Result) bool { return res.Compensated }
-				}
-			}
-			node = core.New(cfg)
-			replica = node
-		} else {
-			f, ok := protocolFactories[o.Protocol]
-			if !ok {
-				panic(fmt.Sprintf("harness: protocol %q not registered", o.Protocol))
-			}
-			replica = f(FactoryEnv{ID: id, N: o.N, Keys: serverKeys[id], Registry: reg, Opts: &o, RNG: nodeRNG})
-		}
-		c.Nodes[i-1] = node
-		wrap := spec.IsFaulty()
-		for _, w := range o.WrapServers {
-			if w == id {
-				wrap = true
-			}
-		}
-		if wrap {
-			w := faults.Wrap(replica, node, spec)
-			c.Wrappers[i-1] = w
-			replica = w
-		}
-		c.Replicas[i-1] = replica
-
-		rt := newSimRuntime(c, replica, id, spec)
+	for i, replica := range d.Replicas {
+		id := types.ServerID(i + 1)
+		rt := newSimRuntime(c, replica, id, d.Opts.Faults[id])
 		c.runtimes = append(c.runtimes, rt)
-		net.Register(sim.ServerAddr(uint16(id)), rt.deliver)
+		c.Net.Register(rt.addr, rt.deliver)
 	}
-
-	for i := 1; i <= o.Clients; i++ {
-		cid := types.ClientID(i)
-		env := &clientEnv{cluster: c, addr: sim.ClientAddr(uint32(cid))}
-		var payload func(int) []byte
-		if o.ClientPayload != nil {
-			payload = func(seq int) []byte { return o.ClientPayload(cid, seq) }
-		}
-		cl := client.New(client.Config{
-			ID:          cid,
-			Keys:        clientKeys[cid],
-			Registry:    reg,
-			N:           o.N,
-			Payload:     payload,
-			PayloadSize: o.PayloadSize,
-			Timeout:     o.ClientTimeout,
-			ThinkTime:   o.ClientThinkTime,
-			MaxRequests: o.MaxRequestsPerClient,
-		}, env)
-		env.client = cl
-		c.Clients = append(c.Clients, cl)
-		net.Register(env.addr, env.deliver)
+	for i := 1; i <= d.Opts.Clients; i++ {
+		env := &clientEnv{cluster: c, addr: sim.ClientAddr(uint32(i))}
+		env.client = client.New(d.ClientConfig(types.ClientID(i)), env)
+		c.Clients = append(c.Clients, env.client)
+		c.Net.Register(env.addr, env.deliver)
 	}
 	return c
 }
@@ -358,12 +231,11 @@ func (c *Cluster) Now() sim.Time { return c.Sched.Now() }
 // CollectClientStats folds client latencies into the metrics. Call after a
 // run, before reading latency aggregates.
 func (c *Cluster) CollectClientStats() {
-	c.Metrics.Latencies = c.Metrics.Latencies[:0]
-	c.Metrics.Complaints = 0
-	for _, cl := range c.Clients {
-		c.Metrics.Latencies = append(c.Metrics.Latencies, cl.Stats.Latencies...)
-		c.Metrics.Complaints += cl.Stats.Complaints
+	stats := make([]client.Stats, len(c.Clients))
+	for i, cl := range c.Clients {
+		stats[i] = cl.Stats
 	}
+	c.Metrics.SetClientStats(stats)
 }
 
 // Crash isolates a server from the network (benign failure).
@@ -499,17 +371,23 @@ func (rt *simRuntime) chargeSend(size int) {
 	rt.cpu.Schedule(opts.Cost.Sign/4+time.Duration(size)*opts.Cost.PerByte, func() {})
 }
 
+// modelBitsPerRP is the proof-of-work difficulty (zero bits per penalty
+// unit) of the virtual solve-time model, calibrated to the paper's measured
+// attack costs. The replicas themselves verify with PuzzleBitsPerRP < 0:
+// in simulation the difficulty is carried by the time model (DESIGN.md §4).
+const modelBitsPerRP = 4
+
 // startPuzzle models the reputation-determined computation: the solve time
-// is drawn from the geometric model at ModelBitsPerRP bits per penalty unit
-// (DESIGN.md §4). The nonce/hash pair is real (one hash) so C5 verification
-// stays honest at difficulty 0.
+// is drawn from the geometric model at modelBitsPerRP bits per penalty unit.
+// The nonce/hash pair is real (one hash) so C5 verification stays honest at
+// difficulty 0.
 func (rt *simRuntime) startPuzzle(ef consensus.StartPuzzle) {
 	opts := &rt.c.Opts
 	scale := 1.0
 	if rt.spec.HashRateScale > 0 {
 		scale = rt.spec.HashRateScale
 	}
-	bits := int(ef.RP) * opts.ModelBitsPerRP
+	bits := int(ef.RP) * modelBitsPerRP
 	d := opts.Cost.PuzzleTime(bits, scale, rt.rng.Float64())
 	nonce := make([]byte, 8)
 	rt.rng.Read(nonce)

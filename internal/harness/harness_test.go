@@ -1,9 +1,13 @@
 package harness
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"prestigebft/internal/client"
+	"prestigebft/internal/consensus"
 	"prestigebft/internal/faults"
 	"prestigebft/internal/sim"
 	"prestigebft/internal/types"
@@ -262,7 +266,7 @@ func TestDeterministicReplayUnderFaults(t *testing.T) {
 // TestMetricsAggregation sanity-checks the metric computations themselves.
 func TestMetricsAggregation(t *testing.T) {
 	sched := sim.NewScheduler(1)
-	m := NewMetrics(sched)
+	m := NewMetrics(sched.Now)
 	mkBlock := func(n types.SeqNum, txs int) *types.TxBlock {
 		b := &types.TxBlock{}
 		b.Header.N = n
@@ -288,5 +292,46 @@ func TestMetricsAggregation(t *testing.T) {
 	av := m.Availability(sim.Duration(4*time.Second), time.Second)
 	if av != 0.5 {
 		t.Fatalf("availability = %v, want 0.5", av)
+	}
+
+	// A live cluster reports from one event loop per replica while the
+	// scenario engine samples: the same 1000 blocks committed by four
+	// goroutines count once each and aggregate to what one reporter gives.
+	var clock atomic.Int64
+	lats := []client.Stats{{Latencies: []time.Duration{3, 1, 2}}, {Latencies: []time.Duration{5, 4}}}
+	collect := func(reporters int) *Metrics {
+		m := NewMetrics(func() sim.Time { return sim.Time(clock.Load()) })
+		for phase, at := range []time.Duration{500 * time.Millisecond, 1500 * time.Millisecond} {
+			clock.Store(int64(at))
+			var wg sync.WaitGroup
+			for r := 0; r < reporters; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for n := phase*500 + 1; n <= phase*500+500; n++ {
+						m.OnCommit(mkBlock(types.SeqNum(n), n%7))
+						m.OnTrace(consensus.Trace{Event: consensus.TraceSyncUp})
+						m.SetClientStats(lats)
+						m.LatencyPercentile(99)
+					}
+				}()
+			}
+			wg.Wait()
+		}
+		return m
+	}
+	one, four := collect(1), collect(4)
+	if len(four.Commits) != 1000 || four.TotalTxs != one.TotalTxs || four.SyncUps != 4*one.SyncUps {
+		t.Fatalf("4 reporters: %d commits, %d txs, %d sync-ups; 1 reporter: %d txs, %d sync-ups",
+			len(four.Commits), four.TotalTxs, four.SyncUps, one.TotalTxs, one.SyncUps)
+	}
+	for _, w := range [][2]time.Duration{{0, time.Second}, {time.Second, 2 * time.Second}, {0, 2 * time.Second}} {
+		from, to := sim.Duration(w[0]), sim.Duration(w[1])
+		if got, want := four.TPS(from, to), one.TPS(from, to); got != want || want == 0 {
+			t.Fatalf("TPS(%v, %v) = %v with 4 reporters, %v with 1", w[0], w[1], got, want)
+		}
+	}
+	if got, want := four.LatencyPercentile(50), one.LatencyPercentile(50); got != want || want != 3 {
+		t.Fatalf("p50 latency = %v with 4 reporters, %v with 1, want 3ns", got, want)
 	}
 }

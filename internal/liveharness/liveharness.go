@@ -16,58 +16,54 @@
 // recovery is fail-recover against persisted state, not amnesia, exactly
 // the simulator's semantics.
 //
-// Scenario time maps onto wall-clock deadlines: event offsets and span
-// boundaries are scheduled on real timers (optionally scaled by
-// Config.TimeScale), and liveness bounds stretch by Config.Slack because a
-// live run pays scheduling, kernel, and crypto costs the simulator's models
-// do not. What stays exact: the committed-prefix safety invariant, checked
-// hash-by-hash across the real replicas' ledgers after shutdown. What is
-// inherently nondeterministic: timing-dependent measurements (TPS, message
-// counts, which server wins an election). DESIGN.md §9 documents the
-// mapping in detail.
+// Scenario time is wall-clock time since Start: event offsets and span
+// boundaries are scheduled on real timers, and liveness bounds stretch by
+// Config.Slack because a live run pays scheduling, kernel, and crypto costs
+// the simulator's models do not. The replicas, fault wrappers and clients
+// are the ones harness.NewDeployment builds for the simulator, and the run
+// is measured by the same harness.Metrics. What stays exact: the
+// committed-prefix safety invariant, checked hash-by-hash across the real
+// replicas' ledgers after shutdown. What is inherently nondeterministic:
+// timing-dependent measurements (TPS, message counts, which server wins an
+// election). DESIGN.md §9 documents the mapping in detail.
 package liveharness
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
 	"prestigebft/internal/client"
 	"prestigebft/internal/consensus"
-	"prestigebft/internal/core"
-	"prestigebft/internal/crypto"
 	"prestigebft/internal/faults"
 	"prestigebft/internal/harness"
 	"prestigebft/internal/metrics"
 	"prestigebft/internal/runtime"
 	"prestigebft/internal/scenario"
+	"prestigebft/internal/sim"
 	"prestigebft/internal/transport"
 	"prestigebft/internal/types"
 )
 
-// Config tunes the live environment's time mapping and physics.
+const (
+	// stallMargin shifts the leading edge of no-commit stall windows,
+	// forgiving commits that were already in flight when the
+	// quorum-removing event landed.
+	stallMargin = 500 * time.Millisecond
+	// puzzleBitsPerRP is the real proof-of-work difficulty per reputation
+	// penalty unit: fast enough for loopback chaos runs while keeping the
+	// computation real (prestige-server defaults to 4).
+	puzzleBitsPerRP = 2
+	// healthTimeout bounds WaitHealthy's poll for every replica's /healthz
+	// to go green.
+	healthTimeout = 10 * time.Second
+)
+
+// Config tunes the live environment.
 type Config struct {
-	// TimeScale maps scenario time to wall clock: an event at offset t
-	// fires at t·TimeScale of real time. Default 1. Protocol-internal
-	// timeouts (follower timers, client complaints) are wall-clock and do
-	// NOT scale, so values far from 1 shift the balance between the
-	// scenario timeline and the protocol's reactions — compress with care.
-	TimeScale float64
 	// Slack multiplies scenario liveness bounds (RecoverWithin): live runs
 	// pay real scheduling and crypto costs. Default 1.5.
 	Slack float64
-	// StallMargin shifts the leading edge of no-commit stall windows,
-	// forgiving commits that were already in flight when the
-	// quorum-removing event landed. Default 500ms.
-	StallMargin time.Duration
-	// PuzzleBitsPerRP is the real proof-of-work difficulty per reputation
-	// penalty unit. Default 2 (fast enough for loopback chaos runs while
-	// keeping the computation real; prestige-server defaults to 4).
-	PuzzleBitsPerRP int
-	// HealthTimeout bounds WaitHealthy's poll for every replica's /healthz
-	// to go green. Default 10s of wall clock.
-	HealthTimeout time.Duration
 	// Logf observes harness events; nil is silent.
 	Logf func(format string, args ...any)
 	// OnTrace, if non-nil, observes every protocol trace with the replica
@@ -77,20 +73,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.TimeScale == 0 {
-		c.TimeScale = 1
-	}
 	if c.Slack == 0 {
 		c.Slack = 1.5
-	}
-	if c.StallMargin == 0 {
-		c.StallMargin = 500 * time.Millisecond
-	}
-	if c.PuzzleBitsPerRP == 0 {
-		c.PuzzleBitsPerRP = 2
-	}
-	if c.HealthTimeout == 0 {
-		c.HealthTimeout = 10 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -110,13 +94,8 @@ func Builder(cfg Config) func(harness.Options) (scenario.Environment, error) {
 // runtime are replaced across crash/recover cycles while the replica (and
 // its ledger) persists.
 type server struct {
-	env  *Env
 	id   types.ServerID
 	addr string
-
-	node    *core.Node
-	replica consensus.Replica // possibly fault-wrapped
-	wrapper *faults.Wrapper   // nil for unwrapped servers
 
 	// reg persists across crash/recover cycles (like the replica), so
 	// counters survive respawns; adm serves it over HTTP for the whole run.
@@ -130,34 +109,16 @@ type server struct {
 	running bool
 }
 
-// health is the slot's /healthz document: runtime loop liveness plus peer
-// connectivity, red while the slot is crashed.
+// health is the slot's /healthz document: the hosted runtime's, red while
+// the slot is crashed.
 func (s *server) health() metrics.Health {
 	s.mu.Lock()
-	rt, tr, running := s.rt, s.tr, s.running
+	rt, running := s.rt, s.running
 	s.mu.Unlock()
-	h := metrics.Health{Ok: true, Detail: map[string]string{}}
 	if !running || rt == nil {
-		h.Ok = false
-		h.Detail["loop"] = "not running"
-		return h
+		return metrics.Health{Detail: map[string]string{"loop": "not running"}}
 	}
-	_, _, age, ok := rt.HealthSnapshot()
-	switch {
-	case !ok:
-		h.Ok = false
-		h.Detail["loop"] = "no liveness sample yet"
-	case age > 4*time.Second:
-		h.Ok = false
-		h.Detail["loop"] = "stalled"
-	}
-	if tr != nil {
-		if dead := tr.Unreachable(); len(dead) > 0 {
-			h.Ok = false
-			h.Detail["peers"] = fmt.Sprintf("%d unreachable", len(dead))
-		}
-	}
-	return h
+	return rt.Health(false)
 }
 
 // deliver routes an inbound envelope to whichever runtime currently hosts
@@ -171,17 +132,11 @@ func (s *server) deliver(env *transport.Envelope) {
 	}
 }
 
-// liveClient hosts one closed-loop workload client over its own transport.
-// The client state machine is single-threaded by construction (it runs
-// under mu for notifications, timers, and lifecycle alike).
+// liveClient is one closed-loop workload client on its own transport.
 type liveClient struct {
-	env  *Env
 	id   types.ClientID
 	tr   *transport.Transport
-	addr string
-
-	mu sync.Mutex
-	cl *client.Client
+	host *runtime.ClientHost
 }
 
 // scheduledEvent is one timeline entry awaiting its wall-clock deadline.
@@ -192,15 +147,13 @@ type scheduledEvent struct {
 
 // Env implements scenario.Environment over a live loopback-TCP cluster.
 type Env struct {
-	opts harness.Options
-	cfg  Config
-	reg  *crypto.Registry
+	dep *harness.Deployment
+	cfg Config
 
 	servers []*server
-	addrs   []string // servers[i].addr: a client Broadcast's destinations
 	clients []*liveClient
 	peerMap map[types.ServerID]string
-	met     *collector
+	met     *harness.Metrics
 
 	events []scheduledEvent
 	stop   chan struct{}
@@ -241,30 +194,30 @@ func New(o harness.Options, cfg Config) (*Env, error) {
 		}
 	}
 
-	reg, serverKeys, clientKeys := crypto.GenerateDeployment(uint64(o.Seed)+0x5eed, o.N, o.Clients)
 	// A real deployment verifies what it receives, whatever the
 	// simulation profile chose for speed.
-	reg.VerifySignatures = true
+	o.VerifySignatures = true
+	dep := harness.NewDeployment(o, puzzleBitsPerRP)
 	// The registry is shared by every in-process replica, so the
 	// verified-fact cache dedupes across the whole cluster: a QC checked by
 	// one replica is a cache hit for the other three.
-	reg.EnableVerifiedCache(0)
+	dep.Registry.EnableVerifiedCache(0)
 
 	e := &Env{
-		opts:    o,
+		dep:     dep,
 		cfg:     cfg,
-		reg:     reg,
 		peerMap: make(map[types.ServerID]string, o.N),
 		stop:    make(chan struct{}),
 		crashed: make(map[types.ServerID]bool),
 	}
-	e.met = newCollector(e)
+	e.met = harness.NewMetrics(func() sim.Time { return sim.Duration(time.Since(e.start)) })
 
 	// Bind every server listener first so the peer map is complete before
-	// any replica exists.
+	// any runtime exists.
+	addrs := make([]string, 0, o.N) // a client Broadcast's destinations
 	for i := 1; i <= o.N; i++ {
 		id := types.ServerID(i)
-		s := &server{env: e, id: id}
+		s := &server{id: id}
 		tr := transport.NewServerTransport(id)
 		lf := e.newLinkFaults(int64(i))
 		tr.SetFaults(lf)
@@ -285,77 +238,22 @@ func New(o harness.Options, cfg Config) (*Env, error) {
 		s.adm = adm
 		e.peerMap[id] = s.addr
 		e.servers = append(e.servers, s)
-		e.addrs = append(e.addrs, s.addr)
-	}
-
-	// Replicas, mirroring harness.NewCluster's wiring.
-	for _, s := range e.servers {
-		id := s.id
-		nodeCfg := core.Config{
-			ID:                 id,
-			N:                  o.N,
-			Keys:               serverKeys[id],
-			Registry:           reg,
-			BatchSize:          o.BatchSize,
-			PipelineDepth:      o.PipelineDepth,
-			CheckpointInterval: o.CheckpointInterval,
-			TimeoutMin:         o.TimeoutMin,
-			TimeoutMax:         o.TimeoutMax,
-			ViewPolicy:         o.ViewPolicy,
-			RefreshThreshold:   o.RefreshThreshold,
-			PuzzleBitsPerRP:    cfg.PuzzleBitsPerRP,
-			RNG:                rand.New(rand.NewSource(o.Seed<<16 + int64(id))),
-		}
-		if o.StateMachine != nil {
-			nodeCfg.StateMachine = o.StateMachine()
-		}
-		if o.Engine != nil {
-			nodeCfg.Engine = o.Engine()
-		}
-		s.node = core.New(nodeCfg)
-		s.replica = s.node
-		spec := o.Faults[id]
-		wrap := spec.IsFaulty()
-		for _, w := range o.WrapServers {
-			if w == id {
-				wrap = true
-			}
-		}
-		if wrap {
-			s.wrapper = faults.Wrap(s.replica, s.node, spec)
-			s.replica = s.wrapper
-		}
+		addrs = append(addrs, s.addr)
 	}
 
 	// Clients, each on its own transport (the live counterpart of the
 	// simulator's client plane).
 	for i := 1; i <= o.Clients; i++ {
 		cid := types.ClientID(i)
-		lc := &liveClient{env: e, id: cid}
 		tr := transport.NewClientTransport(cid)
-		clf := e.newLinkFaults(int64(1000 + i))
-		tr.SetFaults(clf)
-		if err := tr.Listen("127.0.0.1:0", lc.deliver); err != nil {
+		tr.SetFaults(e.newLinkFaults(int64(1000 + i)))
+		lc := &liveClient{id: cid, tr: tr}
+		lc.host = runtime.NewClientHost(tr, addrs, dep.ClientConfig(cid))
+		e.clients = append(e.clients, lc)
+		if err := tr.Listen("127.0.0.1:0", lc.host.Deliver); err != nil {
 			e.Close()
 			return nil, fmt.Errorf("listen client %d: %w", cid, err)
 		}
-		lc.tr, lc.addr = tr, tr.Addr()
-		var payload func(int) []byte
-		if o.ClientPayload != nil {
-			payload = func(seq int) []byte { return o.ClientPayload(cid, seq) }
-		}
-		lc.cl = client.New(client.Config{
-			ID:          cid,
-			Keys:        clientKeys[cid],
-			Registry:    reg,
-			N:           o.N,
-			Payload:     payload,
-			PayloadSize: o.PayloadSize,
-			Timeout:     o.ClientTimeout,
-			ThinkTime:   o.ClientThinkTime,
-			MaxRequests: o.MaxRequestsPerClient,
-		}, lc)
-		e.clients = append(e.clients, lc)
 	}
 	return e, nil
 }
@@ -364,28 +262,15 @@ func New(o harness.Options, cfg Config) (*Env, error) {
 // profile: the scenario's sim.NetworkConfig latency model is sampled per
 // message, so a WAN-profiled scenario gets real ~40ms loopback links.
 func (e *Env) newLinkFaults(streamID int64) *transport.LinkFaults {
-	lf := transport.NewLinkFaults(e.opts.Seed<<10 + streamID)
-	model := e.opts.Net.Latency
-	lf.SetBase(func(rng *rand.Rand) time.Duration {
-		return time.Duration(float64(model.Sample(rng)) * e.cfg.TimeScale)
-	}, e.opts.Net.DropRate)
+	lf := transport.NewLinkFaults(e.dep.Opts.Seed<<10 + streamID)
+	lf.SetBase(e.dep.Opts.Net.Latency.Sample, e.dep.Opts.Net.DropRate)
 	return lf
 }
 
 // --- scenario.Environment: lifecycle ------------------------------------------
 
 // N returns the number of servers.
-func (e *Env) N() int { return e.opts.N }
-
-// scale maps scenario time to wall clock.
-func (e *Env) scale(d time.Duration) time.Duration {
-	return time.Duration(float64(d) * e.cfg.TimeScale)
-}
-
-// scenarioNow returns the current scenario-time offset.
-func (e *Env) scenarioNow() time.Duration {
-	return time.Duration(float64(time.Since(e.start)) / e.cfg.TimeScale)
-}
+func (e *Env) N() int { return e.dep.Opts.N }
 
 // Schedule registers fn for the absolute scenario-time offset at. Must be
 // called before Start; events are applied in registration order by a
@@ -410,9 +295,7 @@ func (e *Env) Start() {
 		e.spawnRuntime(s)
 	}
 	for _, lc := range e.clients {
-		lc.mu.Lock()
-		lc.cl.Start()
-		lc.mu.Unlock()
+		lc.host.Start()
 	}
 
 	events := e.events
@@ -425,7 +308,7 @@ func (e *Env) Start() {
 			<-timer.C
 		}
 		for _, ev := range events {
-			wait := time.Until(e.start.Add(e.scale(ev.at)))
+			wait := time.Until(e.start.Add(ev.at))
 			if wait > 0 {
 				timer.Reset(wait)
 				select {
@@ -446,7 +329,7 @@ func (e *Env) Start() {
 
 // RunUntil blocks until scenario time reaches at.
 func (e *Env) RunUntil(at time.Duration) {
-	wait := time.Until(e.start.Add(e.scale(at)))
+	wait := time.Until(e.start.Add(at))
 	if wait > 0 {
 		select {
 		case <-e.stop:
@@ -471,9 +354,7 @@ func (e *Env) Close() {
 	e.wg.Wait()
 
 	for _, lc := range e.clients {
-		lc.mu.Lock()
-		lc.cl.Stop()
-		lc.mu.Unlock()
+		lc.host.Stop()
 	}
 	for _, s := range e.servers {
 		e.stopServer(s)
@@ -495,27 +376,27 @@ func (e *Env) spawnRuntime(s *server) {
 	tr := s.tr
 	s.mu.Unlock()
 	rt := runtime.New(runtime.Config{
-		Replica:         s.replica,
+		Replica:         e.dep.Replicas[s.id-1],
 		Peers:           e.peerMap,
 		Transport:       tr,
-		Verifier:        e.reg, // one registry, so all replicas warm one cache
-		PuzzleBitsPerRP: e.cfg.PuzzleBitsPerRP,
+		Registry:        e.dep.Registry, // one registry, so all replicas warm one cache
+		PuzzleBitsPerRP: puzzleBitsPerRP,
 		Metrics:         s.reg,
-		OnCommit:        e.met.onCommit,
+		OnCommit:        e.met.OnCommit,
 		OnTrace: func(tr consensus.Trace) {
-			e.met.onTrace(tr)
+			e.met.OnTrace(tr)
 			if e.cfg.OnTrace != nil {
 				e.cfg.OnTrace(s.id, tr)
 			}
 		},
 		Logf: func(string, ...any) {}, // loss is expected chaos
-		Seed: e.opts.Seed<<8 + int64(s.id),
+		Seed: e.dep.Opts.Seed<<8 + int64(s.id),
 		// The replica's clock must survive crash/respawn cycles: all
 		// runtimes (including re-spawned ones) share the env's epoch.
 		Epoch: e.start,
 	})
 	for _, lc := range e.clients {
-		rt.RegisterClient(lc.id, lc.addr)
+		rt.RegisterClient(lc.id, lc.tr.Addr())
 	}
 	s.mu.Lock()
 	s.rt = rt
@@ -636,7 +517,7 @@ func (e *Env) Heal() {
 
 // SetFault swaps a wrapped server's Byzantine behavior at runtime.
 func (e *Env) SetFault(id types.ServerID, spec faults.Spec) {
-	if w := e.servers[id-1].wrapper; w != nil {
+	if w := e.dep.Wrappers[id-1]; w != nil {
 		w.SetSpec(spec)
 		e.cfg.Logf("live: S%d now %s", id, spec)
 	}
@@ -678,7 +559,7 @@ func (e *Env) applyFabric() {
 			return
 		}
 		if degrading {
-			lf.Degrade(e.scale(extra), e.scale(jitter), drop)
+			lf.Degrade(extra, jitter, drop)
 		} else {
 			lf.Restore()
 		}
@@ -708,7 +589,6 @@ func (e *Env) applyFabric() {
 
 // Progress aggregates protocol counters and fabric traffic.
 func (e *Env) Progress() scenario.Progress {
-	pr := e.met.progress()
 	e.mu.Lock()
 	st := e.retired
 	e.mu.Unlock()
@@ -732,41 +612,39 @@ func (e *Env) Progress() scenario.Progress {
 			st.Bytes += ts.Bytes
 		}
 	}
-	pr.Msgs = st.Sent
-	pr.Bytes = st.Bytes
-	return pr
+	return scenario.ProgressOf(e.met, st.Sent, st.Bytes)
 }
 
 // TPS returns committed transactions per second over [from, to) of
 // scenario time.
-func (e *Env) TPS(from, to time.Duration) float64 { return e.met.tps(from, to) }
+func (e *Env) TPS(from, to time.Duration) float64 {
+	return e.met.TPS(sim.Duration(from), sim.Duration(to))
+}
 
 // CollectStats folds client latencies into the metrics aggregates.
 func (e *Env) CollectStats() {
-	e.met.resetLatencies()
-	for _, lc := range e.clients {
-		lc.mu.Lock()
-		lats := append([]time.Duration(nil), lc.cl.Stats.Latencies...)
-		lc.mu.Unlock()
-		e.met.addLatencies(lats)
+	stats := make([]client.Stats, len(e.clients))
+	for i, lc := range e.clients {
+		stats[i] = lc.host.Stats()
 	}
+	e.met.SetClientStats(stats)
 }
 
 // LatencyPercentile returns the p-th percentile client latency.
-func (e *Env) LatencyPercentile(p float64) time.Duration { return e.met.latencyPercentile(p) }
+func (e *Env) LatencyPercentile(p float64) time.Duration { return e.met.LatencyPercentile(p) }
 
 // ChainHeight reads a replica's committed chain height. Only safe for
 // concurrent use after Close (or for crashed servers); the scenario engine
 // honors that lifecycle.
 func (e *Env) ChainHeight(id types.ServerID) (types.SeqNum, bool) {
-	return e.servers[id-1].node.Store().TxHeight(), true
+	return e.dep.Nodes[id-1].Store().TxHeight(), true
 }
 
 // BlockHash reads the committed block hash at seq — the byte-for-byte
 // committed-prefix comparison point across live ledgers. ok is false for
 // blocks compacted below the server's certified log base.
 func (e *Env) BlockHash(id types.ServerID, seq types.SeqNum) (types.Digest, bool) {
-	blk := e.servers[id-1].node.Store().TxBlock(seq)
+	blk := e.dep.Nodes[id-1].Store().TxBlock(seq)
 	if blk == nil {
 		return types.Digest{}, false
 	}
@@ -776,62 +654,8 @@ func (e *Env) BlockHash(id types.ServerID, seq types.SeqNum) (types.Digest, bool
 // LedgerBlocks reads how many txBlocks the server retains — the quantity
 // checkpoint compaction bounds.
 func (e *Env) LedgerBlocks(id types.ServerID) (int, bool) {
-	return e.servers[id-1].node.Store().RetainedTxBlocks(), true
+	return e.dep.Nodes[id-1].Store().RetainedTxBlocks(), true
 }
 
 // Timing reports the live tolerances: liveness slack and stall margin.
-// StallMargin forgives wall-clock in-flight traffic, but the scenario
-// engine applies it in scenario time, so it is descaled by TimeScale.
-func (e *Env) Timing() (float64, time.Duration) {
-	return e.cfg.Slack, time.Duration(float64(e.cfg.StallMargin) / e.cfg.TimeScale)
-}
-
-// --- client plumbing ----------------------------------------------------------
-
-// deliver handles inbound envelopes on the client's transport.
-func (lc *liveClient) deliver(env *transport.Envelope) {
-	notif, ok := env.Msg.(*types.Notif)
-	if !ok || env.FromServer == 0 {
-		return
-	}
-	lc.mu.Lock()
-	lc.cl.OnNotif(env.FromServer, notif)
-	lc.mu.Unlock()
-}
-
-// Now implements client.Env in scenario time, so live latency aggregates
-// are directly comparable to simulated ones.
-func (lc *liveClient) Now() time.Duration { return lc.env.scenarioNow() }
-
-// Broadcast implements client.Env: send to every server address. A crashed
-// server's dead listener refuses the dial and the client's transport backs
-// off, like any real client hammering a dead endpoint; loss is part of the
-// model, so the error is dropped.
-func (lc *liveClient) Broadcast(msg types.Message) {
-	_ = lc.tr.Broadcast(lc.env.addrs, msg)
-}
-
-// SetTimer implements client.Env on wall-clock timers (scaled). The
-// callback re-enters the client under its lock; cancellation is checked
-// under the same lock so a canceled timer can never fire late.
-func (lc *liveClient) SetTimer(d time.Duration, fn func()) func() {
-	canceled := false
-	tm := time.AfterFunc(lc.env.scale(d), func() {
-		lc.mu.Lock()
-		defer lc.mu.Unlock()
-		if canceled {
-			return
-		}
-		lc.env.mu.Lock()
-		closed := lc.env.closed
-		lc.env.mu.Unlock()
-		if closed {
-			return
-		}
-		fn()
-	})
-	return func() {
-		canceled = true
-		tm.Stop()
-	}
-}
+func (e *Env) Timing() (float64, time.Duration) { return e.cfg.Slack, stallMargin }

@@ -68,18 +68,18 @@ func (e *Env) AdminAddr(id types.ServerID) string {
 }
 
 // WaitHealthy polls every non-crashed replica's /healthz until all answer
-// 200 or Config.HealthTimeout elapses, returning an error naming the
+// 200 or healthTimeout (10 s) elapses, returning an error naming the
 // stragglers. The scenario engine calls this between Start and the first
 // injection so chaos only ever lands on a provably healthy cluster.
 func (e *Env) WaitHealthy() error {
-	deadline := time.Now().Add(e.cfg.HealthTimeout)
+	deadline := time.Now().Add(healthTimeout)
 	for {
 		red := e.unhealthy()
 		if len(red) == 0 {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("healthz still red after %v on: %s", e.cfg.HealthTimeout, strings.Join(red, "; "))
+			return fmt.Errorf("healthz still red after %v on: %s", healthTimeout, strings.Join(red, "; "))
 		}
 		select {
 		case <-e.stop:

@@ -51,7 +51,7 @@ func BenchmarkDeliverToHandled(b *testing.B) {
 			Replica:   h,
 			Peers:     map[types.ServerID]string{},
 			Transport: transport.NewServerTransport(id),
-			Verifier:  reg,
+			Registry:  reg,
 			Metrics:   metrics.NewRegistry(),
 			Logf:      func(string, ...any) {},
 		})

@@ -44,7 +44,7 @@ func recordingRuntime(t *testing.T, buffer int) (*runtime.Runtime, *recorder, *c
 		Replica:   rec,
 		Peers:     map[types.ServerID]string{},
 		Transport: transport.NewServerTransport(1),
-		Verifier:  reg,
+		Registry:  reg,
 		Logf:      func(string, ...any) {},
 	})
 	t.Cleanup(rt.Stop)
@@ -192,7 +192,7 @@ func TestStaleLeaderHintStillCommits(t *testing.T) {
 	mreg := metrics.NewRegistry()
 	c := bootCluster(t, func(ns *nodeSetup) {
 		if ns.core.ID == leader {
-			ns.core.Registry, ns.rt.Verifier, ns.rt.Metrics = own, own, mreg
+			ns.core.Registry, ns.rt.Registry, ns.rt.Metrics = own, own, mreg
 			ns.wrap = func(n *core.Node) consensus.Replica { return hintLiar{n} }
 		}
 	})

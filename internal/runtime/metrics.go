@@ -120,7 +120,7 @@ func RegisterTransportMetrics(reg *metrics.Registry, tr *transport.Transport) {
 	delivered := reg.NewCounter("prestige_transport_delivered_total",
 		"Inbound envelopes handed to the handler.").With()
 	dropped := reg.NewCounter("prestige_transport_dropped_total",
-		"Messages lost to dial/encode failures or injected faults.").With()
+		"Messages lost: refused by a full or closed peer queue, dequeued inside a redial-backoff window, lost to a failed dial or write, unencodable, or eaten by injected faults.").With()
 	bytes := reg.NewCounter("prestige_transport_bytes_total",
 		"Outbound wire bytes written.").With()
 	afterClose := reg.NewCounter("prestige_transport_sends_after_close_total",
@@ -136,9 +136,9 @@ func RegisterTransportMetrics(reg *metrics.Registry, tr *transport.Transport) {
 	peerRedials := reg.NewCounter("prestige_peer_redials_total",
 		"Successful dials after the first, per peer.", "peer")
 	peerEvictions := reg.NewCounter("prestige_peer_evictions_total",
-		"Cached connections evicted on encode failure, per peer.", "peer")
+		"Connections discarded after a write failure, per peer.", "peer")
 	peerRetries := reg.NewCounter("prestige_peer_send_retries_total",
-		"Messages resent over a fresh dial after a cached-conn encode failure, per peer.", "peer")
+		"Messages resent over a fresh dial after a write on an established connection failed, per peer.", "peer")
 	peerBackoff := reg.NewCounter("prestige_peer_backoff_refused_total",
 		"Sends refused inside a redial-backoff window, per peer.", "peer")
 	unreachable := reg.NewGauge("prestige_peers_unreachable",
@@ -176,7 +176,7 @@ func registerVerifierMetrics(reg *metrics.Registry, rt *Runtime) {
 		"Verified-fact cache hits across all verification calls.").With()
 	misses := reg.NewCounter("prestige_verified_cache_misses_total",
 		"Verified-fact cache misses across all verification calls.").With()
-	cr := rt.cfg.Verifier
+	cr := rt.cfg.Registry
 	reg.OnGather("verifier", func() {
 		submitted.Mirror(float64(rt.preverified.Load()))
 		bypassed.Mirror(float64(rt.bypassed.Load()))

@@ -9,6 +9,8 @@ import (
 	"encoding/binary"
 	"log"
 	"math/rand"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,10 +26,7 @@ import (
 type Config struct {
 	Replica consensus.Replica
 	// Peers maps every server ID to its TCP address (including self).
-	Peers map[types.ServerID]string
-	// ClientAddr resolves a client ID to its TCP address; clients announce
-	// themselves through their Prop broadcasts, so this may start empty
-	// and learn lazily via RegisterClient.
+	Peers     map[types.ServerID]string
 	Transport *transport.Transport
 	// PuzzleBitsPerRP is the real proof-of-work difficulty per penalty
 	// unit. Must match the replica's verification configuration.
@@ -56,12 +55,12 @@ type Config struct {
 	// Registration is idempotent, so a harness re-hosting a replica in a
 	// fresh runtime passes the same registry and counters continue.
 	Metrics *metrics.Registry
-	// Verifier, when non-nil, is the registry the replica verifies against:
+	// Registry, when non-nil, is the registry the replica verifies against:
 	// Deliver pre-verifies each inbound envelope's signatures and QCs on the
 	// calling goroutine (the transport's per-connection reader), warming the
 	// registry's verified-fact cache so the core's inline verification calls
 	// on the event loop become cache hits.
-	Verifier *crypto.Registry
+	Registry *crypto.Registry
 }
 
 type timerKey struct {
@@ -194,6 +193,38 @@ func (rt *Runtime) HealthSnapshot() (view types.View, height types.SeqNum, age t
 		at != 0
 }
 
+// stallAfter is how old the loop's last liveness sample may be before
+// /healthz calls the loop stalled: sixteen missed sampleIntervals.
+const stallAfter = 4 * time.Second
+
+// Health is the replica's /healthz document. The replica is healthy when its
+// event loop sampled recently and no peer sits in a redial-backoff window; a
+// draining server always reports unhealthy so probes stop routing to it.
+func (rt *Runtime) Health(draining bool) metrics.Health {
+	h := metrics.Health{Ok: true, Draining: draining, Detail: map[string]string{}}
+	if draining {
+		h.Ok = false
+		h.Detail["draining"] = "shutdown in progress"
+	}
+	view, height, age, ok := rt.HealthSnapshot()
+	switch {
+	case !ok:
+		h.Ok = false
+		h.Detail["loop"] = "no liveness sample yet"
+	case age > stallAfter:
+		h.Ok = false
+		h.Detail["loop"] = "stalled: last sample " + age.Truncate(time.Millisecond).String() + " ago"
+	default:
+		h.Detail["view"] = strconv.FormatUint(uint64(view), 10)
+		h.Detail["height"] = strconv.FormatUint(uint64(height), 10)
+	}
+	if dead := rt.cfg.Transport.Unreachable(); len(dead) > 0 {
+		h.Ok = false
+		h.Detail["peers"] = "unreachable: " + strings.Join(dead, ",")
+	}
+	return h
+}
+
 // RegisterClient records where Notif messages for a client should go.
 func (rt *Runtime) RegisterClient(id types.ClientID, addr string) {
 	rt.mu.Lock()
@@ -207,7 +238,7 @@ func (rt *Runtime) RegisterClient(id types.ClientID, addr string) {
 // sender verify and enqueue in arrival order and different senders verify in
 // parallel; a full event queue blocks only the senders that are writing.
 func (rt *Runtime) Deliver(env *transport.Envelope) {
-	if reg := rt.cfg.Verifier; reg != nil && !rt.skipPreverify(env.Msg) {
+	if reg := rt.cfg.Registry; reg != nil && !rt.skipPreverify(env.Msg) {
 		preverify(reg, env.Msg)
 		rt.preverified.Add(1)
 	} else {

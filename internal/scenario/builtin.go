@@ -390,16 +390,3 @@ func SuiteSeeded(names []string, seedOffset int64) (g *harness.Grid, reports []*
 	}
 	return g, reports, nil
 }
-
-// Suite is the whole built-in library as a grid (the "scenarios" experiment).
-func Suite() *harness.Grid {
-	g, _, _ := SuiteOf(nil)
-	return g
-}
-
-func init() {
-	// Register the suite with the figure-experiment registry so the bench
-	// CLI (and anything else driving harness.Experiments) picks it up.
-	// Scenarios have fixed shapes; Scale does not apply.
-	harness.Experiments["scenarios"] = func(harness.Scale) *harness.Result { return Suite().Run() }
-}

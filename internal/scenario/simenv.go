@@ -133,16 +133,25 @@ func (e *simEnv) Restore() {
 }
 
 func (e *simEnv) Progress() Progress {
+	return ProgressOf(e.c.Metrics, e.c.Net.Sent, e.c.Net.Bytes)
+}
+
+// ProgressOf fills a Progress from a run's collector plus the fabric traffic
+// totals, which each world counts its own way. Every Environment hosting a
+// harness.Deployment reports through it, so a counter means the same thing
+// in every world.
+func ProgressOf(m *harness.Metrics, msgs, bytes uint64) Progress {
+	c := m.Counters()
 	return Progress{
-		Commits:     len(e.c.Metrics.Commits),
-		TotalTxs:    e.c.Metrics.TotalTxs,
-		ViewChanges: e.c.Metrics.ViewChangesStarted,
-		Elections:   e.c.Metrics.Elections,
-		SyncUps:     e.c.Metrics.SyncUps,
-		Checkpoints: e.c.Metrics.Checkpoints,
-		Snapshots:   e.c.Metrics.SnapshotInstalls,
-		Msgs:        e.c.Net.Sent,
-		Bytes:       e.c.Net.Bytes,
+		Commits:     c.Commits,
+		TotalTxs:    c.TotalTxs,
+		ViewChanges: c.ViewChangesStarted,
+		Elections:   c.Elections,
+		SyncUps:     c.SyncUps,
+		Checkpoints: c.Checkpoints,
+		Snapshots:   c.SnapshotInstalls,
+		Msgs:        msgs,
+		Bytes:       bytes,
 	}
 }
 
