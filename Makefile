@@ -25,11 +25,13 @@ lint-tool:
 
 # The full lint gate CI runs: gofmt, standard vet, and the determinism
 # suite — over the whole module (./... covers internal/, cmd/, and
-# scripts/bench_compare alike).
+# scripts/bench_compare alike). The darwin vet (pure Go, nothing to
+# download) keeps the non-Linux half of internal/alarm compiling.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "gofmt needed on:" $$unformatted; exit 1; fi
 	$(GO) vet ./...
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
 	$(GO) build -o $(LINT_TOOL) ./cmd/prestige-lint
 	$(GO) vet -vettool=$(abspath $(LINT_TOOL)) ./...
 
@@ -43,6 +45,8 @@ test-short:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 	$(GO) test -bench DeliverToHandled -benchmem -benchtime 2000x -run '^$$' ./internal/runtime
+	$(GO) test -bench Alarm -benchmem -benchtime 20000x -run '^$$' ./internal/alarm
+	$(GO) test -bench LoadedHops -benchtime 1x -run '^$$' ./internal/liveharness
 
 # Regenerate the bench trajectory exactly as CI's bench job runs it:
 # fig4c + pipeline sweep + the full chaos-scenario suite, one JSON document.

@@ -3,12 +3,15 @@ package liveharness_test
 import (
 	"io"
 	"net/http"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"prestigebft/internal/liveharness"
 	"prestigebft/internal/scenario"
+	"prestigebft/internal/sim"
 	"prestigebft/internal/types"
 )
 
@@ -65,6 +68,70 @@ func TestLiveScrapeRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "# TYPE prestige_commits_total counter") {
 		t.Errorf("exposition missing TYPE line:\n%s", body)
+	}
+}
+
+// TestLiveLatenessHistograms: on 2 ms links every replica exports how late its
+// link releases and its timers ran, and both histograms fill. Two
+// environments in a row still share the process's one alarm goroutine and one
+// timerfd, however many transports and runtimes came and went.
+func TestLiveLatenessHistograms(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live TCP cluster; skipped with -short")
+	}
+	for _, seed := range []int64{45, 46} {
+		opts := shape(4, seed)
+		opts.Net = sim.NetworkConfig{Latency: sim.FixedLatency(2 * time.Millisecond)}
+		env, err := liveharness.New(opts, liveharness.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.Start()
+		if err := env.WaitHealthy(); err != nil {
+			env.Close()
+			t.Fatalf("cluster never turned healthy: %v", err)
+		}
+		env.RunUntil(1500 * time.Millisecond)
+		snaps := env.ScrapeAll()
+		env.Close()
+
+		var timers float64
+		for id, snap := range snaps {
+			if n, ok := snap.Value("prestige_link_release_lateness_seconds_count"); !ok || n <= 0 {
+				t.Errorf("S%d: link release lateness count = %v (present=%v), want > 0", id, n, ok)
+			}
+			n, ok := snap.Value("prestige_timer_lateness_seconds_count")
+			if !ok {
+				t.Errorf("S%d: prestige_timer_lateness_seconds not exported", id)
+			}
+			timers += n
+		}
+		// Only the leader's batch timer fires in a quiet run.
+		if len(snaps) != 4 || timers <= 0 {
+			t.Errorf("scraped %d replicas with %v handled timers, want 4 and > 0", len(snaps), timers)
+		}
+	}
+
+	stacks := make([]byte, 4<<20)
+	stacks = stacks[:runtime.Stack(stacks, true)]
+	if n := strings.Count(string(stacks), "internal/alarm.run("); n != 1 {
+		t.Errorf("%d alarm goroutines, want exactly 1", n)
+	}
+	if runtime.GOOS != "linux" {
+		return
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	timerfds := 0
+	for _, fd := range fds {
+		if target, _ := os.Readlink("/proc/self/fd/" + fd.Name()); target == "anon_inode:[timerfd]" {
+			timerfds++
+		}
+	}
+	if timerfds != 1 {
+		t.Errorf("%d timerfds open, want exactly 1", timerfds)
 	}
 }
 

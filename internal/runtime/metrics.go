@@ -33,6 +33,10 @@ const sampleInterval = 250 * time.Millisecond
 // handover to a pathological multi-second standoff.
 var vcDurationBuckets = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
+// latenessBuckets covers how late a wait ended, from the alarm's tens of
+// microseconds to the several milliseconds of a queue that is backing up.
+var latenessBuckets = []float64{50e-6, 100e-6, 200e-6, 350e-6, 500e-6, 750e-6, 1e-3, 1.5e-3, 2.5e-3, 5e-3}
+
 // instruments holds the runtime's metric children. Counter fields are
 // written from execute() (loop goroutine); gauges from sample().
 type instruments struct {
@@ -44,6 +48,7 @@ type instruments struct {
 	checkpoints  *metrics.CounterChild
 	splitVotes   *metrics.CounterChild
 	vcDuration   *metrics.HistogramChild
+	timerLate    *metrics.HistogramChild
 
 	view       *metrics.GaugeChild
 	isLeader   *metrics.GaugeChild
@@ -83,6 +88,8 @@ func newInstruments(reg *metrics.Registry) *instruments {
 			"Split-vote elections observed.").With(),
 		vcDuration: reg.NewHistogram("prestige_viewchange_duration_seconds",
 			"View-change start to view installation.", vcDurationBuckets).With(),
+		timerLate: reg.NewHistogram("prestige_timer_lateness_seconds",
+			"From the instant a replica timer was due to the event loop handling it: alarm lateness plus the wait in the event queue.", latenessBuckets).With(),
 
 		view: reg.NewGauge("prestige_view",
 			"Current view number.").With(),
@@ -143,6 +150,9 @@ func RegisterTransportMetrics(reg *metrics.Registry, tr *transport.Transport) {
 		"Sends refused inside a redial-backoff window, per peer.", "peer")
 	unreachable := reg.NewGauge("prestige_peers_unreachable",
 		"Peers currently inside a redial-backoff window.").With()
+	releaseLate := reg.NewHistogram("prestige_link_release_lateness_seconds",
+		"From the release time of a frame delayed by injected link latency to its peer's sender taking it off the queue; undelayed frames are not observed.", latenessBuckets).With()
+	tr.ObserveReleases(func(late time.Duration) { releaseLate.Observe(late.Seconds()) })
 	reg.OnGather("transport", func() {
 		st := tr.Stats()
 		sent.Mirror(float64(st.Sent))
@@ -195,6 +205,13 @@ func (ins *instruments) onCommit(txs int) {
 	}
 	ins.commits.Inc()
 	ins.committedTxs.Add(float64(txs))
+}
+
+// onTimer records how late the event loop came to a timer.
+func (ins *instruments) onTimer(late time.Duration) {
+	if ins != nil {
+		ins.timerLate.Observe(late.Seconds())
+	}
 }
 
 // onTrace folds protocol trace events into counters. Runs on the loop

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"prestigebft/internal/alarm"
 	"prestigebft/internal/consensus"
 	"prestigebft/internal/crypto"
 	"prestigebft/internal/metrics"
@@ -76,6 +77,7 @@ type timerEvent struct {
 	kind consensus.TimerKind
 	key  uint64
 	gen  uint64
+	due  time.Time
 }
 
 type puzzleEvent struct {
@@ -130,7 +132,7 @@ type Runtime struct {
 }
 
 type timerState struct {
-	timer *time.Timer
+	alarm *alarm.Alarm
 	gen   uint64
 }
 
@@ -316,6 +318,7 @@ func (rt *Runtime) Run() {
 				}
 				rt.mu.Unlock()
 				if live {
+					rt.ins.onTimer(time.Since(e.due))
 					rt.execute(rt.cfg.Replica.OnTimer(rt.now(), e.kind, e.key))
 				}
 			case puzzleEvent:
@@ -364,7 +367,7 @@ func (rt *Runtime) execute(effs []consensus.Effect) {
 		case consensus.CancelTimer:
 			rt.mu.Lock()
 			if st, ok := rt.timers[timerKey{ef.Kind, ef.Key}]; ok {
-				st.timer.Stop()
+				st.alarm.Stop()
 				delete(rt.timers, timerKey{ef.Kind, ef.Key})
 			}
 			rt.mu.Unlock()
@@ -402,23 +405,31 @@ func (rt *Runtime) sample(obs observable) {
 	rt.healthSampled.Store(time.Now().UnixNano())
 }
 
+// setTimer arms (or re-arms) one of the replica's timers as an alarm. The
+// alarm goroutine serves every runtime and transport in the process, so the
+// callback must not wait for this replica's event queue: when the queue is
+// full it leaves the waiting to a goroutine of its own.
 func (rt *Runtime) setTimer(ef consensus.SetTimer) {
 	key := timerKey{ef.Kind, ef.Key}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if st, ok := rt.timers[key]; ok {
-		st.timer.Stop()
+		st.alarm.Stop()
 	}
 	rt.timerGen++
-	gen := rt.timerGen
-	st := &timerState{gen: gen}
-	st.timer = time.AfterFunc(ef.Delay, func() {
+	ev := timerEvent{ef.Kind, ef.Key, rt.timerGen, time.Now().Add(ef.Delay)}
+	rt.timers[key] = &timerState{gen: ev.gen, alarm: alarm.At(ev.due, func() {
 		select {
-		case rt.events <- timerEvent{ef.Kind, ef.Key, gen}:
-		case <-rt.stopped:
+		case rt.events <- ev:
+		default:
+			go func() {
+				select {
+				case rt.events <- ev:
+				case <-rt.stopped:
+				}
+			}()
 		}
-	})
-	rt.timers[key] = st
+	})}
 }
 
 // startPuzzle launches the real reputation-determined computation

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"prestigebft/internal/alarm"
 	"prestigebft/internal/consensus"
 	"prestigebft/internal/core"
 	"prestigebft/internal/crypto"
@@ -234,11 +235,17 @@ func (p *timerProbe) OnPuzzleSolved(time.Duration, uint64, []byte, types.Digest)
 type scriptProbe struct {
 	release chan struct{}
 	fired   chan uint64
+	// timerDelay is the probe timer's delay; zero means 30 ms.
+	timerDelay time.Duration
 }
 
 func (p *scriptProbe) ID() types.ServerID { return 1 }
 func (p *scriptProbe) Init(now time.Duration) []consensus.Effect {
-	return []consensus.Effect{consensus.SetTimer{Kind: 1, Key: 7, Delay: 30 * time.Millisecond}}
+	delay := p.timerDelay
+	if delay == 0 {
+		delay = 30 * time.Millisecond
+	}
+	return []consensus.Effect{consensus.SetTimer{Kind: 1, Key: 7, Delay: delay}}
 }
 func (p *scriptProbe) OnMessage(_ time.Duration, _ consensus.Origin, msg types.Message) []consensus.Effect {
 	prop, ok := msg.(*types.Prop)
@@ -378,6 +385,61 @@ func TestTightRearmFiresOnce(t *testing.T) {
 	case <-p.fired:
 		t.Fatal("timer fired twice")
 	case <-time.After(300 * time.Millisecond):
+	}
+}
+
+// TestFullEventQueueDoesNotStallAlarms: the alarm goroutine serves every
+// runtime and transport in the process, so a replica timer that comes due
+// while its own event queue is full must not hold it: alarms made by someone
+// else for right after that instant still fire, and the timer's event is
+// delivered once the queue drains.
+func TestFullEventQueueDoesNotStallAlarms(t *testing.T) {
+	// Long enough for the queue to be full before the timer is due, however
+	// slow the build.
+	const timerDelay = 250 * time.Millisecond
+	p := &scriptProbe{release: make(chan struct{}), fired: make(chan uint64, 1), timerDelay: timerDelay}
+	rt := runtime.New(runtime.Config{
+		Replica:   p,
+		Peers:     map[types.ServerID]string{},
+		Transport: transport.NewServerTransport(1),
+		Logf:      func(string, ...any) {},
+	})
+	go rt.Run() // arms the probe's timer
+	defer rt.Stop()
+	rt.Deliver(prop("block"))
+	for rt.EventQueueFree() > 0 {
+		rt.Deliver(prop("x"))
+	}
+
+	// Five bystanders behind the probe's timer (which was armed no earlier
+	// than now − the filling). A callback stuck on the full queue holds all of
+	// them until the test gives up; an instrumented or crowded machine holds
+	// them a few milliseconds, a quiet one ≈ 0.1 ms.
+	const bystanders = 5
+	lateness := make(chan time.Duration, bystanders)
+	for i := 1; i <= bystanders; i++ {
+		due := time.Now().Add(timerDelay + time.Duration(i)*time.Millisecond)
+		alarm.At(due, func() { lateness <- time.Since(due) })
+	}
+	best := time.Hour
+	for i := 0; i < bystanders; i++ {
+		select {
+		case d := <-lateness:
+			best = min(best, d)
+		case <-time.After(5 * time.Second):
+			t.Fatal("a bystander alarm never fired: the full event queue holds the alarm goroutine")
+		}
+	}
+	t.Logf("bystander alarms behind a full event queue: best %v late", best)
+	if best > 20*time.Millisecond {
+		t.Fatalf("bystander alarms were at best %v late behind a full event queue", best)
+	}
+
+	close(p.release)
+	select {
+	case <-p.fired:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the timer that came due behind a full queue was never handled")
 	}
 }
 

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -230,6 +232,60 @@ func TestLinkFaultsLatencyOrdering(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("timed out after %d deliveries", i)
 		}
+	}
+}
+
+// TestLinkDelayPrecision: an injected link delay costs the delay and the
+// alarm's wake-up, not the delay rounded up to the netpoller's next
+// millisecond. Delays are drawn from 2–3 ms because a time.Timer's lateness
+// depends on the sub-millisecond part of what it waits for (an idle process
+// sleeps the whole milliseconds, then one more for the rest): a sender
+// sleeping on one delivered a median ≈ 0.7 ms late here. Sends are sequential,
+// so the process is idle while each one waits: the state a latency-bound
+// replica is in.
+func TestLinkDelayPrecision(t *testing.T) {
+	if runtime.GOOS != "linux" || raceEnabled || testing.Short() {
+		t.Skip("timing: needs the timerfd alarm, no race instrumentation, and time")
+	}
+	arrived := make(chan time.Time, 1)
+	srv := NewServerTransport(2)
+	if err := srv.Listen("127.0.0.1:0", func(*Envelope) { arrived <- time.Now() }); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli := NewServerTransport(1)
+	defer cli.Close()
+	lf := NewLinkFaults(1)
+	var delay time.Duration // of the message in flight
+	lf.SetBase(func(rng *rand.Rand) time.Duration {
+		delay = 2*time.Millisecond + time.Duration(rng.Int63n(int64(time.Millisecond)))
+		return delay
+	}, 0)
+	cli.SetFaults(lf)
+
+	const n = 300
+	late := make([]time.Duration, 0, n)
+	for i := 0; i <= n; i++ {
+		sent := time.Now()
+		if err := cli.Send(srv.Addr(), ref(i)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case at := <-arrived:
+			if i > 0 { // the first send also dials
+				late = append(late, at.Sub(sent)-delay)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("message %d never arrived", i)
+		}
+	}
+	slices.Sort(late)
+	t.Logf("handler − (send + delay): min %v p50 %v p90 %v max %v", late[0], late[n/2], late[n*9/10], late[n-1])
+	if late[0] < 0 {
+		t.Fatalf("a message arrived %v before its delay was up", -late[0])
+	}
+	if med := late[n/2]; med > 400*time.Microsecond {
+		t.Fatalf("median delivery %v after the delay, want ≤ 400µs", med)
 	}
 }
 

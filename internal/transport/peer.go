@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"prestigebft/internal/alarm"
 )
 
 // PeerStats is the per-peer slice of the traffic counters, plus the
@@ -77,6 +79,7 @@ type peer struct {
 	// the peer is healthy. Written by the sender, read by Unreachable.
 	deadUntil atomic.Int64
 
+	late     []time.Duration // release lateness of what take just released
 	conn     net.Conn
 	unhook   func() bool // detaches conn from the transport's ctx
 	failures int         // consecutive failed attempts
@@ -125,9 +128,10 @@ func (p *peer) enqueue(q queued) error {
 }
 
 // take moves the frames at the head of the queue whose release time has
-// passed into batch, and reports when the new head is due (zero when the
-// queue is empty) and whether the transport has closed. A frame never passes
-// the one queued before it, whatever their release times.
+// passed into batch, noting in p.late how long ago each passed, and reports
+// when the new head is due (zero when the queue is empty) and whether the
+// transport has closed. A frame never passes the one queued before it,
+// whatever their release times.
 func (p *peer) take(batch [][]byte) (_ [][]byte, due time.Time, closed bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -142,6 +146,7 @@ func (p *peer) take(batch [][]byte) (_ [][]byte, due time.Time, closed bool) {
 				due = at
 				break
 			}
+			p.late = append(p.late, now.Sub(at))
 		}
 		batch = append(batch, p.queue[k].frame)
 	}
@@ -152,33 +157,49 @@ func (p *peer) take(batch [][]byte) (_ [][]byte, due time.Time, closed bool) {
 }
 
 // run is the sender: it writes what the queue releases and sleeps until the
-// queue grows, its head comes due, or the transport closes.
+// queue grows, its head comes due, or the transport closes. The head's release
+// is an alarm that pokes the sender, kept for as long as the head stays.
 func (p *peer) run() {
 	defer p.t.senders.Done()
-	// The initial fire is never read: Reset discards it (Go 1.23 timers).
-	timer := time.NewTimer(0)
-	defer timer.Stop()
+	var al *alarm.Alarm
+	var aimed time.Time // what al was made for; zero when there is none
+	defer func() { al.Stop() }()
 	var batch [][]byte
 	for {
 		var due time.Time
 		var closed bool
 		batch, due, closed = p.take(batch[:0])
+		p.reportLate()
 		switch {
 		case closed:
 			return
 		case len(batch) > 0:
 			p.flush(batch)
 			clear(batch)
-		case due.IsZero():
-			<-p.wake
-		default:
-			timer.Reset(time.Until(due))
-			select {
-			case <-p.wake:
-			case <-timer.C:
+			continue
+		case !due.Equal(aimed):
+			al.Stop()
+			al, aimed = nil, due
+			if !due.IsZero() {
+				al = alarm.At(due, p.poke)
 			}
 		}
+		<-p.wake
 	}
+}
+
+// reportLate tells the transport's observer how late take found each released
+// frame, outside the queue's lock.
+func (p *peer) reportLate() {
+	if len(p.late) == 0 {
+		return
+	}
+	if fn := p.t.onRelease.Load(); fn != nil {
+		for _, d := range p.late {
+			(*fn)(d)
+		}
+	}
+	p.late = p.late[:0]
 }
 
 // poke wakes the sender if it sleeps.

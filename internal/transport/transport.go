@@ -16,7 +16,9 @@
 // connection: it dials on demand, writes every queued frame whose release
 // time has passed in one write, and keeps the peer's redial backoff. A
 // message with no injected latency has a zero release time, so delayed and
-// undelayed traffic share the queue and leave it in send order.
+// undelayed traffic share the queue and leave it in send order. A sender
+// whose queue's head is not yet due sleeps until an alarm (internal/alarm)
+// pokes it at the release time, which keeps an emulated 2 ms hop at 2 ms.
 //
 // A queue holds at most queueCap frames; a send to a full queue is dropped
 // and counted (tail drop). A frame whose dial fails, or that is dequeued
@@ -85,6 +87,9 @@ type Transport struct {
 
 	peers  sync.Map // addr -> *peer
 	faults atomic.Pointer[LinkFaults]
+	// onRelease, when set, is told how long after its release time each
+	// delayed frame left its queue.
+	onRelease atomic.Pointer[func(late time.Duration)]
 	// dial opens an outbound connection, giving up when ctx ends; tests swap
 	// it for a hook.
 	dial func(ctx context.Context, addr string) (net.Conn, error)
@@ -267,6 +272,11 @@ func (t *Transport) SetFaults(f *LinkFaults) { t.faults.Store(f) }
 // Faults returns the installed fault layer (nil when none).
 func (t *Transport) Faults() *LinkFaults { return t.faults.Load() }
 
+// ObserveReleases installs fn to receive, for every frame that carried a
+// release time, how long after it the peer's sender took the frame off the
+// queue. fn runs on sender goroutines.
+func (t *Transport) ObserveReleases(fn func(late time.Duration)) { t.onRelease.Store(&fn) }
+
 // Listen accepts inbound connections on addr and feeds envelopes to h.
 func (t *Transport) Listen(addr string, h Handler) error {
 	ln, err := net.Listen("tcp", addr)
@@ -389,6 +399,10 @@ func (t *Transport) Broadcast(addrs []string, msg types.Message) error {
 	frame, err := t.encode(msg)
 	faults := t.Faults()
 	t.sent.Add(uint64(len(addrs)))
+	// The send instant, read when the first delay is drawn: every copy of msg
+	// delayed by the same amount comes due together, and one alarm wake-up
+	// releases them all.
+	var now time.Time
 	for _, addr := range addrs {
 		p := t.peer(addr)
 		p.sent.Add(1)
@@ -404,7 +418,10 @@ func (t *Transport) Broadcast(addrs []string, msg types.Message) error {
 				continue
 			}
 			if delay > 0 {
-				releaseAt = time.Now().Add(delay)
+				if now.IsZero() {
+					now = time.Now()
+				}
+				releaseAt = now.Add(delay)
 			}
 		}
 		if qerr := p.enqueue(queued{releaseAt, frame}); err == nil {

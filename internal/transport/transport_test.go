@@ -16,6 +16,7 @@ import (
 	"time"
 	"unsafe"
 
+	"prestigebft/internal/alarm"
 	"prestigebft/internal/types"
 )
 
@@ -36,8 +37,10 @@ func eventually(t *testing.T, what string, cond func() bool) {
 }
 
 // leakCheck returns a function that waits for the goroutine count to fall
-// back to what it was when leakCheck was called.
+// back to what it was when leakCheck was called. The alarm goroutine is
+// permanent, so it is started before the count is taken.
 func leakCheck(t *testing.T) func() {
+	alarm.At(time.Now(), func() {})
 	before := runtime.NumGoroutine()
 	return func() {
 		t.Helper()
