@@ -117,14 +117,15 @@ benchmark-smoke:
 cluster-smoke:
 	bash scripts/cluster_smoke.sh
 
-# The nightly soak gate, locally: SOAK_DUR of live cluster under rolling
-# follower churn, scraped at baseline/mid/end, exiting nonzero unless every
-# resource-flatness gate (ledger, heap, goroutines, p99) holds. Verdict JSON
-# and raw /metrics snapshots land in soak-verdict.json / soak-metrics/.
+# The nightly soak gate, locally: the soak scenario for SOAK_DUR on a live
+# cluster under rolling follower churn, exiting nonzero unless safety and
+# every resource-flatness invariant (ledger, heap, goroutines, p99) hold. The
+# verdict row and the raw /metrics snapshots (baseline/mid/end) land in
+# soak-verdict.json / soak-metrics/.
 SOAK_DUR ?= 3m
 soak:
 	$(GO) run ./cmd/prestige-bench -soak $(SOAK_DUR) \
-		-soak-out soak-verdict.json -soak-metrics-dir soak-metrics
+		-json soak-verdict.json -soak-metrics-dir soak-metrics
 
 clean:
 	rm -f bench.json soak-verdict.json

@@ -4,19 +4,15 @@ package main
 // an ordinary deterministic grid cell (or sequentially against a live TCP
 // cluster with -live), and on any invariant violation shrink the failing
 // timeline to a minimal reproducer and write it to -fuzz-out as a timeline
-// document ready to be committed into internal/scenario/corpus/. Exit
-// codes match the scenario runners: 0 clean, 1 violations (3 when a live
-// run saw a safety violation). DESIGN.md §12 documents the pipeline.
+// document ready to be committed into internal/scenario/corpus/. The samples
+// are one more suite for runSuite. DESIGN.md §12 documents the pipeline.
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
-	"time"
 
 	"prestigebft/internal/harness"
-	"prestigebft/internal/liveharness"
 	"prestigebft/internal/scenario"
 	"prestigebft/internal/scenario/fuzz"
 )
@@ -31,83 +27,27 @@ const (
 )
 
 // runFuzz drives the whole fuzz pipeline and never returns.
-func runFuzz(count int, seed int64, live bool, outDir, jsonPath string, slack float64) {
-	if count <= 0 {
-		fmt.Fprintln(os.Stderr, "-fuzz needs a positive sample count")
-		os.Exit(2)
-	}
+func runFuzz(count int, seed int64, w world, outDir, jsonPath string) {
 	scens := fuzz.New(seed).Scenarios(count)
-
-	newEnv := scenario.NewSimEnv
-	mode, shrinkRuns := "fuzz", simShrinkRuns
-	if live {
-		newEnv = liveharness.Builder(liveharness.Config{Slack: slack})
-		mode, shrinkRuns = "fuzz-live", liveShrinkRuns
+	mode, suffix, shrinkRuns := "fuzz", "", simShrinkRuns
+	if w.live {
+		mode, suffix, shrinkRuns = "fuzz-live", ", live", liveShrinkRuns
 	}
-
-	res := &harness.Result{
-		Name: fmt.Sprintf("Chaos fuzz (seed %d, %d samples%s)", seed, count,
-			map[bool]string{true: ", live", false: ""}[live]),
-		Notes: "randomized fault timelines sampled by internal/scenario/fuzz; ok=1 means every invariant held",
-	}
-	reports := make([]*scenario.Report, len(scens))
-	start := time.Now()
-	if live {
-		// Live cells share the machine's wall clock: strictly sequential.
-		for i, s := range scens {
-			fmt.Printf("live %-18s ...", s.Name)
-			cellStart := time.Now()
-			reports[i] = s.RunWith(newEnv)
-			fmt.Printf(" done in %v\n", time.Since(cellStart).Round(time.Millisecond))
-			res.Rows = append(res.Rows, reports[i].Row())
-		}
-	} else {
-		g := &harness.Grid{
-			Name:  res.Name,
-			Notes: res.Notes,
-		}
-		for i, s := range scens {
-			i, s := i, s
-			g.Specs = append(g.Specs, harness.ExperimentSpec{
-				Label: s.Name,
-				Measure: func(*harness.ExperimentSpec) []harness.Row {
-					reports[i] = s.Run()
-					return []harness.Row{reports[i].Row()}
-				},
-			})
-		}
-		res = g.Run()
-	}
-	fmt.Println(res)
-	fmt.Printf("[%d fuzz samples completed in %v]\n\n", len(scens), time.Since(start).Round(time.Millisecond))
-
+	res, reports := runSuite(fmt.Sprintf("Chaos fuzz (seed %d, %d samples%s)", seed, count, suffix),
+		"randomized fault timelines sampled by internal/scenario/fuzz; ok=1 means every invariant held", scens, w)
 	writeJSON(jsonPath, &benchOutput{Scale: mode, Results: []*harness.Result{res}})
 
-	failed := reportVerdicts(reports)
-	if failed == 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "\n%d of %d fuzz samples violated invariants; shrinking\n", failed, len(reports))
-
-	oracle := func(s *scenario.Scenario) []string { return s.RunWith(newEnv).Violations }
-	safety := false
-	for i, rep := range reports {
-		if rep.OK() {
-			continue
-		}
-		shr := fuzz.Shrink(scens[i], oracle, shrinkRuns)
-		for _, v := range shr.Violations {
-			if strings.HasPrefix(v, "safety:") {
-				safety = true
+	code := verdicts(reports, w)
+	if code != 0 {
+		fmt.Fprintln(os.Stderr, "shrinking")
+		oracle := func(s *scenario.Scenario) []string { return s.RunWith(w.newEnv).Violations }
+		for i, rep := range reports {
+			if !rep.OK() {
+				writeArtifact(outDir, seed, i, fuzz.Shrink(scens[i], oracle, shrinkRuns))
 			}
 		}
-		writeArtifact(outDir, seed, i, shr)
 	}
-	if live && safety {
-		fmt.Fprintln(os.Stderr, "safety violation present: not retryable")
-		os.Exit(3)
-	}
-	os.Exit(1)
+	os.Exit(code)
 }
 
 // writeArtifact serializes a shrunk failing timeline into outDir and prints

@@ -12,7 +12,7 @@
 //	prestige-bench -live -scenario all         # the same suite on a live TCP cluster
 //	prestige-bench -fuzz 50 -fuzz-seed 7       # 50 random timelines; shrink + artifact on violation
 //	prestige-bench -fuzz 5 -fuzz-seed 7 -live  # a handful of fuzz samples on a live cluster
-//	prestige-bench -soak 3m -soak-out v.json   # live cluster under churn, gated on resource flatness
+//	prestige-bench -soak 3m -json v.json       # the soak scenario: a live cluster under churn, gated on resource flatness
 //	prestige-bench -workers 1                  # force sequential execution
 //	prestige-bench -list                       # enumerate experiments and scenarios
 //
@@ -31,9 +31,9 @@
 // and runs them exactly like -scenario cells: deterministic in sim (same
 // -fuzz-seed ⇒ byte-identical JSON at any -workers), sequential wall-clock
 // runs with -live. A violated invariant shrinks the sample to a minimal
-// failing timeline, writes it under -fuzz-out as a committable corpus file,
-// and exits 1 (3 for live safety violations). DESIGN.md §12 documents the
-// fuzz-and-shrink pipeline and the corpus policy.
+// failing timeline and writes it under -fuzz-out as a committable corpus
+// file. DESIGN.md §12 documents the fuzz-and-shrink pipeline and the corpus
+// policy.
 //
 // -live replays the same declarative scenarios against a cluster of real
 // runtime replicas over loopback TCP (internal/liveharness): real
@@ -43,6 +43,15 @@
 // semantics, and the committed-prefix invariant is checked across the live
 // replicas' ledgers. Live runs are not byte-deterministic; DESIGN.md §9
 // documents what is and is not preserved.
+//
+// -soak D runs one more scenario live (soak.go): rolling follower churn for
+// D, with the ledger, goroutine, heap and p99 bounds as its invariants.
+//
+// Every scenario-shaped mode (-scenario, -ci, -fuzz, -soak, each sim or
+// live) goes through runSuite and exits by one rule: 0 when every invariant
+// held, 1 when only timing-class invariants were violated (liveness,
+// steady state, recovery — retryable on a noisy host), 3 when a live run
+// saw conflicting committed prefixes (a protocol bug, never retryable).
 package main
 
 import (
@@ -80,14 +89,11 @@ func main() {
 	depth := flag.Int("pipeline-depth", 0, "default replication window W for clusters that do not pin one (0 = core default, 8); specs with an explicit depth — the pipeline sweep, the *-mid-window scenarios — keep theirs")
 	seedOffset := flag.Int64("seed-offset", 0, "shift every scenario's RNG seed by this offset (the nightly seed sweep)")
 	live := flag.Bool("live", false, "run -scenario or -fuzz against a live loopback-TCP cluster (real replicas, real PoW) instead of the simulator")
-	liveSlack := flag.Float64("live-slack", 0, "multiplier on liveness bounds in -live mode (0 = default 1.5)")
 	fuzzCount := flag.Int("fuzz", 0, "sample and run this many random chaos timelines (internal/scenario/fuzz); on violation, shrink and write a minimal timeline to -fuzz-out and exit 1")
 	fuzzSeed := flag.Int64("fuzz-seed", 1, "seed of the fuzz sample stream (the nightly job passes its run id)")
 	fuzzOut := flag.String("fuzz-out", "fuzz-failures", "directory for shrunk failing timelines")
-	soak := flag.Duration("soak", 0, "run a live cluster under rolling churn for this long and gate on resource flatness (ledger, heap, goroutines, p99); exits 1 on any gate failure")
-	soakOut := flag.String("soak-out", "", "write the soak verdict JSON here (nightly CI archives it)")
+	soak := flag.Duration("soak", 0, "run the soak scenario: a live cluster under rolling churn for this long, with resource flatness (ledger, heap, goroutines, p99) as its invariants")
 	soakMetricsDir := flag.String("soak-metrics-dir", "", "archive raw /metrics snapshots (baseline/mid/end, per replica) into this directory")
-	ckptInterval := flag.Int("checkpoint-interval", 16, "checkpoint/compaction interval for -soak clusters (0 disables compaction — the ledger-flat gate then fails by design)")
 	flag.Parse()
 
 	harness.Workers = *workers
@@ -111,28 +117,25 @@ func main() {
 		return
 	}
 
-	if *ciPath != "" {
+	w := world{newEnv: scenario.NewSimEnv}
+	if *live {
+		w = world{newEnv: liveharness.Builder(liveharness.Config{}), live: true}
+	}
+	switch {
+	case *ciPath != "":
 		runCI(*ciPath, *seedOffset)
-		return
-	}
-
-	if *soak > 0 {
-		runSoak(*soak, *ckptInterval, *soakOut, *soakMetricsDir)
-		return
-	}
-
-	if *fuzzCount > 0 {
-		runFuzz(*fuzzCount, *fuzzSeed, *live, *fuzzOut, *jsonPath, *liveSlack)
-		return
-	}
-
-	if *scenarios != "" {
-		if *live {
-			runScenariosLive(*scenarios, *jsonPath, *seedOffset, *liveSlack)
-		} else {
-			runScenarios(*scenarios, *jsonPath, *seedOffset)
+	case *soak > 0:
+		runSoak(*soak, *soakMetricsDir, *jsonPath)
+	case *fuzzCount > 0:
+		runFuzz(*fuzzCount, *fuzzSeed, w, *fuzzOut, *jsonPath)
+	case *scenarios != "":
+		scale := "scenario"
+		if w.live {
+			scale = "scenario-live"
 		}
-		return
+		res, reports := runScenarios(*scenarios, *seedOffset, w)
+		writeJSON(*jsonPath, &benchOutput{Scale: scale, Results: []*harness.Result{res}})
+		os.Exit(verdicts(reports, w))
 	}
 	if *live {
 		fmt.Fprintln(os.Stderr, "-live applies to -scenario and -fuzz runs; pick scenarios with -scenario <names|all> or samples with -fuzz N")
@@ -186,88 +189,78 @@ func parseScenarioNames(spec string) []string {
 	return names
 }
 
-// runScenarios executes the chaos suite (or a named subset) and exits
-// nonzero if any invariant was violated — the CI regression gate.
-func runScenarios(spec, jsonPath string, seedOffset int64) {
-	g, reports, err := scenario.SuiteSeeded(parseScenarioNames(spec), seedOffset)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(2)
+// world is where a suite's scenarios run: the simulator (independent cells
+// on the worker pool, byte-identical at any pool size) or live loopback-TCP
+// clusters (one cell at a time — they share the machine's wall clock).
+type world struct {
+	newEnv func(harness.Options) (scenario.Environment, error)
+	live   bool
+}
+
+// runSuite runs lib in w as one grid, one scenario per cell, and prints the
+// table. Live rows share the sim suite's schema, so verdict JSON lands next
+// to the simulator trajectory in CI artifacts, but they are wall-clock
+// measurements: reproducible in verdict, not in bytes.
+func runSuite(name, notes string, lib []*scenario.Scenario, w world) (*harness.Result, []*scenario.Report) {
+	g, reports := scenario.Suite(lib, w.newEnv)
+	g.Name, g.Notes = name, notes
+	if w.live {
+		g.Workers = 1
+		for i := range g.Specs {
+			label, measure := g.Specs[i].Label, g.Specs[i].Measure
+			g.Specs[i].Measure = func(s *harness.ExperimentSpec) []harness.Row {
+				fmt.Printf("live %-34s ...", label)
+				start := time.Now()
+				rows := measure(s)
+				fmt.Printf(" done in %v\n", time.Since(start).Round(time.Millisecond))
+				return rows
+			}
+		}
 	}
 	start := time.Now()
 	res := g.Run()
 	fmt.Println(res)
-	fmt.Printf("[%d scenarios completed in %v]\n\n", len(reports), time.Since(start).Round(time.Millisecond))
-
-	writeJSON(jsonPath, &benchOutput{Scale: "scenario", Results: []*harness.Result{res}})
-
-	if failed := reportVerdicts(reports); failed > 0 {
-		fmt.Fprintf(os.Stderr, "\n%d of %d scenarios violated invariants\n", failed, len(reports))
-		os.Exit(1)
-	}
+	fmt.Printf("[%d scenarios completed in %v]\n\n", len(lib), time.Since(start).Round(time.Millisecond))
+	return res, reports
 }
 
-// runScenariosLive executes scenarios sequentially against real TCP
-// clusters (internal/liveharness) and exits nonzero on any violation. The
-// emitted rows share the sim suite's schema so the verdict JSON lands next
-// to the simulator trajectory in CI artifacts, but live rows are
-// wall-clock measurements — reproducible in verdict, not in bytes.
-//
-// The exit code distinguishes what failed: 1 means only timing-class
-// violations (liveness, steady-state, recovery — retryable on a noisy
-// host), 3 means at least one safety violation (conflicting committed
-// prefixes — a protocol bug, never retryable). CI's live-smoke retry
-// keys off this distinction.
-func runScenariosLive(spec, jsonPath string, seedOffset int64, slack float64) {
-	lib, err := scenario.List(parseScenarioNames(spec), seedOffset)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(2)
-	}
-	build := liveharness.Builder(liveharness.Config{Slack: slack})
-	res := &harness.Result{
-		Name:  "Chaos scenarios (live)",
-		Notes: "declarative fault timelines on a live loopback-TCP cluster; ok=1 means every invariant (safety, steady-state, liveness/recovery) held",
-	}
-	start := time.Now()
-	reports := make([]*scenario.Report, 0, len(lib))
-	for _, s := range lib {
-		fmt.Printf("live %-34s ...", s.Name)
-		cellStart := time.Now()
-		rep := s.RunWith(build)
-		fmt.Printf(" done in %v\n", time.Since(cellStart).Round(time.Millisecond))
-		reports = append(reports, rep)
-		res.Rows = append(res.Rows, rep.Row())
-	}
-	fmt.Println(res)
-	fmt.Printf("[%d live scenarios completed in %v]\n\n", len(reports), time.Since(start).Round(time.Millisecond))
-
-	writeJSON(jsonPath, &benchOutput{Scale: "scenario-live", Results: []*harness.Result{res}})
-
-	if failed := reportVerdicts(reports); failed > 0 {
-		fmt.Fprintf(os.Stderr, "\n%d of %d live scenarios violated invariants\n", failed, len(reports))
-		for _, rep := range reports {
-			for _, v := range rep.Violations {
-				if strings.HasPrefix(v, "safety:") {
-					fmt.Fprintln(os.Stderr, "safety violation present: not retryable")
-					os.Exit(3)
-				}
-			}
-		}
-		os.Exit(1)
-	}
-}
-
-// reportVerdicts prints per-scenario verdicts to stderr and counts failures.
-func reportVerdicts(reports []*scenario.Report) int {
-	failed := 0
+// verdicts prints every verdict to stderr and returns the exit code they
+// earn by the one rule in the package comment.
+func verdicts(reports []*scenario.Report, w world) int {
+	failed, safety := 0, false
 	for _, rep := range reports {
 		fmt.Fprintln(os.Stderr, rep)
 		if !rep.OK() {
 			failed++
 		}
+		for _, v := range rep.Violations {
+			safety = safety || strings.HasPrefix(v, "safety:")
+		}
 	}
-	return failed
+	if failed == 0 {
+		return 0
+	}
+	fmt.Fprintf(os.Stderr, "\n%d of %d scenarios violated invariants\n", failed, len(reports))
+	if w.live && safety {
+		fmt.Fprintln(os.Stderr, "safety violation present: not retryable")
+		return 3
+	}
+	return 1
+}
+
+// runScenarios runs the chaos suite (or a named subset) in w.
+func runScenarios(spec string, seedOffset int64, w world) (*harness.Result, []*scenario.Report) {
+	lib, err := scenario.List(parseScenarioNames(spec), seedOffset)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
+		os.Exit(2)
+	}
+	name, where := "Chaos scenarios", "the simulated cluster"
+	if w.live {
+		name, where = "Chaos scenarios (live)", "a live loopback-TCP cluster"
+	}
+	return runSuite(name, "declarative fault timelines on "+where+
+		"; ok=1 means every invariant (safety, steady-state, liveness/recovery) held", lib, w)
 }
 
 // runCI produces the bench trajectory document consumed by CI's regression
@@ -276,26 +269,18 @@ func reportVerdicts(reports []*scenario.Report) int {
 // with pass/fail rows. Deterministic for any -workers value; exits nonzero
 // if any scenario invariant is violated.
 func runCI(path string, seedOffset int64) {
-	start := time.Now()
 	out := benchOutput{Scale: "ci"}
-	out.Results = append(out.Results, harness.RunFig4c())
-	out.Results = append(out.Results, harness.RunPipelineSweep(harness.Quick))
-	out.Results = append(out.Results, harness.RunCheckpointSweep(harness.Quick))
-	g, reports, err := scenario.SuiteSeeded(nil, seedOffset)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(2)
-	}
-	out.Results = append(out.Results, g.Run())
-	for _, res := range out.Results {
+	for _, res := range []*harness.Result{
+		harness.RunFig4c(), harness.RunPipelineSweep(harness.Quick), harness.RunCheckpointSweep(harness.Quick),
+	} {
 		fmt.Println(res)
+		out.Results = append(out.Results, res)
 	}
-	fmt.Printf("[ci trajectory completed in %v]\n\n", time.Since(start).Round(time.Millisecond))
+	w := world{newEnv: scenario.NewSimEnv}
+	res, reports := runScenarios("all", seedOffset, w)
+	out.Results = append(out.Results, res)
 	writeJSON(path, &out)
-	if failed := reportVerdicts(reports); failed > 0 {
-		fmt.Fprintf(os.Stderr, "\n%d of %d scenarios violated invariants\n", failed, len(reports))
-		os.Exit(1)
-	}
+	os.Exit(verdicts(reports, w))
 }
 
 // writeJSON writes the machine-readable result document when a path is set.

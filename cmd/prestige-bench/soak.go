@@ -1,273 +1,102 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"prestigebft/internal/harness"
 	"prestigebft/internal/liveharness"
-	"prestigebft/internal/metrics"
+	"prestigebft/internal/scenario"
 	"prestigebft/internal/types"
 )
 
-// Soak-mode shape: a 4-replica live cluster under rolling follower churn.
-// The point is not protocol coverage (the scenario suite owns that) but
+// Soak-mode shape: a 4-replica cluster under rolling follower churn. The
+// point is not protocol coverage (the scenario suite owns that) but
 // resource flatness over time — the class of bug that only shows up when a
 // cluster runs for minutes, not seconds.
 const (
-	soakWarmup    = 5 * time.Second  // no churn, no gating before this
+	soakWarmup    = 5 * time.Second  // no churn before this; the steady scrape and p99 are taken here
 	soakCooldown  = 10 * time.Second // last churn recovery ends this early
 	churnPeriod   = 20 * time.Second // one crash/recover cycle per period
 	churnDowntime = 5 * time.Second  // how long each crashed follower stays down
+
+	soakCheckpointInterval = 16
 )
 
-// Soak gate allowances. Generous on purpose: the soak gate exists to catch
+// soakScenario is the soak as a scenario: dur of rolling follower churn —
+// one crash/recover cycle per period, rotating across the followers, never
+// more than f=1 down at once, healed well before the end — whose invariants
+// are the resource-flatness gates. Generous on purpose: they exist to catch
 // monotonic growth (leaks, unbounded ledgers), not to flake on scheduler
-// noise.
-const (
-	ledgerGrowthFactor  = 1.5      // retained blocks: end vs mid
-	ledgerGrowthSlack   = 48       // blocks
-	ledgerIntervalSlack = 64       // blocks over 4x the checkpoint interval
-	goroutineSlack      = 32       // end vs post-warmup baseline
-	heapGrowthFactor    = 2.0      // heap_inuse: end vs mid
-	heapSlack           = 64 << 20 // bytes
-	p99GrowthFactor     = 3.0      // cumulative p99: end vs mid
-	p99Slack            = 100 * time.Millisecond
-)
-
-// soakGate is one pass/fail verdict line.
-type soakGate struct {
-	Name   string `json:"name"`
-	OK     bool   `json:"ok"`
-	Detail string `json:"detail"`
+// noise. With interval 0 nothing compacts and the ledger bound fails, which
+// is the proof the bound measures something real.
+func soakScenario(dur time.Duration, interval int) *scenario.Scenario {
+	s := &scenario.Scenario{
+		Name:        "soak",
+		Description: "rolling follower churn with ledger, goroutine, heap and p99 growth bounds",
+		Opts: harness.Options{
+			N: 4, Clients: 8, BatchSize: 8, Seed: 301,
+			ClientTimeout:      500 * time.Millisecond,
+			CheckpointInterval: interval,
+		},
+		Warmup: soakWarmup,
+		Span:   dur,
+		Invariants: scenario.Invariants{
+			MaxLedgerBlocks: 4*interval + 64,
+			MaxP99Factor:    3,
+			Metrics: &scenario.MetricInvariants{
+				MaxGoroutineGrowth:  32,
+				MaxHeapGrowthFactor: 4,
+			},
+		},
+	}
+	followers := []types.ServerID{2, 3, 4}
+	for i, at := 0, soakWarmup+7*time.Second; at+churnDowntime < dur-soakCooldown; i, at = i+1, at+churnPeriod {
+		id := followers[i%len(followers)]
+		s.Events = append(s.Events,
+			scenario.Event{At: at, Action: scenario.Crash{Server: id}},
+			scenario.Event{At: at + churnDowntime, Action: scenario.Recover{Server: id}})
+	}
+	return s
 }
 
-// soakVerdict is the machine-readable soak result (-soak-out), the document
-// the nightly CI job archives and gates on.
-type soakVerdict struct {
-	Duration           string     `json:"duration"`
-	CheckpointInterval int        `json:"checkpoint_interval"`
-	Commits            int        `json:"commits"`
-	TPS                float64    `json:"tps"`
-	P99MidMs           float64    `json:"p99_mid_ms"`
-	P99EndMs           float64    `json:"p99_end_ms"`
-	Gates              []soakGate `json:"gates"`
-	OK                 bool       `json:"ok"`
-}
-
-// runSoak boots a live cluster, churns followers for dur, scrapes every
-// replica's /metrics at three points (post-warmup baseline, midpoint, end),
-// and gates on resource flatness. Exits 0 only if every gate holds.
-func runSoak(dur time.Duration, ckptInterval int, outPath, metricsDir string) {
+// runSoak runs the soak scenario on a live cluster through the ordinary suite
+// path and never returns; its verdict is a Report row like any other.
+func runSoak(dur time.Duration, metricsDir, jsonPath string) {
 	if dur < 30*time.Second {
 		fmt.Fprintf(os.Stderr, "-soak %v is below the 30s minimum (warmup %v + churn + cooldown %v need room)\n",
 			dur, soakWarmup, soakCooldown)
 		os.Exit(2)
 	}
-	opts := harness.Options{
-		N: 4, Clients: 8, BatchSize: 8, Seed: 301,
-		ClientTimeout:      500 * time.Millisecond,
-		CheckpointInterval: ckptInterval,
-	}
-	env, err := liveharness.New(opts, liveharness.Config{
-		Logf: func(format string, args ...any) {
+	w := world{live: true, newEnv: func(o harness.Options) (scenario.Environment, error) {
+		env, err := liveharness.New(o, liveharness.Config{Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "soak: "+format+"\n", args...)
-		},
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "soak: boot cluster: %v\n", err)
-		os.Exit(2)
-	}
-	defer env.Close()
-
-	// Rolling follower churn: one crash/recover cycle per period, rotating
-	// across the followers, never more than f=1 down at once, and fully
-	// healed well before the final scrape.
-	followers := []types.ServerID{2, 3, 4}
-	churn := 0
-	for at := soakWarmup + 7*time.Second; at+churnDowntime < dur-soakCooldown; at += churnPeriod {
-		id := followers[churn%len(followers)]
-		at := at
-		env.Schedule(at, func() { env.Crash(id) })
-		env.Schedule(at+churnDowntime, func() { env.Recover(id) })
-		churn++
-	}
-	fmt.Printf("soak: %v on a %d-replica cluster, checkpoint interval %d, %d churn cycles\n",
-		dur, opts.N, ckptInterval, churn)
-
-	env.Start()
-	if err := env.WaitHealthy(); err != nil {
-		fmt.Fprintf(os.Stderr, "soak: cluster never turned healthy: %v\n", err)
-		os.Exit(1)
-	}
-
-	mid := dur / 2
-	env.RunUntil(soakWarmup)
-	base := env.ScrapeAll()
-	dumpMetrics(env, metricsDir, "baseline")
-
-	env.RunUntil(mid)
-	midSnaps := env.ScrapeAll()
-	dumpMetrics(env, metricsDir, "mid")
-	env.CollectStats()
-	p99Mid := env.LatencyPercentile(99)
-
-	env.RunUntil(dur)
-	end := env.ScrapeAll()
-	dumpMetrics(env, metricsDir, "end")
-	env.CollectStats()
-	p99End := env.LatencyPercentile(99)
-
-	pr := env.Progress()
-	tps := env.TPS(soakWarmup, dur)
-	env.Close()
-
-	v := soakVerdict{
-		Duration:           dur.String(),
-		CheckpointInterval: ckptInterval,
-		Commits:            pr.Commits,
-		TPS:                tps,
-		P99MidMs:           float64(p99Mid) / float64(time.Millisecond),
-		P99EndMs:           float64(p99End) / float64(time.Millisecond),
-	}
-	v.Gates = append(v.Gates,
-		gateLedgerFlat(midSnaps, end, ckptInterval),
-		gateGoroutines(base, end),
-		gateHeapFlat(midSnaps, end),
-		gateP99(p99Mid, p99End),
-	)
-	v.OK = true
-	for _, g := range v.Gates {
-		if !g.OK {
-			v.OK = false
+		}})
+		if err != nil {
+			return nil, err
 		}
-	}
-
-	data, _ := json.MarshalIndent(&v, "", "  ")
-	data = append(data, '\n')
-	os.Stdout.Write(data)
-	if outPath != "" {
-		if err := os.WriteFile(outPath, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "soak: write %s: %v\n", outPath, err)
-			os.Exit(2)
+		if metricsDir != "" {
+			env.Schedule(soakWarmup, func() { dumpMetrics(env, metricsDir, "baseline") })
+			env.Schedule(dur/2, func() { dumpMetrics(env, metricsDir, "mid") })
+			env.Schedule(dur-time.Second, func() { dumpMetrics(env, metricsDir, "end") })
 		}
-		fmt.Printf("soak: verdict written to %s\n", outPath)
-	}
-	if !v.OK {
-		fmt.Fprintln(os.Stderr, "soak: FAILED")
-		os.Exit(1)
-	}
-	fmt.Println("soak: ok")
-}
-
-// compareReplicas applies check to every replica present in both scrape
-// maps. Churn may hide a replica from any single scrape, so gates work on
-// the intersection — but an intersection thinner than a quorum means the
-// scrapes say nothing, which is itself a failure.
-func compareReplicas(a, b map[types.ServerID]metrics.Snapshot, gate string,
-	check func(id types.ServerID, a, b metrics.Snapshot) string) soakGate {
-	var ids []types.ServerID
-	for id := range a {
-		if _, ok := b[id]; ok {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	if len(ids) < 3 {
-		return soakGate{Name: gate, OK: false,
-			Detail: fmt.Sprintf("only %d replicas present in both scrapes; need a quorum of 3", len(ids))}
-	}
-	for _, id := range ids {
-		if bad := check(id, a[id], b[id]); bad != "" {
-			return soakGate{Name: gate, OK: false, Detail: fmt.Sprintf("S%d: %s", id, bad)}
-		}
-	}
-	return soakGate{Name: gate, OK: true,
-		Detail: fmt.Sprintf("held on %d replicas", len(ids))}
-}
-
-// gateLedgerFlat asserts checkpoint compaction keeps every ledger bounded:
-// retained blocks must not keep growing mid→end, and with a checkpoint
-// interval configured they must stay within a small multiple of it. With
-// -checkpoint-interval 0 the ledger grows with history and this gate fails
-// — which is the proof the gate measures something real.
-func gateLedgerFlat(mid, end map[types.ServerID]metrics.Snapshot, interval int) soakGate {
-	return compareReplicas(mid, end, "ledger-flat", func(id types.ServerID, m, e metrics.Snapshot) string {
-		rm, _ := m.Value("prestige_retained_blocks")
-		re, _ := e.Value("prestige_retained_blocks")
-		if re > rm*ledgerGrowthFactor+ledgerGrowthSlack {
-			return fmt.Sprintf("retained blocks grew %.0f → %.0f, over %.1fx+%d — ledger not compacting",
-				rm, re, ledgerGrowthFactor, ledgerGrowthSlack)
-		}
-		if bound := float64(interval)*4 + ledgerIntervalSlack; interval > 0 && re > bound {
-			return fmt.Sprintf("retained blocks %.0f exceed the O(interval) bound %.0f", re, bound)
-		}
-		return ""
-	})
-}
-
-// gateGoroutines asserts goroutine-count stability against the post-warmup
-// baseline. All replicas share this process, so the count is process-wide;
-// churn respawns runtimes, and leaked ones would accumulate here.
-func gateGoroutines(base, end map[types.ServerID]metrics.Snapshot) soakGate {
-	return compareReplicas(base, end, "goroutines-stable", func(id types.ServerID, b, e metrics.Snapshot) string {
-		gb, _ := b.Value("go_goroutines")
-		ge, _ := e.Value("go_goroutines")
-		if ge > gb+goroutineSlack {
-			return fmt.Sprintf("go_goroutines grew %.0f → %.0f, over the +%d allowance — goroutine leak", gb, ge, goroutineSlack)
-		}
-		return ""
-	})
-}
-
-// gateHeapFlat asserts heap flatness mid→end: by the midpoint the workload
-// is in steady state, so heap_inuse holding inside a generous factor means
-// memory is not monotonically growing.
-func gateHeapFlat(mid, end map[types.ServerID]metrics.Snapshot) soakGate {
-	return compareReplicas(mid, end, "heap-flat", func(id types.ServerID, m, e metrics.Snapshot) string {
-		hm, _ := m.Value("go_memstats_heap_inuse_bytes")
-		he, _ := e.Value("go_memstats_heap_inuse_bytes")
-		if he > hm*heapGrowthFactor+heapSlack {
-			return fmt.Sprintf("heap_inuse grew %.0f → %.0f bytes, over %.1fx+%dMiB — memory not flat",
-				hm, he, heapGrowthFactor, heapSlack>>20)
-		}
-		return ""
-	})
-}
-
-// gateP99 asserts cumulative p99 commit latency does not degrade between
-// the midpoint and the end — a drifting p99 under identical load means the
-// cluster is getting slower as it ages.
-func gateP99(mid, end time.Duration) soakGate {
-	g := soakGate{Name: "p99-stable"}
-	if mid == 0 {
-		g.OK = false
-		g.Detail = "no client latencies collected by the midpoint"
-		return g
-	}
-	bound := time.Duration(float64(mid)*p99GrowthFactor) + p99Slack
-	if end > bound {
-		g.Detail = fmt.Sprintf("cumulative p99 %v → %v, over the %v bound — latency drifting", mid, end, bound)
-		return g
-	}
-	g.OK = true
-	g.Detail = fmt.Sprintf("p99 %v → %v within the %v bound", mid, end, bound)
-	return g
+		return env, nil
+	}}
+	res, reports := runSuite(fmt.Sprintf("Soak (%v)", dur),
+		"a live loopback-TCP cluster under rolling follower churn; ok=1 means safety held and the ledger, goroutines, heap and p99 stayed inside their growth bounds",
+		[]*scenario.Scenario{soakScenario(dur, soakCheckpointInterval)}, w)
+	writeJSON(jsonPath, &benchOutput{Scale: "soak", Results: []*harness.Result{res}})
+	os.Exit(verdicts(reports, w))
 }
 
 // dumpMetrics archives every live replica's raw /metrics exposition at one
 // scrape point — the bytes a Prometheus server would have ingested, kept as
 // CI artifacts for post-mortems.
 func dumpMetrics(env *liveharness.Env, dir, phase string) {
-	if dir == "" {
-		return
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fmt.Fprintf(os.Stderr, "soak: mkdir %s: %v\n", dir, err)
 		return

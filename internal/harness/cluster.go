@@ -230,23 +230,22 @@ func (c *Cluster) Now() sim.Time { return c.Sched.Now() }
 
 // CollectClientStats folds client latencies into the metrics. Call after a
 // run, before reading latency aggregates.
-func (c *Cluster) CollectClientStats() {
+func (c *Cluster) CollectClientStats() { c.Metrics.SetClientStats(c.ClientStats()) }
+
+// ClientStats returns every workload client's statistics so far.
+func (c *Cluster) ClientStats() []client.Stats {
 	stats := make([]client.Stats, len(c.Clients))
 	for i, cl := range c.Clients {
 		stats[i] = cl.Stats
 	}
-	c.Metrics.SetClientStats(stats)
+	return stats
 }
 
 // Crash isolates a server from the network (benign failure).
-func (c *Cluster) Crash(id types.ServerID) {
-	c.Net.Isolate(sim.ServerAddr(uint16(id)), true)
-}
+func (c *Cluster) Crash(id types.ServerID) { c.Net.SetDown(uint16(id), true) }
 
-// Recover reconnects a crashed server.
-func (c *Cluster) Recover(id types.ServerID) {
-	c.Net.Isolate(sim.ServerAddr(uint16(id)), false)
-}
+// Recover reconnects a crashed server; a partition covering it still holds.
+func (c *Cluster) Recover(id types.ServerID) { c.Net.SetDown(uint16(id), false) }
 
 // --- Server runtime -----------------------------------------------------------
 

@@ -135,6 +135,45 @@ func NewDeployment(opts Options, puzzleBits int) *Deployment {
 	return d
 }
 
+// ChainHeight returns a server's committed chain height. ok is false when
+// the server exposes no readable ledger (a baseline replica). Like the two
+// reads below it is only race-free while nothing drives the replica: between
+// simulator steps, or once a live environment has stopped it.
+func (d *Deployment) ChainHeight(id types.ServerID) (h types.SeqNum, ok bool) {
+	node := d.Nodes[id-1]
+	if node == nil {
+		return 0, false
+	}
+	return node.Store().TxHeight(), true
+}
+
+// BlockHash returns the hash of the committed block at seq on the given
+// server, the comparison point of committed-prefix safety. ok is false when
+// the server has no readable ledger or no longer retains the block: it was
+// compacted below the server's certified log base, whose certificate already
+// proves prefix agreement there.
+func (d *Deployment) BlockHash(id types.ServerID, seq types.SeqNum) (types.Digest, bool) {
+	node := d.Nodes[id-1]
+	if node == nil {
+		return types.Digest{}, false
+	}
+	blk := node.Store().TxBlock(seq)
+	if blk == nil {
+		return types.Digest{}, false
+	}
+	return blk.Hash(), true
+}
+
+// RetainedBlocks returns how many txBlocks the server currently retains, the
+// quantity checkpoint compaction bounds. ok mirrors ChainHeight.
+func (d *Deployment) RetainedBlocks(id types.ServerID) (blocks int, ok bool) {
+	node := d.Nodes[id-1]
+	if node == nil {
+		return 0, false
+	}
+	return node.Store().RetainedTxBlocks(), true
+}
+
 // ClientConfig is workload client id's configuration; every world builds its
 // clients from it.
 func (d *Deployment) ClientConfig(id types.ClientID) client.Config {

@@ -607,7 +607,7 @@ func RunFig14(scale Scale) *Result {
 	if scale == Full {
 		span = 10000 * time.Second
 	}
-	checkpoints := []time.Duration{10 * time.Second, 50 * time.Second, 100 * time.Second, 200 * time.Second, span}
+	checkpoints := fig14Checkpoints(span)
 	type variant struct {
 		name  string
 		proto Protocol
@@ -637,13 +637,8 @@ func RunFig14(scale Scale) *Result {
 				var rows []Row
 				last := time.Duration(0)
 				for _, cp := range checkpoints {
-					if cp > span {
-						cp = span
-					}
-					if cp > last {
-						c.Run(cp - last)
-						last = cp
-					}
+					c.Run(cp - last)
+					last = cp
 					av := c.Metrics.Availability(sim.Duration(cp), time.Second)
 					rows = append(rows, row(
 						fmt.Sprintf("%s_t%ds", v.name, int(cp.Seconds())),
@@ -655,6 +650,19 @@ func RunFig14(scale Scale) *Result {
 		})
 	}
 	return g.Run()
+}
+
+// fig14Checkpoints returns the instants Figure 14 samples availability at:
+// the fixed early marks that fall inside the run, then its end — strictly
+// increasing, so a span that is itself a mark is sampled once.
+func fig14Checkpoints(span time.Duration) []time.Duration {
+	var out []time.Duration
+	for _, cp := range []time.Duration{10 * time.Second, 50 * time.Second, 100 * time.Second, 200 * time.Second} {
+		if cp < span {
+			out = append(out, cp)
+		}
+	}
+	return append(out, span)
 }
 
 // --- E0 / Figure 4c ---------------------------------------------------------------

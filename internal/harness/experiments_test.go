@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -88,6 +89,30 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	for _, name := range []string{"fig4c", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "peak", "pipeline"} {
 		if _, ok := Experiments[name]; !ok {
 			t.Errorf("experiment %s not registered", name)
+		}
+	}
+}
+
+// TestFig14Checkpoints: the sampling instants are strictly increasing and end
+// at the span, so quick scale (span = the 200 s mark) prints t200s once.
+func TestFig14Checkpoints(t *testing.T) {
+	sec := func(ds ...int) []time.Duration {
+		out := make([]time.Duration, len(ds))
+		for i, d := range ds {
+			out[i] = time.Duration(d) * time.Second
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		span time.Duration
+		want []time.Duration
+	}{
+		{200 * time.Second, sec(10, 50, 100, 200)},
+		{10000 * time.Second, sec(10, 50, 100, 200, 10000)},
+		{60 * time.Second, sec(10, 50, 60)},
+	} {
+		if got := fig14Checkpoints(tc.span); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("fig14Checkpoints(%v) = %v, want %v", tc.span, got, tc.want)
 		}
 	}
 }

@@ -35,9 +35,9 @@ func BenchmarkLoadedHops(b *testing.B) {
 		env.RunUntil(warmup + window)
 		wakes = alarm.Wakeups() - wakes
 		env.Close()
-		env.CollectStats()
+		env.Metrics().SetClientStats(env.ClientStats())
 		b.ReportMetric(env.TPS(warmup, warmup+window), "tx/s")
-		b.ReportMetric(float64(env.LatencyPercentile(50))/float64(time.Millisecond), "p50_ms")
+		b.ReportMetric(float64(env.Metrics().LatencyPercentile(50))/float64(time.Millisecond), "p50_ms")
 		b.ReportMetric(float64(wakes)/window.Seconds(), "alarm_wakes/s")
 	}
 }

@@ -18,7 +18,7 @@
 //
 // Scenario time is wall-clock time since Start: event offsets and span
 // boundaries are scheduled on real timers, and liveness bounds stretch by
-// Config.Slack because a live run pays scheduling, kernel, and crypto costs
+// livenessSlack because a live run pays scheduling, kernel, and crypto costs
 // the simulator's models do not. The replicas, fault wrappers and clients
 // are the ones harness.NewDeployment builds for the simulator, and the run
 // is measured by the same harness.Metrics. What stays exact: the
@@ -30,12 +30,12 @@ package liveharness
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
 	"prestigebft/internal/client"
 	"prestigebft/internal/consensus"
-	"prestigebft/internal/faults"
 	"prestigebft/internal/harness"
 	"prestigebft/internal/metrics"
 	"prestigebft/internal/runtime"
@@ -46,6 +46,8 @@ import (
 )
 
 const (
+	// livenessSlack multiplies scenario liveness bounds (RecoverWithin).
+	livenessSlack = 1.5
 	// stallMargin shifts the leading edge of no-commit stall windows,
 	// forgiving commits that were already in flight when the
 	// quorum-removing event landed.
@@ -61,9 +63,6 @@ const (
 
 // Config tunes the live environment.
 type Config struct {
-	// Slack multiplies scenario liveness bounds (RecoverWithin): live runs
-	// pay real scheduling and crypto costs. Default 1.5.
-	Slack float64
 	// Logf observes harness events; nil is silent.
 	Logf func(format string, args ...any)
 	// OnTrace, if non-nil, observes every protocol trace with the replica
@@ -73,9 +72,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Slack == 0 {
-		c.Slack = 1.5
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -161,16 +157,12 @@ type Env struct {
 
 	start time.Time
 
-	mu        sync.Mutex
-	started   bool
-	closed    bool
-	crashed   map[types.ServerID]bool
-	group     map[types.ServerID]int // nil = no partition
-	degrading bool
-	degExtra  time.Duration
-	degJitter time.Duration
-	degDrop   float64
-	retired   transport.Stats // counters of transports torn down mid-run
+	mu      sync.Mutex
+	started bool
+	closed  bool
+	crashed map[types.ServerID]bool
+	fabric  scenario.Fabric // in force; re-applied to a recovered server's fresh transport
+	retired transport.Stats // counters of transports torn down mid-run
 }
 
 var _ scenario.Environment = (*Env)(nil)
@@ -273,8 +265,9 @@ func (e *Env) newLinkFaults(streamID int64) *transport.LinkFaults {
 func (e *Env) N() int { return e.dep.Opts.N }
 
 // Schedule registers fn for the absolute scenario-time offset at. Must be
-// called before Start; events are applied in registration order by a
-// single injection goroutine, like the simulator's scheduler.
+// called before Start; events are applied in time order (registration order
+// at equal offsets) by a single injection goroutine, like the simulator's
+// scheduler.
 func (e *Env) Schedule(at time.Duration, fn func()) {
 	e.events = append(e.events, scheduledEvent{at: at, fn: fn})
 }
@@ -299,6 +292,7 @@ func (e *Env) Start() {
 	}
 
 	events := e.events
+	sort.SliceStable(events, func(i, j int) bool { return events[i].at < events[j].at })
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
@@ -428,7 +422,7 @@ func (e *Env) stopServer(s *server) {
 }
 
 // retire closes a transport and folds its traffic counters into the
-// accumulated totals so Progress survives transport churn.
+// accumulated totals so Traffic survives transport churn.
 func (e *Env) retire(tr *transport.Transport) {
 	st := tr.Stats()
 	tr.Close()
@@ -440,7 +434,7 @@ func (e *Env) retire(tr *transport.Transport) {
 	e.mu.Unlock()
 }
 
-// --- scenario.Environment: injection ------------------------------------------
+// --- scenario.Environment: crash, recover, fabric --------------------------------
 
 // Crash stops a server's runtime and closes its transport: its listener
 // dies, peers' cached connections fail and back off, and its timers stop —
@@ -483,7 +477,10 @@ func (e *Env) Recover(id types.ServerID) {
 		s.mu.Lock()
 		s.tr, s.lf = tr, lf
 		s.mu.Unlock()
-		e.applyFabric()
+		e.mu.Lock()
+		f := e.fabric
+		e.mu.Unlock()
+		e.shape(s, f)
 		e.spawnRuntime(s)
 		e.cfg.Logf("live: recovered S%d on %s", id, s.addr)
 		return
@@ -491,106 +488,66 @@ func (e *Env) Recover(id types.ServerID) {
 	e.cfg.Logf("live: recover S%d failed: %v", id, lastErr)
 }
 
-// Partition installs group-based link blocks; unlisted servers form the
-// implicit remainder group. Clients keep reaching every server.
-func (e *Env) Partition(groups [][]types.ServerID) {
+// SetFabric makes f the fault state of every transport — servers and
+// clients alike, matching the simulator's whole-fabric semantics — and
+// remembers it for the transports Recover will create.
+func (e *Env) SetFabric(f scenario.Fabric) {
 	e.mu.Lock()
-	e.group = make(map[types.ServerID]int)
-	for gi, g := range groups {
-		for _, id := range g {
-			e.group[id] = gi + 1
-		}
-	}
+	e.fabric = f
 	e.mu.Unlock()
-	e.applyFabric()
-	e.cfg.Logf("live: partitioned %v", groups)
-}
-
-// Heal removes the current partition. Crashed servers stay crashed.
-func (e *Env) Heal() {
-	e.mu.Lock()
-	e.group = nil
-	e.mu.Unlock()
-	e.applyFabric()
-	e.cfg.Logf("live: healed")
-}
-
-// SetFault swaps a wrapped server's Byzantine behavior at runtime.
-func (e *Env) SetFault(id types.ServerID, spec faults.Spec) {
-	if w := e.dep.Wrappers[id-1]; w != nil {
-		w.SetSpec(spec)
-		e.cfg.Logf("live: S%d now %s", id, spec)
-	}
-}
-
-// Degrade makes every link slow and lossy (gray failure), layered on the
-// base fabric profile of all transports — servers and clients alike,
-// matching the simulator's whole-fabric semantics.
-func (e *Env) Degrade(extra, jitter time.Duration, drop float64) {
-	e.mu.Lock()
-	e.degrading = true
-	e.degExtra, e.degJitter, e.degDrop = extra, jitter, drop
-	e.mu.Unlock()
-	e.applyFabric()
-	e.cfg.Logf("live: degraded +%v±%v drop=%.0f%%", extra, jitter, drop*100)
-}
-
-// Restore undoes Degrade.
-func (e *Env) Restore() {
-	e.mu.Lock()
-	e.degrading = false
-	e.degExtra, e.degJitter, e.degDrop = 0, 0, 0
-	e.mu.Unlock()
-	e.applyFabric()
-	e.cfg.Logf("live: restored")
-}
-
-// applyFabric recomputes every transport's fault state from the declared
-// partition and degrade state (the same recompute-from-scratch discipline
-// as the simulator's cut set, so overlapping faults compose).
-func (e *Env) applyFabric() {
-	e.mu.Lock()
-	group := e.group
-	degrading, extra, jitter, drop := e.degrading, e.degExtra, e.degJitter, e.degDrop
-	e.mu.Unlock()
-
-	apply := func(lf *transport.LinkFaults) {
-		if lf == nil {
-			return
-		}
-		if degrading {
-			lf.Degrade(extra, jitter, drop)
-		} else {
-			lf.Restore()
-		}
-	}
 	for _, s := range e.servers {
-		s.mu.Lock()
-		lf := s.lf
-		s.mu.Unlock()
-		apply(lf)
-		if lf == nil {
-			continue
-		}
-		for _, peer := range e.servers {
-			if peer.id == s.id {
-				continue
-			}
-			cut := group != nil && group[s.id] != group[peer.id]
-			lf.SetBlocked(peer.addr, cut)
-		}
+		e.shape(s, f)
 	}
 	for _, lc := range e.clients {
-		apply(lc.tr.Faults())
+		degrade(lc.tr.Faults(), f)
+	}
+	e.cfg.Logf("live: fabric groups=%v degrade=%v", f.Groups, f.Degrade)
+}
+
+// shape applies f to s's current transport: the degrade layer, and a block
+// toward every server in another partition group (clients keep reaching
+// every server).
+func (e *Env) shape(s *server, f scenario.Fabric) {
+	s.mu.Lock()
+	lf := s.lf
+	s.mu.Unlock()
+	degrade(lf, f)
+	for _, peer := range e.servers {
+		if peer.id != s.id {
+			lf.SetBlocked(peer.addr, f.Groups != nil && f.Groups[s.id] != f.Groups[peer.id])
+		}
+	}
+}
+
+func degrade(lf *transport.LinkFaults, f scenario.Fabric) {
+	if d := f.Degrade; d != nil {
+		lf.Degrade(d.Extra, d.Jitter, d.DropRate)
+	} else {
+		lf.Restore()
 	}
 }
 
 // --- scenario.Environment: observation ----------------------------------------
 
-// Progress aggregates protocol counters and fabric traffic.
-func (e *Env) Progress() scenario.Progress {
+// Deployment is the replicas, wrappers and options this cluster hosts.
+func (e *Env) Deployment() *harness.Deployment { return e.dep }
+
+// Metrics is the run's collector, stamped with wall time since Start.
+func (e *Env) Metrics() *harness.Metrics { return e.met }
+
+// ClientStats returns every workload client's statistics so far.
+func (e *Env) ClientStats() []client.Stats {
+	stats := make([]client.Stats, len(e.clients))
+	for i, lc := range e.clients {
+		stats[i] = lc.host.Stats()
+	}
+	return stats
+}
+
+// Traffic totals what every transport of the run sent, retired ones included.
+func (e *Env) Traffic() (msgs, bytes uint64) {
 	e.mu.Lock()
-	st := e.retired
+	st, closed := e.retired, e.closed
 	e.mu.Unlock()
 	for _, s := range e.servers {
 		s.mu.Lock()
@@ -602,17 +559,14 @@ func (e *Env) Progress() scenario.Progress {
 			st.Bytes += ts.Bytes
 		}
 	}
-	for _, lc := range e.clients {
-		e.mu.Lock()
-		closed := e.closed
-		e.mu.Unlock()
-		if !closed {
+	if !closed {
+		for _, lc := range e.clients {
 			ts := lc.tr.Stats()
 			st.Sent += ts.Sent
 			st.Bytes += ts.Bytes
 		}
 	}
-	return scenario.ProgressOf(e.met, st.Sent, st.Bytes)
+	return st.Sent, st.Bytes
 }
 
 // TPS returns committed transactions per second over [from, to) of
@@ -621,41 +575,12 @@ func (e *Env) TPS(from, to time.Duration) float64 {
 	return e.met.TPS(sim.Duration(from), sim.Duration(to))
 }
 
-// CollectStats folds client latencies into the metrics aggregates.
-func (e *Env) CollectStats() {
-	stats := make([]client.Stats, len(e.clients))
-	for i, lc := range e.clients {
-		stats[i] = lc.host.Stats()
-	}
-	e.met.SetClientStats(stats)
-}
-
-// LatencyPercentile returns the p-th percentile client latency.
-func (e *Env) LatencyPercentile(p float64) time.Duration { return e.met.LatencyPercentile(p) }
-
-// ChainHeight reads a replica's committed chain height. Only safe for
-// concurrent use after Close (or for crashed servers); the scenario engine
-// honors that lifecycle.
-func (e *Env) ChainHeight(id types.ServerID) (types.SeqNum, bool) {
-	return e.dep.Nodes[id-1].Store().TxHeight(), true
-}
-
-// BlockHash reads the committed block hash at seq — the byte-for-byte
-// committed-prefix comparison point across live ledgers. ok is false for
-// blocks compacted below the server's certified log base.
+// ChainHeight and BlockHash read a replica's ledger (harness.Deployment's
+// reads). Only safe after Close, or for a crashed server.
+func (e *Env) ChainHeight(id types.ServerID) (types.SeqNum, bool) { return e.dep.ChainHeight(id) }
 func (e *Env) BlockHash(id types.ServerID, seq types.SeqNum) (types.Digest, bool) {
-	blk := e.dep.Nodes[id-1].Store().TxBlock(seq)
-	if blk == nil {
-		return types.Digest{}, false
-	}
-	return blk.Hash(), true
-}
-
-// LedgerBlocks reads how many txBlocks the server retains — the quantity
-// checkpoint compaction bounds.
-func (e *Env) LedgerBlocks(id types.ServerID) (int, bool) {
-	return e.dep.Nodes[id-1].Store().RetainedTxBlocks(), true
+	return e.dep.BlockHash(id, seq)
 }
 
 // Timing reports the live tolerances: liveness slack and stall margin.
-func (e *Env) Timing() (float64, time.Duration) { return e.cfg.Slack, stallMargin }
+func (e *Env) Timing() (float64, time.Duration) { return livenessSlack, stallMargin }

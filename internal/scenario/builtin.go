@@ -304,8 +304,9 @@ func Get(name string) (*Scenario, bool) {
 // job replays mined regressions without enumerating them. Registration
 // rejects duplicate scenario names: two library entries (or a corpus file
 // shadowing a built-in) sharing a name would silently run one timeline
-// twice and the other never. Suite drivers — the parallel sim grid and the
-// sequential live runner — share it.
+// twice and the other never. The invariants are seed-independent claims, so
+// the nightly sweep runs the suite across a band of offsets to flush out
+// schedule-dependent bugs any single seed would miss.
 func List(names []string, seedOffset int64) ([]*Scenario, error) {
 	var lib []*Scenario
 	if len(names) == 0 {
@@ -355,38 +356,23 @@ func List(names []string, seedOffset int64) ([]*Scenario, error) {
 	return lib, nil
 }
 
-// SuiteOf builds a figure grid running the named scenarios (all built-ins
-// when names is empty). Each scenario is one independent grid cell, so the
-// suite parallelizes and reproduces exactly like every other experiment.
-// reports is filled in cell order during Grid.Run.
-func SuiteOf(names []string) (g *harness.Grid, reports []*Report, err error) {
-	return SuiteSeeded(names, 0)
-}
-
-// SuiteSeeded is SuiteOf with every scenario's RNG seed shifted by
-// seedOffset. The invariants are seed-independent claims, so the nightly CI
-// sweep runs the suite across a band of offsets to flush out
-// schedule-dependent protocol bugs that any single seed would miss.
-func SuiteSeeded(names []string, seedOffset int64) (g *harness.Grid, reports []*Report, err error) {
-	lib, err := List(names, seedOffset)
-	if err != nil {
-		return nil, nil, err
-	}
-	g = &harness.Grid{
-		Name:  "Chaos scenarios",
-		Notes: "declarative fault timelines on the simulated cluster; ok=1 means every invariant (safety, steady-state, liveness/recovery) held",
-	}
+// Suite builds the grid that runs lib, one scenario per independent cell, in
+// worlds built by newEnv; the caller names the grid and sizes its pool
+// (simulated cells parallelize and reproduce exactly like every other
+// experiment; live cells share the wall clock, so their grid runs with one
+// worker). reports is filled in cell order during Grid.Run.
+func Suite(lib []*Scenario, newEnv func(harness.Options) (Environment, error)) (g *harness.Grid, reports []*Report) {
+	g = &harness.Grid{}
 	reports = make([]*Report, len(lib))
 	for i, s := range lib {
 		i, s := i, s
 		g.Specs = append(g.Specs, harness.ExperimentSpec{
 			Label: s.Name,
 			Measure: func(*harness.ExperimentSpec) []harness.Row {
-				rep := s.Run()
-				reports[i] = rep
-				return []harness.Row{rep.Row()}
+				reports[i] = s.RunWith(newEnv)
+				return []harness.Row{reports[i].Row()}
 			},
 		})
 	}
-	return g, reports, nil
+	return g, reports
 }

@@ -3,78 +3,64 @@ package scenario
 import (
 	"time"
 
-	"prestigebft/internal/faults"
+	"prestigebft/internal/client"
 	"prestigebft/internal/harness"
 	"prestigebft/internal/types"
 )
 
-// Environment is the protocol-facing seam between a declarative scenario
-// and the world it runs in. Event application, invariant checking, and
-// reporting are written against this interface only, so the same scenario
-// definition produces verdicts in every world that can implement it: the
-// deterministic discrete-event simulator (simenv.go, one harness.Cluster)
-// and the live loopback-TCP cluster (internal/liveharness, real
-// runtime.Runtime processes with transport-level fault injection).
+// Environment is the seam between the scenario engine and the world a run
+// happens in: the deterministic discrete-event simulator (simenv.go, one
+// harness.Cluster) or a live loopback-TCP cluster (internal/liveharness,
+// real runtime.Runtime replicas behind a transport fault layer).
 //
-// All times are scenario time: offsets from cluster start in the
-// scenario's own clock. The simulator equates scenario time with virtual
-// time; a live environment maps it onto wall-clock deadlines (optionally
-// scaled) and reports its measurement tolerances through Timing.
+// A world implements only what is physics there: the clock and the
+// lifecycle, stopping and restarting a server, and applying a fabric state
+// to its links. Everything else is the engine's and written once: which
+// fault state is in force (Fabric, mutated by the Actions), swapping a
+// server's Byzantine behaviour (through the Deployment's wrappers), and
+// every observation the verdicts are computed from, read directly from the
+// Deployment and the Metrics both worlds host.
 //
-// The lifecycle is strict: Schedule all events, then Start, then RunUntil
-// (monotonic), then Close, then observe. Observation methods must be safe
-// after Close — a live environment only guarantees race-free ledger reads
-// once everything is stopped.
+// All times are scenario time: offsets from cluster start. The simulator
+// equates scenario time with virtual time; a live environment maps it onto
+// wall-clock deadlines and reports its measurement tolerances through
+// Timing.
+//
+// The lifecycle is strict: Schedule, then Start, then RunUntil (monotonic),
+// then Close, then read the ledgers. Deployment's ledger reads are only
+// race-free after Close in a live world; Metrics and ClientStats are safe
+// at any point of a run.
 type Environment interface {
-	// N returns the number of servers in the deployment.
-	N() int
-
 	// Schedule registers fn to run at the absolute scenario-time offset
-	// at. Must only be called before Start.
+	// at. Must only be called before Start. Functions due at the same
+	// offset run in registration order.
 	Schedule(at time.Duration, fn func())
 	// Start boots the servers and the client workload.
 	Start()
 	// RunUntil advances (simulator) or blocks (live) until scenario time
 	// reaches at. Calls must be monotonically non-decreasing.
 	RunUntil(at time.Duration)
-	// Close tears the environment down. Idempotent. After Close the
-	// observation methods below remain usable.
+	// Close tears the environment down. Idempotent.
 	Close()
 
-	// Injection primitives — one per Action. Implementations recompute the
-	// full fabric state from the declared crash/partition sets on every
-	// change, so overlapping faults compose instead of clobbering.
+	// Crash fail-stops a server; Recover brings it back over the ledger it
+	// kept, behind whatever fabric is in force.
 	Crash(id types.ServerID)
 	Recover(id types.ServerID)
-	Partition(groups [][]types.ServerID)
-	Heal()
-	SetFault(id types.ServerID, spec faults.Spec)
-	Degrade(extra, jitter time.Duration, drop float64)
-	Restore()
+	// SetFabric makes f the fault state of every link, replacing the
+	// previous one. It composes with Crash and Recover: neither undoes the
+	// other.
+	SetFabric(f Fabric)
 
-	// Progress returns the run's protocol counters so far.
-	Progress() Progress
-	// TPS returns committed transactions per second over [from, to).
-	TPS(from, to time.Duration) float64
-	// CollectStats folds client-side statistics (latencies, complaints)
-	// into the environment's aggregates; call before LatencyPercentile.
-	CollectStats()
-	// LatencyPercentile returns the p-th percentile (0-100) client-observed
-	// commit latency.
-	LatencyPercentile(p float64) time.Duration
-	// ChainHeight returns a server's committed chain height. ok is false
-	// when the server does not expose a readable ledger (baseline
-	// replicas without a PrestigeBFT store).
-	ChainHeight(id types.ServerID) (h types.SeqNum, ok bool)
-	// BlockHash returns the hash of the committed block at seq on the
-	// given server, for committed-prefix safety comparison. ok is false
-	// when the server has no readable ledger OR the block was compacted
-	// away below the server's certified log base (the certificate already
-	// proves prefix agreement there, so safety checking skips it).
-	BlockHash(id types.ServerID, seq types.SeqNum) (d types.Digest, ok bool)
-	// LedgerBlocks returns how many txBlocks the server currently retains —
-	// the quantity checkpoint compaction bounds. ok mirrors ChainHeight.
-	LedgerBlocks(id types.ServerID) (blocks int, ok bool)
+	// Deployment is the replicas, fault wrappers and options of the run.
+	Deployment() *harness.Deployment
+	// Metrics is the run's collector of commits and protocol traces.
+	Metrics() *harness.Metrics
+	// ClientStats returns every workload client's statistics so far.
+	ClientStats() []client.Stats
+	// Traffic returns the messages and bytes offered to the fabric so far,
+	// over all endpoints.
+	Traffic() (msgs, bytes uint64)
 	// Timing returns the environment's measurement tolerances: slack
 	// multiplies liveness bounds (wall-clock runs pay scheduling and
 	// real-crypto overheads the simulator does not model), and margin
@@ -84,31 +70,19 @@ type Environment interface {
 	Timing() (slack float64, margin time.Duration)
 }
 
-// Progress is a snapshot of an environment's protocol counters, the
-// common observable surface behind Report.
-type Progress struct {
-	// Commits counts committed blocks (deduplicated across servers);
-	// TotalTxs the transactions inside them.
-	Commits  int
-	TotalTxs int
-
-	ViewChanges int
-	Elections   int
-	SyncUps     int
-	// Checkpoints counts assembled checkpoint certificates (log
-	// compactions); Snapshots counts certified-snapshot installations —
-	// catch-ups that skipped compacted history instead of replaying it.
-	Checkpoints int
-	Snapshots   int
-
-	// Msgs and Bytes aggregate fabric traffic (all endpoints).
-	Msgs  uint64
-	Bytes uint64
-}
-
-// NewSimEnv builds the simulated environment for one scenario run: a fresh
-// harness.Cluster driven entirely in virtual time. It is the default
-// environment Run uses, and the reference implementation of the interface.
-func NewSimEnv(o harness.Options) (Environment, error) {
-	return newSimEnv(o), nil
+// Fabric is the network fault state of a run: the partition and the
+// gray-failure layer in force. The engine holds the one declared value,
+// the Actions edit it, and every edit is handed whole to
+// Environment.SetFabric, so a world never has to remember what was
+// declared before — only apply what it is given. An action installs a fresh
+// Groups map or Degrade, never edits one in place, so a world may keep the
+// value it was handed. The zero value is the healthy fabric at the
+// deployment's base profile.
+type Fabric struct {
+	// Groups assigns servers to partition groups; servers in different
+	// groups cannot talk, an unlisted server is in group 0, and nil means
+	// no partition. Clients keep reaching every server.
+	Groups map[types.ServerID]int
+	// Degrade, when non-nil, is the gray-failure layer on every link.
+	Degrade *Degrade
 }

@@ -77,8 +77,9 @@ func (sc *metricScrapes) setPostHeal(m map[types.ServerID]metrics.Snapshot) {
 }
 
 // evaluateMetrics checks the declared metric invariants against the three
-// scrape points, appending violations to the report.
-func (s *Scenario) evaluateMetrics(sc *metricScrapes, rep *Report) {
+// scrape points, appending violations to the report. quorum is how many
+// replicas a growth check must be able to compare before it means anything.
+func (s *Scenario) evaluateMetrics(sc *metricScrapes, quorum int, rep *Report) {
 	m := s.Invariants.Metrics
 	if !m.active() || sc == nil {
 		return
@@ -122,33 +123,37 @@ func (s *Scenario) evaluateMetrics(sc *metricScrapes, rep *Report) {
 		}
 	}
 	if m.MaxGoroutineGrowth > 0 {
-		for _, id := range types.SortedKeys(sc.steady) {
-			fin, ok := sc.final[id]
-			if !ok {
-				continue
-			}
-			before, _ := sc.steady[id].Value("go_goroutines")
-			after, _ := fin.Value("go_goroutines")
-			if after > before+m.MaxGoroutineGrowth {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("metrics: server %d go_goroutines grew %.0f → %.0f, over the +%.0f allowance — goroutine leak",
-						id, before, after, m.MaxGoroutineGrowth))
-			}
-		}
+		sc.compare(rep, quorum, "go_goroutines", func(before float64) float64 { return before + m.MaxGoroutineGrowth },
+			fmt.Sprintf("over the +%.0f allowance — goroutine leak", m.MaxGoroutineGrowth))
 	}
 	if m.MaxHeapGrowthFactor > 0 {
-		for _, id := range types.SortedKeys(sc.steady) {
-			fin, ok := sc.final[id]
-			if !ok {
-				continue
-			}
-			before, _ := sc.steady[id].Value("go_memstats_heap_inuse_bytes")
-			after, _ := fin.Value("go_memstats_heap_inuse_bytes")
-			if after > before*m.MaxHeapGrowthFactor+heapNoiseFloor {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("metrics: server %d heap_inuse grew %.0f → %.0f bytes, over %.1fx + noise floor — memory not flat",
-						id, before, after, m.MaxHeapGrowthFactor))
-			}
+		sc.compare(rep, quorum, "go_memstats_heap_inuse_bytes", func(before float64) float64 { return before*m.MaxHeapGrowthFactor + heapNoiseFloor },
+			fmt.Sprintf("over %.1fx + noise floor — memory not flat", m.MaxHeapGrowthFactor))
+	}
+}
+
+// compare checks one gauge's growth from the steady scrape to the final one
+// on every replica present in both. Churn may hide a replica from a scrape,
+// so the check works on the intersection — but an intersection thinner than
+// a quorum means the scrapes say nothing, which is itself a violation.
+func (sc *metricScrapes) compare(rep *Report, quorum int, gauge string, bound func(before float64) float64, over string) {
+	compared := 0
+	for _, id := range types.SortedKeys(sc.steady) {
+		fin, ok := sc.final[id]
+		if !ok {
+			continue
 		}
+		compared++
+		before, _ := sc.steady[id].Value(gauge)
+		after, _ := fin.Value(gauge)
+		if after > bound(before) {
+			rep.Violations = append(rep.Violations,
+				fmt.Sprintf("metrics: server %d %s grew %.0f → %.0f, %s", id, gauge, before, after, over))
+		}
+	}
+	if compared < quorum {
+		rep.Violations = append(rep.Violations,
+			fmt.Sprintf("metrics: %s comparable on only %d replicas present in both the steady and the final scrape; need a quorum of %d",
+				gauge, compared, quorum))
 	}
 }

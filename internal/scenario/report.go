@@ -20,6 +20,9 @@ type Report struct {
 
 	// Client-observed commit latency percentiles over the whole run.
 	P50, P95, P99 time.Duration
+	// SteadyP99 is the warm-up window's p99, taken only when
+	// Invariants.MaxP99Factor compares against it.
+	SteadyP99 time.Duration
 
 	// Recovery is how long after the last event throughput returned to the
 	// declared fraction of steady state; -1 when not measured or never.
@@ -83,6 +86,9 @@ func (r *Report) String() string {
 	}
 	fmt.Fprintf(&b, "%-34s %s  steady=%.0f tps  final=%.0f tps  p99=%v",
 		r.Scenario, verdict, r.SteadyTPS, r.FinalTPS, r.P99.Round(time.Millisecond))
+	if r.SteadyP99 > 0 {
+		fmt.Fprintf(&b, " (warmup %v)", r.SteadyP99.Round(time.Millisecond))
+	}
 	if r.Recovery >= 0 {
 		fmt.Fprintf(&b, "  recovery=%v", r.Recovery.Round(10*time.Millisecond))
 	}

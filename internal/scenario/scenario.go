@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"prestigebft/internal/harness"
+	"prestigebft/internal/sim"
 	"prestigebft/internal/types"
 )
 
@@ -69,6 +70,11 @@ type Invariants struct {
 	// claim of checkpoint compaction. Servers below the bound's reach
 	// (crashed at the end) are still checked: their ledgers are readable.
 	MaxLedgerBlocks int
+	// MaxP99Factor, when nonzero, bounds client-observed p99 latency over
+	// the whole run to this multiple of the warm-up window's p99, plus
+	// 100 ms: a cluster that gets slower as it ages drifts past it. Only
+	// for timelines whose faults clients are not meant to feel.
+	MaxP99Factor float64
 	// Metrics declares scrape-backed invariants (metrics.go): the
 	// steady-state hypothesis and recovery detection read from each
 	// replica's /metrics endpoint instead of in-process counters. Evaluated
@@ -315,9 +321,10 @@ func (s *Scenario) RunWith(newEnv func(harness.Options) (Environment, error)) *R
 		return rep
 	}
 	defer env.Close()
+	r := &run{env: env}
 	for _, ev := range s.Events {
 		a := ev.Action
-		env.Schedule(ev.At, func() { a.apply(env) })
+		env.Schedule(ev.At, func() { a.apply(r) })
 	}
 
 	// Metric-backed invariants need scrape points; they exist only where
@@ -347,7 +354,8 @@ func (s *Scenario) RunWith(newEnv func(harness.Options) (Environment, error)) *R
 	}
 	warm := s.warmup()
 	env.RunUntil(warm)
-	rep.SteadyTPS = env.TPS(0, warm)
+	met := env.Metrics()
+	rep.SteadyTPS = met.TPS(0, sim.Duration(warm))
 	if rep.SteadyTPS == 0 {
 		rep.Violations = append(rep.Violations,
 			fmt.Sprintf("steady-state: no commits during the %v warmup, refusing to inject faults into an unhealthy cluster", warm))
@@ -355,6 +363,10 @@ func (s *Scenario) RunWith(newEnv func(harness.Options) (Environment, error)) *R
 	}
 	if scrapes != nil {
 		scrapes.steady = me.ScrapeAll()
+	}
+	if s.Invariants.MaxP99Factor > 0 {
+		met.SetClientStats(env.ClientStats())
+		rep.SteadyP99 = met.LatencyPercentile(99)
 	}
 	env.RunUntil(s.Span)
 	if scrapes != nil {
@@ -365,33 +377,37 @@ func (s *Scenario) RunWith(newEnv func(harness.Options) (Environment, error)) *R
 	env.Close()
 
 	s.evaluate(env, rep)
-	s.evaluateMetrics(scrapes, rep)
+	s.evaluateMetrics(scrapes, types.QuorumSize(env.Deployment().Opts.N), rep)
 	return rep
 }
 
-// evaluate fills the report's metrics and checks every declared invariant,
-// reading only through the Environment seam.
+// p99Slack forgives scheduler noise in the MaxP99Factor check.
+const p99Slack = 100 * time.Millisecond
+
+// evaluate fills the report's metrics and checks every declared invariant
+// against the closed environment's deployment and collector.
 func (s *Scenario) evaluate(env Environment, rep *Report) {
-	env.CollectStats()
-	rep.P50 = env.LatencyPercentile(50)
-	rep.P95 = env.LatencyPercentile(95)
-	rep.P99 = env.LatencyPercentile(99)
-	pr := env.Progress()
-	rep.Commits = pr.Commits
-	rep.TotalTxs = pr.TotalTxs
-	rep.ViewChanges = pr.ViewChanges
-	rep.Elections = pr.Elections
-	rep.SyncUps = pr.SyncUps
-	rep.Checkpoints = pr.Checkpoints
-	rep.Snapshots = pr.Snapshots
-	rep.Msgs = pr.Msgs
-	rep.Bytes = pr.Bytes
+	dep, met := env.Deployment(), env.Metrics()
+	tps := func(from, to time.Duration) float64 { return met.TPS(sim.Duration(from), sim.Duration(to)) }
+	met.SetClientStats(env.ClientStats())
+	rep.P50 = met.LatencyPercentile(50)
+	rep.P95 = met.LatencyPercentile(95)
+	rep.P99 = met.LatencyPercentile(99)
+	c := met.Counters()
+	rep.Commits = c.Commits
+	rep.TotalTxs = c.TotalTxs
+	rep.ViewChanges = c.ViewChangesStarted
+	rep.Elections = c.Elections
+	rep.SyncUps = c.SyncUps
+	rep.Checkpoints = c.Checkpoints
+	rep.Snapshots = c.SnapshotInstalls
+	rep.Msgs, rep.Bytes = env.Traffic()
 	lastAt := s.lastEventAt()
-	rep.FinalTPS = env.TPS(lastAt, s.Span)
+	rep.FinalTPS = tps(lastAt, s.Span)
 
 	// Safety: every pair of replicas agrees on the common prefix of their
 	// committed chains (no conflicting commits at any sequence number).
-	rep.Violations = append(rep.Violations, safetyViolations(env)...)
+	rep.Violations = append(rep.Violations, safetyViolations(dep)...)
 
 	inv := s.Invariants
 	slack, margin := env.Timing()
@@ -399,7 +415,7 @@ func (s *Scenario) evaluate(env Environment, rep *Report) {
 		target := s.recoveryFraction() * rep.SteadyTPS
 		const step = 250 * time.Millisecond
 		for t := lastAt; t+recoveryWindow <= s.Span; t += step {
-			if env.TPS(t, t+recoveryWindow) >= target {
+			if tps(t, t+recoveryWindow) >= target {
 				rep.Recovery = t - lastAt
 				break
 			}
@@ -423,10 +439,10 @@ func (s *Scenario) evaluate(env Environment, rep *Report) {
 		// quorum-removing event landed (zero on the simulator).
 		from := inv.StallFrom + margin
 		if from < inv.StallTo {
-			if tps := env.TPS(from, inv.StallTo); tps > 0 {
+			if got := tps(from, inv.StallTo); got > 0 {
 				rep.Violations = append(rep.Violations,
 					fmt.Sprintf("stall: %.0f tps committed during (%v, %v], a window where no quorum exists — possible quorum-intersection bug",
-						tps, from, inv.StallTo))
+						got, from, inv.StallTo))
 			}
 		}
 	}
@@ -442,10 +458,21 @@ func (s *Scenario) evaluate(env Environment, rep *Report) {
 	if inv.RequireSnapshot && rep.Snapshots == 0 {
 		rep.Violations = append(rep.Violations, "no certified snapshot installed: catch-up replayed history instead of using the snapshot path")
 	}
+	if inv.MaxP99Factor > 0 {
+		bound := time.Duration(float64(rep.SteadyP99)*inv.MaxP99Factor) + p99Slack
+		switch {
+		case rep.SteadyP99 == 0:
+			rep.Violations = append(rep.Violations, "latency: no client latencies collected during the warmup")
+		case rep.P99 > bound:
+			rep.Violations = append(rep.Violations,
+				fmt.Sprintf("latency: p99 %v during the warmup, %v over the whole run, bound is %v — latency drifting",
+					rep.SteadyP99, rep.P99, bound))
+		}
+	}
 	if inv.MaxLedgerBlocks > 0 {
-		for i := 1; i <= env.N(); i++ {
+		for i := 1; i <= dep.Opts.N; i++ {
 			id := types.ServerID(i)
-			if blocks, ok := env.LedgerBlocks(id); ok && blocks > inv.MaxLedgerBlocks {
+			if blocks, ok := dep.RetainedBlocks(id); ok && blocks > inv.MaxLedgerBlocks {
 				rep.Violations = append(rep.Violations,
 					fmt.Sprintf("compaction: server %d retains %d txBlocks, bound is %d — the ledger is not bounded",
 						id, blocks, inv.MaxLedgerBlocks))
@@ -454,12 +481,12 @@ func (s *Scenario) evaluate(env Environment, rep *Report) {
 	}
 	if id := inv.CatchUpServer; id != 0 {
 		var maxH types.SeqNum
-		for i := 1; i <= env.N(); i++ {
-			if h, ok := env.ChainHeight(types.ServerID(i)); ok && h > maxH {
+		for i := 1; i <= dep.Opts.N; i++ {
+			if h, ok := dep.ChainHeight(types.ServerID(i)); ok && h > maxH {
 				maxH = h
 			}
 		}
-		h, ok := env.ChainHeight(id)
+		h, ok := dep.ChainHeight(id)
 		if !ok {
 			rep.Violations = append(rep.Violations, fmt.Sprintf("catch-up server %d is not a PrestigeBFT node", id))
 		} else if h+s.catchUpLag() < maxH {
@@ -480,11 +507,11 @@ func (s *Scenario) evaluate(env Environment, rep *Report) {
 // replica's log base always exists below the heads being compared, and the
 // pruned region itself is covered by its checkpoint certificate (2f+1
 // matching state hashes).
-func safetyViolations(env Environment) []string {
+func safetyViolations(dep *harness.Deployment) []string {
 	var out []string
 	var maxH types.SeqNum
-	for i := 1; i <= env.N(); i++ {
-		if h, ok := env.ChainHeight(types.ServerID(i)); ok && h > maxH {
+	for i := 1; i <= dep.Opts.N; i++ {
+		if h, ok := dep.ChainHeight(types.ServerID(i)); ok && h > maxH {
 			maxH = h
 		}
 	}
@@ -493,12 +520,12 @@ func safetyViolations(env Environment) []string {
 	for seq := types.SeqNum(1); seq <= maxH; seq++ {
 		var ref types.Digest
 		refID := types.ServerID(0)
-		for i := 1; i <= env.N(); i++ {
+		for i := 1; i <= dep.Opts.N; i++ {
 			id := types.ServerID(i)
 			if bad[id] {
 				continue
 			}
-			h, ok := env.BlockHash(id, seq)
+			h, ok := dep.BlockHash(id, seq)
 			if !ok {
 				continue // no ledger, above this replica's head, or compacted
 			}

@@ -8,6 +8,7 @@ import (
 
 	"prestigebft/internal/faults"
 	"prestigebft/internal/harness"
+	"prestigebft/internal/metrics"
 	"prestigebft/internal/sim"
 	"prestigebft/internal/types"
 )
@@ -49,10 +50,11 @@ func TestSuiteAllInvariantsHold(t *testing.T) {
 		t.Skip("chaos suite is seconds of wall clock; skipped with -short")
 	}
 	t.Parallel()
-	g, reports, err := SuiteOf(nil)
+	lib, err := List(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g, reports := Suite(lib, NewSimEnv)
 	res := g.Run()
 	if len(res.Rows) != len(reports) {
 		t.Fatalf("suite produced %d rows for %d scenarios", len(res.Rows), len(reports))
@@ -86,9 +88,11 @@ func TestScenarioDeterministicReplay(t *testing.T) {
 	}
 
 	names := []string{"leader-crash-midview", "dynamic-fault-migration"}
-	g1, _, _ := SuiteOf(names)
+	lib1, _ := List(names, 0)
+	g1, _ := Suite(lib1, NewSimEnv)
 	g1.Workers = 1
-	gN, _, _ := SuiteOf(names)
+	libN, _ := List(names, 0)
+	gN, _ := Suite(libN, NewSimEnv)
 	gN.Workers = 4
 	j1, err := g1.Run().JSON()
 	if err != nil {
@@ -331,5 +335,35 @@ func TestActionDescriptions(t *testing.T) {
 		if got := a.String(); got != want {
 			t.Errorf("%T.String() = %q, want %q", a, got, want)
 		}
+	}
+}
+
+// TestMetricGrowthNeedsQuorum: a goroutine or heap bound compares the steady
+// and the final scrape replica by replica; when churn leaves fewer than 2f+1
+// replicas in both, the check has seen nothing and must say so, not pass.
+func TestMetricGrowthNeedsQuorum(t *testing.T) {
+	t.Parallel()
+	snap := func(goroutines float64) metrics.Snapshot {
+		return metrics.Snapshot{"go_goroutines": goroutines, "go_memstats_heap_inuse_bytes": 8 << 20}
+	}
+	all := map[types.ServerID]metrics.Snapshot{1: snap(40), 2: snap(40), 3: snap(40), 4: snap(40)}
+	s := &Scenario{Invariants: Invariants{Metrics: &MetricInvariants{MaxGoroutineGrowth: 32, MaxHeapGrowthFactor: 4}}}
+
+	rep := &Report{}
+	s.evaluateMetrics(&metricScrapes{steady: all, final: map[types.ServerID]metrics.Snapshot{1: snap(50), 2: snap(50), 4: snap(50)}}, 3, rep)
+	if !rep.OK() {
+		t.Errorf("three comparable replicas inside the bounds: got %v", rep.Violations)
+	}
+
+	rep = &Report{}
+	s.evaluateMetrics(&metricScrapes{steady: all, final: map[types.ServerID]metrics.Snapshot{1: snap(50), 2: snap(50)}}, 3, rep)
+	if len(rep.Violations) != 2 || !strings.Contains(rep.Violations[0], "need a quorum of 3") || !strings.Contains(rep.Violations[1], "need a quorum of 3") {
+		t.Errorf("two comparable replicas: got %v, want one quorum violation per bound", rep.Violations)
+	}
+
+	rep = &Report{}
+	s.evaluateMetrics(&metricScrapes{steady: all, final: map[types.ServerID]metrics.Snapshot{1: snap(50), 2: snap(90), 3: snap(50)}}, 3, rep)
+	if len(rep.Violations) != 1 || !strings.Contains(rep.Violations[0], "server 2 go_goroutines grew 40 → 90") {
+		t.Errorf("a leaking replica among three: got %v", rep.Violations)
 	}
 }

@@ -118,7 +118,8 @@ type Network struct {
 	handlers map[Addr]Handler
 	linkFree map[[2]Addr]Time // next time the directed link is idle
 	lastArr  map[[2]Addr]Time // last delivery time per link (TCP in-order)
-	cut      map[[2]Addr]bool // severed directed links (partitions, crashes)
+	down     map[Addr]bool    // crashed servers
+	group    map[uint32]int   // server ID → partition group; nil = no partition
 
 	// Stats
 	Sent      uint64
@@ -138,22 +139,44 @@ func NewNetwork(sched *Scheduler, cfg NetworkConfig) *Network {
 		handlers: make(map[Addr]Handler),
 		linkFree: make(map[[2]Addr]Time),
 		lastArr:  make(map[[2]Addr]Time),
-		cut:      make(map[[2]Addr]bool),
+		down:     make(map[Addr]bool),
 	}
 }
 
 // Register installs the delivery handler for an endpoint.
 func (n *Network) Register(at Addr, h Handler) { n.handlers[at] = h }
 
-// SetCut severs or restores the directed link from → to. Severed links drop
-// all traffic, modeling crashes and partitions.
-func (n *Network) SetCut(from, to Addr, cut bool) {
-	key := [2]Addr{from, to}
-	if cut {
-		n.cut[key] = true
+// SetDown crashes (or recovers) a server: while it is down every link to and
+// from it, client links included, drops all traffic. Independent of
+// SetGroups, so recovering under a partition leaves the server partitioned
+// and healing a partition leaves a crashed server crashed.
+func (n *Network) SetDown(server uint16, down bool) {
+	if down {
+		n.down[ServerAddr(server)] = true
 	} else {
-		delete(n.cut, key)
+		delete(n.down, ServerAddr(server))
 	}
+}
+
+// SetGroups partitions the server plane: servers whose IDs map to different
+// groups cannot talk (an unlisted server is in group 0). nil heals. Clients
+// keep reaching every server that is up.
+func (n *Network) SetGroups(group map[uint32]int) { n.group = group }
+
+// severed reports whether the directed link from → to drops everything: an
+// end is a crashed server, or both ends are servers in different groups. A
+// server's link to itself never leaves the machine, so it is never severed.
+func (n *Network) severed(from, to Addr) bool {
+	if from == to {
+		return false
+	}
+	if n.down[from] || n.down[to] {
+		return true
+	}
+	if n.group == nil || from.Client || to.Client {
+		return false
+	}
+	return n.group[from.ID] != n.group[to.ID]
 }
 
 // SetLatency swaps the propagation model at runtime (chaos scenarios degrade
@@ -176,17 +199,6 @@ func (n *Network) SetBandwidth(bps float64) { n.cfg.Bandwidth = bps }
 // scenarios restore after a degradation window).
 func (n *Network) Config() NetworkConfig { return n.cfg }
 
-// Isolate severs or restores all links to and from an endpoint.
-func (n *Network) Isolate(at Addr, isolated bool) {
-	for other := range n.handlers {
-		if other == at {
-			continue
-		}
-		n.SetCut(at, other, isolated)
-		n.SetCut(other, at, isolated)
-	}
-}
-
 // Send queues a message for delivery. size is the modeled wire size in
 // bytes; it drives bandwidth serialization. Delivery order between a pair of
 // endpoints follows the per-link FIFO queue (TCP-like), but different links
@@ -194,7 +206,7 @@ func (n *Network) Isolate(at Addr, isolated bool) {
 func (n *Network) Send(from, to Addr, payload any, size int) {
 	n.Sent++
 	n.Bytes += uint64(size)
-	if n.cut[[2]Addr{from, to}] {
+	if n.severed(from, to) {
 		n.Dropped++
 		return
 	}

@@ -17,7 +17,7 @@ func TestNetworkDeliveryStats(t *testing.T) {
 	n.Register(b, func(Addr, any, int) {})
 
 	n.Send(a, b, "ok", 100)
-	n.SetCut(a, b, true)
+	n.SetDown(2, true)
 	n.Send(a, b, "cut", 50)
 	n.Send(a, ghost, "void", 25)
 	s.RunUntil(Duration(time.Second))
@@ -39,9 +39,9 @@ func TestNetworkDeliveryStats(t *testing.T) {
 	}
 }
 
-// TestNetworkPartitionIsolation: cutting both directions between two groups
-// stops all cross-group traffic while intra-group links stay live — the
-// primitive behind scenario partitions.
+// TestNetworkPartitionIsolation: servers in different groups exchange
+// nothing while intra-group links stay live — the primitive behind scenario
+// partitions.
 func TestNetworkPartitionIsolation(t *testing.T) {
 	s := NewScheduler(12)
 	n := NewNetwork(s, NetworkConfig{Latency: FixedLatency(time.Millisecond)})
@@ -52,12 +52,7 @@ func TestNetworkPartitionIsolation(t *testing.T) {
 		n.Register(a, func(Addr, any, int) { got[a]++ })
 	}
 	// Partition {1,2} | {3,4}.
-	for _, x := range addrs[:2] {
-		for _, y := range addrs[2:] {
-			n.SetCut(x, y, true)
-			n.SetCut(y, x, true)
-		}
-	}
+	n.SetGroups(map[uint32]int{1: 1, 2: 1})
 	for _, from := range addrs {
 		for _, to := range addrs {
 			if from != to {
@@ -76,7 +71,7 @@ func TestNetworkPartitionIsolation(t *testing.T) {
 	}
 }
 
-// TestNetworkHealRedelivery: after healing a partition, traffic flows again
+// TestNetworkHealRedelivery: once a down server is back, traffic flows again
 // on the previously severed links and the delivery counters resume.
 func TestNetworkHealRedelivery(t *testing.T) {
 	s := NewScheduler(13)
@@ -86,14 +81,14 @@ func TestNetworkHealRedelivery(t *testing.T) {
 	n.Register(a, func(Addr, any, int) { delivered++ })
 	n.Register(b, func(Addr, any, int) { delivered++ })
 
-	n.Isolate(b, true)
+	n.SetDown(2, true)
 	n.Send(a, b, "lost", 8)
 	n.Send(b, a, "lost", 8)
 	s.RunUntil(Duration(time.Second))
 	if delivered != 0 {
-		t.Fatalf("delivered = %d during isolation, want 0", delivered)
+		t.Fatalf("delivered = %d while server 2 is down, want 0", delivered)
 	}
-	n.Isolate(b, false)
+	n.SetDown(2, false)
 	n.Send(a, b, "back", 8)
 	n.Send(b, a, "back", 8)
 	s.RunUntil(Duration(2 * time.Second))
@@ -201,5 +196,68 @@ func TestWANNetworkConfig(t *testing.T) {
 	}
 	if cfg.Bandwidth != 50<<20 {
 		t.Errorf("bandwidth = %v, want 50 MB/s", cfg.Bandwidth)
+	}
+}
+
+// TestNetworkFaultComposition: crashes (the down-set) and partitions (the
+// group map) are independent state, so they compose in either order:
+// recovering under a partition stays partitioned, healing does not un-crash,
+// a client link depends only on its server being up, and client↔client
+// links are never cut.
+func TestNetworkFaultComposition(t *testing.T) {
+	s1, s2, s3 := ServerAddr(1), ServerAddr(2), ServerAddr(3)
+	c1, c2 := ClientAddr(1), ClientAddr(2)
+	split := map[uint32]int{2: 1} // {1,3} | {2}
+
+	type link struct{ from, to Addr }
+	always := []link{{c1, c2}, {c2, c1}, {s1, s3}, {c1, s1}, {s3, c2}}
+	cases := []struct {
+		name  string
+		steps func(n *Network)
+		open  []link // besides always
+		shut  []link
+	}{
+		{"crash, partition, recover: still partitioned",
+			func(n *Network) { n.SetDown(2, true); n.SetGroups(split); n.SetDown(2, false) },
+			[]link{{c1, s2}, {s2, c1}}, []link{{s1, s2}, {s2, s1}, {s2, s3}}},
+		{"partition, crash, recover: still partitioned",
+			func(n *Network) { n.SetGroups(split); n.SetDown(2, true); n.SetDown(2, false) },
+			[]link{{c1, s2}, {s2, c1}}, []link{{s1, s2}, {s2, s1}, {s2, s3}}},
+		{"crash, partition, heal: still crashed",
+			func(n *Network) { n.SetDown(2, true); n.SetGroups(split); n.SetGroups(nil) },
+			nil, []link{{s1, s2}, {s2, s1}, {c1, s2}, {s2, c1}}},
+		{"partition, crash, heal: still crashed",
+			func(n *Network) { n.SetGroups(split); n.SetDown(2, true); n.SetGroups(nil) },
+			nil, []link{{s1, s2}, {s2, s1}, {c1, s2}, {s2, c1}}},
+		{"partitioned server stays reachable by clients",
+			func(n *Network) { n.SetGroups(split) },
+			[]link{{c1, s2}, {s2, c2}}, []link{{s1, s2}, {s3, s2}}},
+		{"recover and heal in either order: all open",
+			func(n *Network) { n.SetGroups(split); n.SetDown(2, true); n.SetGroups(nil); n.SetDown(2, false) },
+			[]link{{s1, s2}, {s2, s3}, {c1, s2}, {s2, c1}}, nil},
+	}
+	for _, tc := range cases {
+		s := NewScheduler(15)
+		n := NewNetwork(s, NetworkConfig{Latency: FixedLatency(time.Millisecond)})
+		got := make(map[link]bool)
+		for _, at := range []Addr{s1, s2, s3, c1, c2} {
+			at := at
+			n.Register(at, func(from Addr, _ any, _ int) { got[link{from, at}] = true })
+		}
+		tc.steps(n)
+		for _, l := range append(append(append([]link(nil), always...), tc.open...), tc.shut...) {
+			n.Send(l.from, l.to, "m", 8)
+		}
+		s.RunUntil(Duration(time.Second))
+		for _, l := range append(append([]link(nil), always...), tc.open...) {
+			if !got[l] {
+				t.Errorf("%s: link %v → %v is cut, want open", tc.name, l.from, l.to)
+			}
+		}
+		for _, l := range tc.shut {
+			if got[l] {
+				t.Errorf("%s: link %v → %v delivered, want cut", tc.name, l.from, l.to)
+			}
+		}
 	}
 }

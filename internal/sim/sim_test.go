@@ -111,32 +111,36 @@ func TestNetworkBandwidthSerialization(t *testing.T) {
 	}
 }
 
+// TestNetworkCutAndIsolate: a partition cuts both directions of a
+// cross-group link and only that; a down server is cut off from everyone.
 func TestNetworkCutAndIsolate(t *testing.T) {
 	s := NewScheduler(7)
 	n := NewNetwork(s, NetworkConfig{Latency: FixedLatency(time.Millisecond)})
-	a, b := ServerAddr(1), ServerAddr(2)
+	a, b, c := ServerAddr(1), ServerAddr(2), ServerAddr(3)
 	delivered := 0
-	n.Register(a, func(Addr, any, int) { delivered++ })
-	n.Register(b, func(Addr, any, int) { delivered++ })
-	n.SetCut(a, b, true)
+	for _, at := range []Addr{a, b, c} {
+		n.Register(at, func(Addr, any, int) { delivered++ })
+	}
+	n.SetGroups(map[uint32]int{2: 1}) // {1,3} | {2}
 	n.Send(a, b, "x", 10)
-	n.Send(b, a, "y", 10) // reverse direction unaffected
+	n.Send(b, a, "y", 10)
+	n.Send(a, c, "z", 10) // same side: unaffected
 	s.RunUntil(Duration(time.Second))
 	if delivered != 1 {
-		t.Fatalf("delivered = %d, want 1 (directed cut)", delivered)
+		t.Fatalf("delivered = %d, want 1 (only the same-group link)", delivered)
 	}
-	n.SetCut(a, b, false)
+	n.SetGroups(nil)
 	n.Send(a, b, "x", 10)
 	s.RunUntil(Duration(2 * time.Second))
 	if delivered != 2 {
-		t.Fatalf("delivered = %d, want 2 after restore", delivered)
+		t.Fatalf("delivered = %d, want 2 after the heal", delivered)
 	}
-	n.Isolate(b, true)
+	n.SetDown(2, true)
 	n.Send(a, b, "x", 10)
 	n.Send(b, a, "y", 10)
 	s.RunUntil(Duration(3 * time.Second))
 	if delivered != 2 {
-		t.Fatalf("delivered = %d, want 2 while isolated", delivered)
+		t.Fatalf("delivered = %d, want 2 while server 2 is down", delivered)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Link-level fault injection for live deployments, in the style of
 // toxiproxy/comcast-class tools: shape a transport's outbound traffic with
 // drop probabilities, added latency (with jitter), and hard partition
-// blocks, globally or per peer. The chaos harness drives it to replay the
+// blocks per peer. The chaos harness drives it to replay the
 // same declarative scenarios the simulator runs (internal/scenario) against
 // real TCP processes; sim.Network is the discrete-event counterpart.
 package transport
@@ -17,16 +17,6 @@ import (
 // model with func(rng *rand.Rand) time.Duration { return m.Sample(rng) }.
 type LatencySampler func(rng *rand.Rand) time.Duration
 
-// PeerFaults overrides the link condition toward one peer address.
-type PeerFaults struct {
-	// Drop is the probability an individual message to this peer is lost.
-	Drop float64
-	// Extra and Jitter add a normally distributed delay (mean Extra,
-	// stddev Jitter, floored at zero) to each message.
-	Extra  time.Duration
-	Jitter time.Duration
-}
-
 // LinkFaults shapes one Transport's outbound links. The zero value is not
 // usable; construct with NewLinkFaults. All methods are safe for concurrent
 // use — sends consult the current state at transmission-decision time, so a
@@ -34,10 +24,10 @@ type PeerFaults struct {
 // flipping netem rules under a live process.
 //
 // Faults are layered: a base profile (the deployment's emulated fabric, set
-// once), a degrade layer (gray failure, swapped at runtime), per-peer
-// overrides, and partition blocks. A message to addr is dropped if the link
-// is blocked or by the maximum of the applicable drop rates; otherwise it is
-// delayed by base + degrade + per-peer samples. The peer's send queue keeps
+// once), a degrade layer (gray failure, swapped at runtime), and partition
+// blocks. A message to addr is dropped if the link is blocked or by the
+// degrade layer's drop rate (the base one without a degrade layer); otherwise
+// it is delayed by base + degrade samples. The peer's send queue keeps
 // deliveries to one peer FIFO whatever the samples (TCP in-order semantics,
 // matching sim.Network's lastArr).
 type LinkFaults struct {
@@ -52,7 +42,6 @@ type LinkFaults struct {
 	degrading     bool
 	degradeDrop   float64
 
-	perPeer map[string]PeerFaults
 	blocked map[string]bool
 }
 
@@ -61,7 +50,6 @@ type LinkFaults struct {
 func NewLinkFaults(seed int64) *LinkFaults {
 	return &LinkFaults{
 		rng:     rand.New(rand.NewSource(seed)),
-		perPeer: make(map[string]PeerFaults),
 		blocked: make(map[string]bool),
 	}
 }
@@ -93,21 +81,6 @@ func (f *LinkFaults) Restore() {
 	f.mu.Unlock()
 }
 
-// SetPeer installs a per-peer override (chaos-utils-style asymmetric gray
-// failure on a single link).
-func (f *LinkFaults) SetPeer(addr string, pf PeerFaults) {
-	f.mu.Lock()
-	f.perPeer[addr] = pf
-	f.mu.Unlock()
-}
-
-// ClearPeer removes a per-peer override.
-func (f *LinkFaults) ClearPeer(addr string) {
-	f.mu.Lock()
-	delete(f.perPeer, addr)
-	f.mu.Unlock()
-}
-
 // SetBlocked cuts (or heals) the directed link to addr. Blocked sends are
 // silently dropped — the partition-set primitive.
 func (f *LinkFaults) SetBlocked(addr string, blocked bool) {
@@ -120,13 +93,6 @@ func (f *LinkFaults) SetBlocked(addr string, blocked bool) {
 	f.mu.Unlock()
 }
 
-// Blocked reports whether the directed link to addr is currently cut.
-func (f *LinkFaults) Blocked(addr string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.blocked[addr]
-}
-
 // plan decides the fate of one message to addr: dropped, or released to the
 // wire after delay.
 func (f *LinkFaults) plan(addr string) (drop bool, delay time.Duration) {
@@ -135,13 +101,9 @@ func (f *LinkFaults) plan(addr string) (drop bool, delay time.Duration) {
 	if f.blocked[addr] {
 		return true, 0
 	}
-	pf := f.perPeer[addr]
 	p := f.baseDrop
 	if f.degrading {
 		p = f.degradeDrop
-	}
-	if pf.Drop > p {
-		p = pf.Drop
 	}
 	if p > 0 && f.rng.Float64() < p {
 		return true, 0
@@ -151,9 +113,6 @@ func (f *LinkFaults) plan(addr string) (drop bool, delay time.Duration) {
 	}
 	if f.degrading {
 		delay += normalDelay(f.rng, f.degradeExtra, f.degradeJitter)
-	}
-	if pf.Extra > 0 || pf.Jitter > 0 {
-		delay += normalDelay(f.rng, pf.Extra, pf.Jitter)
 	}
 	return false, max(delay, 0)
 }

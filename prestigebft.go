@@ -34,6 +34,7 @@
 package prestigebft
 
 import (
+	"sort"
 	"time"
 
 	"prestigebft/internal/core"
@@ -122,7 +123,7 @@ const (
 	FaultEquivocate = faults.Equivocate
 )
 
-// NewSimCluster builds a simulated cluster. Call Start, then RunVirtual.
+// NewSimCluster builds a simulated cluster. Call Start, then Run.
 func NewSimCluster(opts ClusterOptions) *Cluster { return harness.NewCluster(opts) }
 
 // NewReputationEngine returns a reputation engine with the paper's defaults
@@ -161,12 +162,13 @@ func Experiment(name string, full bool) (string, bool) {
 	return runner(scale).String(), true
 }
 
-// ExperimentNames lists the available experiment runners.
+// ExperimentNames lists the available experiment runners, sorted.
 func ExperimentNames() []string {
 	names := make([]string, 0, len(harness.Experiments))
 	for n := range harness.Experiments {
 		names = append(names, n)
 	}
+	sort.Strings(names)
 	return names
 }
 

@@ -1,6 +1,7 @@
 package prestigebft_test
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -57,6 +58,9 @@ func TestPublicAPIExperimentRegistry(t *testing.T) {
 	names := prestigebft.ExperimentNames()
 	if len(names) < 11 {
 		t.Fatalf("experiments = %d, want >= 11", len(names))
+	}
+	if !sort.StringsAreSorted(names) {
+		t.Fatalf("experiment names are not sorted: %v", names)
 	}
 	out, ok := prestigebft.Experiment("fig4c", false)
 	if !ok || out == "" {
