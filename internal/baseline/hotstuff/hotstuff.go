@@ -139,9 +139,17 @@ type Replica struct {
 	batchArmed      bool
 	inflight        *instance
 
-	prepared   map[types.SeqNum]*types.TxBlock // follower: accepted proposals
+	prepared   map[types.SeqNum]*types.TxBlock // accepted (or, at the leader, own) proposals
 	votedPhase map[phaseKey]bool
-	lockedQC   types.QC
+	// lockedQC is the PreCommit certificate this replica locked on. While it
+	// is above the committed height the replica votes for no other block at
+	// its seq unless a later view's certificate justifies one.
+	lockedQC types.QC
+	// highLock and highLocked are the latest lock this replica learned
+	// as a scheduled leader (its own or one carried by a NewView): the block
+	// it must re-propose before anything new at that seq.
+	highLock   types.QC
+	highLocked *types.TxBlock
 
 	committedTx map[types.Digest]types.SeqNum
 	propSeen    map[types.Digest]*types.Prop
@@ -291,6 +299,7 @@ func (r *Replica) advanceView(now time.Duration, v types.View) []consensus.Effec
 	var effs []consensus.Effect
 	effs = append(effs, consensus.Trace{Event: consensus.TraceViewChangeStart, View: v, Server: r.cfg.ID})
 	nv := &NewView{From: r.cfg.ID, V: v, N: r.store.TxHeight()}
+	nv.Lock, nv.Locked = r.liveLock()
 	nv.Sig = r.cfg.Keys.Sign(nv.SigningBytes())
 	if r.leader() == r.cfg.ID {
 		effs = append(effs, r.onNewView(now, nv)...)
@@ -315,7 +324,11 @@ func (r *Replica) onNewView(now time.Duration, m *NewView) []consensus.Effect {
 			// Count our own endorsement.
 			own := &NewView{From: r.cfg.ID, V: m.V, N: r.store.TxHeight()}
 			coll.Add(r.cfg.Registry, r.cfg.ID, r.cfg.Keys.Sign(own.SigningBytes()))
+			r.learnLock(r.liveLock())
 		}
+	}
+	if m.Locked != nil && r.cfg.Registry.VerifyServer(m.From, m.SigningBytes(), m.Sig) {
+		r.learnLock(m.Lock, m.Locked)
 	}
 	if !coll.Add(r.cfg.Registry, m.From, m.Sig) {
 		return nil
@@ -346,6 +359,35 @@ func (r *Replica) onNewView(now time.Duration, m *NewView) []consensus.Effect {
 	}
 	effs = append(effs, r.maybePropose(now, true)...)
 	return effs
+}
+
+// liveLock returns this replica's lock with its block while the lock is
+// above the committed height, or zeros.
+func (r *Replica) liveLock() (types.QC, *types.TxBlock) {
+	if r.lockedQC.Seq <= r.store.TxHeight() {
+		return types.QC{}, nil
+	}
+	blk, ok := r.prepared[r.lockedQC.Seq]
+	if !ok || blk.ContentDigest() != r.lockedQC.Digest {
+		return types.QC{}, nil
+	}
+	return r.lockedQC, blk
+}
+
+// learnLock keeps the latest valid lock a scheduled leader hears of, by
+// (view, seq): blocks are proposed in non-decreasing views.
+func (r *Replica) learnLock(qc types.QC, blk *types.TxBlock) {
+	if blk == nil || (r.highLocked != nil && (qc.View < r.highLock.View ||
+		qc.View == r.highLock.View && qc.Seq <= r.highLock.Seq)) {
+		return
+	}
+	if qc.Kind != PhasePreCommit.qcKind() || qc.View != blk.Header.V || qc.Seq != blk.Header.N || qc.Digest != blk.ContentDigest() {
+		return
+	}
+	if r.cfg.Registry.VerifyQC(&qc, types.QuorumSize(r.cfg.N)) != nil {
+		return
+	}
+	r.highLock, r.highLocked = qc, &types.TxBlock{Header: blk.Header, Txs: blk.Txs}
 }
 
 // init registers the baseline with the experiment harness so clusters can

@@ -18,7 +18,11 @@ type Prepare struct {
 	N    types.SeqNum
 	Prev types.Digest
 	Txs  []types.Transaction
-	Sig  []byte
+	// Justify, when set, re-proposes a block a quorum locked on in an
+	// earlier view: it is that block's PreCommit certificate, and the block
+	// keeps the certificate's view, so every commit of it has one hash.
+	Justify types.QC
+	Sig     []byte
 }
 
 // Type implements types.Message.
@@ -30,14 +34,24 @@ func (m *Prepare) WireSize() int {
 	for i := range m.Txs {
 		size += 16 + len(m.Txs[i].Data)
 	}
+	if !m.Justify.IsZero() {
+		size += m.Justify.WireSize()
+	}
 	return size
+}
+
+// Block returns the proposed block, without certificates.
+func (m *Prepare) Block() *types.TxBlock {
+	v := m.V
+	if !m.Justify.IsZero() {
+		v = m.Justify.View
+	}
+	return &types.TxBlock{Header: types.TxBlockHeader{V: v, N: m.N, PrevHash: m.Prev, BatchLen: uint32(len(m.Txs))}, Txs: m.Txs}
 }
 
 // SigningBytes implements types.Signed.
 func (m *Prepare) SigningBytes() []byte {
-	b := &types.TxBlock{Header: types.TxBlockHeader{V: m.V, N: m.N, PrevHash: m.Prev, BatchLen: uint32(len(m.Txs))}, Txs: m.Txs}
-	d := b.ContentDigest()
-	return types.QCStatementBytes(types.QCGeneric, m.V, m.N, d)
+	return types.QCStatementBytes(types.QCGeneric, m.V, m.N, m.Block().ContentDigest())
 }
 
 // Signature implements types.Signed.
@@ -129,14 +143,26 @@ type NewView struct {
 	From types.ServerID
 	V    types.View
 	N    types.SeqNum // sender's log height, for sync decisions
-	Sig  []byte
+	// Lock is the sender's PreCommit certificate for a block above its
+	// committed height, and Locked that block; zero and nil when the sender
+	// holds no such lock. Both are self-certifying, so the signature does
+	// not cover them.
+	Lock   types.QC
+	Locked *types.TxBlock
+	Sig    []byte
 }
 
 // Type implements types.Message.
 func (m *NewView) Type() string { return "hs.NewView" }
 
 // WireSize implements types.Message.
-func (m *NewView) WireSize() int { return headerSize + 2 + 8 + 8 + sigSize }
+func (m *NewView) WireSize() int {
+	size := headerSize + 2 + 8 + 8 + sigSize
+	if m.Locked != nil {
+		size += m.Lock.WireSize() + (&types.TxBlockMsg{Block: *m.Locked}).WireSize()
+	}
+	return size
+}
 
 // SigningBytes implements types.Signed.
 func (m *NewView) SigningBytes() []byte {

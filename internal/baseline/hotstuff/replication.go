@@ -64,12 +64,30 @@ func (r *Replica) enqueue(now time.Duration, m *types.Prop) []consensus.Effect {
 	return effs
 }
 
-// maybePropose starts the Prepare phase for the next batch.
+// maybePropose starts the Prepare phase for the next decision: the block a
+// quorum may be locked on at the next seq if the leader learned of one,
+// otherwise the next batch.
 func (r *Replica) maybePropose(now time.Duration, flush bool) []consensus.Effect {
-	if !r.active || !r.isLeader() || r.inflight != nil || len(r.pending) == 0 {
+	if !r.active || !r.isLeader() || r.inflight != nil {
 		return nil
 	}
-	if !flush && len(r.pending) < r.cfg.BatchSize {
+	if blk := r.highLocked; blk != nil && blk.Header.N == r.store.TxHeight()+1 &&
+		blk.Header.PrevHash == r.store.LatestTxBlock().Hash() {
+		// Its requests leave the queue as a cut batch's would.
+		in := make(map[types.Digest]bool, len(blk.Txs))
+		for i := range blk.Txs {
+			in[blk.Txs[i].Digest()] = true
+		}
+		kept := r.pending[:0]
+		for i := range r.pending {
+			if !in[r.pending[i].Digest()] {
+				kept = append(kept, r.pending[i])
+			}
+		}
+		r.pending = kept
+		return r.propose(&types.TxBlock{Header: blk.Header, Txs: blk.Txs}, r.highLock)
+	}
+	if len(r.pending) == 0 || (!flush && len(r.pending) < r.cfg.BatchSize) {
 		return nil
 	}
 	batch := r.pending
@@ -86,16 +104,25 @@ func (r *Replica) maybePropose(now time.Duration, flush bool) []consensus.Effect
 		},
 		Txs: batch,
 	}
+	return r.propose(blk, types.QC{})
+}
+
+// propose opens the Prepare phase for blk; justify is blk's PreCommit
+// certificate when blk is re-proposed from an earlier view. Every
+// certificate over blk carries blk's own view, so however many leaders
+// drive it, its commit certificate — and so its hash — is the same.
+func (r *Replica) propose(blk *types.TxBlock, justify types.QC) []consensus.Effect {
 	digest := blk.ContentDigest()
 	inst := &instance{
 		block:  blk,
 		digest: digest,
 		phase:  PhasePrepare,
-		coll:   quorum.NewCollector(PhasePrepare.qcKind(), r.view, blk.Header.N, digest, types.QuorumSize(r.cfg.N)),
+		coll:   quorum.NewCollector(PhasePrepare.qcKind(), blk.Header.V, blk.Header.N, digest, types.QuorumSize(r.cfg.N)),
 	}
 	inst.coll.Add(r.cfg.Registry, r.cfg.ID, r.cfg.Keys.Sign(inst.coll.Statement()))
 	r.inflight = inst
-	prep := &Prepare{From: r.cfg.ID, V: r.view, N: blk.Header.N, Prev: blk.Header.PrevHash, Txs: batch}
+	r.prepared[blk.Header.N] = blk
+	prep := &Prepare{From: r.cfg.ID, V: r.view, N: blk.Header.N, Prev: blk.Header.PrevHash, Txs: blk.Txs, Justify: justify}
 	prep.Sig = r.cfg.Keys.Sign(prep.SigningBytes())
 	return []consensus.Effect{consensus.Broadcast{Msg: prep}}
 }
@@ -103,45 +130,51 @@ func (r *Replica) maybePropose(now time.Duration, flush bool) []consensus.Effect
 // --- Follower phase handling ----------------------------------------------------
 
 func (r *Replica) onPrepare(now time.Duration, m *Prepare) []consensus.Effect {
-	if m.V != r.view || m.From != r.leader() {
-		if m.V > r.view {
-			// The cluster moved on without us; adopt the higher view.
-			// (Blocks still commit only through QCs.)
-			r.view = m.V
-			r.inflight = nil
-			return append(r.armTimers(), r.onPrepare(now, m)...)
-		}
+	if m.V < r.view || m.From != LeaderOf(m.V, r.cfg.N) {
 		return nil
 	}
 	if !r.cfg.Registry.VerifyServer(m.From, m.SigningBytes(), m.Sig) {
 		return nil
 	}
+	var effs []consensus.Effect
+	if m.V > r.view {
+		// The cluster moved on without us; adopt the higher view.
+		// (Blocks still commit only through QCs.)
+		r.view = m.V
+		r.inflight = nil
+		effs = r.armTimers()
+	}
 	height := r.store.TxHeight()
 	if m.N <= height {
-		return nil
+		return effs
 	}
 	if m.N > height+1 {
 		req := &types.SyncReq{From: r.cfg.ID, Kind: types.SyncTx, Start: uint64(height), End: uint64(m.N - 1)}
-		return []consensus.Effect{consensus.Send{To: m.From, Msg: req}}
+		return append(effs, consensus.Send{To: m.From, Msg: req})
 	}
 	if m.Prev != r.store.LatestTxBlock().Hash() {
-		return nil
+		return effs
+	}
+	blk := m.Block()
+	digest := blk.ContentDigest()
+	if !m.Justify.IsZero() && (m.Justify.Kind != PhasePreCommit.qcKind() || m.Justify.Seq != m.N ||
+		m.Justify.Digest != digest || r.cfg.Registry.VerifyQC(&m.Justify, types.QuorumSize(r.cfg.N)) != nil) {
+		return effs
+	}
+	// Safety: locked on another block at this seq, vote only when a later
+	// view's PreCommit certificate justifies the proposal.
+	if r.lockedQC.Seq == m.N && r.lockedQC.Digest != digest && m.Justify.View <= r.lockedQC.View {
+		return effs
 	}
 	key := phaseKey{m.V, m.N, PhasePrepare}
 	if r.votedPhase[key] {
-		return nil
+		return effs
 	}
 	r.votedPhase[key] = true
-	blk := &types.TxBlock{
-		Header: types.TxBlockHeader{V: m.V, N: m.N, PrevHash: m.Prev, BatchLen: uint32(len(m.Txs))},
-		Txs:    m.Txs,
-	}
 	r.prepared[m.N] = blk
 	// A valid proposal is progress: reset the pacemaker.
-	effs := []consensus.Effect{
-		consensus.SetTimer{Kind: TimerView, Key: uint64(r.view), Delay: r.cfg.ViewTimeout},
-	}
-	return append(effs, r.vote(PhasePrepare, m.V, m.N, blk.ContentDigest())...)
+	effs = append(effs, consensus.SetTimer{Kind: TimerView, Key: uint64(r.view), Delay: r.cfg.ViewTimeout})
+	return append(effs, r.vote(PhasePrepare, blk.Header.V, m.N, digest)...)
 }
 
 // onPhaseAnnounce handles PreCommit (carrying PrepareQC) and Commit
@@ -167,7 +200,7 @@ func (r *Replica) onPhaseAnnounce(now time.Duration, m *PhaseAnnounce) []consens
 	default:
 		return nil
 	}
-	if m.QC.Kind != wantQC || m.QC.View != m.V || m.QC.Seq != m.N {
+	if m.QC.Kind != wantQC || m.QC.View != blk.Header.V || m.QC.Seq != m.N {
 		return nil
 	}
 	if err := r.cfg.Registry.VerifyQC(&m.QC, types.QuorumSize(r.cfg.N)); err != nil {
@@ -187,9 +220,10 @@ func (r *Replica) onPhaseAnnounce(now time.Duration, m *PhaseAnnounce) []consens
 	case PhaseCommit:
 		r.lockedQC = m.QC // lock on the PreCommit certificate
 	}
-	return r.vote(m.Phase, m.V, m.N, digest)
+	return r.vote(m.Phase, blk.Header.V, m.N, digest)
 }
 
+// vote signs a phase vote for the block at seq n, proposed in view v.
 func (r *Replica) vote(phase Phase, v types.View, n types.SeqNum, d types.Digest) []consensus.Effect {
 	vt := &Vote{From: r.cfg.ID, Phase: phase, V: v, N: n, D: d}
 	vt.Sig = r.cfg.Keys.Sign(vt.SigningBytes())
@@ -200,7 +234,7 @@ func (r *Replica) vote(phase Phase, v types.View, n types.SeqNum, d types.Digest
 
 func (r *Replica) onVote(now time.Duration, m *Vote) []consensus.Effect {
 	inst := r.inflight
-	if inst == nil || m.V != r.view || m.N != inst.block.Header.N || m.D != inst.digest || m.Phase != inst.phase {
+	if inst == nil || m.V != inst.block.Header.V || m.N != inst.block.Header.N || m.D != inst.digest || m.Phase != inst.phase {
 		return nil
 	}
 	if !inst.coll.Add(r.cfg.Registry, m.From, m.Sig) {
@@ -213,7 +247,7 @@ func (r *Replica) onVote(now time.Duration, m *Vote) []consensus.Effect {
 		inst.phase = PhasePreCommit
 		inst.coll = quorum.NewCollector(PhasePreCommit.qcKind(), m.V, m.N, inst.digest, types.QuorumSize(r.cfg.N))
 		inst.coll.Add(r.cfg.Registry, r.cfg.ID, r.cfg.Keys.Sign(inst.coll.Statement()))
-		ann := &PhaseAnnounce{From: r.cfg.ID, Phase: PhasePreCommit, V: m.V, N: m.N, QC: qc}
+		ann := &PhaseAnnounce{From: r.cfg.ID, Phase: PhasePreCommit, V: r.view, N: m.N, QC: qc}
 		ann.Sig = r.cfg.Keys.Sign(ann.SigningBytes())
 		return []consensus.Effect{consensus.Broadcast{Msg: ann}}
 	case PhasePreCommit:
@@ -221,7 +255,7 @@ func (r *Replica) onVote(now time.Duration, m *Vote) []consensus.Effect {
 		inst.phase = PhaseCommit
 		inst.coll = quorum.NewCollector(PhaseCommit.qcKind(), m.V, m.N, inst.digest, types.QuorumSize(r.cfg.N))
 		inst.coll.Add(r.cfg.Registry, r.cfg.ID, r.cfg.Keys.Sign(inst.coll.Statement()))
-		ann := &PhaseAnnounce{From: r.cfg.ID, Phase: PhaseCommit, V: m.V, N: m.N, QC: qc}
+		ann := &PhaseAnnounce{From: r.cfg.ID, Phase: PhaseCommit, V: r.view, N: m.N, QC: qc}
 		ann.Sig = r.cfg.Keys.Sign(ann.SigningBytes())
 		return []consensus.Effect{consensus.Broadcast{Msg: ann}}
 	case PhaseCommit:
@@ -251,6 +285,9 @@ func (r *Replica) onDecide(now time.Duration, m *Decide) []consensus.Effect {
 	blk := &m.Block
 	height := r.store.TxHeight()
 	if blk.Header.N <= height {
+		return nil
+	}
+	if !r.cfg.Registry.VerifyServer(m.From, m.SigningBytes(), m.Sig) {
 		return nil
 	}
 	if blk.Header.N > height+1 {

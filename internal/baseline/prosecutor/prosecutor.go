@@ -49,13 +49,14 @@ func init() {
 			TimeoutMin:       env.Opts.TimeoutMin,
 			TimeoutMax:       env.Opts.TimeoutMax,
 			ViewPolicy:       env.Opts.ViewPolicy,
-			RefreshThreshold: 0,  // Prosecutor has no refresh mechanism
-			PuzzleBitsPerRP:  -1, // difficulty enforced by the simulator's time model
+			RefreshThreshold: 0, // Prosecutor has no refresh mechanism
+			PuzzleBitsPerRP:  env.PuzzleBits,
 			RNG:              env.RNG,
 		}
 		if env.Opts.StateMachine != nil {
 			cfg.StateMachine = env.Opts.StateMachine()
 		}
+		harness.AttackerLevers(&cfg, env.Spec)
 		return New(cfg)
 	})
 }

@@ -214,6 +214,9 @@ type Replica struct {
 
 	prepared    map[types.SeqNum]*types.TxBlock
 	committedTx map[types.Digest]types.SeqNum
+	// propSeen holds every uncommitted client request this replica has
+	// seen, so whichever server the rotation makes leader proposes them.
+	propSeen map[types.Digest]*types.Prop
 }
 
 // New creates an SBFT replica.
@@ -226,6 +229,7 @@ func New(cfg Config) *Replica {
 		pendingByDigest: make(map[types.Digest]bool),
 		prepared:        make(map[types.SeqNum]*types.TxBlock),
 		committedTx:     make(map[types.Digest]types.SeqNum),
+		propSeen:        make(map[types.Digest]*types.Prop),
 	}
 }
 
@@ -277,13 +281,34 @@ func (r *Replica) OnMessage(now time.Duration, from consensus.Origin, msg types.
 	case *Proof:
 		return r.onProof(now, m)
 	case *NewView:
-		if m.V > r.view {
-			r.view = m.V
-			r.inflight = nil
-			return r.armTimers()
+		if m.V > r.view && r.cfg.Registry.VerifyServer(m.From, m.SigningBytes(), m.Sig) {
+			return r.enterView(now, m.V)
 		}
 	}
 	return nil
+}
+
+// enterView moves to view v. The in-flight decision and the proposal queue
+// are abandoned; a replica the rotation makes leader queues every
+// uncommitted request it has seen, in digest order.
+func (r *Replica) enterView(now time.Duration, v types.View) []consensus.Effect {
+	r.view = v
+	r.inflight = nil
+	r.pending = nil
+	r.pendingByDigest = make(map[types.Digest]bool)
+	effs := r.armTimers()
+	if !r.isLeader() {
+		return effs
+	}
+	for _, d := range types.SortedDigestKeys(r.propSeen) {
+		r.pendingByDigest[d] = true
+		r.pending = append(r.pending, r.propSeen[d].Tx)
+	}
+	if !r.batchArmed && len(r.pending) > 0 {
+		r.batchArmed = true
+		effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: r.cfg.BatchTimeout})
+	}
+	return append(effs, r.maybePropose(now, false)...)
 }
 
 // OnTimer implements consensus.Replica.
@@ -293,11 +318,9 @@ func (r *Replica) OnTimer(now time.Duration, kind consensus.TimerKind, key uint6
 		if types.View(key) != r.view {
 			return nil
 		}
-		r.view++
-		r.inflight = nil
-		nv := &NewView{From: r.cfg.ID, V: r.view}
+		nv := &NewView{From: r.cfg.ID, V: r.view + 1}
 		nv.Sig = r.cfg.Keys.Sign(nv.SigningBytes())
-		return append([]consensus.Effect{consensus.Broadcast{Msg: nv}}, r.armTimers()...)
+		return append([]consensus.Effect{consensus.Broadcast{Msg: nv}}, r.enterView(now, nv.V)...)
 	case TimerBatch:
 		r.batchArmed = false
 		effs := r.maybePropose(now, true)
@@ -324,10 +347,8 @@ func (r *Replica) onProp(now time.Duration, m *types.Prop) []consensus.Effect {
 	if seq, ok := r.committedTx[m.D]; ok {
 		return []consensus.Effect{r.notifyClient(m.Tx.Client, seq, m.D)}
 	}
-	if !r.isLeader() {
-		return nil
-	}
-	if r.pendingByDigest[m.D] {
+	r.propSeen[m.D] = m
+	if !r.isLeader() || r.pendingByDigest[m.D] {
 		return nil
 	}
 	r.pendingByDigest[m.D] = true
@@ -484,6 +505,9 @@ func (r *Replica) finalize(now time.Duration, inst *instance, fast bool) []conse
 
 func (r *Replica) onProof(now time.Duration, m *Proof) []consensus.Effect {
 	blk := &m.Block
+	if !r.cfg.Registry.VerifyServer(m.From, m.SigningBytes(), m.Sig) {
+		return nil
+	}
 	switch m.Stage {
 	case 1:
 		// Slow-path continuation: verify the prepare proof, send a commit
@@ -548,6 +572,7 @@ func (r *Replica) recordCommit(blk *types.TxBlock) []consensus.Effect {
 		d := tx.Digest()
 		r.committedTx[d] = blk.Header.N
 		delete(r.pendingByDigest, d)
+		delete(r.propSeen, d)
 		effs = append(effs, r.notifyClient(tx.Client, blk.Header.N, d))
 	}
 	delete(r.prepared, blk.Header.N)

@@ -188,6 +188,25 @@ type Replica interface {
 	OnPuzzleSolved(now time.Duration, token uint64, nonce []byte, hr types.Digest) []Effect
 }
 
+// Faultable is the optional contract a replica answers so that the
+// protocol-agnostic fault injector (internal/faults) can misbehave on its
+// behalf. The injector knows no protocol: each protocol answers for its own
+// messages and its own notion of leadership.
+type Faultable interface {
+	Replica
+	// Leading reports whether the replica holds leadership right now — the
+	// window in which a repeated-view-change (F4) attacker misbehaves.
+	Leading() bool
+	// Replication reports whether msg is replication traffic (client
+	// requests, proposals, votes, commits, client notifications) rather
+	// than view-change, sync or checkpoint traffic, in either direction.
+	Replication(msg types.Message) bool
+	// Forge returns a copy of msg with its authentication destroyed, the
+	// erroneous replies of attack F3. It never mutates msg; a message the
+	// protocol does not sign comes back unchanged.
+	Forge(msg types.Message) types.Message
+}
+
 // MessageCostHint lets the simulator charge CPU time per message without
 // protocol knowledge: it returns the number of signature verifications and
 // per-transaction units a replica performs when handling msg.

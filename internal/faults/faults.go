@@ -11,12 +11,17 @@
 //	     leadership whenever they are not the leader, then misbehave once
 //	     elected. Strategy S1 attacks at every opportunity; strategy S2
 //	     attacks only when the reputation engine would grant compensation.
+//	     On a passive-rotation protocol (HotStuff, SBFT) an attacker cannot
+//	     campaign: it misbehaves in the views the rotation hands it.
 //
-// A Wrapper decorates a consensus.Replica, perturbing its inputs and
-// outputs. It never reaches into protocol internals: quietness drops
-// traffic, equivocation corrupts outbound authentication, and repeated-VC
-// aggression comes from the attacker's node configuration (zero timeout
-// jitter, S2 campaign gate), exactly the levers a real attacker controls.
+// A Wrapper decorates a replica that answers consensus.Faultable, perturbing
+// its inputs and outputs. The wrapper knows no protocol: the replica answers
+// for its own messages — whether it leads, which messages are replication
+// traffic, and how to forge one. Quietness drops traffic, equivocation
+// forges outbound authentication, and repeated-VC aggression comes from the
+// attacker's replica configuration (20–25 ms campaign timeouts, S2 campaign
+// gate), exactly the levers a real attacker controls; the deployment
+// builder applies them where the protocol has them.
 package faults
 
 import (
@@ -24,7 +29,6 @@ import (
 	"time"
 
 	"prestigebft/internal/consensus"
-	"prestigebft/internal/core"
 	"prestigebft/internal/types"
 )
 
@@ -63,7 +67,7 @@ type Spec struct {
 	// Mode only while it is the leader.
 	RepeatedVC bool
 	// Smart selects strategy S2 (campaign only when compensable). Applies
-	// with RepeatedVC. The harness wires it through core.Config.CampaignGate.
+	// with RepeatedVC, on protocols whose servers campaign for leadership.
 	Smart bool
 	// HashRateScale scales the attacker's proof-of-work speed; colluding
 	// attackers performing joint computation get the collusion size f
@@ -96,17 +100,15 @@ func (s Spec) String() string {
 // mid-message), so access goes through a mutex; the simulator's
 // single-threaded calls pay one uncontended lock.
 type Wrapper struct {
-	inner consensus.Replica
-	node  *core.Node // non-nil when inner is a PrestigeBFT node (state introspection)
+	inner consensus.Faultable
 
 	mu   sync.Mutex
 	spec Spec
 }
 
-// Wrap decorates replica with the given fault spec. node may be nil for
-// baseline replicas; it enables leader-state introspection for F4.
-func Wrap(replica consensus.Replica, node *core.Node, spec Spec) *Wrapper {
-	return &Wrapper{inner: replica, node: node, spec: spec}
+// Wrap decorates replica with the given fault spec.
+func Wrap(replica consensus.Faultable, spec Spec) *Wrapper {
+	return &Wrapper{inner: replica, spec: spec}
 }
 
 // SetSpec swaps the fault spec at runtime (dynamic fault schedules: the
@@ -124,16 +126,8 @@ func (w *Wrapper) Spec() Spec {
 	return w.spec
 }
 
-// Inner returns the wrapped replica.
-func (w *Wrapper) Inner() consensus.Replica { return w.inner }
-
 // ID implements consensus.Replica.
 func (w *Wrapper) ID() types.ServerID { return w.inner.ID() }
-
-// leaderNow reports whether the wrapped node currently holds leadership.
-func (w *Wrapper) leaderNow() bool {
-	return w.node != nil && w.node.State() == core.Leader
-}
 
 // misbehaving reports whether Mode applies right now: always for pure
 // F2/F3 participants, only while leading for F4 attackers.
@@ -142,7 +136,7 @@ func (w *Wrapper) misbehaving(spec Spec) bool {
 		return false
 	}
 	if spec.RepeatedVC {
-		return w.leaderNow()
+		return w.inner.Leading()
 	}
 	return true
 }
@@ -162,7 +156,7 @@ func (w *Wrapper) OnMessage(now time.Duration, from consensus.Origin, msg types.
 	if spec.Mode == Quiet && !spec.RepeatedVC {
 		return nil // F2 participant: total silence
 	}
-	if spec.RepeatedVC && spec.Mode == Quiet && w.leaderNow() && isReplicationInput(msg) {
+	if spec.RepeatedVC && spec.Mode == Quiet && w.inner.Leading() && w.inner.Replication(msg) {
 		// F4+F2 leader: ignore replication traffic so no progress is made,
 		// while still processing view-change traffic (it wants to keep
 		// fighting for leadership and must observe its own dethroning).
@@ -198,15 +192,15 @@ func (w *Wrapper) filter(spec Spec, effs []consensus.Effect) []consensus.Effect 
 	for _, e := range effs {
 		switch ef := e.(type) {
 		case consensus.Send:
-			if m := perturb(spec, ef.Msg); m != nil {
+			if m := w.perturb(spec, ef.Msg); m != nil {
 				out = append(out, consensus.Send{To: ef.To, Msg: m})
 			}
 		case consensus.Broadcast:
-			if m := perturb(spec, ef.Msg); m != nil {
+			if m := w.perturb(spec, ef.Msg); m != nil {
 				out = append(out, consensus.Broadcast{Msg: m})
 			}
 		case consensus.SendClient:
-			if m := perturb(spec, ef.Msg); m != nil {
+			if m := w.perturb(spec, ef.Msg); m != nil {
 				out = append(out, consensus.SendClient{To: ef.To, Msg: m})
 			}
 		default:
@@ -217,88 +211,19 @@ func (w *Wrapper) filter(spec Spec, effs []consensus.Effect) []consensus.Effect 
 }
 
 // perturb applies Mode to one outbound message. Quiet drops replication
-// output; Equivocate corrupts it (receivers reject after paying bandwidth
+// output; Equivocate forges it (receivers reject after paying bandwidth
 // and verification cost). View-change messages pass through under F4 —
 // the attacker follows the VC protocol faithfully because that is its
 // attack surface.
-func perturb(spec Spec, msg types.Message) types.Message {
-	replication := isReplicationOutput(msg)
-	if spec.RepeatedVC && !replication {
+func (w *Wrapper) perturb(spec Spec, msg types.Message) types.Message {
+	if spec.RepeatedVC && !w.inner.Replication(msg) {
 		return msg
 	}
 	switch spec.Mode {
 	case Quiet:
 		return nil
 	case Equivocate:
-		return Corrupt(msg)
-	}
-	return msg
-}
-
-// isReplicationInput classifies inbound messages an F4+F2 leader ignores.
-func isReplicationInput(msg types.Message) bool {
-	switch msg.(type) {
-	case *types.Prop, *types.Compt, *types.OrdReply, *types.CmtReply:
-		return true
-	}
-	return false
-}
-
-// isReplicationOutput classifies outbound messages Mode applies to under F4.
-func isReplicationOutput(msg types.Message) bool {
-	switch msg.(type) {
-	case *types.Ord, *types.Cmt, *types.Adopt, *types.TxBlockMsg, *types.Notif,
-		*types.OrdReply, *types.CmtReply:
-		return true
-	}
-	return false
-}
-
-// Corrupt returns a copy of msg with its authentication destroyed: the
-// erroneous replies of attack F3. Receivers spend bandwidth and
-// verification work before rejecting it.
-func Corrupt(msg types.Message) types.Message {
-	switch m := msg.(type) {
-	case *types.Ord:
-		c := *m
-		c.Sig = nil
-		return &c
-	case *types.OrdReply:
-		c := *m
-		c.Sig = nil
-		return &c
-	case *types.Cmt:
-		c := *m
-		c.Sig = nil
-		return &c
-	case *types.Adopt:
-		c := *m
-		c.Sig = nil
-		return &c
-	case *types.CmtReply:
-		c := *m
-		c.Sig = nil
-		return &c
-	case *types.TxBlockMsg:
-		c := *m
-		c.Sig = nil
-		return &c
-	case *types.Notif:
-		c := *m
-		c.Sig = nil
-		return &c
-	case *types.VoteCP:
-		c := *m
-		c.Sig = nil
-		return &c
-	case *types.ReVC:
-		c := *m
-		c.Sig = nil
-		return &c
-	case *types.VcYes:
-		c := *m
-		c.Sig = nil
-		return &c
+		return w.inner.Forge(msg)
 	}
 	return msg
 }

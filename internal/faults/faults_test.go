@@ -9,9 +9,35 @@ import (
 )
 
 // probe is a trivially scripted replica: it replies to every message with
-// one Send and one SendClient, and reports leadership via leader flag.
+// one Send, one Broadcast and one SendClient, and reports leadership via its
+// leading flag. It answers the fault contract for its own tiny protocol:
+// replies and notifications are replication traffic, VoteCP is view change.
 type probe struct {
-	id types.ServerID
+	id      types.ServerID
+	leading bool
+}
+
+func (p *probe) Leading() bool { return p.leading }
+func (p *probe) Replication(msg types.Message) bool {
+	_, vc := msg.(*types.VoteCP)
+	return !vc
+}
+func (p *probe) Forge(msg types.Message) types.Message {
+	switch m := msg.(type) {
+	case *types.OrdReply:
+		c := *m
+		c.Sig = nil
+		return &c
+	case *types.Notif:
+		c := *m
+		c.Sig = nil
+		return &c
+	case *types.VoteCP:
+		c := *m
+		c.Sig = nil
+		return &c
+	}
+	return msg
 }
 
 func (p *probe) ID() types.ServerID { return p.id }
@@ -38,7 +64,7 @@ func (p *probe) OnPuzzleSolved(time.Duration, uint64, []byte, types.Digest) []co
 func anyMsg() types.Message { return &types.Ord{From: 9, Sig: []byte("s")} }
 
 func TestQuietParticipantDropsEverything(t *testing.T) {
-	w := Wrap(&probe{id: 3}, nil, Spec{Mode: Quiet})
+	w := Wrap(&probe{id: 3}, Spec{Mode: Quiet})
 	if effs := w.Init(0); effs != nil {
 		t.Fatal("quiet participant produced init effects")
 	}
@@ -51,7 +77,7 @@ func TestQuietParticipantDropsEverything(t *testing.T) {
 }
 
 func TestEquivocateCorruptsOutbound(t *testing.T) {
-	w := Wrap(&probe{id: 3}, nil, Spec{Mode: Equivocate})
+	w := Wrap(&probe{id: 3}, Spec{Mode: Equivocate})
 	effs := w.OnMessage(0, consensus.FromServer(1), anyMsg())
 	if len(effs) == 0 {
 		t.Fatal("equivocator must still send (erroneous) replies")
@@ -76,21 +102,10 @@ func TestEquivocateCorruptsOutbound(t *testing.T) {
 	}
 }
 
-func TestCorruptDoesNotMutateOriginal(t *testing.T) {
-	orig := &types.OrdReply{From: 1, Sig: []byte("valid")}
-	c := Corrupt(orig).(*types.OrdReply)
-	if len(c.Sig) != 0 {
-		t.Fatal("corruption did not strip the signature")
-	}
-	if string(orig.Sig) != "valid" {
-		t.Fatal("corruption mutated the original message")
-	}
-}
-
 func TestRepeatedVCPassesThroughWhenNotLeading(t *testing.T) {
-	// With no core node handle, leaderNow is false: the F4 attacker behaves
-	// correctly while not leading (its misbehavior is leadership-gated).
-	w := Wrap(&probe{id: 3}, nil, Spec{Mode: Quiet, RepeatedVC: true})
+	// The F4 attacker behaves correctly while not leading (its misbehavior
+	// is leadership-gated).
+	w := Wrap(&probe{id: 3}, Spec{Mode: Quiet, RepeatedVC: true})
 	effs := w.OnMessage(0, consensus.FromServer(1), anyMsg())
 	if len(effs) == 0 {
 		t.Fatal("F4 attacker must participate while not leading")
@@ -116,7 +131,7 @@ func TestSpecIsFaulty(t *testing.T) {
 func TestSetSpecDynamicFaults(t *testing.T) {
 	// The paper allows the faulty set to change dynamically; SetSpec flips
 	// behavior at runtime.
-	w := Wrap(&probe{id: 3}, nil, Spec{Mode: Quiet})
+	w := Wrap(&probe{id: 3}, Spec{Mode: Quiet})
 	if effs := w.OnMessage(0, consensus.FromServer(1), anyMsg()); effs != nil {
 		t.Fatal("quiet phase leaked traffic")
 	}
@@ -129,17 +144,28 @@ func TestSetSpecDynamicFaults(t *testing.T) {
 	}
 }
 
-func TestMessageClassifiers(t *testing.T) {
-	if !isReplicationInput(&types.Prop{}) || !isReplicationInput(&types.OrdReply{}) {
-		t.Fatal("replication inputs misclassified")
+func TestRepeatedVCMisbehavesWhileLeading(t *testing.T) {
+	// Leading, the F4+F3 attacker forges its replication output and follows
+	// the view-change protocol faithfully.
+	w := Wrap(&probe{id: 3, leading: true}, Spec{Mode: Equivocate, RepeatedVC: true})
+	for _, e := range w.OnMessage(0, consensus.FromServer(1), anyMsg()) {
+		var msg types.Message
+		switch ef := e.(type) {
+		case consensus.Send:
+			msg = ef.Msg
+		case consensus.Broadcast:
+			msg = ef.Msg
+		case consensus.SendClient:
+			msg = ef.Msg
+		}
+		_, vc := msg.(*types.VoteCP)
+		if forged := len(msg.(types.Signed).Signature()) == 0; forged == vc {
+			t.Errorf("%s: forged = %v while leading", msg.Type(), forged)
+		}
 	}
-	if isReplicationInput(&types.CampVC{}) || isReplicationInput(&types.VoteCP{}) {
-		t.Fatal("view-change inputs classified as replication")
-	}
-	if !isReplicationOutput(&types.Ord{}) || !isReplicationOutput(&types.Notif{}) {
-		t.Fatal("replication outputs misclassified")
-	}
-	if isReplicationOutput(&types.VcBlockMsg{}) {
-		t.Fatal("vcBlock classified as replication output")
+	// Leading, the F4+F2 attacker ignores replication input.
+	w = Wrap(&probe{id: 3, leading: true}, Spec{Mode: Quiet, RepeatedVC: true})
+	if effs := w.OnMessage(0, consensus.FromServer(1), anyMsg()); effs != nil {
+		t.Fatal("F4+F2 leader handled replication input")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"prestigebft/internal/client"
 	"prestigebft/internal/consensus"
+	"prestigebft/internal/core"
 	"prestigebft/internal/crypto"
 	"prestigebft/internal/faults"
 	"prestigebft/internal/ledger"
@@ -28,11 +29,12 @@ const (
 	Prosecutor Protocol = "prosecutor"
 )
 
-// ReplicaFactory builds one replica for a baseline protocol. Registered by
-// the baseline packages through RegisterProtocol to avoid import cycles.
+// ReplicaFactory builds one server's replica for a protocol. PrestigeBFT's
+// is built in; the baseline packages register theirs through
+// RegisterProtocol to avoid import cycles.
 type ReplicaFactory func(env FactoryEnv) consensus.Replica
 
-// FactoryEnv carries everything a baseline replica constructor needs.
+// FactoryEnv carries everything a replica constructor needs.
 type FactoryEnv struct {
 	ID       types.ServerID
 	N        int
@@ -40,12 +42,70 @@ type FactoryEnv struct {
 	Registry *crypto.Registry
 	Opts     *Options
 	RNG      *rand.Rand
+	// Spec is the server's fault spec (Options.Faults). A protocol whose
+	// servers campaign for leadership hands an F4 attacker its levers
+	// (AttackerLevers); the wrapping itself is the deployment's.
+	Spec faults.Spec
+	// PuzzleBits is core.Config.PuzzleBitsPerRP: negative where a time
+	// model carries the proof-of-work difficulty (the simulator), the real
+	// difficulty where hashes are computed.
+	PuzzleBits int
 }
 
-var protocolFactories = map[Protocol]ReplicaFactory{}
+var protocolFactories = map[Protocol]ReplicaFactory{
+	PrestigeBFT: func(env FactoryEnv) consensus.Replica { return core.New(prestigeConfig(env)) },
+}
 
 // RegisterProtocol installs a baseline's replica factory.
 func RegisterProtocol(p Protocol, f ReplicaFactory) { protocolFactories[p] = f }
+
+// prestigeConfig is the configuration PrestigeBFT's factory builds a node
+// from.
+func prestigeConfig(env FactoryEnv) core.Config {
+	o := env.Opts
+	cfg := core.Config{
+		ID:                 env.ID,
+		N:                  env.N,
+		Keys:               env.Keys,
+		Registry:           env.Registry,
+		BatchSize:          o.BatchSize,
+		PipelineDepth:      o.PipelineDepth,
+		CheckpointInterval: o.CheckpointInterval,
+		TimeoutMin:         o.TimeoutMin,
+		TimeoutMax:         o.TimeoutMax,
+		ViewPolicy:         o.ViewPolicy,
+		RefreshThreshold:   o.RefreshThreshold,
+		PuzzleBitsPerRP:    env.PuzzleBits,
+		RNG:                env.RNG,
+	}
+	if o.StateMachine != nil {
+		cfg.StateMachine = o.StateMachine()
+	}
+	if o.Engine != nil {
+		cfg.Engine = o.Engine()
+	}
+	AttackerLevers(&cfg, env.Spec)
+	return cfg
+}
+
+// AttackerLevers hands an F4 (repeated view-change) attacker the levers it
+// controls on a core-based replica: a minimal trigger delay — campaign the
+// instant a change is possible, still enough for an election round trip,
+// which also bounds its candidacy timer — and, under strategy S2, the
+// compensation gate. Any other spec leaves cfg as it is.
+func AttackerLevers(cfg *core.Config, spec faults.Spec) {
+	if !spec.RepeatedVC {
+		return
+	}
+	cfg.TimeoutMin = 20 * time.Millisecond
+	cfg.TimeoutMax = 25 * time.Millisecond
+	if spec.Smart {
+		if cfg.Engine == nil {
+			cfg.Engine = reputation.New()
+		}
+		cfg.CampaignGate = func(res reputation.Result) bool { return res.Compensated }
+	}
+}
 
 // DefaultPipelineDepth is the replication window applied when
 // Options.PipelineDepth is zero. Zero defers to the core default (8). The
@@ -98,8 +158,10 @@ type Options struct {
 	// it exists so chaos scenarios can swap misbehavior in and out at
 	// runtime via Wrapper.SetSpec (the paper's dynamic fault set).
 	WrapServers []types.ServerID
-	// TimeoutAttack enables F1: each faulty server draws its timeouts from
-	// an RNG seeded identically to a randomly chosen correct server's.
+	// TimeoutAttack enables F1: each server listed in Faults — whatever its
+	// spec, so a pure F1 attacker is listed with the zero Spec — draws its
+	// timeouts from an RNG seeded identically to a randomly chosen unlisted
+	// server's.
 	TimeoutAttack bool
 
 	// ClientThinkTime throttles clients: delay between a commit and the

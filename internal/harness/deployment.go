@@ -3,14 +3,13 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"prestigebft/internal/client"
 	"prestigebft/internal/consensus"
 	"prestigebft/internal/core"
 	"prestigebft/internal/crypto"
 	"prestigebft/internal/faults"
-	"prestigebft/internal/reputation"
+	"prestigebft/internal/ledger"
 	"prestigebft/internal/types"
 )
 
@@ -18,23 +17,31 @@ import (
 // hosting it: the normalized options, the key registry, the replicas with
 // their fault wrappers, and the client keys. NewCluster hosts one on the
 // simulator; liveharness.New hosts one on TCP transports. Both run the same
-// nodes from the same seeds, which is what makes a scenario "the same" in
+// replicas from the same seeds, which is what makes a scenario "the same" in
 // the two worlds.
 type Deployment struct {
 	Opts     Options
 	Registry *crypto.Registry
 	Replicas []consensus.Replica // wrapped replicas, index = ServerID-1
-	Nodes    []*core.Node        // PrestigeBFT nodes (nil entries for baselines)
-	Wrappers []*faults.Wrapper   // fault wrappers (nil for correct servers)
+	// Nodes holds the core-based nodes (PrestigeBFT, Prosecutor) for the
+	// reads only they answer, such as reputations; nil entries elsewhere.
+	Nodes    []*core.Node
+	Wrappers []*faults.Wrapper // fault wrappers (nil for correct servers)
 
+	ledgers    []*ledger.Store // nil where the replica exposes no ledger
 	clientKeys map[types.ClientID]*crypto.KeyPair
 }
 
-// NewDeployment generates the keys and builds every replica. puzzleBits is
-// core.Config.PuzzleBitsPerRP: negative where a time model carries the
-// difficulty (the simulator), the real difficulty where hashes are computed.
+// NewDeployment generates the keys and builds every replica through its
+// protocol's factory. puzzleBits is core.Config.PuzzleBitsPerRP: negative
+// where a time model carries the difficulty (the simulator), the real
+// difficulty where hashes are computed.
 func NewDeployment(opts Options, puzzleBits int) *Deployment {
 	o := opts.withDefaults()
+	factory, ok := protocolFactories[o.Protocol]
+	if !ok {
+		panic(fmt.Sprintf("harness: protocol %q not registered", o.Protocol))
+	}
 	reg, serverKeys, clientKeys := crypto.GenerateDeployment(uint64(o.Seed)+0x5eed, o.N, o.Clients)
 	reg.VerifySignatures = o.VerifySignatures
 	d := &Deployment{
@@ -43,23 +50,24 @@ func NewDeployment(opts Options, puzzleBits int) *Deployment {
 		Replicas:   make([]consensus.Replica, o.N),
 		Nodes:      make([]*core.Node, o.N),
 		Wrappers:   make([]*faults.Wrapper, o.N),
+		ledgers:    make([]*ledger.Store, o.N),
 		clientKeys: clientKeys,
 	}
 
-	// F1 victim assignment: faulty servers mirror the timeout RNG of f
-	// randomly picked correct servers.
+	// F1 victim assignment: the servers listed in Faults mirror the timeout
+	// RNG of randomly picked unlisted (correct) servers.
 	seedRNG := rand.New(rand.NewSource(o.Seed * 7919))
 	rngSeed := make([]int64, o.N+1)
 	var correct []types.ServerID
 	for i := 1; i <= o.N; i++ {
 		rngSeed[i] = o.Seed<<16 + int64(i)
-		if !o.Faults[types.ServerID(i)].IsFaulty() {
+		if _, listed := o.Faults[types.ServerID(i)]; !listed {
 			correct = append(correct, types.ServerID(i))
 		}
 	}
 	if o.TimeoutAttack && len(correct) > 0 {
 		for i := 1; i <= o.N; i++ {
-			if o.Faults[types.ServerID(i)].IsFaulty() {
+			if _, listed := o.Faults[types.ServerID(i)]; listed {
 				victim := correct[seedRNG.Intn(len(correct))]
 				rngSeed[i] = rngSeed[victim]
 			}
@@ -69,56 +77,15 @@ func NewDeployment(opts Options, puzzleBits int) *Deployment {
 	for i := 1; i <= o.N; i++ {
 		id := types.ServerID(i)
 		spec := o.Faults[id]
-		nodeRNG := rand.New(rand.NewSource(rngSeed[i]))
-
-		var replica consensus.Replica
-		var node *core.Node
-		if o.Protocol == PrestigeBFT {
-			cfg := core.Config{
-				ID:                 id,
-				N:                  o.N,
-				Keys:               serverKeys[id],
-				Registry:           reg,
-				BatchSize:          o.BatchSize,
-				PipelineDepth:      o.PipelineDepth,
-				CheckpointInterval: o.CheckpointInterval,
-				TimeoutMin:         o.TimeoutMin,
-				TimeoutMax:         o.TimeoutMax,
-				ViewPolicy:         o.ViewPolicy,
-				RefreshThreshold:   o.RefreshThreshold,
-				PuzzleBitsPerRP:    puzzleBits,
-				RNG:                nodeRNG,
-			}
-			if o.StateMachine != nil {
-				cfg.StateMachine = o.StateMachine()
-			}
-			if o.Engine != nil {
-				cfg.Engine = o.Engine()
-			}
-			if spec.RepeatedVC {
-				// The attacker's levers: minimal trigger delay (campaign
-				// the instant a change is possible — still enough for an
-				// election round trip, which also bounds its candidacy
-				// timer) and, under S2, the compensation gate.
-				cfg.TimeoutMin = 20 * time.Millisecond
-				cfg.TimeoutMax = 25 * time.Millisecond
-				if spec.Smart {
-					if cfg.Engine == nil {
-						cfg.Engine = reputation.New()
-					}
-					cfg.CampaignGate = func(res reputation.Result) bool { return res.Compensated }
-				}
-			}
-			node = core.New(cfg)
-			replica = node
-		} else {
-			f, ok := protocolFactories[o.Protocol]
-			if !ok {
-				panic(fmt.Sprintf("harness: protocol %q not registered", o.Protocol))
-			}
-			replica = f(FactoryEnv{ID: id, N: o.N, Keys: serverKeys[id], Registry: reg, Opts: &d.Opts, RNG: nodeRNG})
+		replica := factory(FactoryEnv{
+			ID: id, N: o.N, Keys: serverKeys[id], Registry: reg, Opts: &d.Opts,
+			RNG:  rand.New(rand.NewSource(rngSeed[i])),
+			Spec: spec, PuzzleBits: puzzleBits,
+		})
+		d.Nodes[i-1], _ = replica.(*core.Node)
+		if l, ok := replica.(interface{ Store() *ledger.Store }); ok {
+			d.ledgers[i-1] = l.Store()
 		}
-		d.Nodes[i-1] = node
 		wrap := spec.IsFaulty()
 		for _, w := range o.WrapServers {
 			if w == id {
@@ -126,7 +93,11 @@ func NewDeployment(opts Options, puzzleBits int) *Deployment {
 			}
 		}
 		if wrap {
-			w := faults.Wrap(replica, node, spec)
+			f, ok := replica.(consensus.Faultable)
+			if !ok {
+				panic(fmt.Sprintf("harness: protocol %q replicas do not answer the fault contract", o.Protocol))
+			}
+			w := faults.Wrap(f, spec)
 			d.Wrappers[i-1] = w
 			replica = w
 		}
@@ -136,28 +107,28 @@ func NewDeployment(opts Options, puzzleBits int) *Deployment {
 }
 
 // ChainHeight returns a server's committed chain height. ok is false when
-// the server exposes no readable ledger (a baseline replica). Like the two
-// reads below it is only race-free while nothing drives the replica: between
-// simulator steps, or once a live environment has stopped it.
+// the server's replica exposes no ledger. Like the two reads below it is
+// only race-free while nothing drives the replica: between simulator steps,
+// or once a live environment has stopped it.
 func (d *Deployment) ChainHeight(id types.ServerID) (h types.SeqNum, ok bool) {
-	node := d.Nodes[id-1]
-	if node == nil {
+	l := d.ledgers[id-1]
+	if l == nil {
 		return 0, false
 	}
-	return node.Store().TxHeight(), true
+	return l.TxHeight(), true
 }
 
 // BlockHash returns the hash of the committed block at seq on the given
 // server, the comparison point of committed-prefix safety. ok is false when
-// the server has no readable ledger or no longer retains the block: it was
+// the server exposes no ledger or no longer retains the block: it was
 // compacted below the server's certified log base, whose certificate already
 // proves prefix agreement there.
 func (d *Deployment) BlockHash(id types.ServerID, seq types.SeqNum) (types.Digest, bool) {
-	node := d.Nodes[id-1]
-	if node == nil {
+	l := d.ledgers[id-1]
+	if l == nil {
 		return types.Digest{}, false
 	}
-	blk := node.Store().TxBlock(seq)
+	blk := l.TxBlock(seq)
 	if blk == nil {
 		return types.Digest{}, false
 	}
@@ -167,11 +138,11 @@ func (d *Deployment) BlockHash(id types.ServerID, seq types.SeqNum) (types.Diges
 // RetainedBlocks returns how many txBlocks the server currently retains, the
 // quantity checkpoint compaction bounds. ok mirrors ChainHeight.
 func (d *Deployment) RetainedBlocks(id types.ServerID) (blocks int, ok bool) {
-	node := d.Nodes[id-1]
-	if node == nil {
+	l := d.ledgers[id-1]
+	if l == nil {
 		return 0, false
 	}
-	return node.Store().RetainedTxBlocks(), true
+	return l.RetainedTxBlocks(), true
 }
 
 // ClientConfig is workload client id's configuration; every world builds its

@@ -291,33 +291,7 @@ func RunFig8(scale Scale) *Result {
 // splitVoteProbability drives repeated view changes with a fast timing
 // policy and counts how many election rounds ended in split votes.
 func splitVoteProbability(n int, eps time.Duration, byz bool, targetRounds int) float64 {
-	f := types.FaultBound(n)
-	fa := map[types.ServerID]faults.Spec{}
-	if byz {
-		// F1: faulty servers mirror the timeouts of f random correct
-		// servers. They otherwise behave (the attack is purely temporal).
-		for i := 0; i < f; i++ {
-			fa[types.ServerID(n-i)] = faults.Spec{Mode: faults.Correct, RepeatedVC: false}
-		}
-	}
-	opts := Options{
-		N: n, Clients: 1, Seed: 80 + int64(n) + int64(eps),
-		ViewPolicy: 300 * time.Millisecond,
-		TimeoutMin: 100 * time.Millisecond,
-		TimeoutMax: 100*time.Millisecond + eps,
-		Faults:     fa,
-	}
-	if byz {
-		opts.TimeoutAttack = true
-		// Mark the mirrors faulty so the harness seeds them like victims.
-		for i := 0; i < f; i++ {
-			fa[types.ServerID(n-i)] = faults.Spec{RepeatedVC: true}
-		}
-	}
-	if eps == 0 {
-		opts.TimeoutMax = opts.TimeoutMin + time.Nanosecond
-	}
-	c := NewCluster(opts)
+	c := NewCluster(fig8Options(n, eps, byz))
 	c.Start()
 	limit := 600 * time.Second
 	step := 5 * time.Second
@@ -329,6 +303,31 @@ func splitVoteProbability(n int, eps time.Duration, byz bool, targetRounds int) 
 		return 1 // nothing ever completed: total split-vote livelock
 	}
 	return float64(c.Metrics.SplitVotes) / float64(rounds)
+}
+
+// fig8Options is one Figure 8 cell: a fast timing policy, timeouts
+// randomized over ε, and under byz the F1 timeout attack.
+func fig8Options(n int, eps time.Duration, byz bool) Options {
+	opts := Options{
+		N: n, Clients: 1, Seed: 80 + int64(n) + int64(eps),
+		ViewPolicy: 300 * time.Millisecond,
+		TimeoutMin: 100 * time.Millisecond,
+		TimeoutMax: 100*time.Millisecond + eps,
+	}
+	if byz {
+		// F1: the f listed servers mirror the timeouts of random correct
+		// servers. They otherwise behave (the attack is purely temporal),
+		// hence the zero Spec.
+		opts.TimeoutAttack = true
+		opts.Faults = map[types.ServerID]faults.Spec{}
+		for i := 0; i < types.FaultBound(n); i++ {
+			opts.Faults[types.ServerID(n-i)] = faults.Spec{}
+		}
+	}
+	if eps == 0 {
+		opts.TimeoutMax = opts.TimeoutMin + time.Nanosecond
+	}
+	return opts
 }
 
 // --- E4+E5 / Figures 9 and 10 ---------------------------------------------------

@@ -5,6 +5,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"prestigebft/internal/consensus"
+	"prestigebft/internal/core"
+	"prestigebft/internal/types"
 )
 
 // TestFig4cExamplesMatchPaper re-checks the experiment-facing table against
@@ -113,6 +117,46 @@ func TestFig14Checkpoints(t *testing.T) {
 	} {
 		if got := fig14Checkpoints(tc.span); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("fig14Checkpoints(%v) = %v, want %v", tc.span, got, tc.want)
+		}
+	}
+}
+
+// TestTimeoutMirrorsCopyTheirVictims: under Figure 8's F1 attack each
+// listed server is configured exactly like the correct server it mirrors —
+// same timeout range, same RNG stream — and gets no F4 lever.
+func TestTimeoutMirrorsCopyTheirVictims(t *testing.T) {
+	type config struct {
+		min, max time.Duration
+		draw     int64 // first value of the node's RNG stream
+	}
+	got := map[types.ServerID]config{}
+	const probe Protocol = "fig8-probe"
+	RegisterProtocol(probe, func(env FactoryEnv) consensus.Replica {
+		cfg := prestigeConfig(env)
+		got[env.ID] = config{cfg.TimeoutMin, cfg.TimeoutMax, cfg.RNG.Int63()}
+		return core.New(cfg)
+	})
+	defer delete(protocolFactories, probe)
+
+	opts := fig8Options(16, 50*time.Millisecond, true)
+	opts.Protocol = probe
+	NewDeployment(opts, -1)
+	if len(opts.Faults) != types.FaultBound(16) {
+		t.Fatalf("%d mirrors, want f = %d", len(opts.Faults), types.FaultBound(16))
+	}
+	for mirror := range opts.Faults {
+		m := got[mirror]
+		if m.min != opts.TimeoutMin || m.max != opts.TimeoutMax {
+			t.Errorf("mirror %d times out in [%v, %v], want the cell's [%v, %v]", mirror, m.min, m.max, opts.TimeoutMin, opts.TimeoutMax)
+		}
+		victims := 0
+		for id, c := range got {
+			if _, listed := opts.Faults[id]; !listed && c == m {
+				victims++
+			}
+		}
+		if victims != 1 {
+			t.Errorf("mirror %d shares its configuration and RNG stream with %d correct servers, want 1", mirror, victims)
 		}
 	}
 }

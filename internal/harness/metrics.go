@@ -178,12 +178,13 @@ func (m *Metrics) TPS(from, to sim.Time) float64 {
 	return float64(txs) / (to - from).ToDuration().Seconds()
 }
 
-// Timeline buckets committed transactions into windows of the given width,
-// returning TPS per window — the series behind Figure 11.
+// Timeline buckets committed transactions into the ⌈until/window⌉ windows
+// [k·window, (k+1)·window) covering [0, until), returning TPS per window —
+// the series behind Figure 11.
 func (m *Metrics) Timeline(until sim.Time, window time.Duration) []float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	nw := int(until.ToDuration()/window) + 1
+	nw := int((until.ToDuration() + window - 1) / window)
 	out := make([]float64, nw)
 	for _, c := range m.Commits {
 		idx := int(c.At.ToDuration() / window)
