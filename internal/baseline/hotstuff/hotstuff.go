@@ -75,6 +75,9 @@ const (
 	TimerCompt
 )
 
+// batchTimeout flushes a partial batch (the same 2 ms as PrestigeBFT's).
+const batchTimeout = 2 * time.Millisecond
+
 // Config parameterizes a replica.
 type Config struct {
 	ID       types.ServerID
@@ -82,8 +85,7 @@ type Config struct {
 	Keys     *crypto.KeyPair
 	Registry *crypto.Registry
 
-	BatchSize    int
-	BatchTimeout time.Duration
+	BatchSize int
 	// ViewTimeout is the pacemaker timeout. Default 1 s.
 	ViewTimeout time.Duration
 	// ViewPolicy rotates leadership every ViewPolicy (r10/r30). Zero
@@ -98,9 +100,6 @@ func (c *Config) withDefaults() Config {
 	out := *c
 	if out.BatchSize == 0 {
 		out.BatchSize = 100
-	}
-	if out.BatchTimeout == 0 {
-		out.BatchTimeout = 2 * time.Millisecond
 	}
 	if out.ViewTimeout == 0 {
 		out.ViewTimeout = time.Second
@@ -269,7 +268,7 @@ func (r *Replica) OnTimer(now time.Duration, kind consensus.TimerKind, key uint6
 		effs := r.maybePropose(now, true)
 		if len(r.pending) > 0 || r.inflight != nil {
 			r.batchArmed = true
-			effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: r.cfg.BatchTimeout})
+			effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: batchTimeout})
 		}
 		return effs
 	case TimerCompt:
@@ -355,7 +354,7 @@ func (r *Replica) onNewView(now time.Duration, m *NewView) []consensus.Effect {
 	}
 	if !r.batchArmed && len(r.pending) > 0 {
 		r.batchArmed = true
-		effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: r.cfg.BatchTimeout})
+		effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: batchTimeout})
 	}
 	effs = append(effs, r.maybePropose(now, true)...)
 	return effs

@@ -59,7 +59,7 @@ func (r *Replica) enqueue(now time.Duration, m *types.Prop) []consensus.Effect {
 	effs := r.maybePropose(now, false)
 	if !r.batchArmed && (len(r.pending) > 0 || r.inflight != nil) {
 		r.batchArmed = true
-		effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: r.cfg.BatchTimeout})
+		effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: batchTimeout})
 	}
 	return effs
 }

@@ -40,6 +40,9 @@ const (
 	TimerPolicy
 )
 
+// batchTimeout flushes a partial batch (the same 2 ms as PrestigeBFT's).
+const batchTimeout = 2 * time.Millisecond
+
 // Config parameterizes a replica.
 type Config struct {
 	ID       types.ServerID
@@ -47,9 +50,8 @@ type Config struct {
 	Keys     *crypto.KeyPair
 	Registry *crypto.Registry
 
-	BatchSize    int
-	BatchTimeout time.Duration
-	ViewTimeout  time.Duration
+	BatchSize   int
+	ViewTimeout time.Duration
 	// FastTimeout bounds the fast path. Default 50 ms.
 	FastTimeout time.Duration
 	// ViewPolicy rotates leadership on a timing policy.
@@ -63,9 +65,6 @@ func (c *Config) withDefaults() Config {
 	out := *c
 	if out.BatchSize == 0 {
 		out.BatchSize = 100
-	}
-	if out.BatchTimeout == 0 {
-		out.BatchTimeout = 2 * time.Millisecond
 	}
 	if out.ViewTimeout == 0 {
 		out.ViewTimeout = time.Second
@@ -306,7 +305,7 @@ func (r *Replica) enterView(now time.Duration, v types.View) []consensus.Effect 
 	}
 	if !r.batchArmed && len(r.pending) > 0 {
 		r.batchArmed = true
-		effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: r.cfg.BatchTimeout})
+		effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: batchTimeout})
 	}
 	return append(effs, r.maybePropose(now, false)...)
 }
@@ -326,7 +325,7 @@ func (r *Replica) OnTimer(now time.Duration, kind consensus.TimerKind, key uint6
 		effs := r.maybePropose(now, true)
 		if len(r.pending) > 0 || r.inflight != nil {
 			r.batchArmed = true
-			effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: r.cfg.BatchTimeout})
+			effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: batchTimeout})
 		}
 		return effs
 	case TimerFast:
@@ -356,7 +355,7 @@ func (r *Replica) onProp(now time.Duration, m *types.Prop) []consensus.Effect {
 	effs := r.maybePropose(now, false)
 	if !r.batchArmed && (len(r.pending) > 0 || r.inflight != nil) {
 		r.batchArmed = true
-		effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: r.cfg.BatchTimeout})
+		effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: batchTimeout})
 	}
 	return effs
 }

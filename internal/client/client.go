@@ -58,10 +58,6 @@ type Config struct {
 	ThinkTime time.Duration
 	// MaxRequests stops the client after this many commits; 0 = unlimited.
 	MaxRequests int
-
-	// OnCommit, if non-nil, observes each commit (latency measurement
-	// points live in Stats regardless).
-	OnCommit func(latency time.Duration)
 }
 
 // Client is one closed-loop workload source.
@@ -175,9 +171,6 @@ func (c *Client) complete(accepted bool) {
 		c.cancelTimer = nil
 	}
 	c.outstanding = nil
-	if c.cfg.OnCommit != nil {
-		c.cfg.OnCommit(lat)
-	}
 	if c.cfg.ThinkTime > 0 {
 		c.env.SetTimer(c.cfg.ThinkTime, c.next)
 		return

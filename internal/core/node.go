@@ -84,6 +84,20 @@ const (
 	TimerVcConfirm
 )
 
+// Fixed protocol parameters.
+const (
+	// initialLeader leads view 1.
+	initialLeader types.ServerID = 1
+	// batchTimeout flushes a partial batch.
+	batchTimeout = 2 * time.Millisecond
+	// syncTimeout bounds one SyncUp round trip; on expiry the node leaves
+	// the syncing state and replays its stash (typically re-triggering the
+	// sync).
+	syncTimeout = 500 * time.Millisecond
+	// confVCTimeout bounds the wait for f+1 ReVC replies.
+	confVCTimeout = 300 * time.Millisecond
+)
+
 // Config parameterizes a node. Zero values select the defaults documented
 // on each field.
 type Config struct {
@@ -98,13 +112,8 @@ type Config struct {
 	// StateMachine receives committed transactions; nil selects AcceptAll.
 	StateMachine ledger.StateMachine
 
-	// InitialLeader leads view 1. Default: server 1.
-	InitialLeader types.ServerID
-
 	// BatchSize is the paper's β: transactions per txBlock. Default 100.
 	BatchSize int
-	// BatchTimeout flushes a partial batch. Default 2ms.
-	BatchTimeout time.Duration
 
 	// PipelineDepth is the replication window W: the maximum number of
 	// consensus instances the leader keeps in flight at consecutive
@@ -118,10 +127,6 @@ type Config struct {
 	// re-broadcast (vote collection is idempotent). Default 250ms — far
 	// above a healthy commit round trip, so it only fires under loss.
 	InstanceTimeout time.Duration
-	// SyncTimeout bounds one SyncUp round trip; on expiry the node leaves
-	// the syncing state and replays its stash (typically re-triggering the
-	// sync). Default 500ms.
-	SyncTimeout time.Duration
 
 	// CheckpointInterval enables certified checkpoints: every
 	// CheckpointInterval committed sequence numbers the replica hashes its
@@ -134,9 +139,6 @@ type Config struct {
 	// Requires a state machine implementing ledger.Snapshotter; with any
 	// other state machine the interval is inert.
 	CheckpointInterval int
-
-	// ConfVCTimeout bounds the wait for f+1 ReVC replies. Default 300ms.
-	ConfVCTimeout time.Duration
 
 	// TimeoutMin/TimeoutMax bound the follower's randomized timeout
 	// (§4.2.1: "a timer with a random timeout... sufficiently greater than
@@ -185,14 +187,8 @@ func (c *Config) withDefaults() Config {
 	if out.Engine == nil {
 		out.Engine = reputation.New()
 	}
-	if out.InitialLeader == 0 {
-		out.InitialLeader = 1
-	}
 	if out.BatchSize == 0 {
 		out.BatchSize = 100
-	}
-	if out.BatchTimeout == 0 {
-		out.BatchTimeout = 2 * time.Millisecond
 	}
 	if out.PipelineDepth == 0 {
 		out.PipelineDepth = 8
@@ -202,12 +198,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.InstanceTimeout == 0 {
 		out.InstanceTimeout = 250 * time.Millisecond
-	}
-	if out.SyncTimeout == 0 {
-		out.SyncTimeout = 500 * time.Millisecond
-	}
-	if out.ConfVCTimeout == 0 {
-		out.ConfVCTimeout = 300 * time.Millisecond
 	}
 	if out.TimeoutMin == 0 {
 		out.TimeoutMin = 800 * time.Millisecond
@@ -378,7 +368,7 @@ func New(cfg Config) *Node {
 	c := cfg.withDefaults()
 	return &Node{
 		cfg:             c,
-		store:           ledger.NewStore(c.N, c.InitialLeader, c.StateMachine),
+		store:           ledger.NewStore(c.N, initialLeader, c.StateMachine),
 		inflight:        make(map[types.SeqNum]*replInstance),
 		prepared:        make(map[types.SeqNum]*pendingProposal),
 		ordStash:        make(map[types.SeqNum]*types.Ord),
@@ -451,7 +441,7 @@ func (n *Node) Init(now time.Duration) []consensus.Effect {
 	// --- Warm-reboot rehydration (no-op on a cold boot) ---
 	if n.state == Leader {
 		if n.batchArmed {
-			effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: n.cfg.BatchTimeout})
+			effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: batchTimeout})
 		}
 		// Window keys are contiguous from the low watermark, so this
 		// iteration is deterministic without sorting.
@@ -460,7 +450,7 @@ func (n *Node) Init(now time.Duration) []consensus.Effect {
 		}
 	}
 	if n.syncing {
-		effs = append(effs, consensus.SetTimer{Kind: TimerSync, Key: n.syncToken, Delay: n.cfg.SyncTimeout})
+		effs = append(effs, consensus.SetTimer{Kind: TimerSync, Key: n.syncToken, Delay: syncTimeout})
 	}
 	// Open checkpoint rounds lost their in-flight votes with the old
 	// process: re-broadcast our own (stored) vote so peers that missed it

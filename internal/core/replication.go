@@ -57,7 +57,7 @@ func (n *Node) armBatchTimer() []consensus.Effect {
 		return nil
 	}
 	n.batchArmed = true
-	return []consensus.Effect{consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: n.cfg.BatchTimeout}}
+	return []consensus.Effect{consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: batchTimeout}}
 }
 
 // onBatchTimer flushes a partial batch.

@@ -35,7 +35,7 @@ func (n *Node) startSync(peer types.ServerID, kind types.SyncKind, start, end ui
 	return []consensus.Effect{
 		n.trace(consensus.TraceSyncUp, n.View(), int64(end-start)),
 		consensus.Send{To: peer, Msg: req},
-		consensus.SetTimer{Kind: TimerSync, Key: n.syncToken, Delay: n.cfg.SyncTimeout},
+		consensus.SetTimer{Kind: TimerSync, Key: n.syncToken, Delay: syncTimeout},
 	}
 }
 

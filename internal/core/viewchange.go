@@ -109,7 +109,7 @@ func (n *Node) startInspection(now time.Duration, reason types.ConfReason, txd t
 	conf.Sig = n.sign(conf.SigningBytes())
 	return []consensus.Effect{
 		consensus.Broadcast{Msg: conf},
-		consensus.SetTimer{Kind: TimerConfVC, Key: uint64(v), Delay: n.cfg.ConfVCTimeout},
+		consensus.SetTimer{Kind: TimerConfVC, Key: uint64(v), Delay: confVCTimeout},
 	}
 }
 

@@ -7,17 +7,17 @@
 // recovery, catch-up).
 //
 // Generation is a pure function of (fuzz seed, sample index): the generator
-// draws from its own rand.Rand, tracks the cluster state machine (who is
-// crashed, who is Byzantine, whether a partition or degradation is active)
-// so that every sampled timeline satisfies the same preconditions
-// Scenario.Validate enforces — never more than f simultaneous crashed-or-
-// Byzantine servers, no Recover of a running server, no runtime RepeatedVC
-// swap — and always quiesces: every fault it injects is healed, cleared, or
-// restored before the timeline ends (except crashes it deliberately leaves
-// in place, which keep quorum by construction), so the bounded-liveness
-// invariant is a claim the protocol actually makes. Each sample then runs
-// as an ordinary deterministic grid cell: same seed, same timeline, same
-// verdict at any worker count.
+// draws from its own rand.Rand and applies every drawn action to a
+// scenario.FaultState — the same fault state Scenario.Validate walks — and
+// only draws actions that state accepts: never more than f simultaneous
+// crashed-or-Byzantine servers, no Crash of a crashed server or Recover of
+// a running one, no runtime RepeatedVC swap. Every timeline also quiesces:
+// every fault it injects is healed, cleared, or restored before the
+// timeline ends (except crashes it deliberately leaves in place, which keep
+// quorum by construction), so the bounded-liveness invariant is a claim the
+// protocol actually makes. Each sample then runs as an ordinary
+// deterministic grid cell: same seed, same timeline, same verdict at any
+// worker count.
 package fuzz
 
 import (
@@ -90,27 +90,46 @@ func (f *Fuzzer) Scenario(i int) *scenario.Scenario {
 	return s
 }
 
-// genState tracks the cluster state machine during generation, mirroring
-// the stateful checks in Scenario.Validate.
+// genState is the generator's view of the timeline drawn so far: the
+// shared fault state every sampled action is applied to, the wrapped
+// servers SetFault draws its target from, and the election-oracle window.
 type genState struct {
-	n, f        int
-	wrapped     []types.ServerID
-	crashed     map[types.ServerID]bool
-	byz         map[types.ServerID]bool
-	partitioned bool
-	degraded    bool
+	*scenario.FaultState
+	wrapped []types.ServerID
+	events  []scenario.Event
+
+	// down holds, since downSince, while the initial leader S1 is crashed
+	// and no partition is in force anywhere; deposed records that such a
+	// window lasted leaderDownForVC. During it the remaining n−1 ≥ 2f+1 servers
+	// are fully connected, at most f−1 of them are crashed or Byzantine,
+	// and the clients' complaint timers are running — a completed election
+	// is guaranteed, so RequireViewChange is a sound oracle. A partition
+	// anywhere in the window voids the proof (conservatively: even one that
+	// leaves a quorum connected changes which servers can confirm).
+	down      bool
+	downSince time.Duration
+	deposed   bool
 }
 
-// faultLoad counts servers currently crashed or Byzantine-and-running — the
-// quantity the fault bound f caps (a crashed attacker is just a crash).
-func (g *genState) faultLoad() int {
-	load := len(g.crashed)
-	for _, id := range types.SortedKeys(g.byz) {
-		if !g.crashed[id] {
-			load++
-		}
+// add appends a at time at, applying it to the fault state. The step
+// functions only draw actions whose preconditions hold, so a rejection is
+// a generator bug.
+func (g *genState) add(at time.Duration, a scenario.Action) {
+	if g.down && at-g.downSince >= leaderDownForVC {
+		g.deposed = true
 	}
-	return load
+	if err := g.Apply(a); err != nil {
+		panic(fmt.Sprintf("fuzz: sampled %s at %v, which the fault state rejects: %v", a, at, err))
+	}
+	g.events = append(g.events, scenario.Event{At: at, Action: a})
+	const leader = types.ServerID(1)
+	if g.Crashed(leader) && !g.Partitioned() {
+		if !g.down {
+			g.down, g.downSince = true, at
+		}
+	} else {
+		g.down = false
+	}
 }
 
 func generate(rng *rand.Rand, name string) *scenario.Scenario {
@@ -120,24 +139,19 @@ func generate(rng *rand.Rand, name string) *scenario.Scenario {
 	if rng.Intn(10) < 3 {
 		n = 7
 	}
-	g := &genState{
-		n:       n,
-		f:       types.FaultBound(n),
-		crashed: make(map[types.ServerID]bool),
-		byz:     make(map[types.ServerID]bool),
-	}
 	// Wrap up to f servers (from the top ids, away from the initial leader
 	// S1) so SetFault swaps have targets. Zero wrapped servers simply
 	// removes SetFault from the action vocabulary for this sample.
-	for w := rng.Intn(g.f + 1); w > 0; w-- {
-		g.wrapped = append(g.wrapped, types.ServerID(n-w+1))
+	var wrapped []types.ServerID
+	for w := rng.Intn(types.FaultBound(n) + 1); w > 0; w-- {
+		wrapped = append(wrapped, types.ServerID(n-w+1))
 	}
 
 	opts := harness.Options{
 		N: n, Clients: 8, BatchSize: 8,
 		Seed:          rng.Int63n(1<<40) + 1,
 		ClientTimeout: 500 * time.Millisecond,
-		WrapServers:   append([]types.ServerID(nil), g.wrapped...),
+		WrapServers:   wrapped,
 	}
 	// Sometimes run with certified checkpoints enabled: compaction racing
 	// crashes and partitions is exactly where a stale-snapshot wedge would
@@ -147,17 +161,15 @@ func generate(rng *rand.Rand, name string) *scenario.Scenario {
 	if rng.Intn(10) < 3 {
 		opts.CheckpointInterval = 16
 	}
+	g := &genState{FaultState: scenario.NewFaultState(opts), wrapped: wrapped}
 
-	var events []scenario.Event
 	at := warmup
 	steps := minEvents + rng.Intn(maxEvents-minEvents+1)
-	for len(events) < steps {
+	for len(g.events) < steps {
 		at += minGap + time.Duration(rng.Int63n(int64(maxGap-minGap)))
-		ev, ok := g.step(rng, at)
-		if !ok {
-			continue
+		if a := g.step(rng); a != nil {
+			g.add(at, a)
 		}
-		events = append(events, ev)
 	}
 
 	// Cleanup phase: quiesce so bounded liveness is a legitimate claim.
@@ -165,19 +177,18 @@ func generate(rng *rand.Rand, name string) *scenario.Scenario {
 	// recovered replicas rejoin a connected quorum.
 	cleanup := func(a scenario.Action) {
 		at += 400 * time.Millisecond
-		events = append(events, scenario.Event{At: at, Action: a})
+		g.add(at, a)
 	}
-	if g.partitioned {
+	if g.Partitioned() {
 		cleanup(scenario.Heal{})
 	}
-	if g.degraded {
+	if g.Degraded() {
 		cleanup(scenario.Restore{})
 	}
-	for _, id := range types.SortedKeys(g.byz) {
+	for _, id := range g.ByzantineIDs() {
 		cleanup(scenario.SetFault{Server: id})
-		delete(g.byz, id)
 	}
-	for _, id := range types.SortedKeys(g.crashed) {
+	for _, id := range g.CrashedIDs() {
 		// Most crashed servers recover (exercising the catch-up and
 		// timer-re-arm paths); some stay down, which forces the liveness
 		// oracle to see the survivors commit without them — the shape that
@@ -186,35 +197,30 @@ func generate(rng *rand.Rand, name string) *scenario.Scenario {
 		// f servers are ever crashed.
 		if rng.Intn(10) < 7 {
 			cleanup(scenario.Recover{Server: id})
-			delete(g.crashed, id)
 		}
 	}
+	events := g.events
 
 	inv := scenario.Invariants{RecoverWithin: recoverWithin}
 	// Catch-up oracle: a server that crashed and came back must end near
 	// the head. Pick the last recovered server that is still up when the
 	// timeline ends (deterministic choice): a server that was re-crashed
 	// after its recovery and left down can never catch up, so asserting it
-	// would fail a perfectly healthy protocol. g.crashed holds exactly the
-	// servers down at the end — the cleanup loop above deleted the ones it
-	// recovered.
+	// would fail a perfectly healthy protocol.
 	for i := len(events) - 1; i >= 0; i-- {
 		r, ok := events[i].Action.(scenario.Recover)
-		if !ok {
-			continue
-		}
-		if _, down := g.crashed[r.Server]; down {
+		if !ok || g.Crashed(r.Server) {
 			continue
 		}
 		inv.CatchUpServer = r.Server
 		break
 	}
-	// Election oracle: if the initial leader S1 was provably deposed —
-	// crashed for a contiguous window ≥ leaderDownForVC during which no
-	// partition could have kept the followers from assembling a quorum —
-	// then at least one election must have completed. Without this, a
-	// view-change wedge can hide behind the recovered leader resuming.
-	if leaderProvablyDeposed(events) {
+	// Election oracle: if the initial leader S1 was provably deposed, at
+	// least one election must have completed. Without this, a view-change
+	// wedge can hide behind the recovered leader resuming. The span extends
+	// recoverWithin past the last event, so a window still open at the end
+	// certainly reaches leaderDownForVC.
+	if g.deposed || g.down {
 		inv.RequireViewChange = true
 	}
 
@@ -231,98 +237,83 @@ func generate(rng *rand.Rand, name string) *scenario.Scenario {
 	}
 }
 
-// step samples one applicable action at time at, updating the state machine.
-// ok is false when the sampled action kind has no valid instantiation right
-// now (e.g. Heal with no partition active); the caller just re-rolls.
-func (g *genState) step(rng *rand.Rand, at time.Duration) (scenario.Event, bool) {
-	mk := func(a scenario.Action) (scenario.Event, bool) {
-		return scenario.Event{At: at, Action: a}, true
-	}
+// step samples one applicable action. It returns nil when the sampled
+// action kind has no valid instantiation right now (e.g. Heal with no
+// partition active); the caller just re-rolls.
+func (g *genState) step(rng *rand.Rand) scenario.Action {
 	switch rng.Intn(7) {
 	case 0: // Crash
 		var cands []types.ServerID
-		if g.faultLoad() < g.f {
-			for i := 1; i <= g.n; i++ {
+		if g.Load() < g.F() {
+			for i := 1; i <= g.N(); i++ {
 				id := types.ServerID(i)
-				if !g.crashed[id] {
+				if !g.Crashed(id) {
 					cands = append(cands, id)
 				}
 			}
 		} else {
 			// At the bound, crashing a running Byzantine server keeps the
 			// load constant (it stops counting as Byzantine).
-			for _, id := range types.SortedKeys(g.byz) {
-				if !g.crashed[id] {
+			for _, id := range g.ByzantineIDs() {
+				if !g.Crashed(id) {
 					cands = append(cands, id)
 				}
 			}
 		}
 		if len(cands) == 0 {
-			return scenario.Event{}, false
+			return nil
 		}
-		id := cands[rng.Intn(len(cands))]
-		g.crashed[id] = true
-		return mk(scenario.Crash{Server: id})
+		return scenario.Crash{Server: cands[rng.Intn(len(cands))]}
 	case 1: // Recover
-		cands := types.SortedKeys(g.crashed)
 		// A crashed Byzantine server resuming would re-raise the fault load.
 		var ok []types.ServerID
-		for _, id := range cands {
-			if !g.byz[id] || g.faultLoad() < g.f {
+		for _, id := range g.CrashedIDs() {
+			if !g.Byzantine(id) || g.Load() < g.F() {
 				ok = append(ok, id)
 			}
 		}
 		if len(ok) == 0 {
-			return scenario.Event{}, false
+			return nil
 		}
-		id := ok[rng.Intn(len(ok))]
-		delete(g.crashed, id)
-		return mk(scenario.Recover{Server: id})
+		return scenario.Recover{Server: ok[rng.Intn(len(ok))]}
 	case 2: // Partition (replaces any active one)
 		groups := g.samplePartition(rng)
 		if groups == nil {
-			return scenario.Event{}, false
+			return nil
 		}
-		g.partitioned = true
-		return mk(scenario.Partition{Groups: groups})
+		return scenario.Partition{Groups: groups}
 	case 3: // Heal
-		if !g.partitioned {
-			return scenario.Event{}, false
+		if !g.Partitioned() {
+			return nil
 		}
-		g.partitioned = false
-		return mk(scenario.Heal{})
+		return scenario.Heal{}
 	case 4: // SetFault
 		if len(g.wrapped) == 0 {
-			return scenario.Event{}, false
+			return nil
 		}
 		id := g.wrapped[rng.Intn(len(g.wrapped))]
-		if g.byz[id] {
+		if g.Byzantine(id) {
 			// Clear it (dynamic fault migration: the faulty set moves).
-			delete(g.byz, id)
-			return mk(scenario.SetFault{Server: id})
+			return scenario.SetFault{Server: id}
 		}
-		if g.faultLoad() >= g.f && !g.crashed[id] {
-			return scenario.Event{}, false
+		if g.Load() >= g.F() && !g.Crashed(id) {
+			return nil
 		}
-		spec := quietOrEquivocate(rng)
-		g.byz[id] = true
-		return mk(scenario.SetFault{Server: id, Spec: spec})
+		return scenario.SetFault{Server: id, Spec: quietOrEquivocate(rng)}
 	case 5: // Degrade
 		extra := 5*time.Millisecond + time.Duration(rng.Int63n(int64(35*time.Millisecond)))
-		g.degraded = true
-		return mk(scenario.Degrade{
+		return scenario.Degrade{
 			Extra:    extra,
 			Jitter:   time.Duration(rng.Int63n(int64(extra)/2 + 1)),
 			DropRate: rng.Float64() * 0.25,
-		})
-	case 6: // Restore
-		if !g.degraded {
-			return scenario.Event{}, false
 		}
-		g.degraded = false
-		return mk(scenario.Restore{})
+	case 6: // Restore
+		if !g.Degraded() {
+			return nil
+		}
+		return scenario.Restore{}
 	}
-	return scenario.Event{}, false
+	return nil
 }
 
 // samplePartition draws a random split: each server lands in the implicit
@@ -330,12 +321,12 @@ func (g *genState) step(rng *rand.Rand, at time.Duration) (scenario.Event, bool)
 // actually separate anybody (all servers on one side) are rejected.
 func (g *genState) samplePartition(rng *rand.Rand) [][]types.ServerID {
 	ngroups := 1
-	if g.n >= 7 && rng.Intn(4) == 0 {
+	if g.N() >= 7 && rng.Intn(4) == 0 {
 		ngroups = 2
 	}
 	named := make([][]types.ServerID, ngroups)
 	remainder := 0
-	for i := 1; i <= g.n; i++ {
+	for i := 1; i <= g.N(); i++ {
 		gi := rng.Intn(ngroups + 1)
 		if gi == 0 {
 			remainder++
@@ -362,55 +353,4 @@ func quietOrEquivocate(rng *rand.Rand) faults.Spec {
 		return faults.Spec{Mode: faults.Quiet}
 	}
 	return faults.Spec{Mode: faults.Equivocate}
-}
-
-// leaderProvablyDeposed scans the timeline for a contiguous window of
-// length ≥ leaderDownForVC in which S1 is crashed and no partition is
-// active anywhere: during such a window the remaining n−1 ≥ 2f+1 servers
-// are fully connected, at most f−1 of them are crashed or Byzantine, and
-// the clients' complaint timers are running — a completed election is
-// guaranteed, so RequireViewChange is a sound oracle. Partitions anywhere
-// in the window void the proof (conservatively: even a partition that
-// leaves a quorum connected changes which servers can confirm).
-func leaderProvablyDeposed(events []scenario.Event) bool {
-	const leader = types.ServerID(1)
-	down := false
-	partitioned := false
-	var windowStart time.Duration
-	open := false // an S1-down, partition-free window is currently open
-	check := func(until time.Duration) bool {
-		return open && until-windowStart >= leaderDownForVC
-	}
-	for _, ev := range events {
-		if check(ev.At) {
-			return true
-		}
-		switch a := ev.Action.(type) {
-		case scenario.Crash:
-			if a.Server == leader {
-				down = true
-			}
-		case scenario.Recover:
-			if a.Server == leader {
-				down = false
-			}
-		case scenario.Partition:
-			partitioned = true
-		case scenario.Heal:
-			partitioned = false
-		}
-		if down && !partitioned {
-			if !open {
-				open, windowStart = true, ev.At
-			}
-		} else {
-			open = false
-		}
-	}
-	if len(events) == 0 {
-		return false
-	}
-	// The span extends recoverWithin past the last event; an open window at
-	// the end certainly reaches leaderDownForVC.
-	return open
 }

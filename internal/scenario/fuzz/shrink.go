@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"prestigebft/internal/scenario"
-	"prestigebft/internal/types"
 )
 
 // Oracle runs a scenario and returns its invariant violations (empty =
@@ -163,9 +162,7 @@ func lastEventAt(s *scenario.Scenario) time.Duration {
 }
 
 // dropEvent removes event i and repairs the remainder: any event whose
-// precondition the removal broke (a Recover of a server no longer crashed,
-// a Crash that would now exceed the fault bound) is removed too, walking
-// forward exactly like Validate does.
+// precondition the removal broke is removed too (repairEvents).
 func dropEvent(s *scenario.Scenario, i int) *scenario.Scenario {
 	c := cloneScenario(s)
 	c.Events = append(c.Events[:i], c.Events[i+1:]...)
@@ -219,105 +216,29 @@ func halveGap(s *scenario.Scenario, i int) *scenario.Scenario {
 // catch-up claim is vacuously false (dropping its Recover would let the
 // shrinker "reproduce" on any protocol, bug or not).
 func quiesces(s *scenario.Scenario) bool {
-	partitioned, degraded := false, false
-	crashed := make(map[types.ServerID]bool)
-	byz := make(map[types.ServerID]bool)
-	for _, id := range types.SortedKeys(s.Opts.Faults) {
-		if s.Opts.Faults[id].IsFaulty() {
-			byz[id] = true
-		}
-	}
+	st := scenario.NewFaultState(s.Opts)
 	for _, ev := range s.Events {
-		switch a := ev.Action.(type) {
-		case scenario.Partition:
-			partitioned = true
-		case scenario.Heal:
-			partitioned = false
-		case scenario.Degrade:
-			degraded = true
-		case scenario.Restore:
-			degraded = false
-		case scenario.Crash:
-			crashed[a.Server] = true
-		case scenario.Recover:
-			delete(crashed, a.Server)
-		case scenario.SetFault:
-			if a.Spec.IsFaulty() {
-				byz[a.Server] = true
-			} else {
-				delete(byz, a.Server)
-			}
+		if st.Apply(ev.Action) != nil {
+			return false
 		}
 	}
-	if id := s.Invariants.CatchUpServer; id != 0 && crashed[id] {
+	if id := s.Invariants.CatchUpServer; id != 0 && st.Crashed(id) {
 		return false
 	}
-	return !partitioned && !degraded && len(byz) == 0
+	return st.Quiescent()
 }
 
-// repairEvents drops events whose stateful precondition no longer holds,
-// tracking the same crash/fault-bound machine Validate checks. It never
-// invents events, so the result is a subsequence of the input.
+// repairEvents keeps the events the shared fault state still accepts in
+// order, dropping those whose precondition no longer holds (a Recover of a
+// server no longer crashed, a Crash that would now exceed the fault bound).
+// It never invents events, so the result is a subsequence of the input.
 func repairEvents(s *scenario.Scenario) []scenario.Event {
-	n := s.Opts.N
-	if n == 0 {
-		n = 4
-	}
-	f := types.FaultBound(n)
-	crashed := make(map[types.ServerID]bool)
-	byz := make(map[types.ServerID]bool)
-	for _, id := range types.SortedKeys(s.Opts.Faults) {
-		if s.Opts.Faults[id].IsFaulty() {
-			byz[id] = true
-		}
-	}
-	load := func() int {
-		l := len(crashed)
-		for _, id := range types.SortedKeys(byz) {
-			if !crashed[id] {
-				l++
-			}
-		}
-		return l
-	}
+	st := scenario.NewFaultState(s.Opts)
 	var out []scenario.Event
 	for _, ev := range s.Events {
-		switch a := ev.Action.(type) {
-		case scenario.Crash:
-			if crashed[a.Server] {
-				continue
-			}
-			crashed[a.Server] = true
-			if load() > f {
-				delete(crashed, a.Server)
-				continue
-			}
-		case scenario.Recover:
-			if !crashed[a.Server] {
-				continue
-			}
-			delete(crashed, a.Server)
-			if load() > f { // a Byzantine server waking back up
-				crashed[a.Server] = true
-				continue
-			}
-		case scenario.SetFault:
-			was := byz[a.Server]
-			if a.Spec.IsFaulty() {
-				byz[a.Server] = true
-			} else {
-				delete(byz, a.Server)
-			}
-			if load() > f {
-				if was {
-					byz[a.Server] = true
-				} else {
-					delete(byz, a.Server)
-				}
-				continue
-			}
+		if st.Apply(ev.Action) == nil {
+			out = append(out, ev)
 		}
-		out = append(out, ev)
 	}
 	return out
 }

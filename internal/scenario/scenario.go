@@ -21,6 +21,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -157,34 +158,17 @@ func (s *Scenario) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario has no name")
 	}
-	o := s.Opts
-	n := o.N
-	if n == 0 {
-		n = 4 // harness default
-	}
 	if s.Span <= s.warmup() {
 		return fmt.Errorf("span %v must exceed warmup %v", s.Span, s.warmup())
 	}
-	wrapped := make(map[types.ServerID]bool)
-	byz := make(map[types.ServerID]bool)
-	for _, id := range types.SortedKeys(o.Faults) {
-		if o.Faults[id].IsFaulty() {
-			wrapped[id] = true
-			byz[id] = true
-		}
+	st := NewFaultState(s.Opts)
+	if st.Load() > st.F() {
+		return fmt.Errorf("initial Faults lists %d Byzantine servers, exceeding f=%d", st.Load(), st.F())
 	}
-	for _, id := range o.WrapServers {
-		wrapped[id] = true
-	}
-	valid := func(id types.ServerID) bool { return id >= 1 && int(id) <= n }
-	if countByz(byz, nil) > types.FaultBound(n) {
-		return fmt.Errorf("initial Faults lists %d Byzantine servers, exceeding f=%d", countByz(byz, nil), types.FaultBound(n))
-	}
-	if id := s.Invariants.CatchUpServer; id != 0 && !valid(id) {
-		return fmt.Errorf("CatchUpServer %d is not a server in 1..%d", id, n)
+	if id := s.Invariants.CatchUpServer; id != 0 && (id < 1 || int(id) > st.N()) {
+		return fmt.Errorf("CatchUpServer %d is not a server in 1..%d", id, st.N())
 	}
 
-	crashed := make(map[types.ServerID]bool)
 	last := time.Duration(0)
 	for i, ev := range s.Events {
 		if ev.Action == nil {
@@ -203,66 +187,14 @@ func (s *Scenario) Validate() error {
 			// window — it would be a silent no-op in the timeline.
 			return fmt.Errorf("event %d (%s at %v) fires at or past the scenario horizon (%v)", i, ev.Action, ev.At, s.Span)
 		}
-		switch a := ev.Action.(type) {
-		case Crash:
-			if !valid(a.Server) {
-				return fmt.Errorf("event %d crashes unknown server %d", i, a.Server)
+		// Beyond f the protocol guarantees nothing, so a scenario exceeding
+		// the fault bound would assert invariants the paper never claims.
+		if err := st.Apply(ev.Action); err != nil {
+			var bound *boundError
+			if errors.As(err, &bound) {
+				return fmt.Errorf("after event %d (%s): %w", i, ev.Action, err)
 			}
-			crashed[a.Server] = true
-		case Recover:
-			if !crashed[a.Server] {
-				return fmt.Errorf("event %d recovers server %d which is not crashed", i, a.Server)
-			}
-			delete(crashed, a.Server)
-		case Partition:
-			seen := make(map[types.ServerID]bool)
-			for _, g := range a.Groups {
-				for _, id := range g {
-					if !valid(id) {
-						return fmt.Errorf("event %d partitions unknown server %d", i, id)
-					}
-					if seen[id] {
-						return fmt.Errorf("event %d lists server %d in two partition groups", i, id)
-					}
-					seen[id] = true
-				}
-			}
-		case Heal:
-		case SetFault:
-			if !valid(a.Server) {
-				return fmt.Errorf("event %d sets a fault on unknown server %d", i, a.Server)
-			}
-			if !wrapped[a.Server] {
-				return fmt.Errorf("event %d sets a fault on server %d, which is neither in Faults nor WrapServers", i, a.Server)
-			}
-			if a.Spec.RepeatedVC {
-				// The F4 levers (aggressive campaign timeouts, the S2 gate)
-				// are wired at cluster construction; a runtime swap would
-				// only change message filtering and leave an inert attacker
-				// that reports the attack ran. Same restriction as F1.
-				return fmt.Errorf("event %d swaps in RepeatedVC at runtime; F4 is construction-time — declare the attacker in Opts.Faults", i)
-			}
-			if a.Spec.IsFaulty() {
-				byz[a.Server] = true
-			} else {
-				delete(byz, a.Server)
-			}
-		case Degrade:
-			if a.DropRate < 0 || a.DropRate >= 1 {
-				return fmt.Errorf("event %d drop rate %v outside [0,1)", i, a.DropRate)
-			}
-		case Restore:
-		default:
-			return fmt.Errorf("event %d has unknown action type %T", i, ev.Action)
-		}
-		// Crashes and Byzantine servers together must respect the fault
-		// bound — beyond f the protocol guarantees nothing, so a scenario
-		// exceeding it would assert invariants the paper never claims.
-		// (Partitions are exempt: they model the network, not servers, and
-		// are expected to stall liveness until healed.)
-		if len(crashed)+countByz(byz, crashed) > types.FaultBound(n) {
-			return fmt.Errorf("after event %d (%s): %d crashed + %d faulty servers exceed f=%d",
-				i, ev.Action, len(crashed), countByz(byz, crashed), types.FaultBound(n))
+			return fmt.Errorf("event %d %w", i, err)
 		}
 	}
 	if w := s.Invariants.RecoverWithin; w > 0 {
@@ -279,18 +211,6 @@ func (s *Scenario) Validate() error {
 		}
 	}
 	return nil
-}
-
-// countByz counts Byzantine servers that are not also crashed (a crashed
-// attacker is just a crash).
-func countByz(byz, crashed map[types.ServerID]bool) int {
-	n := 0
-	for id := range byz {
-		if !crashed[id] {
-			n++
-		}
-	}
-	return n
 }
 
 // Run executes the scenario on the deterministic simulator and evaluates

@@ -143,6 +143,12 @@ func TestValidationRejectsMalformedScenarios(t *testing.T) {
 		{"recover without crash", func(s *Scenario) {
 			s.Events = []Event{{At: 3 * time.Second, Action: Recover{Server: 2}}}
 		}, "not crashed"},
+		{"crash of a crashed server", func(s *Scenario) {
+			s.Events = []Event{
+				{At: 3 * time.Second, Action: Crash{Server: 2}},
+				{At: 4 * time.Second, Action: Crash{Server: 2}},
+			}
+		}, "already crashed"},
 		{"too many crashes", func(s *Scenario) {
 			s.Events = []Event{
 				{At: 3 * time.Second, Action: Crash{Server: 2}},
