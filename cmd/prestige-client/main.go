@@ -21,7 +21,7 @@ import (
 
 func main() {
 	n := flag.Int("n", 4, "cluster size")
-	peers := flag.String("peers", ":7001,:7002,:7003,:7004", "comma-separated server addresses")
+	peers := flag.String("peers", ":7001,:7002,:7003,:7004", "comma-separated server addresses, in server ID order")
 	seed := flag.Uint64("seed", 42, "deployment key seed (must match servers)")
 	id := flag.Int("id", 1, "client ID (1..clients registered at servers)")
 	payload := flag.Int("m", 32, "payload size in bytes")

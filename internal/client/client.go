@@ -1,7 +1,12 @@
 // Package client implements the PrestigeBFT client protocol (§4.3 and
-// §4.2.1): broadcast a proposal to all servers, wait for f+1 matching Notif
+// §4.2.1): send a proposal to the leader, wait for f+1 matching Notif
 // messages, and broadcast a complaint if the proposal is not confirmed in
 // time — the trigger of failure-detection view changes.
+//
+// The leader is the one the f+1 Notifs that completed the previous request
+// all named (Notif.Leader). Without such an agreed hint — the first request,
+// or a quorum that disagreed or named nobody — the proposal goes to every
+// server. A stale hint names a deposed leader, which passes the proposal on.
 //
 // Clients are closed-loop: each keeps exactly one transaction outstanding
 // and submits the next one as soon as the previous commits, matching the
@@ -21,6 +26,8 @@ import (
 type Env interface {
 	// Now returns the current time.
 	Now() time.Duration
+	// Send sends msg to one server.
+	Send(to types.ServerID, msg types.Message)
 	// Broadcast sends msg to every server.
 	Broadcast(msg types.Message)
 	// SetTimer schedules fn and returns a cancel function.
@@ -69,10 +76,14 @@ type Client struct {
 	outstanding *types.Prop
 	outD        types.Digest
 	sentAt      time.Duration
-	notifs      map[types.ServerID]bool
-	rejects     map[types.ServerID]bool
+	// notifs and rejects map each server that acknowledged the outstanding
+	// request, accepted or rejected, to the leader its Notif named.
+	notifs      map[types.ServerID]types.ServerID
+	rejects     map[types.ServerID]types.ServerID
 	cancelTimer func()
 	stopped     bool
+	// leader is where the next proposal goes; 0 means every server.
+	leader types.ServerID
 
 	// Stats is the client's accumulated results.
 	Stats Stats
@@ -122,9 +133,13 @@ func (c *Client) next() {
 	c.outstanding = prop
 	c.outD = prop.D
 	c.sentAt = c.env.Now()
-	c.notifs = make(map[types.ServerID]bool, types.ConfirmSize(c.cfg.N))
-	c.rejects = make(map[types.ServerID]bool)
-	c.env.Broadcast(prop)
+	c.notifs = make(map[types.ServerID]types.ServerID, types.ConfirmSize(c.cfg.N))
+	c.rejects = make(map[types.ServerID]types.ServerID)
+	if c.leader != 0 {
+		c.env.Send(c.leader, prop)
+	} else {
+		c.env.Broadcast(prop)
+	}
 	c.armTimeout()
 }
 
@@ -144,18 +159,29 @@ func (c *Client) OnNotif(from types.ServerID, m *types.Notif) {
 	if !c.cfg.Registry.VerifyServer(from, m.SigningBytes(), m.Sig) {
 		return
 	}
+	acks := c.rejects
 	if m.Status {
-		c.notifs[from] = true
-	} else {
-		c.rejects[from] = true
+		acks = c.notifs
 	}
-	quorum := types.ConfirmSize(c.cfg.N)
-	switch {
-	case len(c.notifs) >= quorum:
-		c.complete(true)
-	case len(c.rejects) >= quorum:
-		c.complete(false)
+	acks[from] = m.Leader
+	if len(acks) >= types.ConfirmSize(c.cfg.N) {
+		c.leader = agreedLeader(acks)
+		c.complete(m.Status)
 	}
+}
+
+// agreedLeader is the leader every Notif of a completing quorum named, or 0
+// when they disagree or name none. A quorum holds f+1 servers, at least one
+// of them correct, so f Byzantine servers cannot agree on a leader alone.
+func agreedLeader(quorum map[types.ServerID]types.ServerID) types.ServerID {
+	var agreed types.ServerID
+	for _, leader := range quorum {
+		if leader == 0 || (agreed != 0 && leader != agreed) {
+			return 0
+		}
+		agreed = leader
+	}
+	return agreed
 }
 
 func (c *Client) complete(accepted bool) {

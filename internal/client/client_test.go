@@ -12,7 +12,14 @@ import (
 type fakeEnv struct {
 	now        time.Duration
 	broadcasts []types.Message
+	sends      []sent
 	timers     []*fakeTimer
+}
+
+// sent is one message a client addressed to a single server.
+type sent struct {
+	to  types.ServerID
+	msg types.Message
 }
 
 type fakeTimer struct {
@@ -22,6 +29,9 @@ type fakeTimer struct {
 }
 
 func (e *fakeEnv) Now() time.Duration { return e.now }
+func (e *fakeEnv) Send(to types.ServerID, msg types.Message) {
+	e.sends = append(e.sends, sent{to, msg})
+}
 func (e *fakeEnv) Broadcast(msg types.Message) {
 	e.broadcasts = append(e.broadcasts, msg)
 }
@@ -54,9 +64,74 @@ func newTestClient(t *testing.T) (*Client, *fakeEnv, *crypto.Registry, map[types
 }
 
 func notifFor(prop *types.Prop, from types.ServerID, keys *crypto.KeyPair, status bool) *types.Notif {
-	n := &types.Notif{From: from, V: 1, N: 1, TxD: prop.D, Status: status}
+	return hintedNotif(prop, from, keys, status, 0)
+}
+
+// hintedNotif is notifFor naming leader as the sender's current leader.
+func hintedNotif(prop *types.Prop, from types.ServerID, keys *crypto.KeyPair, status bool, leader types.ServerID) *types.Notif {
+	n := &types.Notif{From: from, Leader: leader, V: 1, N: 1, TxD: prop.D, Status: status}
 	n.Sig = keys.Sign(n.SigningBytes())
 	return n
+}
+
+// TestClientFollowsAgreedLeaderHint: the next proposal goes to the one
+// leader every Notif of the completing quorum named, and to every server
+// when the quorum disagrees or names nobody. A complaint always goes to
+// every server.
+func TestClientFollowsAgreedLeaderHint(t *testing.T) {
+	c, env, _, serverKeys := newTestClient(t)
+	c.Start()
+	// complete answers the outstanding proposal with a quorum whose two
+	// Notifs name the given leaders, and returns the proposal that follows.
+	outstanding := env.broadcasts[0].(*types.Prop)
+	complete := func(l1, l2 types.ServerID, status bool) {
+		t.Helper()
+		c.OnNotif(1, hintedNotif(outstanding, 1, serverKeys[1], status, l1))
+		c.OnNotif(2, hintedNotif(outstanding, 2, serverKeys[2], status, l2))
+		if c.Stats.Committed+c.Stats.Rejected != c.seq-1 {
+			t.Fatalf("request %d did not complete", c.seq-1)
+		}
+	}
+	nextSent := func(wantTo types.ServerID) {
+		t.Helper()
+		if wantTo == 0 {
+			if len(env.sends) != 0 {
+				t.Fatalf("proposal %d sent to %d, want a broadcast", c.seq, env.sends[0].to)
+			}
+			outstanding = env.broadcasts[len(env.broadcasts)-1].(*types.Prop)
+			return
+		}
+		if len(env.sends) != 1 || env.sends[0].to != wantTo {
+			t.Fatalf("proposal %d: sends %+v, want one to %d", c.seq, env.sends, wantTo)
+		}
+		outstanding = env.sends[0].msg.(*types.Prop)
+		env.sends = nil
+	}
+
+	complete(3, 3, true)
+	nextSent(3)
+	bcasts := len(env.broadcasts)
+	// The hint holds while quorums agree, rejections included.
+	complete(3, 3, false)
+	nextSent(3)
+	// A complaint goes to every server, hint or not.
+	env.advance(1100 * time.Millisecond)
+	if c.Stats.Complaints != 1 || len(env.broadcasts) != bcasts+1 {
+		t.Fatalf("complaints %d, broadcasts %d, want one complaint broadcast", c.Stats.Complaints, len(env.broadcasts)-bcasts)
+	}
+	if _, ok := env.broadcasts[bcasts].(*types.Compt); !ok || len(env.sends) != 0 {
+		t.Fatalf("the complaint was %T with sends %+v, want a broadcast Compt", env.broadcasts[bcasts], env.sends)
+	}
+	// One Notif naming another leader: no agreed hint, so a broadcast.
+	complete(3, 4, true)
+	nextSent(0)
+	complete(4, 4, true)
+	nextSent(4)
+	// A quorum naming nobody (a baseline's Notifs) clears the hint.
+	complete(0, 0, true)
+	nextSent(0)
+	complete(0, 2, true)
+	nextSent(0)
 }
 
 func TestClientClosedLoop(t *testing.T) {
@@ -201,7 +276,7 @@ func blockNotifs(prop *types.Prop, from types.ServerID, keys *crypto.KeyPair, st
 		leaves[i] = types.NotifLeaf(txds[i], status)
 	}
 	root, paths := types.NotifProofs(leaves)
-	sig := keys.Sign(types.NotifStatement(from, 1, seq, root))
+	sig := keys.Sign(types.NotifStatement(from, 0, 1, seq, root))
 	other := (pos + 1) % size
 	mk := func(i int) *types.Notif {
 		return &types.Notif{From: from, V: 1, N: seq, TxD: txds[i], Status: status,
@@ -254,6 +329,7 @@ func TestClientRejectsTamperedProof(t *testing.T) {
 			n.Index |= 1 << len(n.Path)
 		},
 		"status": func(n *types.Notif) { n.Status = false },
+		"leader": func(n *types.Notif) { n.Leader = 3 },
 		"signature of another block": func(n *types.Notif) {
 			other, _ := blockNotifs(prop, n.From, serverKeys[n.From], true, 5, 5, 15)
 			n.Sig = other.Sig

@@ -166,9 +166,13 @@ func (n *Node) applyCheckpoint(cert types.CheckpointCert, state []byte) []consen
 // closed/obsolete checkpoint rounds and the committed-transaction dedup
 // entries of pruned blocks. Pruning committedTx is what makes long-running
 // replicas bounded in memory; the trade — a duplicate of a transaction
-// committed before the base would be re-ordered rather than re-notified —
-// matches classic BFT checkpoint designs, where the reply cache is pruned at
-// the low-water mark too (correct clients stop re-sending on f+1 notifies).
+// committed long before the base would be re-ordered rather than
+// re-notified — matches classic BFT checkpoint designs, where the reply
+// cache is pruned at the low-water mark too (correct clients stop re-sending
+// on f+1 notifies). The entries of the last interval below the base are
+// kept: a proposal a follower forwards (onProp) trails the client's own copy
+// to the leader, and the base can pass the block that committed it while
+// the copy is in flight.
 func (n *Node) pruneBelowBase() {
 	base := n.store.LogBase()
 	for seq := range n.ckptRounds {
@@ -187,8 +191,9 @@ func (n *Node) pruneBelowBase() {
 	if n.ckptVoted < base {
 		n.ckptVoted = base
 	}
+	keep := types.SeqNum(n.cfg.CheckpointInterval)
 	for d, out := range n.committedTx {
-		if out.seq <= base {
+		if out.seq+keep <= base {
 			delete(n.committedTx, d)
 		}
 	}

@@ -303,6 +303,10 @@ type Node struct {
 	// blocks (TxBlockMsg) still apply — they are certified results, not new
 	// progress.
 	replStopped bool
+	// led marks that this server has led a view. Only such a server can be
+	// named by a client's leader hint, so only it forwards client
+	// proposals (forwardProp).
+	led bool
 
 	// --- Redeemer/candidate state ---
 	vPrime      types.View
@@ -435,6 +439,7 @@ func (n *Node) Init(now time.Duration) []consensus.Effect {
 	if n.store.CurrentLeader() == n.cfg.ID && n.state == Follower && n.View() == 1 {
 		n.state = Leader
 		n.leaderConfirmed = true
+		n.led = true
 	}
 	effs = append(effs, n.armPolicyTimer()...)
 
@@ -530,8 +535,13 @@ func (n *Node) OnMessage(now time.Duration, from consensus.Origin, msg types.Mes
 	if n.syncing {
 		// While syncing, only sync responses are processed; everything else
 		// is stashed and replayed once the chains catch up.
-		switch msg.(type) {
+		switch m := msg.(type) {
 		case *types.SyncResp, *types.SyncReq:
+		case *types.Prop:
+			// A proposal is never stashed: replayed after the sync it could
+			// reach the leader once its transaction has committed and left
+			// the dedup window, and be ordered twice. It is passed on now.
+			return n.forwardProp(from, m)
 		default:
 			if len(n.syncStash) < 4096 {
 				n.syncStash = append(n.syncStash, stashedMsg{from, msg})
@@ -546,7 +556,7 @@ func (n *Node) OnMessage(now time.Duration, from consensus.Origin, msg types.Mes
 	switch m := msg.(type) {
 	// Client-facing.
 	case *types.Prop:
-		return n.onProp(now, m)
+		return n.onProp(now, from, m)
 	case *types.Compt:
 		return n.onCompt(now, from, m)
 	case *types.Notif:

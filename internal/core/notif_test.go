@@ -136,3 +136,33 @@ func TestRenotifyCarriesCommittedStatus(t *testing.T) {
 		t.Fatalf("height = %d: a duplicate was re-proposed", h)
 	}
 }
+
+// TestRelayedComplaintResyncsTheRelayer: a follower that missed a block
+// relays the client's complaint about a transaction in it to a leader that
+// committed it long ago and has nothing in flight to retransmit. The leader
+// answers the relayer with its tip, the relayer syncs and commits, and the
+// client gets the follower's Notif it was waiting for.
+func TestRelayedComplaintResyncsTheRelayer(t *testing.T) {
+	r := newRig(t, 4)
+	r.intercept = func(from, to types.ServerID, msg types.Message) bool {
+		_, block := msg.(*types.TxBlockMsg)
+		return block && to == 4
+	}
+	prop := r.submit(1)
+	r.intercept, r.held = nil, nil
+	if h := r.nodes[4].Store().TxHeight(); h != 0 {
+		t.Fatalf("server 4 height %d, want 0 (its TxBlockMsg was lost)", h)
+	}
+	if _, inflight, _, _ := r.nodes[1].WindowStats(); inflight != 0 {
+		t.Fatalf("leader has %d instances in flight, want an idle leader", inflight)
+	}
+	before := len(r.notifs[4])
+	r.complain(prop)
+	if h := r.nodes[4].Store().TxHeight(); h != 1 {
+		t.Fatalf("server 4 height %d after the complaint, want 1", h)
+	}
+	fresh := r.notifs[4][before:]
+	if len(fresh) != 1 || fresh[0].TxD != prop.D {
+		t.Fatalf("server 4 sent %d notifs for the transaction, want 1", len(fresh))
+	}
+}

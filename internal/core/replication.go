@@ -12,14 +12,21 @@ import (
 
 // onProp handles a client proposal (§4.3 "Invoking a consensus service").
 // The leader batches proposals into consensus instances, and any replica
-// answers a re-sent proposal for a committed transaction; otherwise a
-// non-leader has no use for a proposal (a complaint carries its own copy)
-// and drops it before paying for the signature check.
-func (n *Node) onProp(now time.Duration, m *types.Prop) []consensus.Effect {
+// answers a re-sent proposal for a committed transaction. A client sends
+// each proposal to the leader its last Notifs named, or to every server
+// when it has no such hint; a non-leader passes on the ones a stale hint
+// sent it (forwardProp) and drops the rest unverified.
+func (n *Node) onProp(now time.Duration, from consensus.Origin, m *types.Prop) []consensus.Effect {
 	out, committed := n.committedTx[m.D]
-	leading := n.state == Leader && n.leaderConfirmed
-	if !committed && !leading {
-		return nil
+	if !committed {
+		if n.state != Leader || !n.leaderConfirmed {
+			return n.forwardProp(from, m)
+		}
+		// A verified transaction with this digest is already queued: a
+		// copy adds nothing, valid or not, so it costs no verification.
+		if n.pendingByDigest[m.D] {
+			return nil
+		}
 	}
 	if m.Tx.Digest() != m.D {
 		return nil
@@ -32,6 +39,20 @@ func (n *Node) onProp(now time.Duration, m *types.Prop) []consensus.Effect {
 		return []consensus.Effect{n.renotify(m.Tx.Client, m.D, out)}
 	}
 	return n.enqueueTx(now, m)
+}
+
+// forwardProp passes a proposal on to this replica's current leader, once
+// and unverified (the leader verifies it), when it came straight from a
+// client and this replica has led a view. A leader hint is agreed by f+1
+// replicas, at least one correct, and names the leader of a view they
+// installed, so a proposal sent to a server that never led came from a
+// hintless broadcast, whose leader copy went to the leader itself. A copy
+// relayed by a server is never relayed again: at most one extra hop.
+func (n *Node) forwardProp(from consensus.Origin, m *types.Prop) []consensus.Effect {
+	if leader := n.store.CurrentLeader(); from.Client && n.led && leader != n.cfg.ID {
+		return []consensus.Effect{consensus.Send{To: leader, Msg: m}}
+	}
+	return nil
 }
 
 // enqueueTx adds a verified transaction to the leader's batch queue and
@@ -547,14 +568,15 @@ func (n *Node) recordCommit(blk *types.TxBlock) []consensus.Effect {
 		leaves[i] = types.NotifLeaf(digests[i], txStatus(blk, i))
 	}
 	root, paths := types.NotifProofs(leaves)
-	sig := n.sign(types.NotifStatement(n.cfg.ID, v, seq, root))
+	leader := n.store.CurrentLeader()
+	sig := n.sign(types.NotifStatement(n.cfg.ID, leader, v, seq, root))
 	effs := make([]consensus.Effect, 0, len(digests))
 	for i, d := range digests {
 		status := txStatus(blk, i)
 		n.committedTx[d] = txOutcome{seq: seq, status: status}
 		delete(n.pendingByDigest, d)
 		effs = append(effs, consensus.SendClient{To: blk.Txs[i].Client, Msg: &types.Notif{
-			From: n.cfg.ID, V: v, N: seq, TxD: d, Status: status,
+			From: n.cfg.ID, Leader: leader, V: v, N: seq, TxD: d, Status: status,
 			Index: uint32(i), Path: paths[i], Sig: sig,
 		}})
 		// A commit settles any pending complaint for the transaction.
@@ -581,7 +603,7 @@ func txStatus(blk *types.TxBlock, i int) bool {
 // already committed: a Notif for that transaction alone (the one-leaf tree),
 // carrying the result the block recorded.
 func (n *Node) renotify(client types.ClientID, d types.Digest, out txOutcome) consensus.Effect {
-	notif := &types.Notif{From: n.cfg.ID, V: n.View(), N: out.seq, TxD: d, Status: out.status}
+	notif := &types.Notif{From: n.cfg.ID, Leader: n.store.CurrentLeader(), V: n.View(), N: out.seq, TxD: d, Status: out.status}
 	notif.Sig = n.sign(notif.SigningBytes())
 	return consensus.SendClient{To: client, Msg: notif}
 }

@@ -32,6 +32,16 @@ func (n *Node) onCompt(now time.Duration, from consensus.Origin, m *types.Compt)
 	// Already committed: re-notify the client, no inspection needed.
 	if out, ok := n.committedTx[d]; ok {
 		effs = append(effs, n.renotify(prop.Tx.Client, d, out))
+		if !from.Client {
+			// The server that relayed it has not committed the transaction:
+			// it missed the block. An idle leader re-broadcasts nothing, and
+			// while the client's quorum waits on that server no new proposal
+			// arrives to change that; our tip exposes the gap and the relayer
+			// syncs across it (onTxBlock).
+			tip := &types.TxBlockMsg{From: n.cfg.ID, Block: *n.store.LatestTxBlock()}
+			tip.Sig = n.sign(tip.SigningBytes())
+			effs = append(effs, consensus.Send{To: from.ServerID, Msg: tip})
+		}
 		return effs
 	}
 	first := false
@@ -464,6 +474,7 @@ func (n *Node) collectVoteLocks(locked []types.TxBlock) {
 func (n *Node) becomeLeader(now time.Duration) []consensus.Effect {
 	n.state = Leader
 	n.leaderConfirmed = false
+	n.led = true
 	vcQC := n.voteColl.QC()
 	prev := n.store.LatestVcBlock()
 	rp, ci := prev.CloneReputation()

@@ -470,9 +470,13 @@ type clientEnv struct {
 
 func (e *clientEnv) Now() time.Duration { return e.cluster.Sched.Now().ToDuration() }
 
+func (e *clientEnv) Send(to types.ServerID, msg types.Message) {
+	e.cluster.Net.Send(e.addr, sim.ServerAddr(uint16(to)), msg, msg.WireSize())
+}
+
 func (e *clientEnv) Broadcast(msg types.Message) {
 	for i := 1; i <= e.cluster.Opts.N; i++ {
-		e.cluster.Net.Send(e.addr, sim.ServerAddr(uint16(i)), msg, msg.WireSize())
+		e.Send(types.ServerID(i), msg)
 	}
 }
 

@@ -29,11 +29,12 @@ func (h *handledNode) OnMessage(now time.Duration, from consensus.Origin, msg ty
 
 // BenchmarkDeliverToHandled measures one inbound envelope from Deliver (the
 // transport reader's call: inline pre-verification, then the event queue) to
-// the core handler's return on the event loop, for the three envelopes that
-// dominate sat-small: a client Prop at the leader (verified, queued for a
-// batch), the same Prop at a follower (dropped unverified), and a follower's
-// first OrdReply for an instance at the leader (verified, collected). No
-// peer is reachable, so no effect touches a socket.
+// the core handler's return on the event loop, for three sat-small
+// envelopes: a client Prop at the leader (verified, queued for a batch), the
+// same Prop at a follower (what a client without a leader hint sends:
+// pre-verified, passed on to the leader), and a follower's first OrdReply
+// for an instance at the leader (verified, collected). No peer is
+// reachable, so no effect touches a socket.
 //
 //	go test -run '^$' -bench DeliverToHandled -benchmem ./internal/runtime
 func BenchmarkDeliverToHandled(b *testing.B) {
@@ -57,7 +58,7 @@ func BenchmarkDeliverToHandled(b *testing.B) {
 		})
 		go rt.Run()
 		b.Cleanup(rt.Stop)
-		awaitLoop(b, rt) // a follower has published "not leader" by now
+		awaitLoop(b, rt)
 		return rt, h
 	}
 	props := func(n int) []*transport.Envelope {

@@ -26,8 +26,8 @@ type ClientHost struct {
 var _ client.Env = (*ClientHost)(nil)
 
 // NewClientHost hosts a client built from cfg on tr. servers is every
-// replica's address: where a client Broadcast goes. Pass Deliver to tr.Listen
-// as the handler.
+// replica's address in server ID order: server i listens at servers[i-1].
+// Pass Deliver to tr.Listen as the handler.
 func NewClientHost(tr *transport.Transport, servers []string, cfg client.Config) *ClientHost {
 	h := &ClientHost{tr: tr, servers: servers, epoch: time.Now()}
 	h.cl = client.New(cfg, h)
@@ -73,6 +73,14 @@ func (h *ClientHost) Stats() client.Stats {
 
 // Now implements client.Env on the wall clock.
 func (h *ClientHost) Now() time.Duration { return time.Since(h.epoch) }
+
+// Send implements client.Env: queue msg for one server. An ID the host has
+// no address for is dropped, like any other loss.
+func (h *ClientHost) Send(to types.ServerID, msg types.Message) {
+	if to >= 1 && int(to) <= len(h.servers) {
+		_ = h.tr.Send(h.servers[to-1], msg)
+	}
+}
 
 // Broadcast implements client.Env: queue msg for every server. A dead
 // server's listener refuses the dial and the transport backs off, like any

@@ -181,7 +181,7 @@ func registerVerifierMetrics(reg *metrics.Registry, rt *Runtime) {
 	submitted := reg.NewCounter("prestige_verifier_submitted_total",
 		"Inbound envelopes pre-verified before the event loop.").With()
 	bypassed := reg.NewCounter("prestige_verifier_bypassed_total",
-		"Inbound envelopes enqueued without pre-verification.").With()
+		"Inbound envelopes enqueued without pre-verification (no registry to warm).").With()
 	hits := reg.NewCounter("prestige_verified_cache_hits_total",
 		"Verified-fact cache hits across all verification calls.").With()
 	misses := reg.NewCounter("prestige_verified_cache_misses_total",

@@ -98,16 +98,9 @@ type Runtime struct {
 	ins    *instruments
 
 	// Pre-verification accounting: envelopes Deliver verified before
-	// enqueueing, and envelopes it enqueued as they came.
+	// enqueueing, and envelopes it enqueued as they came (no registry).
 	preverified atomic.Uint64
 	bypassed    atomic.Uint64
-	// notLeader is the event loop's advisory hint to Deliver that this
-	// replica does not lead its view, so a client Prop is not worth
-	// pre-verifying (a non-leader core drops it unverified). The zero value
-	// means "pre-verify". Never a safety input: the core re-checks
-	// everything it acts on, so a stale hint only moves one verification
-	// between a reader goroutine and the loop.
-	notLeader atomic.Bool
 
 	// Health snapshot, written by the event loop's sampler and read by the
 	// /healthz handler goroutine: the replica's last observed view and
@@ -240,20 +233,13 @@ func (rt *Runtime) RegisterClient(id types.ClientID, addr string) {
 // sender verify and enqueue in arrival order and different senders verify in
 // parallel; a full event queue blocks only the senders that are writing.
 func (rt *Runtime) Deliver(env *transport.Envelope) {
-	if reg := rt.cfg.Registry; reg != nil && !rt.skipPreverify(env.Msg) {
+	if reg := rt.cfg.Registry; reg != nil {
 		preverify(reg, env.Msg)
 		rt.preverified.Add(1)
 	} else {
 		rt.bypassed.Add(1)
 	}
 	rt.enqueue(env)
-}
-
-// skipPreverify reports whether the core is expected to drop msg without
-// verifying it: a client proposal at a replica that is not the leader.
-func (rt *Runtime) skipPreverify(msg types.Message) bool {
-	_, isProp := msg.(*types.Prop)
-	return isProp && rt.notLeader.Load()
 }
 
 func (rt *Runtime) enqueue(env *transport.Envelope) {
@@ -284,9 +270,6 @@ func (rt *Runtime) Run() {
 	// State gauges additionally need the replica to be observable.
 	var sampleC <-chan time.Time
 	obs, _ := rt.cfg.Replica.(observable)
-	// Published before the first health sample, so a runtime that reports
-	// its loop alive has a hint that reflects the replica.
-	rt.publishLeaderHint(obs)
 	if rt.ins != nil {
 		rt.healthObserved.Store(true)
 		ticker := time.NewTicker(sampleInterval)
@@ -325,19 +308,6 @@ func (rt *Runtime) Run() {
 				rt.execute(rt.cfg.Replica.OnPuzzleSolved(rt.now(), e.token, e.nonce, e.hr))
 			}
 		}
-		rt.publishLeaderHint(obs)
-	}
-}
-
-// publishLeaderHint refreshes notLeader from the replica. Event loop only.
-func (rt *Runtime) publishLeaderHint(obs observable) {
-	if obs == nil {
-		return
-	}
-	// Load before Store: the hint changes once per view, and the reader
-	// goroutines share its cache line.
-	if nl := obs.CurrentLeader() != rt.cfg.Replica.ID(); nl != rt.notLeader.Load() {
-		rt.notLeader.Store(nl)
 	}
 }
 

@@ -31,8 +31,6 @@ type liveCluster struct {
 type nodeSetup struct {
 	core core.Config
 	rt   runtime.Config
-	// wrap, when set, interposes on the replica the runtime hosts.
-	wrap func(*core.Node) consensus.Replica
 }
 
 func bootCluster(t *testing.T, customize func(*nodeSetup)) *liveCluster {
@@ -116,11 +114,7 @@ func bootCluster(t *testing.T, customize func(*nodeSetup)) *liveCluster {
 		if customize != nil {
 			customize(ns)
 		}
-		node := core.New(ns.core)
-		ns.rt.Replica = node
-		if ns.wrap != nil {
-			ns.rt.Replica = ns.wrap(node)
-		}
+		ns.rt.Replica = core.New(ns.core)
 		rt := runtime.New(ns.rt)
 		rt.RegisterClient(1, c.clientTr.Addr())
 		handlers[id].mu.Lock()

@@ -91,6 +91,7 @@ func Append(buf []byte, msg types.Message) (out []byte, ok bool) {
 	case *types.Notif:
 		buf = append(buf, kindNotif)
 		buf = appendUvarint(buf, uint64(m.From))
+		buf = appendUvarint(buf, uint64(m.Leader))
 		buf = appendUvarint(buf, uint64(m.V))
 		buf = appendUvarint(buf, uint64(m.N))
 		buf = append(buf, m.TxD[:]...)
@@ -270,6 +271,7 @@ func Decode(data []byte) (types.Message, error) {
 	case kindNotif:
 		m := &types.Notif{}
 		m.From = r.serverID()
+		m.Leader = r.serverID()
 		m.V = types.View(r.uvarint())
 		m.N = types.SeqNum(r.uvarint())
 		r.digest(&m.TxD)

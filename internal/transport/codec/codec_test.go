@@ -59,9 +59,9 @@ func sampleMessages() []types.Message {
 		&prop,
 		&types.Prop{Tx: types.Transaction{Timestamp: -1, Client: 1}},
 		&types.Notif{From: 2, V: 1, N: 9, TxD: types.Digest{6}, Status: true, Sig: []byte("s")},
-		&types.Notif{From: 3, V: 2, N: 10, TxD: types.Digest{7}, Index: 5,
+		&types.Notif{From: 3, Leader: 1, V: 2, N: 10, TxD: types.Digest{7}, Index: 5,
 			Path: []types.Digest{{0xA1}, {0xA2}, {0xA3}}, Sig: []byte("block-sig")},
-		&types.Notif{From: 4, V: 2, N: 11, TxD: types.Digest{8}, Status: true, Index: 1<<32 - 1,
+		&types.Notif{From: 4, Leader: 1<<16 - 1, V: 2, N: 11, TxD: types.Digest{8}, Status: true, Index: 1<<32 - 1,
 			Path: make([]types.Digest, types.MaxNotifPathLen), Sig: []byte("deepest")},
 		&types.Ord{From: 1, V: 1, N: 5, Prev: types.Digest{7}, Txs: block.Txs, Sig: []byte("leader")},
 		&types.Ord{From: 1, V: 1, N: 6, Sig: []byte("empty-batch")},
@@ -249,11 +249,12 @@ func TestGoldenBytes(t *testing.T) {
 		want []byte
 	}{
 		{&prop, cat(kindProp, propB)},
-		{&types.Notif{From: 3, V: 300, N: 70000, TxD: types.Digest{0xD1, 0xD2}, Status: true,
+		{&types.Notif{From: 3, Leader: 300, V: 300, N: 70000, TxD: types.Digest{0xD1, 0xD2}, Status: true,
 			Index: 5, Path: []types.Digest{{0xA1}, {0xA2}, {0xA3}}, Sig: []byte{0x51, 0x52}},
-			cat(kindNotif, 3, 0xAC, 0x02, 0xF0, 0xA2, 0x04, dg(0xD1, 0xD2), 1, 5, 3, dg(0xA1), dg(0xA2), dg(0xA3), 2, 0x51, 0x52)},
-		// The one-leaf Notif: index 0, no path — two zero bytes.
-		{&types.Notif{From: 1, Sig: sig}, cat(kindNotif, 1, 0, 0, dg(), 0, 0, 0, sigB)},
+			cat(kindNotif, 3, 0xAC, 0x02, 0xAC, 0x02, 0xF0, 0xA2, 0x04, dg(0xD1, 0xD2), 1, 5, 3, dg(0xA1), dg(0xA2), dg(0xA3), 2, 0x51, 0x52)},
+		// The one-leaf Notif without a leader hint: leader 0, index 0, no
+		// path — three zero bytes.
+		{&types.Notif{From: 1, Sig: sig}, cat(kindNotif, 1, 0, 0, 0, dg(), 0, 0, 0, sigB)},
 		{&types.Ord{From: 1, V: 2, N: 3, Prev: types.Digest{7}, Txs: []types.Transaction{tx, {}}, Sig: sig},
 			cat(kindOrd, 1, 2, 3, dg(7), 2, txB, 0, 0, 0, sigB)},
 		{&types.OrdReply{From: 3, V: 2, N: 3, D: types.Digest{6}, Sig: sig}, cat(kindOrdReply, 3, 2, 3, dg(6), sigB)},
@@ -358,7 +359,7 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"padded varint":          cat(kindRef, 0x81, 0x00, 5, 0),
 		"padded zero":            cat(kindRef, 0x80, 0x00, 5, 0),
-		"bool 2":                 cat(kindNotif, 1, 0, 0, dg(), 2, 0, 0, 0),
+		"bool 2":                 cat(kindNotif, 1, 0, 0, 0, dg(), 2, 0, 0, 0),
 		"presence byte 2":        cat(kindSyncResp, 4, 2, 0, 0, 2),
 		"server ID 65536":        cat(kindRef, 0x80, 0x80, 0x04, 5, 0),
 		"ReVC.To 65536":          cat(kindReVC, 1, 0x80, 0x80, 0x04, 5, 0),
@@ -378,7 +379,7 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 	// fails for the reason it names.
 	for name, data := range map[string][]byte{
 		"ref":          cat(kindRef, 1, 5, 0),
-		"notif":        cat(kindNotif, 1, 0, 0, dg(), 1, 0, 0, 0),
+		"notif":        cat(kindNotif, 1, 0, 0, 0, dg(), 1, 0, 0, 0),
 		"vcblock maps": cat(vcHead, 2, 1, 1, 2, 1, 1, 3, 1, 0),
 	} {
 		if _, err := Decode(data); err != nil {
@@ -462,7 +463,7 @@ func TestDecodeBoundsViewChangeKinds(t *testing.T) {
 // TestDecodeBoundsNotifPath: the path count is checked against the cap and
 // against the bytes actually present before the path is allocated.
 func TestDecodeBoundsNotifPath(t *testing.T) {
-	head := cat(kindNotif, 1, 1, 1, dg(), 1, 0)          // From V N TxD status index
+	head := cat(kindNotif, 1, 2, 1, 1, dg(), 1, 0)       // From Leader V N TxD status index
 	body := make([]byte, (types.MaxNotifPathLen+1)*32+1) // digests + empty sig
 	for _, tc := range []struct {
 		name  string
@@ -480,8 +481,42 @@ func TestDecodeBoundsNotifPath(t *testing.T) {
 		t.Error("path count beyond the frame's bytes accepted")
 	}
 	// An index that does not fit uint32 is refused, not truncated.
-	if _, err := Decode(cat(kindNotif, 1, 1, 1, dg(), 1, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0)); err == nil {
+	if _, err := Decode(cat(kindNotif, 1, 2, 1, 1, dg(), 1, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0)); err == nil {
 		t.Error("index 2^32 accepted")
+	}
+}
+
+// TestDecodeNotifLeader: the leader hint is a server ID like From — a
+// minimal uvarint no larger than 2^16-1 — and 0, "no hint", is legal.
+func TestDecodeNotifLeader(t *testing.T) {
+	frame := func(leader ...byte) []byte { return cat(kindNotif, 1, leader, 1, 1, dg(), 1, 0, 0, 0) }
+	for _, tc := range []struct {
+		name   string
+		leader []byte
+		want   types.ServerID
+	}{
+		{"no hint", []byte{0}, 0},
+		{"server 4", []byte{4}, 4},
+		{"largest ID", []byte{0xFF, 0xFF, 0x03}, 1<<16 - 1},
+	} {
+		msg, err := Decode(frame(tc.leader...))
+		if err != nil {
+			t.Errorf("%s: refused: %v", tc.name, err)
+			continue
+		}
+		if got := msg.(*types.Notif).Leader; got != tc.want {
+			t.Errorf("%s: leader %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	for name, leader := range map[string][]byte{
+		"leader 65536":       {0x80, 0x80, 0x04},
+		"leader 2^32":        {0x80, 0x80, 0x80, 0x80, 0x10},
+		"padded leader":      {0x84, 0x00},
+		"padded zero leader": {0x80, 0x00},
+	} {
+		if _, err := Decode(frame(leader...)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
@@ -611,7 +646,7 @@ func (g gen) message() types.Message {
 		p := g.prop()
 		return &p
 	case 1:
-		m := &types.Notif{From: g.server(), V: g.view(), N: g.seq(), TxD: g.digest(),
+		m := &types.Notif{From: g.server(), Leader: g.server(), V: g.view(), N: g.seq(), TxD: g.digest(),
 			Status: g.Intn(2) == 1, Index: uint32(g.u64()), Sig: sig}
 		for i := g.Intn(types.MaxNotifPathLen + 1); i > 0; i-- {
 			m.Path = append(m.Path, g.digest())
@@ -696,9 +731,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	for _, msg := range sampleMessages() {
 		f.Add(mustAppend(f, msg))
 	}
-	f.Add([]byte{kindRef, 0x81, 0x00, 5, 0})  // padded varint
-	f.Add([]byte{kindInvalid})                // reserved kind
-	f.Add([]byte(strings.Repeat("\xff", 40))) // varint overflow everywhere
+	f.Add([]byte{kindRef, 0x81, 0x00, 5, 0})                           // padded varint
+	f.Add(cat(kindNotif, 1, 0x80, 0x80, 0x04, 1, 1, dg(), 1, 0, 0, 0)) // leader hint 2^16
+	f.Add([]byte{kindInvalid})                                         // reserved kind
+	f.Add([]byte(strings.Repeat("\xff", 40)))                          // varint overflow everywhere
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if msg, err := Decode(data); err == nil {
 			reenc := mustAppend(t, msg)

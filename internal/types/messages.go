@@ -55,6 +55,10 @@ func (m *Prop) Signature() []byte { return m.Sig }
 // Notif notifies a client that its transaction committed. A client considers
 // its transaction committed upon receiving f+1 matching Notifs.
 //
+// Leader is the sender's current leader, a hint telling the client where to
+// send its next proposal; 0 means no hint (the baselines send none). It is
+// signed with the rest, so a replica answers for the hint it gives.
+//
 // The signature does not cover the transaction alone: it covers the root of
 // a Merkle tree over the (TxD, Status) pairs of the whole block N, and
 // (Index, Path) prove this transaction's pair is leaf Index of that tree
@@ -63,13 +67,14 @@ func (m *Prop) Signature() []byte { return m.Sig }
 // by itself is the one-leaf tree: Index 0, no Path.
 type Notif struct {
 	From   ServerID
+	Leader ServerID // the sender's current leader; 0 = no hint
 	V      View
 	N      SeqNum   // sequence number of the committing txBlock
 	TxD    Digest   // digest of the client's transaction
 	Status bool     // per-transaction consensus result
 	Index  uint32   // position of (TxD, Status) among the block's leaves
 	Path   []Digest // sibling hashes from the leaf up to the root
-	Sig    []byte   // over NotifStatement(From, V, N, root)
+	Sig    []byte   // over NotifStatement(From, Leader, V, N, root)
 }
 
 func (m *Notif) Type() string { return "Notif" }
@@ -77,7 +82,7 @@ func (m *Notif) Type() string { return "Notif" }
 // WireSize counts the proof: the path's digests plus the index, which needs
 // one bit per path level — nothing for a one-leaf Notif.
 func (m *Notif) WireSize() int {
-	return headerSize + 2 + 8 + 8 + 32 + 1 + (len(m.Path)+7)/8 + 32*len(m.Path) + sigSize
+	return headerSize + 2 + 2 + 8 + 8 + 32 + 1 + (len(m.Path)+7)/8 + 32*len(m.Path) + sigSize
 }
 
 // SigningBytes recomputes the root from (TxD, Status, Index, Path), so one
@@ -89,7 +94,7 @@ func (m *Notif) SigningBytes() []byte {
 	if !ok {
 		return nil
 	}
-	return NotifStatement(m.From, m.V, m.N, root)
+	return NotifStatement(m.From, m.Leader, m.V, m.N, root)
 }
 func (m *Notif) Signature() []byte { return m.Sig }
 

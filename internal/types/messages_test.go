@@ -64,11 +64,11 @@ func TestSigningBytesDomainSeparation(t *testing.T) {
 		"Cmt/CmtReply": true,
 	}
 
-	// A Notif signs "notif" ‖ From ‖ V ‖ N ‖ root, the root being a hash no
-	// test can choose. Give the statement itself the shared digest as its
-	// root: it shares sender, view, seq and digest with every vote
-	// statement above and must still match none of them.
-	notifStmt := NotifStatement(from, v, n, d)
+	// A Notif signs "notif" ‖ From ‖ Leader ‖ V ‖ N ‖ root, the root being
+	// a hash no test can choose. Give the statement itself the shared
+	// digest as its root: it shares sender, view, seq and digest with every
+	// vote statement above and must still match none of them.
+	notifStmt := NotifStatement(from, peer, v, n, d)
 	for _, m := range msgs {
 		if bytes.Equal(notifStmt, m.SigningBytes()) {
 			t.Errorf("Notif statement over root d equals %s signing bytes", m.Type())

@@ -102,13 +102,14 @@ func NotifRoot(leaf Digest, index uint32, path []Digest) (root Digest, ok bool) 
 }
 
 // NotifStatement is the byte string a replica signs to acknowledge every
-// transaction under root: "notif" ‖ From ‖ V ‖ N ‖ root. The tag keeps it
-// apart from every other signed statement (the QC statements are one kind
-// byte plus the same three fields).
-func NotifStatement(from ServerID, v View, n SeqNum, root Digest) []byte {
-	buf := make([]byte, 0, 5+2+8+8+32)
+// transaction under root: "notif" ‖ From ‖ Leader ‖ V ‖ N ‖ root. The tag
+// keeps it apart from every other signed statement (the QC statements are
+// one kind byte plus the same sender, view and seq fields).
+func NotifStatement(from, leader ServerID, v View, n SeqNum, root Digest) []byte {
+	buf := make([]byte, 0, 5+2+2+8+8+32)
 	buf = append(buf, "notif"...)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(from))
+	buf = binary.BigEndian.AppendUint16(buf, uint16(leader))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(v))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(n))
 	return append(buf, root[:]...)

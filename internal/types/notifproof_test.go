@@ -48,7 +48,7 @@ func TestNotifOneLeafTree(t *testing.T) {
 		t.Fatalf("one-leaf tree: root %v leaf %v path %d", root, leaf, len(paths[0]))
 	}
 	alone := &Notif{From: 1, V: 2, N: 3, TxD: Digest{7}, Status: true}
-	if !bytes.Equal(alone.SigningBytes(), NotifStatement(1, 2, 3, leaf)) {
+	if !bytes.Equal(alone.SigningBytes(), NotifStatement(1, 0, 2, 3, leaf)) {
 		t.Fatal("a Notif without a path must sign the leaf as the root")
 	}
 	// The same transaction inside a two-leaf block signs a different root.
@@ -56,6 +56,12 @@ func TestNotifOneLeafTree(t *testing.T) {
 	batched := &Notif{From: 1, V: 2, N: 3, TxD: Digest{7}, Status: true, Path: paths[0]}
 	if bytes.Equal(alone.SigningBytes(), batched.SigningBytes()) {
 		t.Fatal("one-leaf and batched statements coincide")
+	}
+	// The leader hint is part of the statement: a relay cannot re-point it.
+	hinted := *alone
+	hinted.Leader = 2
+	if bytes.Equal(alone.SigningBytes(), hinted.SigningBytes()) {
+		t.Fatal("the leader hint is not signed")
 	}
 }
 
