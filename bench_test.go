@@ -22,10 +22,6 @@ import (
 	"prestigebft/internal/reputation"
 	"prestigebft/internal/sim"
 	"prestigebft/internal/types"
-
-	_ "prestigebft/internal/baseline/hotstuff"
-	_ "prestigebft/internal/baseline/prosecutor"
-	_ "prestigebft/internal/baseline/sbft"
 )
 
 func scale() harness.Scale {

@@ -66,10 +66,6 @@ import (
 	"prestigebft/internal/harness"
 	"prestigebft/internal/liveharness"
 	"prestigebft/internal/scenario"
-
-	_ "prestigebft/internal/baseline/hotstuff"
-	_ "prestigebft/internal/baseline/prosecutor"
-	_ "prestigebft/internal/baseline/sbft"
 )
 
 // benchOutput is the schema of the -json document.

@@ -19,7 +19,6 @@ import (
 
 	"prestigebft/internal/consensus"
 	"prestigebft/internal/crypto"
-	"prestigebft/internal/harness"
 	"prestigebft/internal/ledger"
 	"prestigebft/internal/quorum"
 	"prestigebft/internal/types"
@@ -387,27 +386,4 @@ func (r *Replica) learnLock(qc types.QC, blk *types.TxBlock) {
 		return
 	}
 	r.highLock, r.highLocked = qc, &types.TxBlock{Header: blk.Header, Txs: blk.Txs}
-}
-
-// init registers the baseline with the experiment harness so clusters can
-// be built with Options{Protocol: harness.HotStuff}.
-func init() {
-	harness.RegisterProtocol(harness.HotStuff, func(env harness.FactoryEnv) consensus.Replica {
-		cfg := Config{
-			ID:        env.ID,
-			N:         env.N,
-			Keys:      env.Keys,
-			Registry:  env.Registry,
-			BatchSize: env.Opts.BatchSize,
-			// The paper sets HotStuff's initial timeout to 1 s (§6.2); the
-			// harness's TimeoutMax plays that role when customized.
-			ViewTimeout: env.Opts.TimeoutMax,
-			ViewPolicy:  env.Opts.ViewPolicy,
-			RNG:         env.RNG,
-		}
-		if env.Opts.StateMachine != nil {
-			cfg.StateMachine = env.Opts.StateMachine()
-		}
-		return New(cfg)
-	})
 }

@@ -22,7 +22,6 @@ import (
 
 	"prestigebft/internal/consensus"
 	"prestigebft/internal/crypto"
-	"prestigebft/internal/harness"
 	"prestigebft/internal/ledger"
 	"prestigebft/internal/quorum"
 	"prestigebft/internal/types"
@@ -582,24 +581,4 @@ func (r *Replica) notifyClient(client types.ClientID, seq types.SeqNum, d types.
 	notif := &types.Notif{From: r.cfg.ID, V: r.view, N: seq, TxD: d, Status: true}
 	notif.Sig = r.cfg.Keys.Sign(notif.SigningBytes())
 	return consensus.SendClient{To: client, Msg: notif}
-}
-
-// init registers the baseline with the experiment harness.
-func init() {
-	harness.RegisterProtocol(harness.SBFT, func(env harness.FactoryEnv) consensus.Replica {
-		cfg := Config{
-			ID:          env.ID,
-			N:           env.N,
-			Keys:        env.Keys,
-			Registry:    env.Registry,
-			BatchSize:   env.Opts.BatchSize,
-			ViewTimeout: env.Opts.TimeoutMax,
-			ViewPolicy:  env.Opts.ViewPolicy,
-			RNG:         env.RNG,
-		}
-		if env.Opts.StateMachine != nil {
-			cfg.StateMachine = env.Opts.StateMachine()
-		}
-		return New(cfg)
-	})
 }

@@ -4,9 +4,6 @@ import (
 	"testing"
 	"time"
 
-	_ "prestigebft/internal/baseline/hotstuff"
-	_ "prestigebft/internal/baseline/prosecutor"
-	_ "prestigebft/internal/baseline/sbft"
 	"prestigebft/internal/consensus"
 	"prestigebft/internal/faults"
 	"prestigebft/internal/harness"

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"time"
 
+	"prestigebft/internal/baseline/hotstuff"
+	"prestigebft/internal/baseline/sbft"
 	"prestigebft/internal/client"
 	"prestigebft/internal/consensus"
 	"prestigebft/internal/core"
@@ -25,13 +27,18 @@ const (
 	HotStuff Protocol = "hotstuff"
 	// SBFT is the linear dual-path baseline ("sb").
 	SBFT Protocol = "sbft"
-	// Prosecutor is the PoW-penalization baseline ("pr").
+	// Prosecutor is the PoW-penalization baseline ("pr"; Zhang & Jacobsen,
+	// Middleware '21), PrestigeBFT's predecessor: campaigning costs
+	// proof-of-work whose difficulty grows with every suspicion, and the
+	// penalties never decrease. The paper presents PrestigeBFT's reputation
+	// engine as a generalization of them, so its factory row is PrestigeBFT's
+	// with an engine that never compensates (Cδ = 0) and no refresh.
+	// Prosecutor's conf_QC-free campaigns and its replication without the
+	// up-to-date-leader guarantee are not modeled.
 	Prosecutor Protocol = "prosecutor"
 )
 
-// ReplicaFactory builds one server's replica for a protocol. PrestigeBFT's
-// is built in; the baseline packages register theirs through
-// RegisterProtocol to avoid import cycles.
+// ReplicaFactory builds one server's replica for a protocol.
 type ReplicaFactory func(env FactoryEnv) consensus.Replica
 
 // FactoryEnv carries everything a replica constructor needs.
@@ -44,7 +51,7 @@ type FactoryEnv struct {
 	RNG      *rand.Rand
 	// Spec is the server's fault spec (Options.Faults). A protocol whose
 	// servers campaign for leadership hands an F4 attacker its levers
-	// (AttackerLevers); the wrapping itself is the deployment's.
+	// (attackerLevers); the wrapping itself is the deployment's.
 	Spec faults.Spec
 	// PuzzleBits is core.Config.PuzzleBitsPerRP: negative where a time
 	// model carries the proof-of-work difficulty (the simulator), the real
@@ -52,11 +59,44 @@ type FactoryEnv struct {
 	PuzzleBits int
 }
 
+// protocolFactories builds every protocol NewDeployment knows. The
+// protocol packages import no harness, so the table imports them.
 var protocolFactories = map[Protocol]ReplicaFactory{
 	PrestigeBFT: func(env FactoryEnv) consensus.Replica { return core.New(prestigeConfig(env)) },
+	Prosecutor: func(env FactoryEnv) consensus.Replica {
+		cfg := prestigeConfig(env)
+		// An S2 attacker's gate reads the engine's result, not the engine
+		// attackerLevers installed, so swapping the engine keeps it.
+		cfg.Engine = &reputation.Engine{CDelta: 0}
+		cfg.RefreshThreshold = 0
+		return core.New(cfg)
+	},
+	HotStuff: func(env FactoryEnv) consensus.Replica {
+		// The paper sets HotStuff's initial timeout to 1 s (§6.2); the
+		// harness's TimeoutMax plays that role when customized.
+		return hotstuff.New(hotstuff.Config{
+			ID: env.ID, N: env.N, Keys: env.Keys, Registry: env.Registry,
+			BatchSize:    env.Opts.BatchSize,
+			ViewTimeout:  env.Opts.TimeoutMax,
+			ViewPolicy:   env.Opts.ViewPolicy,
+			RNG:          env.RNG,
+			StateMachine: newStateMachine(env.Opts),
+		})
+	},
+	SBFT: func(env FactoryEnv) consensus.Replica {
+		return sbft.New(sbft.Config{
+			ID: env.ID, N: env.N, Keys: env.Keys, Registry: env.Registry,
+			BatchSize:    env.Opts.BatchSize,
+			ViewTimeout:  env.Opts.TimeoutMax,
+			ViewPolicy:   env.Opts.ViewPolicy,
+			RNG:          env.RNG,
+			StateMachine: newStateMachine(env.Opts),
+		})
+	},
 }
 
-// RegisterProtocol installs a baseline's replica factory.
+// RegisterProtocol adds a factory for a protocol the table does not build,
+// such as an instrumented wrapper around one it does.
 func RegisterProtocol(p Protocol, f ReplicaFactory) { protocolFactories[p] = f }
 
 // prestigeConfig is the configuration PrestigeBFT's factory builds a node
@@ -77,23 +117,30 @@ func prestigeConfig(env FactoryEnv) core.Config {
 		RefreshThreshold:   o.RefreshThreshold,
 		PuzzleBitsPerRP:    env.PuzzleBits,
 		RNG:                env.RNG,
-	}
-	if o.StateMachine != nil {
-		cfg.StateMachine = o.StateMachine()
+		StateMachine:       newStateMachine(o),
 	}
 	if o.Engine != nil {
 		cfg.Engine = o.Engine()
 	}
-	AttackerLevers(&cfg, env.Spec)
+	attackerLevers(&cfg, env.Spec)
 	return cfg
 }
 
-// AttackerLevers hands an F4 (repeated view-change) attacker the levers it
+// newStateMachine builds one replica's application; nil leaves the
+// replica's default (AcceptAll).
+func newStateMachine(o *Options) ledger.StateMachine {
+	if o.StateMachine == nil {
+		return nil
+	}
+	return o.StateMachine()
+}
+
+// attackerLevers hands an F4 (repeated view-change) attacker the levers it
 // controls on a core-based replica: a minimal trigger delay — campaign the
 // instant a change is possible, still enough for an election round trip,
 // which also bounds its candidacy timer — and, under strategy S2, the
 // compensation gate. Any other spec leaves cfg as it is.
-func AttackerLevers(cfg *core.Config, spec faults.Spec) {
+func attackerLevers(cfg *core.Config, spec faults.Spec) {
 	if !spec.RepeatedVC {
 		return
 	}

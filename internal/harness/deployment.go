@@ -23,8 +23,9 @@ type Deployment struct {
 	Opts     Options
 	Registry *crypto.Registry
 	Replicas []consensus.Replica // wrapped replicas, index = ServerID-1
-	// Nodes holds the core-based nodes (PrestigeBFT, Prosecutor) for the
-	// reads only they answer, such as reputations; nil entries elsewhere.
+	// Nodes holds each replica the factory built as a *core.Node (the
+	// PrestigeBFT and Prosecutor rows), unwrapped, for the reads only they
+	// answer, such as reputations; nil for HotStuff and SBFT.
 	Nodes    []*core.Node
 	Wrappers []*faults.Wrapper // fault wrappers (nil for correct servers)
 
@@ -40,7 +41,7 @@ func NewDeployment(opts Options, puzzleBits int) *Deployment {
 	o := opts.withDefaults()
 	factory, ok := protocolFactories[o.Protocol]
 	if !ok {
-		panic(fmt.Sprintf("harness: protocol %q not registered", o.Protocol))
+		panic(fmt.Sprintf("harness: unknown protocol %q", o.Protocol))
 	}
 	reg, serverKeys, clientKeys := crypto.GenerateDeployment(uint64(o.Seed)+0x5eed, o.N, o.Clients)
 	reg.VerifySignatures = o.VerifySignatures

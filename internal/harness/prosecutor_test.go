@@ -1,4 +1,4 @@
-package prosecutor_test
+package harness_test
 
 import (
 	"testing"
@@ -6,8 +6,6 @@ import (
 
 	"prestigebft/internal/core"
 	"prestigebft/internal/harness"
-
-	_ "prestigebft/internal/baseline/prosecutor" // register with the harness
 )
 
 // TestNormalOperation: Prosecutor commits under client load.
@@ -61,5 +59,35 @@ func TestMonotonePenalties(t *testing.T) {
 	}
 	if !grew {
 		t.Fatal("no elected server accumulated penalty under rotation")
+	}
+}
+
+// TestProsecutorReadsPrestigeOptions: a Prosecutor node is built from
+// PrestigeBFT's configuration, so the Options fields that configuration
+// reads reach it — the checkpoint interval and the replication window.
+func TestProsecutorReadsPrestigeOptions(t *testing.T) {
+	c := harness.NewCluster(harness.Options{
+		Protocol: harness.Prosecutor,
+		N:        4, Clients: 16, BatchSize: 4, Seed: 6,
+		PipelineDepth:      1,
+		CheckpointInterval: 8,
+	})
+	c.Start()
+	peak := 0
+	for i := 0; i < 300; i++ {
+		c.Run(10 * time.Millisecond)
+		for _, n := range c.Nodes {
+			_, inflight, _, _ := n.WindowStats()
+			peak = max(peak, inflight)
+		}
+	}
+	if c.Metrics.TotalTxs == 0 {
+		t.Fatal("Prosecutor committed nothing")
+	}
+	if c.Metrics.Checkpoints == 0 {
+		t.Error("CheckpointInterval 8: no checkpoint certificate assembled")
+	}
+	if peak > 1 {
+		t.Errorf("PipelineDepth 1: %d instances in flight at once", peak)
 	}
 }

@@ -9,7 +9,7 @@ import "strings"
 // function of their inputs and seeds: the serial protocol state machines, the
 // discrete-event simulator, and every layer of the reproducible benchmark
 // stack. maporder and walltime apply here. A prefix covers the package and
-// all of its subpackages (so "baseline" covers hotstuff, sbft, prosecutor).
+// all of its subpackages (so "baseline" covers hotstuff and sbft).
 const Deterministic = "prestigebft/internal/core," +
 	"prestigebft/internal/sim," +
 	"prestigebft/internal/consensus," +

@@ -4,21 +4,19 @@ import (
 	"strings"
 	"testing"
 
-	_ "prestigebft/internal/baseline/hotstuff"
-	_ "prestigebft/internal/baseline/sbft"
 	"prestigebft/internal/harness"
 	"prestigebft/internal/types"
 )
 
 // TestSafetyCheckReadsBaselineLedgers runs a built-in crash scenario on the
-// passive-rotation baselines and checks that committed-prefix safety was
+// baselines and checks that committed-prefix safety was
 // evaluated against every server's ledger rather than passing vacuously:
 // every height and every block hash the check reads is there.
 func TestSafetyCheckReadsBaselineLedgers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two 20 s simulations")
+		t.Skip("runs three 20 s simulations")
 	}
-	for _, p := range []harness.Protocol{harness.HotStuff, harness.SBFT} {
+	for _, p := range []harness.Protocol{harness.HotStuff, harness.SBFT, harness.Prosecutor} {
 		t.Run(string(p), func(t *testing.T) {
 			s, _ := Get("leader-crash-midview")
 			s.Opts.Protocol = p
@@ -48,6 +46,28 @@ func TestSafetyCheckReadsBaselineLedgers(t *testing.T) {
 						break
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestProsecutorCompacts: Prosecutor is built from PrestigeBFT's
+// configuration, checkpoint interval included, so it passes the scenarios
+// that require certified checkpoints and a snapshot catch-up.
+func TestProsecutorCompacts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two long simulations")
+	}
+	for _, name := range []string{"soak-compaction", "late-joiner-snapshot"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			s, ok := Get(name)
+			if !ok {
+				t.Fatalf("no scenario %q", name)
+			}
+			s.Opts.Protocol = harness.Prosecutor
+			if rep := s.Run(); !rep.OK() {
+				t.Errorf("prosecutor violated invariants:\n%s", rep)
 			}
 		})
 	}

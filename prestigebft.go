@@ -26,8 +26,11 @@
 //
 //   - internal/core — the PrestigeBFT node (view change + replication)
 //   - internal/reputation — the reputation engine (Algorithm 1)
-//   - internal/baseline/... — HotStuff, SBFT, Prosecutor
-//   - internal/sim, internal/harness — simulator and experiment harness
+//   - internal/baseline/... — HotStuff and SBFT
+//   - internal/harness — the factory table that builds every protocol
+//     (Prosecutor is a PrestigeBFT node with a non-compensating reputation
+//     engine) and the experiment harness
+//   - internal/sim — the discrete-event simulator
 //   - internal/faults — Byzantine behavior injection (F1-F4, S1/S2)
 //
 // This root package re-exports the surface a downstream user needs.
@@ -44,11 +47,6 @@ import (
 	"prestigebft/internal/reputation"
 	"prestigebft/internal/sim"
 	"prestigebft/internal/types"
-
-	// Register the baseline protocols with the harness.
-	_ "prestigebft/internal/baseline/hotstuff"
-	_ "prestigebft/internal/baseline/prosecutor"
-	_ "prestigebft/internal/baseline/sbft"
 )
 
 // Re-exported identifiers.
