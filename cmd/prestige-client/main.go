@@ -26,7 +26,7 @@ func main() {
 	id := flag.Int("id", 1, "client ID (1..clients registered at servers)")
 	payload := flag.Int("m", 32, "payload size in bytes")
 	duration := flag.Duration("duration", 10*time.Second, "how long to run")
-	timeout := flag.Duration("timeout", 2*time.Second, "complaint timeout")
+	timeout := flag.Duration("timeout", 2*time.Second, "the longest complaint wait")
 	flag.Parse()
 
 	addrs := strings.Split(*peers, ",")

@@ -2,6 +2,7 @@ package hotstuff_test
 
 import (
 	"testing"
+	"time"
 
 	"prestigebft/internal/baseline/hotstuff"
 	"prestigebft/internal/consensus"
@@ -174,5 +175,38 @@ func TestLockedFollowerVotesOnlyForItsLock(t *testing.T) {
 	}
 	if votes(&hotstuff.Prepare{From: 2, V: 2, N: 1, Prev: genesis, Txs: []types.Transaction{tx}, Justify: lock}) != 1 {
 		t.Fatal("locked follower did not vote for its locked block re-proposed under the lock's certificate")
+	}
+}
+
+// TestStaleComplaintTimerKeepsView: a complaint timer armed in view 1 that
+// fires after the pacemaker moved on to view 2 leaves view 2's leader in
+// place; a complaint timer of the current view still advances it.
+func TestStaleComplaintTimerKeepsView(t *testing.T) {
+	reg, keys, clientKeys := crypto.GenerateDeployment(41, 4, 1)
+	r := hotstuff.New(hotstuff.Config{ID: 3, N: 4, Keys: keys[3], Registry: reg})
+	r.Init(0)
+	tx := types.Transaction{Timestamp: 1, Client: 1, Data: []byte("x")}
+	compt := &types.Compt{Prop: types.Prop{Tx: tx, D: tx.Digest()}}
+	compt.Prop.Sig = clientKeys[1].Sign(compt.Prop.SigningBytes())
+	armed := false
+	for _, ef := range r.OnMessage(0, consensus.Origin{Client: true, ClientID: 1}, compt) {
+		if st, ok := ef.(consensus.SetTimer); ok && st.Kind == hotstuff.TimerCompt && st.Key == 1 {
+			armed = true
+		}
+	}
+	if !armed {
+		t.Fatal("the complaint armed no view-1 complaint timer")
+	}
+	r.OnTimer(time.Second, hotstuff.TimerView, 1)
+	if r.View() != 2 {
+		t.Fatalf("view %d after the pacemaker timeout, want 2", r.View())
+	}
+	r.OnTimer(1200*time.Millisecond, hotstuff.TimerCompt, 1)
+	if r.View() != 2 {
+		t.Fatalf("a view-1 complaint timer moved view 2 to %d", r.View())
+	}
+	r.OnTimer(2*time.Second, hotstuff.TimerCompt, 2)
+	if r.View() != 3 {
+		t.Fatalf("view %d after a view-2 complaint timer, want 3", r.View())
 	}
 }

@@ -271,7 +271,13 @@ func (r *Replica) OnTimer(now time.Duration, kind consensus.TimerKind, key uint6
 		}
 		return effs
 	case TimerCompt:
-		// A complained transaction failed to commit: pacemaker timeout.
+		// A complained transaction failed to commit: pacemaker timeout. A
+		// timer armed in an earlier view is stale: that view has already
+		// changed, and the leader it would depose is not the one the
+		// client complained about.
+		if types.View(key) != r.view {
+			return nil
+		}
 		return r.advanceView(now, r.view+1)
 	}
 	return nil

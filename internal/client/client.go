@@ -3,6 +3,15 @@
 // messages, and broadcast a complaint if the proposal is not confirmed in
 // time — the trigger of failure-detection view changes.
 //
+// "In time" follows the client's own commit latency, the way TCP sets its
+// retransmission timer (RFC 6298): the client waits srtt + 4·rttvar over its
+// past requests, never less than two replica retransmission periods
+// (types.RetransmitPeriod) and never more than Config.Timeout, the longest
+// complaint wait. Before its first sample it waits the full Timeout. A request
+// that complained feeds no sample (Karn's rule), so an outage does not
+// stretch the next request's wait, and each re-complaint doubles the wait up
+// to Timeout.
+//
 // The leader is the one the f+1 Notifs that completed the previous request
 // all named (Notif.Leader). Without such an agreed hint — the first request,
 // or a quorum that disagreed or named nobody — the proposal goes to every
@@ -56,8 +65,9 @@ type Config struct {
 	// nil. Default 32 bytes.
 	PayloadSize int
 
-	// Timeout is how long the client waits for f+1 Notifs before
-	// complaining. Default 1s.
+	// Timeout is the longest complaint wait: the wait before the first
+	// latency sample, and the cap on the adaptive wait and its backoff.
+	// Default 1s.
 	Timeout time.Duration
 	// ThinkTime delays the next request after a commit, throttling the
 	// client's offered load. Zero keeps the loop closed and maximally
@@ -84,6 +94,16 @@ type Client struct {
 	stopped     bool
 	// leader is where the next proposal goes; 0 means every server.
 	leader types.ServerID
+
+	// srtt and rttvar are the smoothed latency and its mean deviation over
+	// the requests that completed without a complaint; sampled reports
+	// whether there was one.
+	srtt, rttvar time.Duration
+	sampled      bool
+	// wait is the outstanding request's current complaint wait; complained
+	// reports whether it has complained, which bars it from sampling.
+	wait       time.Duration
+	complained bool
 
 	// Stats is the client's accumulated results.
 	Stats Stats
@@ -140,14 +160,44 @@ func (c *Client) next() {
 	} else {
 		c.env.Broadcast(prop)
 	}
+	c.wait = c.complaintWait()
+	c.complained = false
 	c.armTimeout()
+}
+
+// minComplaintWait is the shortest complaint wait: one retransmission each
+// of a lost Ord and a lost Cmt.
+const minComplaintWait = 2 * types.RetransmitPeriod
+
+// complaintWait is a new request's complaint wait: srtt + 4·rttvar, clamped
+// to [minComplaintWait, Timeout], and the full Timeout before any sample.
+func (c *Client) complaintWait() time.Duration {
+	if !c.sampled {
+		return c.cfg.Timeout
+	}
+	return min(max(c.srtt+4*c.rttvar, minComplaintWait), c.cfg.Timeout)
+}
+
+// observe folds one latency into srtt and rttvar with RFC 6298's gains
+// (α = 1/8, β = 1/4); the first sample sets srtt = r and rttvar = r/2.
+func (c *Client) observe(r time.Duration) {
+	if !c.sampled {
+		c.srtt, c.rttvar, c.sampled = r, r/2, true
+		return
+	}
+	dev := c.srtt - r
+	if dev < 0 {
+		dev = -dev
+	}
+	c.rttvar = (3*c.rttvar + dev) / 4
+	c.srtt = (7*c.srtt + r) / 8
 }
 
 func (c *Client) armTimeout() {
 	if c.cancelTimer != nil {
 		c.cancelTimer()
 	}
-	c.cancelTimer = c.env.SetTimer(c.cfg.Timeout, c.onTimeout)
+	c.cancelTimer = c.env.SetTimer(c.wait, c.onTimeout)
 }
 
 // OnNotif processes a server notification. The transaction is confirmed
@@ -187,6 +237,9 @@ func agreedLeader(quorum map[types.ServerID]types.ServerID) types.ServerID {
 func (c *Client) complete(accepted bool) {
 	lat := c.env.Now() - c.sentAt
 	c.Stats.Latencies = append(c.Stats.Latencies, lat)
+	if !c.complained {
+		c.observe(lat)
+	}
 	if accepted {
 		c.Stats.Committed++
 	} else {
@@ -214,6 +267,8 @@ func (c *Client) onTimeout() {
 	compt := &types.Compt{Prop: *c.outstanding}
 	compt.Sig = c.cfg.Keys.Sign(compt.SigningBytes())
 	c.env.Broadcast(compt)
+	c.complained = true
+	c.wait = min(2*c.wait, c.cfg.Timeout)
 	c.armTimeout()
 }
 

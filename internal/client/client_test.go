@@ -54,11 +54,17 @@ func (e *fakeEnv) advance(d time.Duration) {
 
 func newTestClient(t *testing.T) (*Client, *fakeEnv, *crypto.Registry, map[types.ServerID]*crypto.KeyPair) {
 	t.Helper()
+	return newTimeoutClient(t, time.Second)
+}
+
+// newTimeoutClient is newTestClient with the given longest complaint wait.
+func newTimeoutClient(t *testing.T, timeout time.Duration) (*Client, *fakeEnv, *crypto.Registry, map[types.ServerID]*crypto.KeyPair) {
+	t.Helper()
 	reg, serverKeys, clientKeys := crypto.GenerateDeployment(55, 4, 1)
 	env := &fakeEnv{}
 	c := New(Config{
 		ID: 1, Keys: clientKeys[1], Registry: reg, N: 4,
-		PayloadSize: 16, Timeout: time.Second,
+		PayloadSize: 16, Timeout: timeout,
 	}, env)
 	return c, env, reg, serverKeys
 }
@@ -360,5 +366,101 @@ func TestClientRejectsTamperedProof(t *testing.T) {
 	c.OnNotif(2, genuine(2))
 	if c.Stats.Committed != 1 {
 		t.Fatal("genuine batched quorum rejected")
+	}
+}
+
+// commitAfter lets d pass and then completes the outstanding request with an
+// f+1 quorum of accepting Notifs.
+func commitAfter(t *testing.T, c *Client, env *fakeEnv, keys map[types.ServerID]*crypto.KeyPair, d time.Duration) {
+	t.Helper()
+	env.advance(d)
+	prop, done := c.outstanding, c.Stats.Committed
+	c.OnNotif(1, notifFor(prop, 1, keys[1], true))
+	c.OnNotif(2, notifFor(prop, 2, keys[2], true))
+	if c.Stats.Committed != done+1 {
+		t.Fatalf("request %d did not commit", c.seq)
+	}
+}
+
+// complainsAfter checks that the client's next complaint fires exactly d
+// from now: not a nanosecond earlier.
+func complainsAfter(t *testing.T, c *Client, env *fakeEnv, d time.Duration) {
+	t.Helper()
+	before := c.Stats.Complaints
+	env.advance(d - 1)
+	if c.Stats.Complaints != before {
+		t.Fatalf("complained before %v", d)
+	}
+	env.advance(1)
+	if c.Stats.Complaints != before+1 {
+		t.Fatalf("no complaint at %v", d)
+	}
+}
+
+// TestClientFirstRequestWaitsFullTimeout: with no latency sample yet, the
+// client waits the whole Timeout before it complains.
+func TestClientFirstRequestWaitsFullTimeout(t *testing.T) {
+	c, env, _, _ := newTimeoutClient(t, 2*time.Second)
+	c.Start()
+	complainsAfter(t, c, env, 2*time.Second)
+}
+
+// TestClientComplaintWaitFloor: after fast commits the wait shrinks to its
+// floor, two replica retransmission periods (500 ms), and no lower.
+func TestClientComplaintWaitFloor(t *testing.T) {
+	c, env, _, keys := newTimeoutClient(t, 2*time.Second)
+	c.Start()
+	for i := 0; i < 20; i++ {
+		commitAfter(t, c, env, keys, 5*time.Millisecond)
+	}
+	if minComplaintWait != 500*time.Millisecond {
+		t.Fatalf("floor %v, want 500ms", minComplaintWait)
+	}
+	complainsAfter(t, c, env, minComplaintWait)
+}
+
+// TestClientComplaintWaitCappedAtTimeout: a latency whose srtt + 4·rttvar
+// exceeds Timeout still complains at Timeout.
+func TestClientComplaintWaitCappedAtTimeout(t *testing.T) {
+	c, env, _, keys := newTimeoutClient(t, 2*time.Second)
+	c.Start()
+	commitAfter(t, c, env, keys, 1900*time.Millisecond)
+	if rto := c.srtt + 4*c.rttvar; rto <= 2*time.Second {
+		t.Fatalf("srtt + 4·rttvar = %v, want the sample to ask for more than Timeout", rto)
+	}
+	complainsAfter(t, c, env, 2*time.Second)
+}
+
+// TestClientComplainedRequestAddsNoSample: Karn's rule. A request that
+// needed complaints commits late, and the next request still waits what the
+// fast samples before it said.
+func TestClientComplainedRequestAddsNoSample(t *testing.T) {
+	c, env, _, keys := newTimeoutClient(t, 2*time.Second)
+	c.Start()
+	for i := 0; i < 20; i++ {
+		commitAfter(t, c, env, keys, 5*time.Millisecond)
+	}
+	srtt, rttvar, samples := c.srtt, c.rttvar, len(c.Stats.Latencies)
+	complainsAfter(t, c, env, 500*time.Millisecond)
+	commitAfter(t, c, env, keys, 900*time.Millisecond)
+	if len(c.Stats.Latencies) != samples+1 {
+		t.Fatal("the late request's latency was not recorded")
+	}
+	if c.srtt != srtt || c.rttvar != rttvar {
+		t.Fatalf("srtt/rttvar %v/%v -> %v/%v after a complained request", srtt, rttvar, c.srtt, c.rttvar)
+	}
+	complainsAfter(t, c, env, 500*time.Millisecond)
+}
+
+// TestClientComplaintBackoff: each re-complaint doubles the wait, and the
+// wait stays at Timeout once it gets there.
+func TestClientComplaintBackoff(t *testing.T) {
+	c, env, _, keys := newTimeoutClient(t, 2*time.Second)
+	c.Start()
+	for i := 0; i < 20; i++ {
+		commitAfter(t, c, env, keys, 5*time.Millisecond)
+	}
+	for _, d := range []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second, 2 * time.Second, 2 * time.Second} {
+		complainsAfter(t, c, env, d)
 	}
 }

@@ -124,8 +124,9 @@ type Config struct {
 	PipelineDepth int
 	// InstanceTimeout is the per-instance retransmission period: an
 	// in-flight instance older than this has its phase messages
-	// re-broadcast (vote collection is idempotent). Default 250ms — far
-	// above a healthy commit round trip, so it only fires under loss.
+	// re-broadcast (vote collection is idempotent). Default
+	// types.RetransmitPeriod (250ms) — far above a healthy commit round
+	// trip, so it only fires under loss.
 	InstanceTimeout time.Duration
 
 	// CheckpointInterval enables certified checkpoints: every
@@ -197,7 +198,7 @@ func (c *Config) withDefaults() Config {
 		out.PipelineDepth = 1
 	}
 	if out.InstanceTimeout == 0 {
-		out.InstanceTimeout = 250 * time.Millisecond
+		out.InstanceTimeout = types.RetransmitPeriod
 	}
 	if out.TimeoutMin == 0 {
 		out.TimeoutMin = 800 * time.Millisecond

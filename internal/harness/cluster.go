@@ -193,7 +193,10 @@ type Options struct {
 	// Defaults 800 ms / 1200 ms.
 	TimeoutMin time.Duration
 	TimeoutMax time.Duration
-	// ClientTimeout is the complaint timeout. Default 2 s.
+	// ClientTimeout is the longest complaint wait (client.Config.Timeout):
+	// a client waits it in full before its first commit, and otherwise
+	// complains after its own smoothed latency plus four deviations,
+	// floored at 500 ms and capped here. Default 2 s.
 	ClientTimeout time.Duration
 	// RefreshThreshold is π; zero disables refreshes.
 	RefreshThreshold int64

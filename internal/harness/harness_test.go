@@ -97,6 +97,52 @@ func TestLeaderCrashRecovers(t *testing.T) {
 	}
 }
 
+// TestLeaderCrashOutageFollowsClientLatency: under the default 2 s longest
+// complaint wait, the first commit after a leader crash lands within 2 s of
+// it, after exactly one election. Clients complain after their own
+// srtt + 4·rttvar (floored at two retransmission periods), not after the
+// full wait. The stages come from the existing trace events.
+func TestLeaderCrashOutageFollowsClientLatency(t *testing.T) {
+	t.Parallel()
+	for seed := int64(1); seed <= 3; seed++ {
+		c := NewCluster(Options{N: 4, Clients: 8, Seed: seed})
+		c.Start()
+		c.Run(2 * time.Second)
+		crashAt, vcs, cands, elections, commits := c.Now(), c.Metrics.ViewChangesStarted, c.Metrics.Candidacies, c.Metrics.Elections, len(c.Metrics.Commits)
+		c.Crash(c.Nodes[0].CurrentLeader())
+		// Step event by event, so each stage carries the time it began.
+		var vcAt, candAt, electedAt, commitAt sim.Time
+		stamp := func(at *sim.Time, started bool) {
+			if *at == 0 && started {
+				*at = c.Now()
+			}
+		}
+		for commitAt == 0 && c.Now() < crashAt+sim.Time(5*time.Second) && c.Sched.Step() {
+			stamp(&vcAt, c.Metrics.ViewChangesStarted > vcs)
+			stamp(&candAt, c.Metrics.Candidacies > cands)
+			stamp(&electedAt, c.Metrics.Elections > elections)
+			stamp(&commitAt, len(c.Metrics.Commits) > commits)
+		}
+		since := func(at sim.Time) time.Duration {
+			if at == 0 {
+				return -1
+			}
+			return (at - crashAt).ToDuration()
+		}
+		t.Logf("seed %d: crash → view-change start %v → candidate %v → elected %v → first commit %v",
+			seed, since(vcAt), since(candAt), since(electedAt), since(commitAt))
+		if commitAt == 0 || since(commitAt) >= 2*time.Second {
+			t.Errorf("seed %d: first commit after the crash at %v, want within 2s", seed, since(commitAt))
+		}
+		// Complaints still in flight at the first commit must not start a
+		// second election.
+		c.Run(3 * time.Second)
+		if got := c.Metrics.Elections - elections; got != 1 {
+			t.Errorf("seed %d: %d elections after the crash, want 1", seed, got)
+		}
+	}
+}
+
 // TestSafetyNoConflictingCommits checks Theorem 3 under repeated leader
 // crashes: no two correct replicas commit different blocks at the same
 // sequence number.

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"time"
 )
 
 // ServerID identifies a consensus server (replica). Servers are numbered
@@ -425,6 +426,13 @@ func GenesisVcBlock(n int, initialLeader ServerID, initialRP, initialCI int64) *
 func GenesisTxBlock() *TxBlock {
 	return &TxBlock{Header: TxBlockHeader{V: 1, N: 0}}
 }
+
+// RetransmitPeriod is a replica's default per-instance retransmission
+// period: an in-flight consensus instance older than this re-broadcasts its
+// phase messages. A client's complaint wait never drops below two of them,
+// the loss of one Ord and one Cmt, so the protocol's own loss recovery gets
+// its chance before a client suspects the leader.
+const RetransmitPeriod = 250 * time.Millisecond
 
 // Quorum arithmetic --------------------------------------------------------
 
