@@ -180,7 +180,8 @@ func TestLockedFollowerVotesOnlyForItsLock(t *testing.T) {
 
 // TestStaleComplaintTimerKeepsView: a complaint timer armed in view 1 that
 // fires after the pacemaker moved on to view 2 leaves view 2's leader in
-// place; a complaint timer of the current view still advances it.
+// place. The same transaction, still pending, complained about again in
+// view 2 arms a view-2 timer, and that timer advances the view.
 func TestStaleComplaintTimerKeepsView(t *testing.T) {
 	reg, keys, clientKeys := crypto.GenerateDeployment(41, 4, 1)
 	r := hotstuff.New(hotstuff.Config{ID: 3, N: 4, Keys: keys[3], Registry: reg})
@@ -188,13 +189,15 @@ func TestStaleComplaintTimerKeepsView(t *testing.T) {
 	tx := types.Transaction{Timestamp: 1, Client: 1, Data: []byte("x")}
 	compt := &types.Compt{Prop: types.Prop{Tx: tx, D: tx.Digest()}}
 	compt.Prop.Sig = clientKeys[1].Sign(compt.Prop.SigningBytes())
-	armed := false
-	for _, ef := range r.OnMessage(0, consensus.Origin{Client: true, ClientID: 1}, compt) {
-		if st, ok := ef.(consensus.SetTimer); ok && st.Kind == hotstuff.TimerCompt && st.Key == 1 {
-			armed = true
+	armsTimer := func(now time.Duration, view uint64) bool {
+		for _, ef := range r.OnMessage(now, consensus.Origin{Client: true, ClientID: 1}, compt) {
+			if st, ok := ef.(consensus.SetTimer); ok && st.Kind == hotstuff.TimerCompt && st.Key == view {
+				return true
+			}
 		}
+		return false
 	}
-	if !armed {
+	if !armsTimer(0, 1) {
 		t.Fatal("the complaint armed no view-1 complaint timer")
 	}
 	r.OnTimer(time.Second, hotstuff.TimerView, 1)
@@ -205,7 +208,10 @@ func TestStaleComplaintTimerKeepsView(t *testing.T) {
 	if r.View() != 2 {
 		t.Fatalf("a view-1 complaint timer moved view 2 to %d", r.View())
 	}
-	r.OnTimer(2*time.Second, hotstuff.TimerCompt, 2)
+	if !armsTimer(1500*time.Millisecond, 2) {
+		t.Fatal("a view-2 complaint about the still-pending transaction armed no view-2 timer")
+	}
+	r.OnTimer(2500*time.Millisecond, hotstuff.TimerCompt, 2)
 	if r.View() != 3 {
 		t.Fatalf("view %d after a view-2 complaint timer, want 3", r.View())
 	}

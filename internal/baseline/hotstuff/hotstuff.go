@@ -151,7 +151,10 @@ type Replica struct {
 
 	committedTx map[types.Digest]types.SeqNum
 	propSeen    map[types.Digest]*types.Prop
-	comptSeen   map[types.Digest]bool
+	// comptSeen maps each complained, uncommitted transaction to the view
+	// whose complaint timer it armed; a complaint in a later view arms that
+	// view's timer.
+	comptSeen map[types.Digest]types.View
 }
 
 type phaseKey struct {
@@ -173,7 +176,7 @@ func New(cfg Config) *Replica {
 		votedPhase:      make(map[phaseKey]bool),
 		committedTx:     make(map[types.Digest]types.SeqNum),
 		propSeen:        make(map[types.Digest]*types.Prop),
-		comptSeen:       make(map[types.Digest]bool),
+		comptSeen:       make(map[types.Digest]types.View),
 	}
 }
 

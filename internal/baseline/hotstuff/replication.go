@@ -40,8 +40,8 @@ func (r *Replica) onCompt(now time.Duration, m *types.Compt) []consensus.Effect 
 		return r.enqueue(now, prop)
 	}
 	var effs []consensus.Effect
-	if !r.comptSeen[d] {
-		r.comptSeen[d] = true
+	if r.comptSeen[d] != r.view {
+		r.comptSeen[d] = r.view
 		effs = append(effs, consensus.Send{To: r.leader(), Msg: m})
 		effs = append(effs, consensus.SetTimer{
 			Kind: TimerCompt, Key: uint64(r.view), Delay: r.cfg.ViewTimeout,
@@ -313,9 +313,9 @@ func (r *Replica) recordCommit(blk *types.TxBlock) []consensus.Effect {
 		r.committedTx[d] = blk.Header.N
 		delete(r.pendingByDigest, d)
 		delete(r.propSeen, d)
-		if r.comptSeen[d] {
+		if v, ok := r.comptSeen[d]; ok {
 			delete(r.comptSeen, d)
-			effs = append(effs, consensus.CancelTimer{Kind: TimerCompt, Key: uint64(r.view)})
+			effs = append(effs, consensus.CancelTimer{Kind: TimerCompt, Key: uint64(v)})
 		}
 		effs = append(effs, r.notifyClient(tx.Client, blk.Header.N, d))
 	}

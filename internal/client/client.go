@@ -7,10 +7,13 @@
 // retransmission timer (RFC 6298): the client waits srtt + 4·rttvar over its
 // past requests, never less than two replica retransmission periods
 // (types.RetransmitPeriod) and never more than Config.Timeout, the longest
-// complaint wait. Before its first sample it waits the full Timeout. A request
-// that complained feeds no sample (Karn's rule), so an outage does not
-// stretch the next request's wait, and each re-complaint doubles the wait up
-// to Timeout.
+// complaint wait. Before its first sample it waits the full Timeout. Each
+// re-complaint doubles the wait up to Timeout, and the doubled wait carries
+// over to the next requests until one of them completes without a complaint.
+// A request that complained feeds no sample (Karn's rule): its latency, an
+// outage's, never enters srtt; the first clean sample after it sets the wait
+// from srtt again. A latency that outgrows the wait thus costs one complaint,
+// not one per request.
 //
 // The leader is the one the f+1 Notifs that completed the previous request
 // all named (Notif.Leader). Without such an agreed hint — the first request,
@@ -100,8 +103,9 @@ type Client struct {
 	// whether there was one.
 	srtt, rttvar time.Duration
 	sampled      bool
-	// wait is the outstanding request's current complaint wait; complained
-	// reports whether it has complained, which bars it from sampling.
+	// wait is the complaint wait the next timer arms: set from srtt by each
+	// sample, doubled by each complaint. complained reports whether the
+	// outstanding request has complained, which bars it from sampling.
 	wait       time.Duration
 	complained bool
 
@@ -117,7 +121,7 @@ func New(cfg Config, env Env) *Client {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = time.Second
 	}
-	return &Client{cfg: cfg, env: env}
+	return &Client{cfg: cfg, env: env, wait: cfg.Timeout}
 }
 
 // ID returns the client identity.
@@ -160,7 +164,6 @@ func (c *Client) next() {
 	} else {
 		c.env.Broadcast(prop)
 	}
-	c.wait = c.complaintWait()
 	c.complained = false
 	c.armTimeout()
 }
@@ -169,28 +172,21 @@ func (c *Client) next() {
 // of a lost Ord and a lost Cmt.
 const minComplaintWait = 2 * types.RetransmitPeriod
 
-// complaintWait is a new request's complaint wait: srtt + 4·rttvar, clamped
-// to [minComplaintWait, Timeout], and the full Timeout before any sample.
-func (c *Client) complaintWait() time.Duration {
-	if !c.sampled {
-		return c.cfg.Timeout
-	}
-	return min(max(c.srtt+4*c.rttvar, minComplaintWait), c.cfg.Timeout)
-}
-
 // observe folds one latency into srtt and rttvar with RFC 6298's gains
-// (α = 1/8, β = 1/4); the first sample sets srtt = r and rttvar = r/2.
+// (α = 1/8, β = 1/4; the first sample sets srtt = r and rttvar = r/2) and
+// sets the wait to srtt + 4·rttvar, clamped to [minComplaintWait, Timeout].
 func (c *Client) observe(r time.Duration) {
 	if !c.sampled {
 		c.srtt, c.rttvar, c.sampled = r, r/2, true
-		return
+	} else {
+		dev := c.srtt - r
+		if dev < 0 {
+			dev = -dev
+		}
+		c.rttvar = (3*c.rttvar + dev) / 4
+		c.srtt = (7*c.srtt + r) / 8
 	}
-	dev := c.srtt - r
-	if dev < 0 {
-		dev = -dev
-	}
-	c.rttvar = (3*c.rttvar + dev) / 4
-	c.srtt = (7*c.srtt + r) / 8
+	c.wait = min(max(c.srtt+4*c.rttvar, minComplaintWait), c.cfg.Timeout)
 }
 
 func (c *Client) armTimeout() {

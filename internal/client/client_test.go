@@ -432,8 +432,9 @@ func TestClientComplaintWaitCappedAtTimeout(t *testing.T) {
 }
 
 // TestClientComplainedRequestAddsNoSample: Karn's rule. A request that
-// needed complaints commits late, and the next request still waits what the
-// fast samples before it said.
+// needed complaints commits late without touching srtt/rttvar; its
+// backed-off wait carries over to the next requests until one completes
+// without a complaint, and that clean sample sets the wait from srtt again.
 func TestClientComplainedRequestAddsNoSample(t *testing.T) {
 	c, env, _, keys := newTimeoutClient(t, 2*time.Second)
 	c.Start()
@@ -449,7 +450,28 @@ func TestClientComplainedRequestAddsNoSample(t *testing.T) {
 	if c.srtt != srtt || c.rttvar != rttvar {
 		t.Fatalf("srtt/rttvar %v/%v -> %v/%v after a complained request", srtt, rttvar, c.srtt, c.rttvar)
 	}
+	complainsAfter(t, c, env, time.Second)
+	commitAfter(t, c, env, keys, 0)
+	commitAfter(t, c, env, keys, 5*time.Millisecond)
 	complainsAfter(t, c, env, 500*time.Millisecond)
+}
+
+// TestClientLatencyStepCostsOneComplaint: when the commit latency jumps
+// from 5 ms to 700 ms, above the 500 ms wait the fast samples set, the first
+// slow request complains once; its doubled wait lets the next one commit
+// uncomplained, and from that sample on srtt + 4·rttvar covers 700 ms.
+func TestClientLatencyStepCostsOneComplaint(t *testing.T) {
+	c, env, _, keys := newTimeoutClient(t, 2*time.Second)
+	c.Start()
+	for i := 0; i < 20; i++ {
+		commitAfter(t, c, env, keys, 5*time.Millisecond)
+	}
+	for i := 0; i < 30; i++ {
+		commitAfter(t, c, env, keys, 700*time.Millisecond)
+	}
+	if c.Stats.Complaints != 1 {
+		t.Fatalf("%d complaints over 30 requests at 700 ms, want 1", c.Stats.Complaints)
+	}
 }
 
 // TestClientComplaintBackoff: each re-complaint doubles the wait, and the

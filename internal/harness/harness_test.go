@@ -143,6 +143,42 @@ func TestLeaderCrashOutageFollowsClientLatency(t *testing.T) {
 	}
 }
 
+// TestSlowLinksDrawNoComplaints: on 250 ms links a commit takes 1.6–1.9 s,
+// well above the 500 ms floor of the complaint wait and just under the 2 s
+// longest wait. The clients' waits follow their own latency up, so a correct
+// leader draws no complaint that its followers would turn into a view
+// change. (A wait pinned at the floor complains about every request here,
+// and the followers' inspection timers, 0.8–1.2 s after each relayed
+// complaint, expire before the commit and depose the leader.)
+func TestSlowLinksDrawNoComplaints(t *testing.T) {
+	t.Parallel()
+	for seed := int64(1); seed <= 3; seed++ {
+		net := sim.WANNetworkConfig()
+		net.Latency = sim.NormalLatency{Mean: 250 * time.Millisecond, StdDev: 25 * time.Millisecond, Floor: 125 * time.Millisecond}
+		c := NewCluster(Options{N: 4, Clients: 8, Seed: seed, Net: net})
+		c.Start()
+		c.Run(30 * time.Second)
+		var commits, complaints int
+		var slowest time.Duration
+		for _, st := range c.ClientStats() {
+			commits += st.Committed
+			complaints += st.Complaints
+			for _, lat := range st.Latencies {
+				if lat > slowest {
+					slowest = lat
+				}
+			}
+		}
+		t.Logf("seed %d: %d commits, slowest %v, %d complaints, %d view changes", seed, commits, slowest, complaints, c.Metrics.ViewChangesStarted)
+		if slowest < time.Second {
+			t.Fatalf("seed %d: slowest commit %v; the links no longer put latency above the floor", seed, slowest)
+		}
+		if complaints > 0 || c.Metrics.ViewChangesStarted > 0 {
+			t.Errorf("seed %d: %d complaints and %d view changes under a correct leader, want none", seed, complaints, c.Metrics.ViewChangesStarted)
+		}
+	}
+}
+
 // TestSafetyNoConflictingCommits checks Theorem 3 under repeated leader
 // crashes: no two correct replicas commit different blocks at the same
 // sequence number.
