@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"prestigebft/internal/crypto"
+	"prestigebft/internal/experiments"
 	"prestigebft/internal/harness"
 	"prestigebft/internal/quorum"
 	"prestigebft/internal/reputation"
@@ -24,11 +25,14 @@ import (
 	"prestigebft/internal/types"
 )
 
-func scale() harness.Scale {
+// run runs the named experiment at the scale PRESTIGE_FULL selects.
+func run(name string) *harness.Result {
+	scale := experiments.Quick
 	if os.Getenv("PRESTIGE_FULL") != "" {
-		return harness.Full
+		scale = experiments.Full
 	}
-	return harness.Quick
+	res, _ := experiments.Experiments[name](scale).Run()
+	return res
 }
 
 // report re-renders an experiment's rows as benchmark metrics, plus the
@@ -55,7 +59,7 @@ func report(b *testing.B, res *harness.Result, metric string) {
 func BenchmarkFig4cReputationTable(b *testing.B) {
 	var res *harness.Result
 	for i := 0; i < b.N; i++ {
-		res = harness.RunFig4c()
+		res = run("fig4c")
 	}
 	for _, row := range res.Rows {
 		b.ReportMetric(row.Values["rp_new"], "rp_"+strings.Fields(row.Label)[0])
@@ -67,7 +71,7 @@ func BenchmarkFig4cReputationTable(b *testing.B) {
 func BenchmarkFig6Batching(b *testing.B) {
 	var res *harness.Result
 	for i := 0; i < b.N; i++ {
-		res = harness.RunFig6(scale())
+		res = run("fig6")
 	}
 	report(b, res, "tps")
 }
@@ -77,7 +81,7 @@ func BenchmarkFig6Batching(b *testing.B) {
 func BenchmarkPeakPerformance(b *testing.B) {
 	var res *harness.Result
 	for i := 0; i < b.N; i++ {
-		res = harness.RunPeak(scale())
+		res = run("peak")
 	}
 	report(b, res, "tps")
 	report(b, res, "x")
@@ -88,7 +92,7 @@ func BenchmarkPeakPerformance(b *testing.B) {
 func BenchmarkFig7Scalability(b *testing.B) {
 	var res *harness.Result
 	for i := 0; i < b.N; i++ {
-		res = harness.RunFig7(scale())
+		res = run("fig7")
 	}
 	report(b, res, "tps")
 }
@@ -98,7 +102,7 @@ func BenchmarkFig7Scalability(b *testing.B) {
 func BenchmarkFig8SplitVotes(b *testing.B) {
 	var res *harness.Result
 	for i := 0; i < b.N; i++ {
-		res = harness.RunFig8(scale())
+		res = run("fig8")
 	}
 	report(b, res, "split_vote_pct")
 }
@@ -108,7 +112,7 @@ func BenchmarkFig8SplitVotes(b *testing.B) {
 func BenchmarkFig9QuietEquiv(b *testing.B) {
 	var res *harness.Result
 	for i := 0; i < b.N; i++ {
-		res = harness.RunFig9(scale())
+		res = run("fig9")
 	}
 	report(b, res, "tps")
 }
@@ -118,7 +122,7 @@ func BenchmarkFig9QuietEquiv(b *testing.B) {
 func BenchmarkFig10RepeatedVC(b *testing.B) {
 	var res *harness.Result
 	for i := 0; i < b.N; i++ {
-		res = harness.RunFig10(scale())
+		res = run("fig10")
 	}
 	report(b, res, "tps")
 }
@@ -128,7 +132,7 @@ func BenchmarkFig10RepeatedVC(b *testing.B) {
 func BenchmarkFig11Recovery(b *testing.B) {
 	var res *harness.Result
 	for i := 0; i < b.N; i++ {
-		res = harness.RunFig11(scale())
+		res = run("fig11")
 	}
 	// Report only the last window per fault count (the recovery endpoint).
 	last := map[string]float64{}
@@ -146,7 +150,7 @@ func BenchmarkFig11Recovery(b *testing.B) {
 func BenchmarkFig12AttackCost(b *testing.B) {
 	var res *harness.Result
 	for i := 0; i < b.N; i++ {
-		res = harness.RunFig12(scale())
+		res = run("fig12")
 	}
 	for _, row := range res.Rows {
 		if strings.Contains(row.Label, "attack20") || strings.Contains(row.Label, "attack10") {
@@ -160,7 +164,7 @@ func BenchmarkFig12AttackCost(b *testing.B) {
 func BenchmarkFig13RPEvolution(b *testing.B) {
 	var res *harness.Result
 	for i := 0; i < b.N; i++ {
-		res = harness.RunFig13(scale())
+		res = run("fig13")
 	}
 	report(b, res, "final_rp")
 }
@@ -170,7 +174,7 @@ func BenchmarkFig13RPEvolution(b *testing.B) {
 func BenchmarkFig14Availability(b *testing.B) {
 	var res *harness.Result
 	for i := 0; i < b.N; i++ {
-		res = harness.RunFig14(scale())
+		res = run("fig14")
 	}
 	report(b, res, "availability_pct")
 }
@@ -181,7 +185,7 @@ func BenchmarkFig14Availability(b *testing.B) {
 func BenchmarkPipelineSweep(b *testing.B) {
 	var res *harness.Result
 	for i := 0; i < b.N; i++ {
-		res = harness.RunPipelineSweep(scale())
+		res = run("pipeline")
 	}
 	report(b, res, "tps")
 	for _, row := range res.Rows {
@@ -197,7 +201,7 @@ func BenchmarkPipelineSweep(b *testing.B) {
 func BenchmarkAblationCompensation(b *testing.B) {
 	var res *harness.Result
 	for i := 0; i < b.N; i++ {
-		res = harness.RunAblationCompensation()
+		res = run("ablation")
 	}
 	last := res.Rows[len(res.Rows)-1]
 	b.ReportMetric(last.Values["correct_rp_full"], "correct_rp_full_final")

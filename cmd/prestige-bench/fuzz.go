@@ -5,14 +5,14 @@ package main
 // cluster with -live), and on any invariant violation shrink the failing
 // timeline to a minimal reproducer and write it to -fuzz-out as a timeline
 // document ready to be committed into internal/scenario/corpus/. The samples
-// are one more suite for runSuite. DESIGN.md §12 documents the pipeline.
+// are one more suite for runFigures. DESIGN.md §12 documents the pipeline.
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
 
-	"prestigebft/internal/harness"
+	"prestigebft/internal/experiments"
 	"prestigebft/internal/scenario"
 	"prestigebft/internal/scenario/fuzz"
 )
@@ -33,11 +33,11 @@ func runFuzz(count int, seed int64, w world, outDir, jsonPath string) {
 	if w.live {
 		mode, suffix, shrinkRuns = "fuzz-live", ", live", liveShrinkRuns
 	}
-	res, reports := runSuite(fmt.Sprintf("Chaos fuzz (seed %d, %d samples%s)", seed, count, suffix),
-		"randomized fault timelines sampled by internal/scenario/fuzz; ok=1 means every invariant held", scens, w)
-	writeJSON(jsonPath, &benchOutput{Scale: mode, Results: []*harness.Result{res}})
-
-	code := verdicts(reports, w)
+	code, reports := runFigures(mode, []*experiments.Figure{{
+		Name:  fmt.Sprintf("Chaos fuzz (seed %d, %d samples%s)", seed, count, suffix),
+		Notes: "randomized fault timelines sampled by internal/scenario/fuzz; ok=1 means every invariant held",
+		Cells: scens,
+	}}, jsonPath, w)
 	if code != 0 {
 		fmt.Fprintln(os.Stderr, "shrinking")
 		oracle := func(s *scenario.Scenario) []string { return s.RunWith(w.newEnv).Violations }

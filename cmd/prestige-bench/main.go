@@ -17,15 +17,16 @@
 //	prestige-bench -list                       # enumerate experiments and scenarios
 //
 // Results print as text tables; with -json they are also written as a JSON
-// document (one object per experiment) for the perf trajectory. Figure grids
-// run their independent simulation cells on a worker pool (-workers, default
-// one per CPU); results are deterministic and identical for any worker
-// count. DESIGN.md §5 maps each experiment to the paper's figure.
+// document (one object per experiment) for the perf trajectory. The figure
+// runners live in internal/experiments: every simulated figure cell is a
+// scenario run through the scenario engine, so it gets the same validation,
+// steady-state and safety verdicts as a chaos scenario. Cells run on a
+// worker pool (-workers, default one per CPU); results are deterministic and
+// identical for any worker count. DESIGN.md §5 maps each experiment to the
+// paper's figure.
 //
-// -scenario runs chaos scenarios (internal/scenario) instead of figures:
-// per-scenario invariant verdicts print to stderr and the process exits
-// nonzero if any invariant was violated, which is what lets CI use the suite
-// as a regression gate. DESIGN.md §7 documents the scenario engine.
+// -scenario runs chaos scenarios (internal/scenario) instead of figures.
+// DESIGN.md §7 documents the scenario engine.
 //
 // -fuzz samples N seeded random fault timelines (internal/scenario/fuzz)
 // and runs them exactly like -scenario cells: deterministic in sim (same
@@ -47,11 +48,13 @@
 // -soak D runs one more scenario live (soak.go): rolling follower churn for
 // D, with the ledger, goroutine, heap and p99 bounds as its invariants.
 //
-// Every scenario-shaped mode (-scenario, -ci, -fuzz, -soak, each sim or
-// live) goes through runSuite and exits by one rule: 0 when every invariant
-// held, 1 when only timing-class invariants were violated (liveness,
-// steady state, recovery — retryable on a noisy host), 3 when a live run
-// saw conflicting committed prefixes (a protocol bug, never retryable).
+// Every mode (-experiment, -scenario, -ci, -fuzz, -soak, each sim or live)
+// goes through runFigures, prints every cell's verdict to stderr, and exits by
+// one rule: 0 when every invariant held, 1 when only timing-class
+// invariants were violated (liveness, steady state, recovery — retryable on
+// a noisy host) or a simulated cell broke one, 3 when a live run saw
+// conflicting committed prefixes (a protocol bug, never retryable). That
+// rule is what lets CI use any suite as a regression gate.
 package main
 
 import (
@@ -63,6 +66,7 @@ import (
 	"strings"
 	"time"
 
+	"prestigebft/internal/experiments"
 	"prestigebft/internal/harness"
 	"prestigebft/internal/liveharness"
 	"prestigebft/internal/scenario"
@@ -80,9 +84,8 @@ func main() {
 	full := flag.Bool("full", false, "run at paper scale (minutes of wall clock per figure)")
 	list := flag.Bool("list", false, "list available experiments and scenarios")
 	jsonPath := flag.String("json", "", "also write results as JSON to this path")
-	ciPath := flag.String("ci", "", "run the CI bench trajectory (fig4c + pipeline sweep + all scenarios) and write the combined JSON here; exits nonzero on any invariant violation")
+	ciPath := flag.String("ci", "", "run the CI bench trajectory (fig4c + pipeline and checkpoint sweeps + all scenarios) and write the combined JSON here; exits nonzero on any invariant violation")
 	workers := flag.Int("workers", 0, "worker-pool size for experiment grids (0 = one per CPU)")
-	depth := flag.Int("pipeline-depth", 0, "default replication window W for clusters that do not pin one (0 = core default, 8); specs with an explicit depth — the pipeline sweep, the *-mid-window scenarios — keep theirs")
 	seedOffset := flag.Int64("seed-offset", 0, "shift every scenario's RNG seed by this offset (the nightly seed sweep)")
 	live := flag.Bool("live", false, "run -scenario or -fuzz against a live loopback-TCP cluster (real replicas, real PoW) instead of the simulator")
 	fuzzCount := flag.Int("fuzz", 0, "sample and run this many random chaos timelines (internal/scenario/fuzz); on violation, shrink and write a minimal timeline to -fuzz-out and exit 1")
@@ -93,10 +96,9 @@ func main() {
 	flag.Parse()
 
 	harness.Workers = *workers
-	harness.DefaultPipelineDepth = *depth
 
-	names := make([]string, 0, len(harness.Experiments))
-	for n := range harness.Experiments {
+	names := make([]string, 0, len(experiments.Experiments))
+	for n := range experiments.Experiments {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -113,13 +115,20 @@ func main() {
 		return
 	}
 
-	w := world{newEnv: scenario.NewSimEnv}
+	sim := world{newEnv: scenario.NewSimEnv}
+	w := sim
 	if *live {
 		w = world{newEnv: liveharness.Builder(liveharness.Config{}), live: true}
 	}
 	switch {
 	case *ciPath != "":
-		runCI(*ciPath, *seedOffset)
+		// The trajectory CI's bench job gates on, committed as BENCH_PR<k>.json.
+		var figs []*experiments.Figure
+		for _, name := range []string{"fig4c", "pipeline", "checkpoint"} {
+			figs = append(figs, experiments.Experiments[name](experiments.Quick))
+		}
+		code, _ := runFigures("ci", append(figs, chaosSuite("all", *seedOffset, sim)), *ciPath, sim)
+		os.Exit(code)
 	case *soak > 0:
 		runSoak(*soak, *soakMetricsDir, *jsonPath)
 	case *fuzzCount > 0:
@@ -129,45 +138,31 @@ func main() {
 		if w.live {
 			scale = "scenario-live"
 		}
-		res, reports := runScenarios(*scenarios, *seedOffset, w)
-		writeJSON(*jsonPath, &benchOutput{Scale: scale, Results: []*harness.Result{res}})
-		os.Exit(verdicts(reports, w))
+		code, _ := runFigures(scale, []*experiments.Figure{chaosSuite(*scenarios, *seedOffset, w)}, *jsonPath, w)
+		os.Exit(code)
 	}
 	if *live {
 		fmt.Fprintln(os.Stderr, "-live applies to -scenario and -fuzz runs; pick scenarios with -scenario <names|all> or samples with -fuzz N")
 		os.Exit(2)
 	}
 
-	scale := harness.Quick
-	scaleName := "quick"
+	scale, scaleName := experiments.Quick, "quick"
 	if *full {
-		scale = harness.Full
-		scaleName = "full"
+		scale, scaleName = experiments.Full, "full"
 	}
-
-	out := benchOutput{Scale: scaleName}
-	run := func(name string) {
-		runner, ok := harness.Experiments[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", name)
+	if *experiment != "all" {
+		if _, ok := experiments.Experiments[*experiment]; !ok {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *experiment)
 			os.Exit(2)
 		}
-		start := time.Now()
-		res := runner(scale)
-		out.Results = append(out.Results, res)
-		fmt.Println(res)
-		fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		names = []string{*experiment}
 	}
-
-	if *experiment == "all" {
-		for _, n := range names {
-			run(n)
-		}
-	} else {
-		run(*experiment)
+	figs := make([]*experiments.Figure, len(names))
+	for i, n := range names {
+		figs[i] = experiments.Experiments[n](scale)
 	}
-
-	writeJSON(*jsonPath, &out)
+	code, _ := runFigures(scaleName, figs, *jsonPath, sim)
+	os.Exit(code)
 }
 
 // parseScenarioNames splits a -scenario spec into names; "all" (or empty)
@@ -193,31 +188,39 @@ type world struct {
 	live   bool
 }
 
-// runSuite runs lib in w as one grid, one scenario per cell, and prints the
-// table. Live rows share the sim suite's schema, so verdict JSON lands next
-// to the simulator trajectory in CI artifacts, but they are wall-clock
+// runFigures is the one suite loop: it runs each figure's cells in w as one
+// grid and prints its table, writes the results as one -json document, and
+// returns the exit code the cells' verdicts earn, with the reports in cell
+// order. Chaos suites are figures whose cells read their verdict rows. Live
+// rows share the sim suite's schema, so verdict JSON lands next to the
+// simulator trajectory in CI artifacts, but they are wall-clock
 // measurements: reproducible in verdict, not in bytes.
-func runSuite(name, notes string, lib []*scenario.Scenario, w world) (*harness.Result, []*scenario.Report) {
-	g, reports := scenario.Suite(lib, w.newEnv)
-	g.Name, g.Notes = name, notes
-	if w.live {
-		g.Workers = 1
-		for i := range g.Specs {
-			label, measure := g.Specs[i].Label, g.Specs[i].Measure
-			g.Specs[i].Measure = func(s *harness.ExperimentSpec) []harness.Row {
-				fmt.Printf("live %-34s ...", label)
-				start := time.Now()
-				rows := measure(s)
-				fmt.Printf(" done in %v\n", time.Since(start).Round(time.Millisecond))
-				return rows
+func runFigures(scale string, figs []*experiments.Figure, jsonPath string, w world) (int, []*scenario.Report) {
+	out := benchOutput{Scale: scale}
+	var reports []*scenario.Report
+	for _, fig := range figs {
+		g, reps := fig.Grid(w.newEnv)
+		if w.live {
+			g.Workers = 1
+			for i, run := range g.Cells {
+				g.Cells[i] = func() []harness.Row {
+					fmt.Printf("live %-34s ...", fig.Cells[i].Name)
+					start := time.Now()
+					rows := run()
+					fmt.Printf(" done in %v\n", time.Since(start).Round(time.Millisecond))
+					return rows
+				}
 			}
 		}
+		start := time.Now()
+		res := g.Run()
+		fmt.Println(res)
+		fmt.Printf("[%d cells completed in %v]\n\n", len(fig.Cells), time.Since(start).Round(time.Millisecond))
+		out.Results = append(out.Results, res)
+		reports = append(reports, reps...)
 	}
-	start := time.Now()
-	res := g.Run()
-	fmt.Println(res)
-	fmt.Printf("[%d scenarios completed in %v]\n\n", len(lib), time.Since(start).Round(time.Millisecond))
-	return res, reports
+	writeJSON(jsonPath, &out)
+	return verdicts(reports, w), reports
 }
 
 // verdicts prints every verdict to stderr and returns the exit code they
@@ -236,7 +239,7 @@ func verdicts(reports []*scenario.Report, w world) int {
 	if failed == 0 {
 		return 0
 	}
-	fmt.Fprintf(os.Stderr, "\n%d of %d scenarios violated invariants\n", failed, len(reports))
+	fmt.Fprintf(os.Stderr, "\n%d of %d cells violated invariants\n", failed, len(reports))
 	if w.live && safety {
 		fmt.Fprintln(os.Stderr, "safety violation present: not retryable")
 		return 3
@@ -244,8 +247,9 @@ func verdicts(reports []*scenario.Report, w world) int {
 	return 1
 }
 
-// runScenarios runs the chaos suite (or a named subset) in w.
-func runScenarios(spec string, seedOffset int64, w world) (*harness.Result, []*scenario.Report) {
+// chaosSuite resolves a -scenario spec (a list of names, or all) into the
+// chaos suite for w.
+func chaosSuite(spec string, seedOffset int64, w world) *experiments.Figure {
 	lib, err := scenario.List(parseScenarioNames(spec), seedOffset)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
@@ -255,28 +259,11 @@ func runScenarios(spec string, seedOffset int64, w world) (*harness.Result, []*s
 	if w.live {
 		name, where = "Chaos scenarios (live)", "a live loopback-TCP cluster"
 	}
-	return runSuite(name, "declarative fault timelines on "+where+
-		"; ok=1 means every invariant (safety, steady-state, liveness/recovery) held", lib, w)
-}
-
-// runCI produces the bench trajectory document consumed by CI's regression
-// gate (and committed at the repo root as BENCH_PR<k>.json): the fig4c
-// reputation table, the pipeline sweep, and the full chaos-scenario suite
-// with pass/fail rows. Deterministic for any -workers value; exits nonzero
-// if any scenario invariant is violated.
-func runCI(path string, seedOffset int64) {
-	out := benchOutput{Scale: "ci"}
-	for _, res := range []*harness.Result{
-		harness.RunFig4c(), harness.RunPipelineSweep(harness.Quick), harness.RunCheckpointSweep(harness.Quick),
-	} {
-		fmt.Println(res)
-		out.Results = append(out.Results, res)
+	return &experiments.Figure{
+		Name:  name,
+		Notes: "declarative fault timelines on " + where + "; ok=1 means every invariant (safety, steady-state, liveness/recovery) held",
+		Cells: lib,
 	}
-	w := world{newEnv: scenario.NewSimEnv}
-	res, reports := runScenarios("all", seedOffset, w)
-	out.Results = append(out.Results, res)
-	writeJSON(path, &out)
-	os.Exit(verdicts(reports, w))
 }
 
 // writeJSON writes the machine-readable result document when a path is set.

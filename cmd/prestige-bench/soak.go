@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"prestigebft/internal/experiments"
 	"prestigebft/internal/harness"
 	"prestigebft/internal/liveharness"
 	"prestigebft/internal/scenario"
@@ -86,11 +87,12 @@ func runSoak(dur time.Duration, metricsDir, jsonPath string) {
 		}
 		return env, nil
 	}}
-	res, reports := runSuite(fmt.Sprintf("Soak (%v)", dur),
-		"a live loopback-TCP cluster under rolling follower churn; ok=1 means safety held and the ledger, goroutines, heap and p99 stayed inside their growth bounds",
-		[]*scenario.Scenario{soakScenario(dur, soakCheckpointInterval)}, w)
-	writeJSON(jsonPath, &benchOutput{Scale: "soak", Results: []*harness.Result{res}})
-	os.Exit(verdicts(reports, w))
+	code, _ := runFigures("soak", []*experiments.Figure{{
+		Name:  fmt.Sprintf("Soak (%v)", dur),
+		Notes: "a live loopback-TCP cluster under rolling follower churn; ok=1 means safety held and the ledger, goroutines, heap and p99 stayed inside their growth bounds",
+		Cells: []*scenario.Scenario{soakScenario(dur, soakCheckpointInterval)},
+	}}, jsonPath, w)
+	os.Exit(code)
 }
 
 // dumpMetrics archives every live replica's raw /metrics exposition at one

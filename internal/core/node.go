@@ -288,12 +288,12 @@ type Node struct {
 	committedTx map[types.Digest]txOutcome
 
 	// --- Complaint / view-change trigger state ---
-	comptSeen    map[types.Digest]types.ClientID // complaints observed (by tx digest)
-	comptProp    map[types.Digest]*types.Prop
-	comptExpired map[types.Digest]bool // own timer expired without commit
-	inspecting   *quorum.Collector     // my ConfVC awaiting f+1 ReVC
-	inspectView  types.View
-	policyFired  bool // my policy timer fired in this view
+	// compts holds the complained transactions not yet committed: onCompt
+	// adds one only if uncommitted, recordCommit removes it on commit.
+	compts      map[types.Digest]*complaint
+	inspecting  *quorum.Collector // my ConfVC awaiting f+1 ReVC
+	inspectView types.View
+	policyFired bool // my policy timer fired in this view
 
 	// replStopped marks that this server confirmed a view change out of
 	// the current view (sent or collected ReVC, or validated a campaign's
@@ -363,6 +363,12 @@ type txOutcome struct {
 	status bool
 }
 
+// complaint is one complained, uncommitted transaction.
+type complaint struct {
+	prop    *types.Prop // the client's signed proposal; names the client
+	expired bool        // own timer expired without commit in this view
+}
+
 type stashedMsg struct {
 	from consensus.Origin
 	msg  types.Message
@@ -379,9 +385,7 @@ func New(cfg Config) *Node {
 		ordStash:        make(map[types.SeqNum]*types.Ord),
 		ordVoted:        make(map[types.SeqNum]types.View),
 		committedTx:     make(map[types.Digest]txOutcome),
-		comptSeen:       make(map[types.Digest]types.ClientID),
-		comptProp:       make(map[types.Digest]*types.Prop),
-		comptExpired:    make(map[types.Digest]bool),
+		compts:          make(map[types.Digest]*complaint),
 		pendingByDigest: make(map[types.Digest]bool),
 		ckptRounds:      make(map[types.SeqNum]*ckptRound),
 		ckptStash:       make(map[types.SeqNum][]*types.CkptVote),
@@ -467,14 +471,12 @@ func (n *Node) Init(now time.Duration) []consensus.Effect {
 	// An interrupted inspection lost its ConfVC timer; drop it and let the
 	// re-armed complaint timers below trigger a fresh one if still needed.
 	n.inspecting = nil
-	for _, d := range types.SortedDigestKeys(n.comptSeen) {
-		if _, committed := n.committedTx[d]; !committed {
-			effs = append(effs, consensus.SetTimer{
-				Kind:  TimerCompt,
-				Key:   timerKeyFromDigest(d),
-				Delay: n.randTimeout(),
-			})
-		}
+	for _, d := range types.SortedDigestKeys(n.compts) {
+		effs = append(effs, consensus.SetTimer{
+			Kind:  TimerCompt,
+			Key:   timerKeyFromDigest(d),
+			Delay: n.randTimeout(),
+		})
 	}
 	switch n.state {
 	case Redeemer:

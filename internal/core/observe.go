@@ -30,16 +30,7 @@ func (n *Node) CheckpointLag() int64 {
 // ComplaintBacklog counts complained transactions that have not committed
 // yet — the pressure feeding the complaint-triggered view-change path
 // (§4.2.1).
-func (n *Node) ComplaintBacklog() int {
-	backlog := 0
-	//lint:allow maporder counting a pure predicate into an int; order cannot escape
-	for d := range n.comptSeen {
-		if _, committed := n.committedTx[d]; !committed {
-			backlog++
-		}
-	}
-	return backlog
-}
+func (n *Node) ComplaintBacklog() int { return len(n.compts) }
 
 // Reputations returns this node's view of every server's reputation
 // penalty, in ServerID order aligned with the returned IDs slice.

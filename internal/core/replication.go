@@ -580,11 +580,9 @@ func (n *Node) recordCommit(blk *types.TxBlock) []consensus.Effect {
 			Index: uint32(i), Path: paths[i], Sig: sig,
 		}})
 		// A commit settles any pending complaint for the transaction.
-		if _, ok := n.comptSeen[d]; ok {
+		if _, ok := n.compts[d]; ok {
 			effs = append(effs, consensus.CancelTimer{Kind: TimerCompt, Key: timerKeyFromDigest(d)})
-			delete(n.comptSeen, d)
-			delete(n.comptProp, d)
-			delete(n.comptExpired, d)
+			delete(n.compts, d)
 		}
 	}
 	delete(n.ordVoted, seq)

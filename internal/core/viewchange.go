@@ -45,9 +45,8 @@ func (n *Node) onCompt(now time.Duration, from consensus.Origin, m *types.Compt)
 		return effs
 	}
 	first := false
-	if _, seen := n.comptSeen[d]; !seen {
-		n.comptSeen[d] = prop.Tx.Client
-		n.comptProp[d] = prop
+	if _, seen := n.compts[d]; !seen {
+		n.compts[d] = &complaint{prop: prop}
 		first = true
 	}
 	if n.state == Leader && n.leaderConfirmed {
@@ -79,7 +78,7 @@ func (n *Node) onCompt(now time.Duration, from consensus.Origin, m *types.Compt)
 // rare) collision must still resolve to the same digest on every replica
 // and every replay.
 func (n *Node) comptDigestByKey(key uint64) (types.Digest, bool) {
-	for _, d := range types.SortedDigestKeys(n.comptSeen) {
+	for _, d := range types.SortedDigestKeys(n.compts) {
 		if timerKeyFromDigest(d) == key {
 			return d, true
 		}
@@ -90,18 +89,18 @@ func (n *Node) comptDigestByKey(key uint64) (types.Digest, bool) {
 // onComptTimeout fires when a complained transaction failed to commit in
 // time: broadcast ConfVC to inspect the leader (line 6).
 func (n *Node) onComptTimeout(now time.Duration, key uint64) []consensus.Effect {
+	// A commit removes its complaint (line 5: the leader is correct), so a
+	// digest still tracked here has not committed.
 	d, ok := n.comptDigestByKey(key)
 	if !ok {
 		return nil
 	}
-	if _, committed := n.committedTx[d]; committed {
-		return nil // leader is correct (line 5)
-	}
-	n.comptExpired[d] = true
+	c := n.compts[d]
+	c.expired = true
 	if n.state != Follower {
 		return nil
 	}
-	return n.startInspection(now, types.ReasonComplaint, d, n.comptSeen[d])
+	return n.startInspection(now, types.ReasonComplaint, d, c.prop.Tx.Client)
 }
 
 // startInspection broadcasts a ConfVC and begins collecting ReVC replies.
@@ -143,10 +142,8 @@ func (n *Node) onConfVC(now time.Duration, m *types.ConfVC) []consensus.Effect {
 		// complaint alone would let f colluders plus one hasty honest
 		// reply assemble conf_QC under a correct leader, violating
 		// leadership robustness (Theorem 4).
-		if cl, seen := n.comptSeen[m.TxD]; seen && cl == m.Client && n.comptExpired[m.TxD] {
-			if _, committed := n.committedTx[m.TxD]; !committed {
-				confirm = true
-			}
+		if c, seen := n.compts[m.TxD]; seen && c.prop.Tx.Client == m.Client && c.expired {
+			confirm = true
 		}
 	case types.ReasonPolicy:
 		if n.cfg.ViewPolicy > 0 && now-n.viewEnteredAt >= n.cfg.ViewPolicy {
@@ -201,8 +198,8 @@ func (n *Node) onConfVCTimeout(now time.Duration, key uint64) []consensus.Effect
 	if n.state != Follower {
 		return nil
 	}
-	for _, d := range types.SortedDigestKeys(n.comptExpired) {
-		if _, committed := n.committedTx[d]; committed {
+	for _, d := range types.SortedDigestKeys(n.compts) {
+		if !n.compts[d].expired {
 			continue
 		}
 		return []consensus.Effect{consensus.SetTimer{
@@ -581,10 +578,8 @@ func (n *Node) onVcYes(now time.Duration, m *types.VcYes) []consensus.Effect {
 	// Outstanding complaints become this leader's backlog (§4.3: an
 	// instance starts on Prop or f+1 Compt messages). Sorted order: the
 	// backlog's batch order must not depend on map iteration.
-	for _, d := range types.SortedDigestKeys(n.comptProp) {
-		if _, committed := n.committedTx[d]; !committed {
-			effs = append(effs, n.enqueueTx(now, n.comptProp[d])...)
-		}
+	for _, d := range types.SortedDigestKeys(n.compts) {
+		effs = append(effs, n.enqueueTx(now, n.compts[d].prop)...)
 	}
 	// Kick replication for any backlog.
 	effs = append(effs, n.maybeStartInstanceWith(now, true)...)
@@ -794,11 +789,8 @@ func (n *Node) enterView(now time.Duration, asLeader bool) []consensus.Effect {
 	// the new leader is held to them too (liveness across faulty leaders).
 	// Sorted order: each timer draws a randomized timeout, so the RNG
 	// consumption sequence must not depend on map iteration.
-	for _, d := range types.SortedDigestKeys(n.comptSeen) {
-		if _, committed := n.committedTx[d]; committed {
-			continue
-		}
-		delete(n.comptExpired, d)
+	for _, d := range types.SortedDigestKeys(n.compts) {
+		n.compts[d].expired = false
 		effs = append(effs, consensus.SetTimer{
 			Kind:  TimerCompt,
 			Key:   timerKeyFromDigest(d),

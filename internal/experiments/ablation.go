@@ -1,13 +1,14 @@
-package harness
+package experiments
 
 import (
 	"fmt"
 
+	"prestigebft/internal/harness"
 	"prestigebft/internal/reputation"
 	"prestigebft/internal/types"
 )
 
-// RunAblationCompensation isolates the design choice that separates
+// ablation isolates the design choice that separates
 // PrestigeBFT's reputation engine from Prosecutor's monotone penalization:
 // the compensation terms δtx/δvc (Eqs. 2-4). It replays two behavioral
 // traces through engines with Cδ = 1 (PrestigeBFT) and Cδ = 0 (ablated,
@@ -26,11 +27,16 @@ import (
 //     (Prosecutor-style monotone penalties, no compensation, no refresh)
 //     grows without bound, eventually pricing correct servers out of
 //     leadership.
-func RunAblationCompensation() *Result {
-	res := &Result{
+func ablation(Scale) *Figure {
+	return &Figure{
 		Name:  "Ablation: compensation+refresh (PrestigeBFT) vs monotone penalties (Prosecutor)",
 		Notes: "attacker trajectories must match (and never refresh); correct trajectories: full stays bounded by π, ablated grows without bound",
+
+		Finalize: ablationRows,
 	}
+}
+
+func ablationRows([]harness.Row) []harness.Row {
 	full := &reputation.Engine{CDelta: reputation.DefaultCDelta}
 	ablated := &reputation.Engine{CDelta: 0}
 
@@ -70,8 +76,9 @@ func RunAblationCompensation() *Result {
 	correctFull := replay(full, 12, rounds, 8) // correct servers can
 	correctAblated := replay(ablated, 12, rounds, 0)
 
+	var rows []harness.Row
 	for k := 0; k <= rounds; k += 3 {
-		res.Rows = append(res.Rows, row(
+		rows = append(rows, row(
 			fmt.Sprintf("round%02d", k),
 			"attacker_rp_full", float64(attackFull[k]),
 			"attacker_rp_ablated", float64(attackAblated[k]),
@@ -79,9 +86,5 @@ func RunAblationCompensation() *Result {
 			"correct_rp_ablated", float64(correctAblated[k]),
 		))
 	}
-	return res
-}
-
-func init() {
-	Experiments["ablation"] = func(Scale) *Result { return RunAblationCompensation() }
+	return rows
 }

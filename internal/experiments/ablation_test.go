@@ -1,4 +1,4 @@
-package harness
+package experiments
 
 import "testing"
 
@@ -7,7 +7,7 @@ import "testing"
 // diverge — compensation keeps them at the floor, the ablated engine
 // punishes legitimate reigns.
 func TestAblationCompensation(t *testing.T) {
-	res := RunAblationCompensation()
+	res, _ := ablation(Quick).Run()
 	if len(res.Rows) == 0 {
 		t.Fatal("no rows")
 	}

@@ -1,9 +1,11 @@
-package harness
+package experiments
 
 import (
 	"fmt"
 	"time"
 
+	"prestigebft/internal/harness"
+	"prestigebft/internal/scenario"
 	"prestigebft/internal/types"
 )
 
@@ -26,54 +28,72 @@ var CheckpointHistories = []time.Duration{2 * time.Second, 4 * time.Second, 8 * 
 // baseline (full-history replay).
 var CheckpointIntervals = []int{0, 32}
 
-// measureCatchUp runs one sweep cell: warm a 4-server cluster up, crash
+// A sweep cell runs catchUpWindow past the joiner's recovery, polling its
+// height every catchUpPoll; catch-ups take 25–200 ms, and a cell that has
+// not caught up by the end of the window reports -1.
+const catchUpWindow, catchUpPoll = 2 * time.Second, 25 * time.Millisecond
+
+// catchUpCell is one sweep cell: warm a 4-server cluster up, crash
 // server 4, let the chain grow for `history`, recover it, and measure the
 // virtual time until its chain reaches the head height observed at the
 // moment of recovery. Also reports the blocks a healthy replica retained at
 // that moment (the compaction bound) and whether the joiner caught up via a
 // certified snapshot rather than replay.
-func measureCatchUp(label string, interval int, history time.Duration, seed int64) []Row {
-	c := NewCluster(Options{
+func catchUpCell(label string, interval int, history time.Duration, seed int64) *scenario.Scenario {
+	opts := harness.Options{
 		N: 4, Clients: 8, BatchSize: 8, Seed: seed,
 		ClientTimeout:      500 * time.Millisecond,
 		CheckpointInterval: interval,
-	})
-	c.Start()
-	c.Run(2 * time.Second) // steady state before the outage
-	c.Crash(4)
-	c.Run(history)
-
-	head := types.SeqNum(0)
-	for i := 0; i < 3; i++ {
-		if h := c.Nodes[i].Store().TxHeight(); h > head {
-			head = h
+	}
+	const warmup = 2 * time.Second // steady state before the outage
+	recoverAt := warmup + history
+	s := &scenario.Scenario{Name: label, Opts: opts, Warmup: warmup, Span: recoverAt + catchUpWindow,
+		Events: []scenario.Event{
+			{At: warmup, Action: scenario.Crash{Server: 4}},
+			{At: recoverAt, Action: scenario.Recover{Server: 4}},
+		},
+	}
+	s.Read = func(env scenario.Environment) func() []harness.Row {
+		dep, met := env.Deployment(), env.Metrics()
+		var head, joinerStart types.SeqNum
+		var retained, snapshots int
+		catchup := -1.0
+		// Probes run before the timeline's events at the same instant: this
+		// one reads the ledgers just before server 4 recovers.
+		env.Schedule(recoverAt, func() {
+			for id := types.ServerID(1); id <= 3; id++ {
+				if h, _ := dep.ChainHeight(id); h > head {
+					head = h
+				}
+			}
+			retained, _ = dep.RetainedBlocks(1)
+			joinerStart, _ = dep.ChainHeight(4)
+		})
+		for el := catchUpPoll; el <= catchUpWindow; el += catchUpPoll {
+			env.Schedule(recoverAt+el, func() {
+				if h, _ := dep.ChainHeight(4); catchup < 0 && h >= head {
+					catchup, snapshots = el.Seconds()*1000, met.SnapshotInstalls
+				}
+			})
+		}
+		return func() []harness.Row {
+			if catchup < 0 {
+				snapshots = met.SnapshotInstalls
+			}
+			return []harness.Row{row(label,
+				"catchup_ms", catchup,
+				"gap_blocks", int(head-joinerStart),
+				"retained_blocks", retained,
+				"snapshot", snapshots,
+			)}
 		}
 	}
-	retained := c.Nodes[0].Store().RetainedTxBlocks()
-	joinerStart := c.Nodes[3].Store().TxHeight()
-
-	c.Recover(4)
-	start := c.Now().ToDuration()
-	catchup := -1.0
-	const step = 25 * time.Millisecond
-	for el := time.Duration(0); el < 30*time.Second; el += step {
-		c.Run(step)
-		if c.Nodes[3].Store().TxHeight() >= head {
-			catchup = (c.Now().ToDuration() - start).Seconds() * 1000
-			break
-		}
-	}
-	return []Row{row(label,
-		"catchup_ms", catchup,
-		"gap_blocks", int(head-joinerStart),
-		"retained_blocks", retained,
-		"snapshot", c.Metrics.SnapshotInstalls,
-	)}
+	return s
 }
 
-// checkpointGrid declares the (interval × history) sweep.
-func checkpointGrid(scale Scale) *Grid {
-	g := &Grid{
+// checkpointSweep declares the (interval × history) sweep.
+func checkpointSweep(scale Scale) *Figure {
+	fig := &Figure{
 		Name:  "Checkpoint sweep: catch-up time and ledger size vs interval (n=4)",
 		Notes: "ival0 replays full history (catchup_ms and retained_blocks grow with hist); ival>0 installs the certified snapshot (both flat at O(interval))",
 	}
@@ -85,17 +105,11 @@ func checkpointGrid(scale Scale) *Grid {
 	}
 	for _, ival := range intervals {
 		for _, hist := range histories {
-			ival, hist := ival, hist
 			label := fmt.Sprintf("ival%d_hist%ds", ival, int(hist.Seconds()))
-			g.Specs = append(g.Specs, ExperimentSpec{
-				Label: label,
-				Measure: func(s *ExperimentSpec) []Row {
-					return measureCatchUp(s.Label, ival, hist, 400+int64(ival)+int64(hist.Seconds()))
-				},
-			})
+			fig.Cells = append(fig.Cells, catchUpCell(label, ival, hist, 400+int64(ival)+int64(hist.Seconds())))
 		}
 	}
-	g.Finalize = func(rows []Row) []Row {
+	fig.Finalize = func(rows []harness.Row) []harness.Row {
 		// Flatness summary per interval: catch-up at the longest history
 		// over the shortest. Replay grows (ratio ≫ 1); snapshots stay flat.
 		byLabel := make(map[string]float64, len(rows))
@@ -115,10 +129,5 @@ func checkpointGrid(scale Scale) *Grid {
 		}
 		return rows
 	}
-	return g
-}
-
-// RunCheckpointSweep measures the checkpoint catch-up sweep.
-func RunCheckpointSweep(scale Scale) *Result {
-	return checkpointGrid(scale).Run()
+	return fig
 }

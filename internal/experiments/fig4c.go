@@ -1,23 +1,14 @@
-package harness
+package experiments
 
 import (
+	"prestigebft/internal/harness"
 	"prestigebft/internal/reputation"
 	"prestigebft/internal/types"
 )
 
-// Fig4cExample is one row of the paper's Figure 4c breakdown table.
-type Fig4cExample struct {
-	Label   string
-	CI, TI  int64
-	DeltaTx float64
-	DeltaVc float64
-	Delta   float64
-	NewRP   int64
-}
-
-// Fig4cExamples evaluates the five behavior scenarios of Figures 4b/4c
+// fig4cRows evaluates the five behavior scenarios of Figures 4b/4c
 // through the real reputation engine.
-func Fig4cExamples() []Fig4cExample {
+func fig4cRows([]harness.Row) []harness.Row {
 	e := reputation.New()
 	p5 := []int64{1, 2, 3, 4}
 	for i := 0; i < 10; i++ {
@@ -34,13 +25,13 @@ func Fig4cExamples() []Fig4cExample {
 		{"4: ci=20 ti=100, campaign V7", 7, reputation.Snapshot{V: 6, RP: 5, CI: 20, TI: 100, Penalties: []int64{1, 2, 3, 4, 5, 5}}},
 		{"5: follower V7-V14, campaign V15", 15, reputation.Snapshot{V: 14, RP: 5, CI: 20, TI: 50, Penalties: p5}},
 	}
-	out := make([]Fig4cExample, 0, len(cases))
+	out := make([]harness.Row, 0, len(cases))
 	for _, c := range cases {
 		r := e.CalcRP(c.newView, c.snap)
-		out = append(out, Fig4cExample{
-			Label: c.label, CI: c.snap.CI, TI: c.snap.TI,
-			DeltaTx: r.DeltaTx, DeltaVc: r.DeltaVc, Delta: r.Delta, NewRP: r.RP,
-		})
+		out = append(out, row(c.label,
+			"ci", float64(c.snap.CI), "ti", float64(c.snap.TI),
+			"dtx", r.DeltaTx, "dvc", r.DeltaVc, "delta", r.Delta,
+			"rp_new", float64(r.RP)))
 	}
 	return out
 }

@@ -1,8 +1,10 @@
-package harness
+package experiments
 
 import (
 	"fmt"
 	"time"
+
+	"prestigebft/internal/harness"
 )
 
 // This file declares the replication-window sweep: throughput and latency as
@@ -17,9 +19,9 @@ import (
 // PipelineDepths lists the window sizes the sweep measures.
 var PipelineDepths = []int{1, 2, 4, 8}
 
-// pipelineGrid declares one cell per window depth at n=4, m=32.
-func pipelineGrid(scale Scale) *Grid {
-	g := &Grid{
+// pipelineSweep declares one cell per window depth at n=4, m=32.
+func pipelineSweep(scale Scale) *Figure {
+	fig := &Figure{
 		Name:  "Pipeline sweep: throughput vs replication window W (n=4, m=32)",
 		Notes: "W=1 is the stop-and-wait baseline; committed-tx throughput should scale with W until the CPU or the offered load saturates",
 	}
@@ -29,17 +31,13 @@ func pipelineGrid(scale Scale) *Grid {
 		span = 5 * time.Second
 	}
 	for _, w := range PipelineDepths {
-		g.Specs = append(g.Specs, ExperimentSpec{
-			Label: fmt.Sprintf("pb_W%d", w),
-			Opts: Options{
-				Protocol: PrestigeBFT, N: 4, Clients: clients, BatchSize: beta,
-				PayloadSize: 32, Seed: 300 + int64(w),
-				PipelineDepth: w,
-			},
-			Warmup: warmup, Span: span,
-		})
+		fig.Cells = append(fig.Cells, steadyCell(fmt.Sprintf("pb_W%d", w), harness.Options{
+			Protocol: harness.PrestigeBFT, N: 4, Clients: clients, BatchSize: beta,
+			PayloadSize: 32, Seed: 300 + int64(w),
+			PipelineDepth: w,
+		}, warmup, span))
 	}
-	g.Finalize = func(rows []Row) []Row {
+	fig.Finalize = func(rows []harness.Row) []harness.Row {
 		byW := make(map[int]float64, len(rows))
 		var sum float64
 		for _, r := range rows {
@@ -60,10 +58,5 @@ func pipelineGrid(scale Scale) *Grid {
 		}
 		return rows
 	}
-	return g
-}
-
-// RunPipelineSweep measures the replication-window sweep.
-func RunPipelineSweep(scale Scale) *Result {
-	return pipelineGrid(scale).Run()
+	return fig
 }

@@ -154,12 +154,6 @@ func attackerLevers(cfg *core.Config, spec faults.Spec) {
 	}
 }
 
-// DefaultPipelineDepth is the replication window applied when
-// Options.PipelineDepth is zero. Zero defers to the core default (8). The
-// bench CLI exposes it as -pipeline-depth so scenario and experiment runs
-// can be repeated at any window without editing specs.
-var DefaultPipelineDepth int
-
 // Options configures a simulated cluster.
 type Options struct {
 	Protocol Protocol
@@ -172,8 +166,8 @@ type Options struct {
 	// PayloadSize is the paper's m in bytes.
 	PayloadSize int
 	// PipelineDepth is the leader's replication window W (see
-	// core.Config.PipelineDepth). Zero selects DefaultPipelineDepth, which
-	// itself defaults to the core default (8); 1 reproduces stop-and-wait.
+	// core.Config.PipelineDepth). Zero selects the core default (8); 1
+	// reproduces stop-and-wait.
 	PipelineDepth int
 	// CheckpointInterval enables certified checkpoints and log compaction
 	// every this many committed seqs (core.Config.CheckpointInterval).
@@ -279,9 +273,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.ClientTimeout == 0 {
 		out.ClientTimeout = 2 * time.Second
-	}
-	if out.PipelineDepth == 0 {
-		out.PipelineDepth = DefaultPipelineDepth
 	}
 	return out
 }

@@ -1,20 +1,20 @@
 package harness
 
 import (
-	"encoding/json"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 )
 
-// This file is the declarative, parallel experiment engine behind every
-// figure runner. A figure is a Grid of ExperimentSpecs; each spec is one
-// independent simulation cell that builds its own Cluster (own
-// sim.Scheduler, own seeded RNG), so cells are deterministic in isolation
-// and safe to execute concurrently. Grid.Run fans the specs out over a
-// worker pool and reassembles the rows in spec order, making the Result
-// byte-identical no matter how many workers ran it or in which order the
-// cells finished.
+// This file is the parallel grid engine behind every figure and scenario
+// suite. A Grid is an ordered list of independent cells; each cell builds
+// its own world (own sim.Scheduler, own seeded RNG), so cells are
+// deterministic in isolation and safe to execute concurrently. Grid.Run fans
+// the cells out over a worker pool and reassembles the rows in cell order,
+// making the Result byte-identical no matter how many workers ran it or in
+// which order the cells finished.
 
 // Workers is the package-default worker-pool size for Grid.Run when a Grid
 // does not set its own. Zero means runtime.NumCPU(). The bench CLI exposes
@@ -22,37 +22,65 @@ import (
 // execution (results are identical either way).
 var Workers int
 
-// ExperimentSpec is one independent cell of a figure grid: a cluster
-// configuration plus a measurement window. The zero Measure runs the
-// standard steady-state measurement (warmup, then span) and emits one
-// tps/latency row labeled Label.
-type ExperimentSpec struct {
-	Label  string
-	Opts   Options
-	Warmup time.Duration
-	Span   time.Duration
-
-	// Measure overrides the default measurement for cells whose metric is
-	// not plain tps/latency (split-vote probability, timelines, reputation
-	// series, ...). It must be self-contained: build any clusters it needs
-	// from the spec and return the rows this cell contributes, in order.
-	Measure func(s *ExperimentSpec) []Row
+// Row is one line of an experiment result table.
+type Row struct {
+	Label  string             `json:"label"`
+	Values map[string]float64 `json:"values"`
+	Order  []string           `json:"order"`
 }
 
-// run executes the cell and returns its rows.
-func (s *ExperimentSpec) run() []Row {
-	if s.Measure != nil {
-		return s.Measure(s)
+// NewRow builds a row from alternating key, value pairs. A value is a
+// float64, an int, or a time.Duration (recorded in whole milliseconds).
+func NewRow(label string, kv ...any) Row {
+	r := Row{Label: label, Values: make(map[string]float64)}
+	for i := 0; i+1 < len(kv); i += 2 {
+		k := kv[i].(string)
+		var v float64
+		switch x := kv[i+1].(type) {
+		case float64:
+			v = x
+		case int:
+			v = float64(x)
+		case time.Duration:
+			v = float64(x.Milliseconds())
+		}
+		r.Values[k] = v
+		r.Order = append(r.Order, k)
 	}
-	tps, lat, _ := measure(s.Opts, s.Warmup, s.Span)
-	return []Row{row(s.Label, "tps", tps, "latency_ms", lat)}
+	return r
 }
 
-// Grid is an ordered set of experiment cells rendered as one Result.
+// Result is a rendered experiment outcome. Its JSON is deterministic (rows
+// in cell order, value maps sorted) at any worker count.
+type Result struct {
+	Name  string `json:"name"`
+	Notes string `json:"notes,omitempty"`
+	Rows  []Row  `json:"rows"`
+}
+
+// String renders the result as an aligned text table.
+func (r *Result) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s ==\n", r.Name)
+	if r.Notes != "" {
+		fmt.Fprintf(&b, "%s\n", r.Notes)
+	}
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "%-34s", row.Label)
+		for _, k := range row.Order {
+			fmt.Fprintf(&b, "  %s=%.6g", k, row.Values[k])
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// Grid is an ordered set of self-contained cells, each building whatever it
+// runs and returning its rows in order, rendered as one Result.
 type Grid struct {
 	Name  string
 	Notes string
-	Specs []ExperimentSpec
+	Cells []func() []Row
 
 	// Workers bounds this grid's pool; zero defers to the package default.
 	Workers int
@@ -63,8 +91,8 @@ type Grid struct {
 	Finalize func(rows []Row) []Row
 }
 
-// Run executes every spec on a worker pool and returns the assembled Result.
-// Rows appear in spec order regardless of completion order; running with 1
+// Run executes every cell on a worker pool and returns the assembled Result.
+// Rows appear in cell order regardless of completion order; running with 1
 // worker or N yields identical results.
 func (g *Grid) Run() *Result {
 	workers := g.Workers
@@ -74,14 +102,14 @@ func (g *Grid) Run() *Result {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(g.Specs) {
-		workers = len(g.Specs)
+	if workers > len(g.Cells) {
+		workers = len(g.Cells)
 	}
 
-	perSpec := make([][]Row, len(g.Specs))
+	perCell := make([][]Row, len(g.Cells))
 	if workers <= 1 {
-		for i := range g.Specs {
-			perSpec[i] = g.Specs[i].run()
+		for i, cell := range g.Cells {
+			perCell[i] = cell()
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -91,11 +119,11 @@ func (g *Grid) Run() *Result {
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					perSpec[i] = g.Specs[i].run()
+					perCell[i] = g.Cells[i]()
 				}
 			}()
 		}
-		for i := range g.Specs {
+		for i := range g.Cells {
 			idx <- i
 		}
 		close(idx)
@@ -103,19 +131,11 @@ func (g *Grid) Run() *Result {
 	}
 
 	res := &Result{Name: g.Name, Notes: g.Notes}
-	for _, rows := range perSpec {
+	for _, rows := range perCell {
 		res.Rows = append(res.Rows, rows...)
 	}
 	if g.Finalize != nil {
 		res.Rows = g.Finalize(res.Rows)
 	}
 	return res
-}
-
-// JSON serializes the result for machine consumption (the BENCH_*.json perf
-// trajectory). Output is deterministic: rows keep spec order and
-// encoding/json sorts the value maps, so byte equality implies value
-// equality across runs and worker counts.
-func (r *Result) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }

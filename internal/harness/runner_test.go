@@ -8,11 +8,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"prestigebft/internal/sim"
 )
 
 // smallGrid is a miniature figure-style grid: four independent cluster
-// cells, each with its own seed, measured through the default tps/latency
-// path.
+// cells, each with its own seed, measured as steady-state throughput and
+// mean latency.
 func smallGrid(workers int) *Grid {
 	g := &Grid{
 		Name:    "test grid",
@@ -20,11 +22,13 @@ func smallGrid(workers int) *Grid {
 		Workers: workers,
 	}
 	for i := 0; i < 4; i++ {
-		g.Specs = append(g.Specs, ExperimentSpec{
-			Label:  fmt.Sprintf("cell%d", i),
-			Opts:   Options{N: 4, Clients: 8, BatchSize: 8, Seed: int64(100 + i)},
-			Warmup: 100 * time.Millisecond,
-			Span:   400 * time.Millisecond,
+		g.Cells = append(g.Cells, func() []Row {
+			c := NewCluster(Options{N: 4, Clients: 8, BatchSize: 8, Seed: int64(100 + i)})
+			c.Start()
+			c.Run(500 * time.Millisecond)
+			c.CollectClientStats()
+			tps := c.Metrics.TPS(sim.Duration(100*time.Millisecond), sim.Duration(500*time.Millisecond))
+			return []Row{NewRow(fmt.Sprintf("cell%d", i), "tps", tps, "latency_ms", c.Metrics.MeanLatency())}
 		})
 	}
 	return g
@@ -40,11 +44,11 @@ func TestGridParallelDeterminism(t *testing.T) {
 	}
 	seq := smallGrid(1).Run()
 	par := smallGrid(8).Run()
-	js, err := seq.JSON()
+	js, err := json.Marshal(seq)
 	if err != nil {
 		t.Fatalf("sequential JSON: %v", err)
 	}
-	jp, err := par.JSON()
+	jp, err := json.Marshal(par)
 	if err != nil {
 		t.Fatalf("parallel JSON: %v", err)
 	}
@@ -52,7 +56,7 @@ func TestGridParallelDeterminism(t *testing.T) {
 		t.Fatalf("parallel run diverged from sequential:\n--- 1 worker ---\n%s\n--- 8 workers ---\n%s", js, jp)
 	}
 	if !json.Valid(js) {
-		t.Fatal("Result.JSON emitted invalid JSON")
+		t.Fatal("Result encoded as invalid JSON")
 	}
 	// The cells did real work (a dead simulation would also be "deterministic").
 	for _, r := range seq.Rows {
@@ -62,7 +66,7 @@ func TestGridParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestGridRowOrder: rows come back in spec order (with multi-row cells kept
+// TestGridRowOrder: rows come back in cell order (with multi-row cells kept
 // contiguous) no matter how the pool interleaves completions. The staggered
 // sleeps force out-of-order completion.
 func TestGridRowOrder(t *testing.T) {
@@ -70,16 +74,13 @@ func TestGridRowOrder(t *testing.T) {
 	g := &Grid{Name: "order", Workers: 8}
 	const cells = 8
 	for i := 0; i < cells; i++ {
-		g.Specs = append(g.Specs, ExperimentSpec{
-			Label: fmt.Sprintf("spec%d", i),
-			Measure: func(s *ExperimentSpec) []Row {
-				// Later specs finish first.
-				time.Sleep(time.Duration(cells-i) * 5 * time.Millisecond)
-				return []Row{
-					row(s.Label+"_a", "v", i),
-					row(s.Label+"_b", "v", i),
-				}
-			},
+		g.Cells = append(g.Cells, func() []Row {
+			// Later cells finish first.
+			time.Sleep(time.Duration(cells-i) * 5 * time.Millisecond)
+			return []Row{
+				NewRow(fmt.Sprintf("spec%d_a", i), "v", i),
+				NewRow(fmt.Sprintf("spec%d_b", i), "v", i),
+			}
 		})
 	}
 	res := g.Run()
@@ -103,11 +104,8 @@ func TestGridFinalize(t *testing.T) {
 	t.Parallel()
 	g := &Grid{Name: "finalize", Workers: 4}
 	for i := 0; i < 4; i++ {
-		g.Specs = append(g.Specs, ExperimentSpec{
-			Label: fmt.Sprintf("s%d", i),
-			Measure: func(s *ExperimentSpec) []Row {
-				return []Row{row(s.Label, "v", i+1)}
-			},
+		g.Cells = append(g.Cells, func() []Row {
+			return []Row{NewRow(fmt.Sprintf("s%d", i), "v", i+1)}
 		})
 	}
 	g.Finalize = func(rows []Row) []Row {
@@ -115,7 +113,7 @@ func TestGridFinalize(t *testing.T) {
 		for _, r := range rows {
 			sum += r.Values["v"]
 		}
-		return append(rows, row("total", "v", sum))
+		return append(rows, NewRow("total", "v", sum))
 	}
 	res := g.Run()
 	last := res.Rows[len(res.Rows)-1]
@@ -131,20 +129,17 @@ func TestGridWorkerCap(t *testing.T) {
 	var active, peak int32
 	g := &Grid{Name: "cap", Workers: 2}
 	for i := 0; i < 10; i++ {
-		g.Specs = append(g.Specs, ExperimentSpec{
-			Label: fmt.Sprintf("s%d", i),
-			Measure: func(s *ExperimentSpec) []Row {
-				n := atomic.AddInt32(&active, 1)
-				for {
-					p := atomic.LoadInt32(&peak)
-					if n <= p || atomic.CompareAndSwapInt32(&peak, p, n) {
-						break
-					}
+		g.Cells = append(g.Cells, func() []Row {
+			n := atomic.AddInt32(&active, 1)
+			for {
+				p := atomic.LoadInt32(&peak)
+				if n <= p || atomic.CompareAndSwapInt32(&peak, p, n) {
+					break
 				}
-				time.Sleep(2 * time.Millisecond)
-				atomic.AddInt32(&active, -1)
-				return []Row{row(s.Label, "v", 1)}
-			},
+			}
+			time.Sleep(2 * time.Millisecond)
+			atomic.AddInt32(&active, -1)
+			return []Row{NewRow(fmt.Sprintf("s%d", i), "v", 1)}
 		})
 	}
 	g.Run()
@@ -153,27 +148,20 @@ func TestGridWorkerCap(t *testing.T) {
 	}
 }
 
-// TestRunnersProduceJSON: every registered experiment's Result serializes to
-// valid JSON with the label/values schema the trajectory tooling consumes
-// (checked on the cheap deterministic runners; the simulation grids share
-// the same Result type).
-func TestRunnersProduceJSON(t *testing.T) {
-	t.Parallel()
-	for _, name := range []string{"fig4c", "fig12", "ablation"} {
-		res := Experiments[name](Quick)
-		data, err := res.JSON()
-		if err != nil {
-			t.Fatalf("%s: JSON: %v", name, err)
-		}
-		var back Result
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatalf("%s: round-trip: %v", name, err)
-		}
-		if back.Name != res.Name || len(back.Rows) != len(res.Rows) {
-			t.Fatalf("%s: round-trip lost rows: %d vs %d", name, len(back.Rows), len(res.Rows))
-		}
-		if !strings.Contains(string(data), `"label"`) {
-			t.Fatalf("%s: JSON missing label field:\n%s", name, data)
+// TestResultRendering checks the table renderer used by every experiment.
+func TestResultRendering(t *testing.T) {
+	res := &Result{
+		Name:  "demo",
+		Notes: "note",
+		Rows: []Row{
+			NewRow("a", "tps", 1234.5, "latency_ms", 20*time.Millisecond),
+			NewRow("b", "count", 7),
+		},
+	}
+	s := res.String()
+	for _, want := range []string{"== demo ==", "note", "tps=1234.5", "latency_ms=20", "count=7"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("rendered result missing %q:\n%s", want, s)
 		}
 	}
 }

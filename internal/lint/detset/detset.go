@@ -18,12 +18,13 @@ const Deterministic = "prestigebft/internal/core," +
 	"prestigebft/internal/ledger," +
 	"prestigebft/internal/harness," +
 	"prestigebft/internal/scenario," +
+	"prestigebft/internal/experiments," +
 	"prestigebft/internal/baseline"
 
 // Serial lists the packages that form the single-threaded consensus core:
 // code that runs strictly under the scheduler's one event at a time and must
-// never introduce its own concurrency. nogoroutine applies here. The harness
-// and scenario layers are deliberately absent — their worker pools are the
+// never introduce its own concurrency. nogoroutine applies here. The harness,
+// scenario and experiments layers are deliberately absent — their worker pools are the
 // sanctioned concurrency boundary — as is the transport, which owns the real
 // network goroutines.
 const Serial = "prestigebft/internal/core," +

@@ -358,20 +358,20 @@ func List(names []string, seedOffset int64) ([]*Scenario, error) {
 
 // Suite builds the grid that runs lib, one scenario per independent cell, in
 // worlds built by newEnv; the caller names the grid and sizes its pool
-// (simulated cells parallelize and reproduce exactly like every other
-// experiment; live cells share the wall clock, so their grid runs with one
-// worker). reports is filled in cell order during Grid.Run.
+// (simulated cells parallelize and reproduce exactly at any pool size; live
+// cells share the wall clock, so their grid runs with one worker). A cell's
+// rows are its Read's, or else its verdict row (Report.Row). reports is
+// filled in cell order during Grid.Run.
 func Suite(lib []*Scenario, newEnv func(harness.Options) (Environment, error)) (g *harness.Grid, reports []*Report) {
 	g = &harness.Grid{}
 	reports = make([]*Report, len(lib))
 	for i, s := range lib {
-		i, s := i, s
-		g.Specs = append(g.Specs, harness.ExperimentSpec{
-			Label: s.Name,
-			Measure: func(*harness.ExperimentSpec) []harness.Row {
-				reports[i] = s.RunWith(newEnv)
-				return []harness.Row{reports[i].Row()}
-			},
+		g.Cells = append(g.Cells, func() []harness.Row {
+			reports[i] = s.RunWith(newEnv)
+			if s.Read != nil {
+				return reports[i].Rows
+			}
+			return []harness.Row{reports[i].Row()}
 		})
 	}
 	return g, reports

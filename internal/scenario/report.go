@@ -39,6 +39,9 @@ type Report struct {
 	Bytes       uint64
 
 	Violations []string
+
+	// Rows are what the scenario's Read read from the run (nil without one).
+	Rows []harness.Row
 }
 
 // OK reports whether every invariant held.
@@ -55,26 +58,22 @@ func (r *Report) Row() harness.Row {
 	if r.Recovery >= 0 {
 		rec = r.Recovery.Seconds()
 	}
-	row := harness.Row{Label: r.Scenario, Values: map[string]float64{}}
-	add := func(k string, v float64) {
-		row.Values[k] = v
-		row.Order = append(row.Order, k)
-	}
-	add("ok", ok)
-	add("steady_tps", r.SteadyTPS)
-	add("final_tps", r.FinalTPS)
-	add("p50_ms", float64(r.P50.Microseconds())/1000)
-	add("p95_ms", float64(r.P95.Microseconds())/1000)
-	add("p99_ms", float64(r.P99.Microseconds())/1000)
-	add("recovery_s", rec)
-	add("view_changes", float64(r.ViewChanges))
-	add("elections", float64(r.Elections))
-	add("sync_ups", float64(r.SyncUps))
-	add("checkpoints", float64(r.Checkpoints))
-	add("snapshots", float64(r.Snapshots))
-	add("msgs", float64(r.Msgs))
-	add("mbytes", float64(r.Bytes)/(1<<20))
-	return row
+	return harness.NewRow(r.Scenario,
+		"ok", ok,
+		"steady_tps", r.SteadyTPS,
+		"final_tps", r.FinalTPS,
+		"p50_ms", float64(r.P50.Microseconds())/1000,
+		"p95_ms", float64(r.P95.Microseconds())/1000,
+		"p99_ms", float64(r.P99.Microseconds())/1000,
+		"recovery_s", rec,
+		"view_changes", float64(r.ViewChanges),
+		"elections", float64(r.Elections),
+		"sync_ups", float64(r.SyncUps),
+		"checkpoints", float64(r.Checkpoints),
+		"snapshots", float64(r.Snapshots),
+		"msgs", float64(r.Msgs),
+		"mbytes", float64(r.Bytes)/(1<<20),
+	)
 }
 
 // String renders a human-readable verdict line (violations included).

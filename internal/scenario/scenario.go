@@ -106,6 +106,12 @@ type Scenario struct {
 	Events []Event
 
 	Invariants Invariants
+
+	// Read, when set, makes the scenario a figure cell (internal/experiments):
+	// it gets the environment before Start, may Schedule probes, and returns
+	// the function that reads the rows into the Report after the run. It is
+	// not part of a scenario file.
+	Read func(env Environment) (rows func() []harness.Row)
 }
 
 // Event fires one action at an absolute virtual time (measured from cluster
@@ -241,6 +247,10 @@ func (s *Scenario) RunWith(newEnv func(harness.Options) (Environment, error)) *R
 		return rep
 	}
 	defer env.Close()
+	if s.Read != nil {
+		rows := s.Read(env)
+		defer func() { rep.Rows = rows() }() // on every return from here on
+	}
 	r := &run{env: env}
 	for _, ev := range s.Events {
 		a := ev.Action

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -94,11 +95,11 @@ func TestScenarioDeterministicReplay(t *testing.T) {
 	libN, _ := List(names, 0)
 	gN, _ := Suite(libN, NewSimEnv)
 	gN.Workers = 4
-	j1, err := g1.Run().JSON()
+	j1, err := json.Marshal(g1.Run())
 	if err != nil {
 		t.Fatal(err)
 	}
-	jN, err := gN.Run().JSON()
+	jN, err := json.Marshal(gN.Run())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,9 @@
 //   - internal/baseline/... — HotStuff and SBFT
 //   - internal/harness — the factory table that builds every protocol
 //     (Prosecutor is a PrestigeBFT node with a non-compensating reputation
-//     engine) and the experiment harness
+//     engine) and the simulated cluster
+//   - internal/experiments — one runner per figure; each cell is a
+//     scenario the engine (internal/scenario) runs and checks
 //   - internal/sim — the discrete-event simulator
 //   - internal/faults — Byzantine behavior injection (F1-F4, S1/S2)
 //
@@ -41,6 +43,7 @@ import (
 	"time"
 
 	"prestigebft/internal/core"
+	"prestigebft/internal/experiments"
 	"prestigebft/internal/faults"
 	"prestigebft/internal/harness"
 	"prestigebft/internal/ledger"
@@ -149,21 +152,22 @@ func EncodeKVDel(key string) []byte {
 // Experiment runs a named paper experiment (fig4c, fig6..fig14, peak) at
 // quick scale and returns its rendered result. See DESIGN.md §5.
 func Experiment(name string, full bool) (string, bool) {
-	runner, ok := harness.Experiments[name]
+	runner, ok := experiments.Experiments[name]
 	if !ok {
 		return "", false
 	}
-	scale := harness.Quick
+	scale := experiments.Quick
 	if full {
-		scale = harness.Full
+		scale = experiments.Full
 	}
-	return runner(scale).String(), true
+	res, _ := runner(scale).Run()
+	return res.String(), true
 }
 
 // ExperimentNames lists the available experiment runners, sorted.
 func ExperimentNames() []string {
-	names := make([]string, 0, len(harness.Experiments))
-	for n := range harness.Experiments {
+	names := make([]string, 0, len(experiments.Experiments))
+	for n := range experiments.Experiments {
 		names = append(names, n)
 	}
 	sort.Strings(names)
