@@ -3,7 +3,7 @@ GO ?= go
 # The committed bench-trajectory document for this PR sequence. CI's bench
 # job regenerates the same document and gates on >10% throughput regressions
 # against the last committed BENCH_*.json.
-BENCH_OUT ?= BENCH_PR33.json
+BENCH_OUT ?= BENCH_PR36.json
 
 .PHONY: build test vet lint lint-tool bench bench-json bench-json-all bench-compare scenarios scenarios-live live-smoke fuzz fuzz-live fuzz-codec no-gob benchmark-smoke cluster-smoke soak clean
 

@@ -149,8 +149,7 @@ type Replica struct {
 	highLock   types.QC
 	highLocked *types.TxBlock
 
-	committedTx map[types.Digest]types.SeqNum
-	propSeen    map[types.Digest]*types.Prop
+	propSeen map[types.Digest]*types.Prop
 	// comptSeen maps each complained, uncommitted transaction to the view
 	// whose complaint timer it armed; a complaint in a later view arms that
 	// view's timer.
@@ -174,7 +173,6 @@ func New(cfg Config) *Replica {
 		pendingByDigest: make(map[types.Digest]bool),
 		prepared:        make(map[types.SeqNum]*types.TxBlock),
 		votedPhase:      make(map[phaseKey]bool),
-		committedTx:     make(map[types.Digest]types.SeqNum),
 		propSeen:        make(map[types.Digest]*types.Prop),
 		comptSeen:       make(map[types.Digest]types.View),
 	}
@@ -352,12 +350,13 @@ func (r *Replica) onNewView(now time.Duration, m *NewView) []consensus.Effect {
 	// Sorted order: the pending queue feeds batch contents, which must not
 	// depend on map iteration.
 	for _, d := range types.SortedDigestKeys(r.propSeen) {
-		if _, committed := r.committedTx[d]; committed {
+		tx := r.propSeen[d].Tx
+		if _, covered := r.store.Covered(tx.Client, tx.Timestamp); covered {
 			continue
 		}
 		if !r.pendingByDigest[d] {
 			r.pendingByDigest[d] = true
-			r.pending = append(r.pending, r.propSeen[d].Tx)
+			r.pending = append(r.pending, tx)
 		}
 	}
 	if !r.batchArmed && len(r.pending) > 0 {

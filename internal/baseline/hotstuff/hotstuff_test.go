@@ -7,6 +7,7 @@ import (
 	"prestigebft/internal/baseline/hotstuff"
 	"prestigebft/internal/faults"
 	"prestigebft/internal/harness"
+	"prestigebft/internal/ledger"
 	"prestigebft/internal/types"
 )
 
@@ -135,5 +136,33 @@ func TestHotStuffSafetyUnderCrash(t *testing.T) {
 				t.Fatalf("conflicting commit at seq %d", s)
 			}
 		}
+	}
+}
+
+// rejectEven refuses every transaction with an even timestamp; the block
+// still orders it, with Status false.
+type rejectEven struct{}
+
+func (rejectEven) Apply(tx *types.Transaction) bool { return tx.Timestamp%2 == 1 }
+
+// TestNotifsCarryTheAppliedStatus: a client learns the status the state
+// machine returned for its request, not "accepted" whatever it returned.
+// Each closed-loop client alternates accepted and rejected requests.
+func TestNotifsCarryTheAppliedStatus(t *testing.T) {
+	c := harness.NewCluster(harness.Options{
+		Protocol: harness.HotStuff,
+		N:        4, Clients: 4, BatchSize: 4, Seed: 3,
+		VerifySignatures: true,
+		StateMachine:     func() ledger.StateMachine { return rejectEven{} },
+	})
+	c.Start()
+	c.Run(3 * time.Second)
+	var committed, rejected int
+	for _, st := range c.ClientStats() {
+		committed += st.Committed
+		rejected += st.Rejected
+	}
+	if committed == 0 || committed-rejected < 0 || committed-rejected > 4 {
+		t.Fatalf("clients counted %d accepted and %d rejected requests, want alternating halves", committed, rejected)
 	}
 }

@@ -17,8 +17,8 @@ func (r *Replica) onProp(now time.Duration, m *types.Prop) []consensus.Effect {
 	if !r.cfg.Registry.VerifyClient(m.Tx.Client, m.SigningBytes(), m.Sig) {
 		return nil
 	}
-	if seq, ok := r.committedTx[m.D]; ok {
-		return []consensus.Effect{r.notifyClient(m.Tx.Client, seq, m.D)}
+	if last, covered := r.store.Covered(m.Tx.Client, m.Tx.Timestamp); covered {
+		return []consensus.Effect{r.notifyClient(m.Tx.Client, last.Seq, last.Digest, last.Status)}
 	}
 	if r.active && r.isLeader() {
 		return r.enqueue(now, m)
@@ -33,8 +33,8 @@ func (r *Replica) onCompt(now time.Duration, m *types.Compt) []consensus.Effect 
 	if d != prop.D || !r.cfg.Registry.VerifyClient(prop.Tx.Client, prop.SigningBytes(), prop.Sig) {
 		return nil
 	}
-	if seq, ok := r.committedTx[d]; ok {
-		return []consensus.Effect{r.notifyClient(prop.Tx.Client, seq, d)}
+	if last, covered := r.store.Covered(prop.Tx.Client, prop.Tx.Timestamp); covered {
+		return []consensus.Effect{r.notifyClient(prop.Tx.Client, last.Seq, last.Digest, last.Status)}
 	}
 	if r.active && r.isLeader() {
 		return r.enqueue(now, prop)
@@ -310,14 +310,13 @@ func (r *Replica) recordCommit(blk *types.TxBlock) []consensus.Effect {
 	for i := range blk.Txs {
 		tx := &blk.Txs[i]
 		d := tx.Digest()
-		r.committedTx[d] = blk.Header.N
 		delete(r.pendingByDigest, d)
 		delete(r.propSeen, d)
 		if v, ok := r.comptSeen[d]; ok {
 			delete(r.comptSeen, d)
 			effs = append(effs, consensus.CancelTimer{Kind: TimerCompt, Key: uint64(v)})
 		}
-		effs = append(effs, r.notifyClient(tx.Client, blk.Header.N, d))
+		effs = append(effs, r.notifyClient(tx.Client, blk.Header.N, d, blk.Status[i]))
 	}
 	for k := range r.votedPhase {
 		if k.n == blk.Header.N {
@@ -328,8 +327,8 @@ func (r *Replica) recordCommit(blk *types.TxBlock) []consensus.Effect {
 	return effs
 }
 
-func (r *Replica) notifyClient(client types.ClientID, seq types.SeqNum, d types.Digest) consensus.Effect {
-	notif := &types.Notif{From: r.cfg.ID, V: r.view, N: seq, TxD: d, Status: true}
+func (r *Replica) notifyClient(client types.ClientID, seq types.SeqNum, d types.Digest, status bool) consensus.Effect {
+	notif := &types.Notif{From: r.cfg.ID, V: r.view, N: seq, TxD: d, Status: status}
 	notif.Sig = r.cfg.Keys.Sign(notif.SigningBytes())
 	return consensus.SendClient{To: client, Msg: notif}
 }

@@ -210,8 +210,7 @@ type Replica struct {
 	batchArmed      bool
 	inflight        *instance
 
-	prepared    map[types.SeqNum]*types.TxBlock
-	committedTx map[types.Digest]types.SeqNum
+	prepared map[types.SeqNum]*types.TxBlock
 	// propSeen holds every uncommitted client request this replica has
 	// seen, so whichever server the rotation makes leader proposes them.
 	propSeen map[types.Digest]*types.Prop
@@ -226,7 +225,6 @@ func New(cfg Config) *Replica {
 		view:            1,
 		pendingByDigest: make(map[types.Digest]bool),
 		prepared:        make(map[types.SeqNum]*types.TxBlock),
-		committedTx:     make(map[types.Digest]types.SeqNum),
 		propSeen:        make(map[types.Digest]*types.Prop),
 	}
 }
@@ -342,8 +340,8 @@ func (r *Replica) onProp(now time.Duration, m *types.Prop) []consensus.Effect {
 	if m.Tx.Digest() != m.D || !r.cfg.Registry.VerifyClient(m.Tx.Client, m.SigningBytes(), m.Sig) {
 		return nil
 	}
-	if seq, ok := r.committedTx[m.D]; ok {
-		return []consensus.Effect{r.notifyClient(m.Tx.Client, seq, m.D)}
+	if last, covered := r.store.Covered(m.Tx.Client, m.Tx.Timestamp); covered {
+		return []consensus.Effect{r.notifyClient(m.Tx.Client, last.Seq, last.Digest, last.Status)}
 	}
 	r.propSeen[m.D] = m
 	if !r.isLeader() || r.pendingByDigest[m.D] {
@@ -568,17 +566,16 @@ func (r *Replica) recordCommit(blk *types.TxBlock) []consensus.Effect {
 	for i := range blk.Txs {
 		tx := &blk.Txs[i]
 		d := tx.Digest()
-		r.committedTx[d] = blk.Header.N
 		delete(r.pendingByDigest, d)
 		delete(r.propSeen, d)
-		effs = append(effs, r.notifyClient(tx.Client, blk.Header.N, d))
+		effs = append(effs, r.notifyClient(tx.Client, blk.Header.N, d, blk.Status[i]))
 	}
 	delete(r.prepared, blk.Header.N)
 	return effs
 }
 
-func (r *Replica) notifyClient(client types.ClientID, seq types.SeqNum, d types.Digest) consensus.Effect {
-	notif := &types.Notif{From: r.cfg.ID, V: r.view, N: seq, TxD: d, Status: true}
+func (r *Replica) notifyClient(client types.ClientID, seq types.SeqNum, d types.Digest, status bool) consensus.Effect {
+	notif := &types.Notif{From: r.cfg.ID, V: r.view, N: seq, TxD: d, Status: status}
 	notif.Sig = r.cfg.Keys.Sign(notif.SigningBytes())
 	return consensus.SendClient{To: client, Msg: notif}
 }

@@ -52,6 +52,9 @@ type Stats struct {
 	Rejected   int // committed with status=false (application rejection)
 	Complaints int
 	Latencies  []time.Duration
+	// Acked is the timestamp of the last request f+1 servers acknowledged,
+	// accepted or rejected; 0 before the first.
+	Acked int64
 }
 
 // Config parameterizes a client.
@@ -233,6 +236,7 @@ func agreedLeader(quorum map[types.ServerID]types.ServerID) types.ServerID {
 func (c *Client) complete(accepted bool) {
 	lat := c.env.Now() - c.sentAt
 	c.Stats.Latencies = append(c.Stats.Latencies, lat)
+	c.Stats.Acked = c.outstanding.Tx.Timestamp
 	if !c.complained {
 		c.observe(lat)
 	}

@@ -162,17 +162,10 @@ func (n *Node) applyCheckpoint(cert types.CheckpointCert, state []byte) []consen
 	return []consensus.Effect{n.trace(consensus.TraceCheckpoint, n.View(), int64(cert.Header.Seq))}
 }
 
-// pruneBelowBase drops node bookkeeping that refers to the compacted prefix:
-// closed/obsolete checkpoint rounds and the committed-transaction dedup
-// entries of pruned blocks. Pruning committedTx is what makes long-running
-// replicas bounded in memory; the trade — a duplicate of a transaction
-// committed long before the base would be re-ordered rather than
-// re-notified — matches classic BFT checkpoint designs, where the reply
-// cache is pruned at the low-water mark too (correct clients stop re-sending
-// on f+1 notifies). The entries of the last interval below the base are
-// kept: a proposal a follower forwards (onProp) trails the client's own copy
-// to the leader, and the base can pass the block that committed it while
-// the copy is in flight.
+// pruneBelowBase drops the checkpoint bookkeeping that refers to the
+// compacted prefix: closed or obsolete rounds, stashed votes and a deferred
+// basis. Duplicate detection needs nothing here: the ledger's client table
+// is certified state and survives compaction.
 func (n *Node) pruneBelowBase() {
 	base := n.store.LogBase()
 	for seq := range n.ckptRounds {
@@ -191,18 +184,12 @@ func (n *Node) pruneBelowBase() {
 	if n.ckptVoted < base {
 		n.ckptVoted = base
 	}
-	keep := types.SeqNum(n.cfg.CheckpointInterval)
-	for d, out := range n.committedTx {
-		if out.seq+keep <= base {
-			delete(n.committedTx, d)
-		}
-	}
 }
 
 // afterSnapshotInstall resets bookkeeping after the ledger jumped to a
 // certified snapshot: everything this replica knew below the new base is
-// obsolete (prepared slots, ordering votes, stashed proposals, dedup
-// entries), and the checkpoint subsystem restarts from the installed
+// obsolete (prepared slots, ordering votes, stashed proposals, checkpoint
+// rounds), and the checkpoint subsystem restarts from the installed
 // certificate — exactly the recovery semantics of a replica rebooting from
 // its latest checkpoint.
 func (n *Node) afterSnapshotInstall() {

@@ -46,6 +46,39 @@ func TestCheckpointCertifiesAndCompacts(t *testing.T) {
 	}
 }
 
+// TestRetryAcrossCheckpointsIsRenotified: a client's request stays
+// answered after checkpoints compact the block that carried it. Client 1's
+// request commits at seq 1, client 2's traffic certifies checkpoints at 2
+// and 4, and then client 1 re-sends its request (its Notifs were lost).
+// Every replica re-notifies it with its original seq and status, and
+// nothing is ordered twice.
+func TestRetryAcrossCheckpointsIsRenotified(t *testing.T) {
+	r := newCkptRig(t, 2)
+	k := r.submit(1)
+	for seq := 1; seq <= 4; seq++ {
+		r.submitFrom(2, seq)
+	}
+	for id, node := range r.nodes {
+		if st := node.Store(); st.TxHeight() != 5 || st.LogBase() != 4 {
+			t.Fatalf("server %d height/base = %d/%d, want 5/4", id, st.TxHeight(), st.LogBase())
+		}
+	}
+	before := make(map[types.ServerID]int)
+	for id := range r.nodes {
+		before[id] = len(r.notifs[id])
+	}
+	r.submit(1)
+	for id, node := range r.nodes {
+		if h := node.Store().TxHeight(); h != 5 {
+			t.Fatalf("server %d height = %d after the retry, want 5: the request was ordered again", id, h)
+		}
+		fresh := r.notifs[id][before[id]:]
+		if len(fresh) != 1 || fresh[0].TxD != k.D || fresh[0].N != 1 || !fresh[0].Status {
+			t.Fatalf("server %d answered the retry with %+v, want one Notif for seq 1, status true", id, fresh)
+		}
+	}
+}
+
 // TestLateJoinerCatchesUpViaSnapshot: a server that was down while the log
 // compacted past its height must catch up by installing the certified
 // snapshot — never by replaying compacted history.

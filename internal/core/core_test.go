@@ -172,19 +172,25 @@ func (r *rig) fireTimers(advance time.Duration) {
 }
 
 // clientProp builds a signed proposal from client 1.
-func (r *rig) clientProp(seq int) *types.Prop {
-	tx := types.Transaction{Timestamp: int64(seq), Client: 1, Data: []byte("payload")}
+func (r *rig) clientProp(seq int) *types.Prop { return r.propFrom(1, seq) }
+
+// propFrom builds client c's signed proposal with timestamp seq.
+func (r *rig) propFrom(c types.ClientID, seq int) *types.Prop {
+	tx := types.Transaction{Timestamp: int64(seq), Client: c, Data: []byte("payload")}
 	prop := &types.Prop{Tx: tx, D: tx.Digest()}
-	prop.Sig = r.ckeys[1].Sign(prop.SigningBytes())
+	prop.Sig = r.ckeys[c].Sign(prop.SigningBytes())
 	return prop
 }
 
 // submit broadcasts a proposal from client 1 to all servers.
-func (r *rig) submit(seq int) *types.Prop {
-	prop := r.clientProp(seq)
+func (r *rig) submit(seq int) *types.Prop { return r.submitFrom(1, seq) }
+
+// submitFrom broadcasts client c's proposal to all servers.
+func (r *rig) submitFrom(c types.ClientID, seq int) *types.Prop {
+	prop := r.propFrom(c, seq)
 	for id, node := range r.nodes {
 		if !r.down[id] {
-			r.exec(id, node.OnMessage(r.now, consensus.FromClient(1), prop))
+			r.exec(id, node.OnMessage(r.now, consensus.FromClient(c), prop))
 		}
 	}
 	return prop

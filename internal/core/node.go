@@ -282,11 +282,6 @@ type Node struct {
 	// retransmission cycle. Bounded by ordStashLimit.
 	ordStash map[types.SeqNum]*types.Ord
 
-	// committedTx lets the node answer duplicate proposals and complaints
-	// for already-committed transactions, with the result they committed
-	// with.
-	committedTx map[types.Digest]txOutcome
-
 	// --- Complaint / view-change trigger state ---
 	// compts holds the complained transactions not yet committed: onCompt
 	// adds one only if uncommitted, recordCommit removes it on commit.
@@ -356,13 +351,6 @@ type Node struct {
 	tokenSeq uint64
 }
 
-// txOutcome is where a transaction committed and the per-transaction
-// consensus result (TxBlock.Status) its block recorded for it.
-type txOutcome struct {
-	seq    types.SeqNum
-	status bool
-}
-
 // complaint is one complained, uncommitted transaction.
 type complaint struct {
 	prop    *types.Prop // the client's signed proposal; names the client
@@ -384,7 +372,6 @@ func New(cfg Config) *Node {
 		prepared:        make(map[types.SeqNum]*pendingProposal),
 		ordStash:        make(map[types.SeqNum]*types.Ord),
 		ordVoted:        make(map[types.SeqNum]types.View),
-		committedTx:     make(map[types.Digest]txOutcome),
 		compts:          make(map[types.Digest]*complaint),
 		pendingByDigest: make(map[types.Digest]bool),
 		ckptRounds:      make(map[types.SeqNum]*ckptRound),

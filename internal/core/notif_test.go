@@ -82,6 +82,8 @@ func (rejectEven) Apply(tx *types.Transaction) bool { return tx.Timestamp%2 == 1
 // TestRenotifyCarriesCommittedStatus: a client that re-sends (or complains
 // about) a transaction the state machine rejected must be told so again —
 // the duplicate path used to answer "accepted" whatever the block recorded.
+// The answer always reports the client's last applied request: once its
+// next request applied, a re-sent older one draws that request's Notif.
 func TestRenotifyCarriesCommittedStatus(t *testing.T) {
 	r := newRigCfg(t, 4, 1, 0, func(c *Config) { c.StateMachine = rejectEven{} })
 	// Followers first, so nobody sees the proposal as a duplicate of the
@@ -93,45 +95,42 @@ func TestRenotifyCarriesCommittedStatus(t *testing.T) {
 		}
 		return prop
 	}
-	accepted, rejected := submit(1), submit(2)
-	for id := range r.nodes {
-		if n := r.notifs[id]; len(n) != 2 || !n[0].Status || n[1].Status {
-			t.Fatalf("server %d commit notifs = %+v, want accepted then rejected", id, n)
-		}
-	}
-	for _, tc := range []struct {
-		name   string
-		prop   *types.Prop
-		resend func()
-		status bool
-	}{
-		{"re-sent rejected proposal", rejected, func() { r.submit(2) }, false},
-		{"complaint about a rejected proposal", rejected, func() { r.complain(rejected) }, false},
-		{"re-sent accepted proposal", accepted, func() { r.submit(1) }, true},
-	} {
+	// expect runs resend and checks that every server answered with want
+	// notifs for prop: the one-leaf form (the batch is one transaction), at
+	// prop's seq, with status.
+	expect := func(name string, prop *types.Prop, resend func(), want int, status bool) {
+		t.Helper()
 		before := make(map[types.ServerID]int)
 		for id := range r.nodes {
 			before[id] = len(r.notifs[id])
 		}
-		tc.resend()
+		resend()
 		for id := range r.nodes {
 			fresh := r.notifs[id][before[id]:]
-			if len(fresh) != 1 {
-				t.Fatalf("%s: server %d sent %d notifs, want 1", tc.name, id, len(fresh))
+			if len(fresh) != want {
+				t.Fatalf("%s: server %d sent %d notifs, want %d", name, id, len(fresh), want)
 			}
-			n := fresh[0]
-			if n.TxD != tc.prop.D || n.Status != tc.status || n.N != types.SeqNum(tc.prop.Tx.Timestamp) {
-				t.Fatalf("%s: server %d re-notified seq %d status %v, want seq %d status %v",
-					tc.name, id, n.N, n.Status, tc.prop.Tx.Timestamp, tc.status)
-			}
-			if len(n.Path) != 0 || n.Index != 0 {
-				t.Fatalf("%s: re-notification is not the one-leaf form", tc.name)
-			}
-			if !r.reg.VerifyServer(id, n.SigningBytes(), n.Sig) {
-				t.Fatalf("%s: server %d re-notification does not verify", tc.name, id)
+			for _, n := range fresh {
+				if n.TxD != prop.D || n.Status != status || n.N != types.SeqNum(prop.Tx.Timestamp) {
+					t.Fatalf("%s: server %d notified seq %d status %v, want seq %d status %v",
+						name, id, n.N, n.Status, prop.Tx.Timestamp, status)
+				}
+				if len(n.Path) != 0 || n.Index != 0 {
+					t.Fatalf("%s: server %d notif is not the one-leaf form", name, id)
+				}
+				if !r.reg.VerifyServer(id, n.SigningBytes(), n.Sig) {
+					t.Fatalf("%s: server %d notif does not verify", name, id)
+				}
 			}
 		}
 	}
+	var accepted, rejected *types.Prop
+	expect("commit of an accepted proposal", r.clientProp(1), func() { accepted = submit(1) }, 1, true)
+	expect("re-sent accepted proposal", accepted, func() { r.submit(1) }, 1, true)
+	expect("commit of a rejected proposal", r.clientProp(2), func() { rejected = submit(2) }, 1, false)
+	expect("re-sent rejected proposal", rejected, func() { r.submit(2) }, 1, false)
+	expect("complaint about a rejected proposal", rejected, func() { r.complain(rejected) }, 1, false)
+	expect("re-sent older proposal", rejected, func() { r.submit(1) }, 1, false)
 	if h := r.nodes[1].Store().TxHeight(); h != 2 {
 		t.Fatalf("height = %d: a duplicate was re-proposed", h)
 	}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"prestigebft/internal/consensus"
+	"prestigebft/internal/ledger"
 	"prestigebft/internal/quorum"
 	"prestigebft/internal/types"
 )
@@ -12,12 +13,14 @@ import (
 
 // onProp handles a client proposal (§4.3 "Invoking a consensus service").
 // The leader batches proposals into consensus instances, and any replica
-// answers a re-sent proposal for a committed transaction. A client sends
+// answers a proposal its client's row in the ledger's client table covers
+// with that row: a re-sent last request gets its Notif again, and an older
+// one, which its client has moved past, the same Notif. A client sends
 // each proposal to the leader its last Notifs named, or to every server
 // when it has no such hint; a non-leader passes on the ones a stale hint
 // sent it (forwardProp) and drops the rest unverified.
 func (n *Node) onProp(now time.Duration, from consensus.Origin, m *types.Prop) []consensus.Effect {
-	out, committed := n.committedTx[m.D]
+	last, committed := n.store.Covered(m.Tx.Client, m.Tx.Timestamp)
 	if !committed {
 		if n.state != Leader || !n.leaderConfirmed {
 			return n.forwardProp(from, m)
@@ -35,8 +38,8 @@ func (n *Node) onProp(now time.Duration, from consensus.Origin, m *types.Prop) [
 		return nil
 	}
 	if committed {
-		// Duplicate of a committed transaction: re-notify.
-		return []consensus.Effect{n.renotify(m.Tx.Client, m.D, out)}
+		// A duplicate of the client's last applied request, or an older one.
+		return []consensus.Effect{n.renotify(m.Tx.Client, last)}
 	}
 	return n.enqueueTx(now, m)
 }
@@ -565,18 +568,16 @@ func (n *Node) recordCommit(blk *types.TxBlock) []consensus.Effect {
 	leaves := make([]types.Digest, len(blk.Txs))
 	for i := range blk.Txs {
 		digests[i] = blk.Txs[i].Digest()
-		leaves[i] = types.NotifLeaf(digests[i], txStatus(blk, i))
+		leaves[i] = types.NotifLeaf(digests[i], blk.Status[i])
 	}
 	root, paths := types.NotifProofs(leaves)
 	leader := n.store.CurrentLeader()
 	sig := n.sign(types.NotifStatement(n.cfg.ID, leader, v, seq, root))
 	effs := make([]consensus.Effect, 0, len(digests))
 	for i, d := range digests {
-		status := txStatus(blk, i)
-		n.committedTx[d] = txOutcome{seq: seq, status: status}
 		delete(n.pendingByDigest, d)
 		effs = append(effs, consensus.SendClient{To: blk.Txs[i].Client, Msg: &types.Notif{
-			From: n.cfg.ID, Leader: leader, V: v, N: seq, TxD: d, Status: status,
+			From: n.cfg.ID, Leader: leader, V: v, N: seq, TxD: d, Status: blk.Status[i],
 			Index: uint32(i), Path: paths[i], Sig: sig,
 		}})
 		// A commit settles any pending complaint for the transaction.
@@ -591,17 +592,11 @@ func (n *Node) recordCommit(blk *types.TxBlock) []consensus.Effect {
 	return effs
 }
 
-// txStatus is transaction i's consensus result; a block without a Status
-// entry for it (never produced by the ledger) reads as accepted.
-func txStatus(blk *types.TxBlock, i int) bool {
-	return i >= len(blk.Status) || blk.Status[i]
-}
-
-// renotify answers a re-sent proposal or complaint for a transaction that
-// already committed: a Notif for that transaction alone (the one-leaf tree),
-// carrying the result the block recorded.
-func (n *Node) renotify(client types.ClientID, d types.Digest, out txOutcome) consensus.Effect {
-	notif := &types.Notif{From: n.cfg.ID, Leader: n.store.CurrentLeader(), V: n.View(), N: out.seq, TxD: d, Status: out.status}
+// renotify answers a re-sent proposal or complaint that the client's row in
+// the client table covers: a Notif for the row's transaction alone (the
+// one-leaf tree), carrying where it committed and its recorded status.
+func (n *Node) renotify(client types.ClientID, last ledger.LastRequest) consensus.Effect {
+	notif := &types.Notif{From: n.cfg.ID, Leader: n.store.CurrentLeader(), V: n.View(), N: last.Seq, TxD: last.Digest, Status: last.Status}
 	notif.Sig = n.sign(notif.SigningBytes())
 	return consensus.SendClient{To: client, Msg: notif}
 }

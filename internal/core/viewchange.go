@@ -29,9 +29,9 @@ func (n *Node) onCompt(now time.Duration, from consensus.Origin, m *types.Compt)
 		return nil
 	}
 	var effs []consensus.Effect
-	// Already committed: re-notify the client, no inspection needed.
-	if out, ok := n.committedTx[d]; ok {
-		effs = append(effs, n.renotify(prop.Tx.Client, d, out))
+	// Already applied: re-notify the client, no inspection needed.
+	if last, ok := n.store.Covered(prop.Tx.Client, prop.Tx.Timestamp); ok {
+		effs = append(effs, n.renotify(prop.Tx.Client, last))
 		if !from.Client {
 			// The server that relayed it has not committed the transaction:
 			// it missed the block. An idle leader re-broadcasts nothing, and
@@ -630,8 +630,9 @@ func (n *Node) buildAdoptionPlan() (adopt []*types.TxBlock, leftover []types.Pro
 	// Salvage the rest transaction-wise, in sequence order: what is left in
 	// merged (certified slots beyond the gap) plus our own uncertified
 	// prepared blocks. enqueueTx deduplicates against the adopted blocks
-	// (marked in pendingByDigest by adoptInstance) and against committed
-	// transactions via recordCommit's bookkeeping, so nothing commits twice.
+	// (marked in pendingByDigest by adoptInstance); transactions the
+	// ledger's client table already covers are skipped here, and the ledger
+	// would not apply them again anyway.
 	rest := merged
 	for _, seq := range types.SortedKeys(n.prepared) {
 		if seq <= height || seq < next || rest[seq] != nil {
@@ -645,7 +646,7 @@ func (n *Node) buildAdoptionPlan() (adopt []*types.TxBlock, leftover []types.Pro
 		for i := range b.Txs {
 			tx := b.Txs[i]
 			d := tx.Digest()
-			if _, committed := n.committedTx[d]; committed {
+			if _, committed := n.store.Covered(tx.Client, tx.Timestamp); committed {
 				continue
 			}
 			leftover = append(leftover, types.Prop{Tx: tx, D: d})

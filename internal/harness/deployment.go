@@ -146,6 +146,18 @@ func (d *Deployment) RetainedBlocks(id types.ServerID) (blocks int, ok bool) {
 	return l.RetainedTxBlocks(), true
 }
 
+// Covered reports whether the server's client table covers client c's
+// request with timestamp ts: the server's ledger applied that request or a
+// later one of c. ok mirrors ChainHeight.
+func (d *Deployment) Covered(id types.ServerID, c types.ClientID, ts int64) (covered, ok bool) {
+	l := d.ledgers[id-1]
+	if l == nil {
+		return false, false
+	}
+	_, covered = l.Covered(c, ts)
+	return covered, true
+}
+
 // ClientConfig is workload client id's configuration; every world builds its
 // clients from it.
 func (d *Deployment) ClientConfig(id types.ClientID) client.Config {

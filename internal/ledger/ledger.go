@@ -30,8 +30,10 @@ type StateMachine interface {
 // Snapshotter is the optional StateMachine extension the checkpoint
 // subsystem needs: a canonical binary encoding of the full application state
 // (identical states must encode identically — checkpoint certificates hash
-// the encoding) and the inverse restore. State machines without it can still
-// replicate, but their ledgers can neither compact nor serve snapshots.
+// the encoding) and the inverse restore. The certified state is the store's
+// client table followed by this encoding; the store encodes and restores the
+// table itself. State machines without it can still replicate, but their
+// ledgers can neither compact nor serve snapshots.
 type Snapshotter interface {
 	StateMachine
 	// SnapshotState returns the canonical encoding of the current state.
@@ -83,6 +85,10 @@ type Store struct {
 	ckpt      *types.CheckpointCert
 	ckptState []byte
 
+	// clients is the reply table: each client's last applied request. It is
+	// replicated state, certified with the application state (clients.go).
+	clients map[types.ClientID]LastRequest
+
 	sm StateMachine
 	n  int // cluster size, for QC thresholds
 }
@@ -95,6 +101,7 @@ func NewStore(n int, initialLeader types.ServerID, sm StateMachine) *Store {
 	}
 	s := &Store{
 		vcByView: make(map[types.View]int),
+		clients:  make(map[types.ClientID]LastRequest),
 		sm:       sm,
 		n:        n,
 	}
@@ -135,35 +142,21 @@ func (s *Store) TxBlock(n types.SeqNum) *types.TxBlock {
 	return s.txBlocks[n-base]
 }
 
-// AppendTxBlock validates and appends a committed txBlock, applying its
-// transactions to the state machine. Validation checks the chain linkage and
-// the commit certificate threshold.
+// AppendTxBlock validates the certificates of a committed txBlock
+// (ValidateTxBlockQCs) and appends it (AppendTxBlockUnchecked).
 func (s *Store) AppendTxBlock(reg *crypto.Registry, b *types.TxBlock) error {
-	prev := s.LatestTxBlock()
-	if b.Header.N != prev.Header.N+1 {
-		return fmt.Errorf("txBlock %d does not extend height %d", b.Header.N, prev.Header.N)
-	}
-	if b.Header.N > 1 && b.Header.PrevHash != prev.Hash() {
-		return fmt.Errorf("txBlock %d: previous hash mismatch", b.Header.N)
-	}
 	if err := s.ValidateTxBlockQCs(reg, b); err != nil {
 		return err
 	}
-	cp := *b
-	if len(cp.Status) != len(cp.Txs) {
-		cp.Status = make([]bool, len(cp.Txs))
-	}
-	for i := range cp.Txs {
-		cp.Status[i] = s.sm.Apply(&cp.Txs[i])
-	}
-	s.txBlocks = append(s.txBlocks, &cp)
-	return nil
+	return s.AppendTxBlockUnchecked(reg, b)
 }
 
 // AppendTxBlockUnchecked appends a block validating only chain linkage; the
 // caller vouches for the certificates. Protocols whose certificate structure
 // differs from the two-QC standard (e.g. SBFT's fast path) validate
-// themselves and then append through this.
+// themselves and then append through this. It is the store's one apply
+// loop: each transaction goes through the client table (apply), and the
+// stored copy's Status holds the results.
 func (s *Store) AppendTxBlockUnchecked(reg *crypto.Registry, b *types.TxBlock) error {
 	prev := s.LatestTxBlock()
 	if b.Header.N != prev.Header.N+1 {
@@ -173,11 +166,9 @@ func (s *Store) AppendTxBlockUnchecked(reg *crypto.Registry, b *types.TxBlock) e
 		return fmt.Errorf("txBlock %d: previous hash mismatch", b.Header.N)
 	}
 	cp := *b
-	if len(cp.Status) != len(cp.Txs) {
-		cp.Status = make([]bool, len(cp.Txs))
-	}
+	cp.Status = make([]bool, len(cp.Txs))
 	for i := range cp.Txs {
-		cp.Status[i] = s.sm.Apply(&cp.Txs[i])
+		cp.Status[i] = s.apply(&cp.Txs[i], cp.Header.N)
 	}
 	s.txBlocks = append(s.txBlocks, &cp)
 	return nil
@@ -320,20 +311,21 @@ func (s *Store) PenaltyHistory(id types.ServerID) []int64 {
 // --- Certified checkpoints (DESIGN.md §10) -----------------------------------
 
 // CheckpointBasis captures the checkpoint header for the CURRENT committed
-// height, together with the encoded application state it hashes. It must be
-// called at the exact height being checkpointed — the application state is a
-// moving target, so the caller (internal/core) invokes it the moment a
-// commit lands on an interval boundary. RepDigest is left for the caller to
-// fill from RepDigestUpTo, because the vc chain may briefly trail the tx
-// chain on sync-fed replicas. ok is false when the state machine cannot
-// snapshot itself.
+// height, together with the certified state it hashes: the client table
+// followed by the application state (client table ‖ app state). It must be
+// called at the exact height being checkpointed — the state is a moving
+// target, so the caller (internal/core) invokes it the moment a commit
+// lands on an interval boundary. RepDigest is left for the caller to fill
+// from RepDigestUpTo, because the vc chain may briefly trail the tx chain on
+// sync-fed replicas. ok is false when the state machine cannot snapshot
+// itself.
 func (s *Store) CheckpointBasis() (types.CheckpointHeader, []byte, bool) {
 	snap, ok := s.sm.(Snapshotter)
 	if !ok {
 		return types.CheckpointHeader{}, nil, false
 	}
 	tip := s.LatestTxBlock()
-	state := snap.SnapshotState()
+	state := append(s.encodeClients(), snap.SnapshotState()...)
 	return types.CheckpointHeader{
 		Seq:       tip.Header.N,
 		View:      tip.Header.V,
@@ -385,7 +377,7 @@ func (s *Store) ValidateCheckpointCert(reg *crypto.Registry, c *types.Checkpoint
 }
 
 // Certify installs an assembled checkpoint certificate together with the
-// application state captured when its boundary committed (CheckpointBasis),
+// certified state captured when its boundary committed (CheckpointBasis),
 // then prunes the log below the checkpoint. The certificate's block becomes
 // the new anchor; the certificate and state are retained so this store can
 // serve snapshots to peers stuck below the new base.
@@ -432,8 +424,8 @@ func (s *Store) CompactBefore(seq types.SeqNum) int {
 
 // SnapshotPackage assembles the state-transfer payload for a peer whose gap
 // starts below the log base: the certificate, the anchor block, and the
-// encoded application state at the checkpoint. Nil when no checkpoint has
-// been certified yet.
+// certified state (client table ‖ app state) at the checkpoint. Nil when no
+// checkpoint has been certified yet.
 func (s *Store) SnapshotPackage() *types.SnapshotPackage {
 	if s.ckpt == nil || s.LogBase() != s.ckpt.Header.Seq {
 		return nil
@@ -445,13 +437,14 @@ func (s *Store) SnapshotPackage() *types.SnapshotPackage {
 	}
 }
 
-// InstallSnapshot replaces this store's txBlock chain and application state
-// with a certified snapshot, after verifying every component: the ckpt_QC
-// (2f+1 signers over the state hash), the anchor block's own certificates
-// and its address against the header, and the state bytes against the
-// certified AppDigest. The vc chain is untouched — vcBlocks are synced
-// independently and are themselves self-certifying. The caller must only
-// install snapshots ahead of the current height.
+// InstallSnapshot replaces this store's txBlock chain, client table and
+// application state with a certified snapshot, after verifying every
+// component: the ckpt_QC (2f+1 signers over the state hash), the anchor
+// block's own certificates and its address against the header, and the state
+// bytes (client table ‖ app state) against the certified AppDigest. The vc
+// chain is untouched — vcBlocks are synced independently and are themselves
+// self-certifying. The caller must only install snapshots ahead of the
+// current height.
 func (s *Store) InstallSnapshot(reg *crypto.Registry, pkg *types.SnapshotPackage) error {
 	cert := pkg.Cert
 	h := &cert.Header
@@ -469,15 +462,20 @@ func (s *Store) InstallSnapshot(reg *crypto.Registry, pkg *types.SnapshotPackage
 		return fmt.Errorf("snapshot %d anchor: %w", h.Seq, err)
 	}
 	if types.HashBytes(pkg.AppState) != h.AppDigest {
-		return fmt.Errorf("snapshot %d: application state does not hash to the certified digest", h.Seq)
+		return fmt.Errorf("snapshot %d: state does not hash to the certified digest", h.Seq)
 	}
 	snap, ok := s.sm.(Snapshotter)
 	if !ok {
 		return fmt.Errorf("snapshot %d: state machine cannot restore snapshots", h.Seq)
 	}
-	if err := snap.RestoreState(pkg.AppState); err != nil {
+	clients, app, err := decodeClients(pkg.AppState)
+	if err != nil {
 		return fmt.Errorf("snapshot %d: %w", h.Seq, err)
 	}
+	if err := snap.RestoreState(app); err != nil {
+		return fmt.Errorf("snapshot %d: %w", h.Seq, err)
+	}
+	s.clients = clients
 	s.txBlocks = []*types.TxBlock{&anchor}
 	s.ckpt = &cert
 	s.ckptState = append([]byte(nil), pkg.AppState...)

@@ -41,7 +41,7 @@ var latenessBuckets = []float64{50e-6, 100e-6, 200e-6, 350e-6, 500e-6, 750e-6, 1
 // written from execute() (loop goroutine); gauges from sample().
 type instruments struct {
 	commits      *metrics.CounterChild
-	committedTxs *metrics.CounterChild
+	txsCommitted *metrics.CounterChild
 	viewchanges  *metrics.CounterChild
 	elections    *metrics.CounterChild
 	syncUps      *metrics.CounterChild
@@ -74,7 +74,7 @@ func newInstruments(reg *metrics.Registry) *instruments {
 	return &instruments{
 		commits: reg.NewCounter("prestige_commits_total",
 			"Committed txBlocks.").With(),
-		committedTxs: reg.NewCounter("prestige_committed_txs_total",
+		txsCommitted: reg.NewCounter("prestige_committed_txs_total",
 			"Transactions inside committed txBlocks.").With(),
 		viewchanges: reg.NewCounter("prestige_viewchange_total",
 			"View changes started (counted once per target view).").With(),
@@ -204,7 +204,7 @@ func (ins *instruments) onCommit(txs int) {
 		return
 	}
 	ins.commits.Inc()
-	ins.committedTxs.Add(float64(txs))
+	ins.txsCommitted.Add(float64(txs))
 }
 
 // onTimer records how late the event loop came to a timer.

@@ -56,7 +56,8 @@ type Environment interface {
 	Deployment() *harness.Deployment
 	// Metrics is the run's collector of commits and protocol traces.
 	Metrics() *harness.Metrics
-	// ClientStats returns every workload client's statistics so far.
+	// ClientStats returns every workload client's statistics so far,
+	// client i+1's at index i.
 	ClientStats() []client.Stats
 	// Traffic returns the messages and bytes offered to the fabric so far,
 	// over all endpoints.

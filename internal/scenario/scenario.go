@@ -1,9 +1,9 @@
 // Package scenario is a declarative chaos-scenario engine. A Scenario names
 // a cluster shape (harness.Options), a timeline of environmental Events
 // (crashes, partitions, fault-spec swaps, fabric degradation), and the
-// invariants the run must uphold (safety: no conflicting commits; steady
-// state: healthy before injection; liveness: throughput recovers within a
-// bound after the last fault heals).
+// invariants the run must uphold (safety: no conflicting commits; no
+// acknowledged request lost; steady state: healthy before injection;
+// liveness: throughput recovers within a bound after the last fault heals).
 //
 // Scenarios run against the Environment seam (env.go): the default world
 // is the deterministic simulator (simenv.go), where events are scheduled
@@ -27,15 +27,18 @@ import (
 	"sort"
 	"time"
 
+	"prestigebft/internal/client"
 	"prestigebft/internal/harness"
 	"prestigebft/internal/sim"
 	"prestigebft/internal/types"
 )
 
 // Invariants declares what a scenario run must uphold. Safety (no two
-// replicas commit different blocks at the same sequence number) and the
-// steady-state hypothesis (the cluster commits during the warmup window,
-// before any injection) are always checked; the rest are opt-in.
+// replicas commit different blocks at the same sequence number), no lost
+// request (each client's last acknowledged request is in a replica's client
+// table) and the steady-state hypothesis (the cluster commits during the
+// warmup window, before any injection) are always checked; the rest are
+// opt-in.
 type Invariants struct {
 	// RecoverWithin bounds the liveness recovery time: after the last event
 	// fires, windowed throughput must return to RecoveryFraction of the
@@ -319,7 +322,8 @@ const p99Slack = 100 * time.Millisecond
 func (s *Scenario) evaluate(env Environment, rep *Report) {
 	dep, met := env.Deployment(), env.Metrics()
 	tps := func(from, to time.Duration) float64 { return met.TPS(sim.Duration(from), sim.Duration(to)) }
-	met.SetClientStats(env.ClientStats())
+	stats := env.ClientStats()
+	met.SetClientStats(stats)
 	rep.P50 = met.LatencyPercentile(50)
 	rep.P95 = met.LatencyPercentile(95)
 	rep.P99 = met.LatencyPercentile(99)
@@ -338,6 +342,7 @@ func (s *Scenario) evaluate(env Environment, rep *Report) {
 	// Safety: every pair of replicas agrees on the common prefix of their
 	// committed chains (no conflicting commits at any sequence number).
 	rep.Violations = append(rep.Violations, safetyViolations(dep)...)
+	rep.Violations = append(rep.Violations, lostRequests(dep, stats)...)
 
 	inv := s.Invariants
 	slack, margin := env.Timing()
@@ -467,6 +472,35 @@ func safetyViolations(dep *harness.Deployment) []string {
 				out = append(out, fmt.Sprintf("safety: servers %d and %d committed conflicting blocks at seq %d", refID, id, seq))
 				bad[id] = true
 			}
+		}
+	}
+	return out
+}
+
+// lostRequests checks that no acknowledged request is lost: each client's
+// last request acknowledged by f+1 Notifs is covered by the client table of
+// at least one server whose ledger is readable. One of the f+1 is correct
+// and applied the request, and its table never moves back. A loss is a
+// safety violation. A run with no readable ledger has nothing to check.
+func lostRequests(dep *harness.Deployment, stats []client.Stats) []string {
+	var out []string
+	for i, st := range stats {
+		if st.Acked == 0 {
+			continue
+		}
+		c := types.ClientID(i + 1)
+		var read []types.ServerID
+		covered := false
+		for s := 1; s <= dep.Opts.N && !covered; s++ {
+			id := types.ServerID(s)
+			if cov, ok := dep.Covered(id, c, st.Acked); ok {
+				read = append(read, id)
+				covered = cov
+			}
+		}
+		if !covered && len(read) > 0 {
+			out = append(out, fmt.Sprintf("safety: client %d request %#x was acknowledged by f+1 servers, but the client tables of servers %v do not cover it",
+				c, st.Acked, read))
 		}
 	}
 	return out

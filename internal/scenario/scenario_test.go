@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -372,5 +373,27 @@ func TestMetricGrowthNeedsQuorum(t *testing.T) {
 	s.evaluateMetrics(&metricScrapes{steady: all, final: map[types.ServerID]metrics.Snapshot{1: snap(50), 2: snap(90), 3: snap(50)}}, 3, rep)
 	if len(rep.Violations) != 1 || !strings.Contains(rep.Violations[0], "server 2 go_goroutines grew 40 → 90") {
 		t.Errorf("a leaking replica among three: got %v", rep.Violations)
+	}
+}
+
+// TestLostRequestIsNamed: the lost-request check passes a run whose
+// acknowledged requests are in the replicas' client tables, and names the
+// client, the request and the servers read when one is in none of them.
+func TestLostRequestIsNamed(t *testing.T) {
+	c := harness.NewCluster(harness.Options{N: 4, Clients: 2, Seed: 1})
+	c.Start()
+	c.Run(time.Second)
+	stats := c.ClientStats()
+	if stats[1].Acked == 0 {
+		t.Fatal("client 2 had no request acknowledged")
+	}
+	if v := lostRequests(c.Deployment, stats); len(v) != 0 {
+		t.Fatalf("violations on a correct run: %v", v)
+	}
+	stats[1].Acked += 1000 // acknowledged, but applied by no replica
+	v := lostRequests(c.Deployment, stats)
+	want := fmt.Sprintf("safety: client 2 request %#x was acknowledged by f+1 servers, but the client tables of servers [1 2 3 4] do not cover it", stats[1].Acked)
+	if len(v) != 1 || v[0] != want {
+		t.Fatalf("violations %q, want [%q]", v, want)
 	}
 }

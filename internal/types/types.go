@@ -211,7 +211,10 @@ type TxBlockHeader struct {
 // consensus result; in this implementation a transaction that reaches the
 // commit_QC is true, and transactions rejected by the application-defined
 // admission rule are false (they are still ordered, matching the paper's
-// "users can define the criteria for useful txBlocks").
+// "users can define the criteria for useful txBlocks"). A transaction the
+// ledger's client table already covers is not applied again; its status is
+// its client's recorded one when it is that client's last request, and false
+// otherwise.
 type TxBlock struct {
 	Header     TxBlockHeader
 	Txs        []Transaction
@@ -273,8 +276,8 @@ func (b *TxBlock) PredictedHash() Digest {
 // CheckpointHeader identifies one state checkpoint: the ledger state every
 // correct replica deterministically reaches after committing the chain
 // prefix through Seq. It binds the three inputs a recovered replica needs to
-// continue from the checkpoint — the chain anchor (BlockHash), the
-// application state (AppDigest), and the reputation inputs (RepDigest, the
+// continue from the checkpoint — the chain anchor (BlockHash), the client
+// table and application state (AppDigest), and the reputation inputs (RepDigest, the
 // address of the latest vcBlock at or below the anchor's view, which
 // transitively commits to every rp/ci fragment the prestige engine reads;
 // see ledger.Store.RepDigestUpTo for why this converges under §4.2.5
@@ -283,7 +286,7 @@ type CheckpointHeader struct {
 	Seq       SeqNum // checkpointed sequence number
 	View      View   // Header.V of the txBlock at Seq
 	BlockHash Digest // address of the txBlock at Seq (the chain anchor)
-	AppDigest Digest // hash of the encoded application state after applying 1..Seq
+	AppDigest Digest // hash of the certified state (client table ‖ app state) after applying 1..Seq
 	RepDigest Digest // hash of the latest vcBlock with V ≤ View
 }
 
@@ -315,8 +318,8 @@ func (c *CheckpointCert) IsZero() bool { return c.QC.IsZero() }
 // SnapshotPackage is the state-transfer payload of the snapshot sync path:
 // the certified checkpoint, the full anchor block at the checkpoint seq
 // (self-certifying through its own QCs; the retained tail chains from its
-// address), and the encoded application state whose hash the certificate
-// covers.
+// address), and the certified state (the ledger's client table followed by
+// the encoded application state) whose hash the certificate covers.
 type SnapshotPackage struct {
 	Cert     CheckpointCert
 	Anchor   TxBlock
