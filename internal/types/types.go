@@ -90,7 +90,8 @@ type Transaction struct {
 
 // Digest returns the canonical digest of the transaction (the paper's d).
 func (t *Transaction) Digest() Digest {
-	var buf []byte
+	// One allocation: every replica digests every transaction it applies.
+	buf := make([]byte, 0, 12+len(t.Data))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(t.Timestamp))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(t.Client))
 	buf = append(buf, t.Data...)
