@@ -21,6 +21,17 @@ func follower(t *testing.T) (*hotstuff.Replica, *crypto.Registry, map[types.Serv
 	return r, reg, keys
 }
 
+// clientSigs signs each transaction as its client does in follower's
+// deployment.
+func clientSigs(txs ...types.Transaction) [][]byte {
+	_, _, ckeys := crypto.GenerateDeployment(41, 4, 1)
+	sigs := make([][]byte, len(txs))
+	for i := range txs {
+		sigs[i] = ckeys[txs[i].Client].Sign(types.PropStatement(&txs[i], txs[i].Digest()))
+	}
+	return sigs
+}
+
 // certify attaches a quorum certificate of the given kind, signed by servers
 // 1-3, to blk.
 func certify(blk *types.TxBlock, kind types.QCKind, keys map[types.ServerID]*crypto.KeyPair) types.QC {
@@ -130,7 +141,7 @@ func TestLockedFollowerVotesOnlyForItsLock(t *testing.T) {
 		return keys[from].Sign(m.SigningBytes())
 	}
 	tx := types.Transaction{Client: 1, Timestamp: 1, Data: []byte("locked")}
-	prep := &hotstuff.Prepare{From: 1, V: 1, N: 1, Prev: genesis, Txs: []types.Transaction{tx}}
+	prep := &hotstuff.Prepare{From: 1, V: 1, N: 1, Prev: genesis, Txs: []types.Transaction{tx}, ClientSigs: clientSigs(tx)}
 	prep.Sig = sign(prep, 1)
 	r.OnMessage(0, consensus.FromServer(1), prep)
 	blk := prep.Block()
@@ -170,7 +181,7 @@ func TestLockedFollowerVotesOnlyForItsLock(t *testing.T) {
 		return n
 	}
 	other := types.Transaction{Client: 1, Timestamp: 2, Data: []byte("conflicting")}
-	if votes(&hotstuff.Prepare{From: 2, V: 2, N: 1, Prev: genesis, Txs: []types.Transaction{other}}) != 0 {
+	if votes(&hotstuff.Prepare{From: 2, V: 2, N: 1, Prev: genesis, Txs: []types.Transaction{other}, ClientSigs: clientSigs(other)}) != 0 {
 		t.Fatal("locked follower voted for a conflicting block at its locked seq")
 	}
 	if votes(&hotstuff.Prepare{From: 2, V: 2, N: 1, Prev: genesis, Txs: []types.Transaction{tx}, Justify: lock}) != 1 {
@@ -214,5 +225,33 @@ func TestStaleComplaintTimerKeepsView(t *testing.T) {
 	r.OnTimer(2500*time.Millisecond, hotstuff.TimerCompt, 2)
 	if r.View() != 3 {
 		t.Fatalf("view %d after a view-2 complaint timer, want 3", r.View())
+	}
+}
+
+// TestUnsignedRequestNotVoted: a follower votes for a fresh proposal only
+// when every transaction in it carries its client's signature, so a leader
+// cannot order a request that no client made.
+func TestUnsignedRequestNotVoted(t *testing.T) {
+	r, _, keys := follower(t)
+	genesis := r.Store().LatestTxBlock().Hash()
+	forged := types.Transaction{Client: 1, Timestamp: 1 << 62, Data: []byte("forged")}
+	votes := func(sigs [][]byte) int {
+		p := &hotstuff.Prepare{From: 1, V: 1, N: 1, Prev: genesis, Txs: []types.Transaction{forged}, ClientSigs: sigs}
+		p.Sig = keys[1].Sign(p.SigningBytes())
+		n := 0
+		for _, e := range r.OnMessage(0, consensus.FromServer(1), p) {
+			if s, ok := e.(consensus.Send); ok {
+				if _, ok := s.Msg.(*hotstuff.Vote); ok {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if votes(nil) != 0 || votes([][]byte{make([]byte, 64)}) != 0 {
+		t.Fatal("follower voted for a transaction its client did not sign")
+	}
+	if votes(clientSigs(forged)) != 1 {
+		t.Fatal("follower did not vote for a client-signed transaction")
 	}
 }

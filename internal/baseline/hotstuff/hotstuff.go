@@ -132,7 +132,7 @@ type Replica struct {
 	newViews map[types.View]*quorum.Collector
 	active   bool // this replica is the current view's leader and may propose
 
-	pending         []types.Transaction
+	pending         []types.Prop
 	pendingByDigest map[types.Digest]bool
 	batchArmed      bool
 	inflight        *instance
@@ -356,7 +356,7 @@ func (r *Replica) onNewView(now time.Duration, m *NewView) []consensus.Effect {
 		}
 		if !r.pendingByDigest[d] {
 			r.pendingByDigest[d] = true
-			r.pending = append(r.pending, tx)
+			r.pending = append(r.pending, *r.propSeen[d])
 		}
 	}
 	if !r.batchArmed && len(r.pending) > 0 {

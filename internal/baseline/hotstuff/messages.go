@@ -18,6 +18,10 @@ type Prepare struct {
 	N    types.SeqNum
 	Prev types.Digest
 	Txs  []types.Transaction
+	// ClientSigs[i] is the client signature of Txs[i] (see types.Ord). A
+	// re-proposal carries none: its Justify already shows a quorum voted
+	// for these transactions.
+	ClientSigs [][]byte
 	// Justify, when set, re-proposes a block a quorum locked on in an
 	// earlier view: it is that block's PreCommit certificate, and the block
 	// keeps the certificate's view, so every commit of it has one hash.
@@ -28,7 +32,8 @@ type Prepare struct {
 // Type implements types.Message.
 func (m *Prepare) Type() string { return "hs.Prepare" }
 
-// WireSize implements types.Message.
+// WireSize implements types.Message. Like types.Ord's, it leaves
+// ClientSigs out.
 func (m *Prepare) WireSize() int {
 	size := headerSize + 2 + 8 + 8 + 32 + sigSize
 	for i := range m.Txs {

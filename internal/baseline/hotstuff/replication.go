@@ -55,7 +55,7 @@ func (r *Replica) enqueue(now time.Duration, m *types.Prop) []consensus.Effect {
 		return nil
 	}
 	r.pendingByDigest[m.D] = true
-	r.pending = append(r.pending, m.Tx)
+	r.pending = append(r.pending, *m)
 	effs := r.maybePropose(now, false)
 	if !r.batchArmed && (len(r.pending) > 0 || r.inflight != nil) {
 		r.batchArmed = true
@@ -80,12 +80,12 @@ func (r *Replica) maybePropose(now time.Duration, flush bool) []consensus.Effect
 		}
 		kept := r.pending[:0]
 		for i := range r.pending {
-			if !in[r.pending[i].Digest()] {
+			if !in[r.pending[i].D] {
 				kept = append(kept, r.pending[i])
 			}
 		}
 		r.pending = kept
-		return r.propose(&types.TxBlock{Header: blk.Header, Txs: blk.Txs}, r.highLock)
+		return r.propose(&types.TxBlock{Header: blk.Header, Txs: blk.Txs}, nil, r.highLock)
 	}
 	if len(r.pending) == 0 || (!flush && len(r.pending) < r.cfg.BatchSize) {
 		return nil
@@ -93,25 +93,27 @@ func (r *Replica) maybePropose(now time.Duration, flush bool) []consensus.Effect
 	batch := r.pending
 	if len(batch) > r.cfg.BatchSize {
 		batch = batch[:r.cfg.BatchSize]
-		r.pending = append([]types.Transaction(nil), r.pending[r.cfg.BatchSize:]...)
+		r.pending = append([]types.Prop(nil), r.pending[r.cfg.BatchSize:]...)
 	} else {
 		r.pending = nil
 	}
+	txs, sigs := types.SplitProps(batch)
 	prev := r.store.LatestTxBlock()
 	blk := &types.TxBlock{
 		Header: types.TxBlockHeader{
-			V: r.view, N: prev.Header.N + 1, PrevHash: prev.Hash(), BatchLen: uint32(len(batch)),
+			V: r.view, N: prev.Header.N + 1, PrevHash: prev.Hash(), BatchLen: uint32(len(txs)),
 		},
-		Txs: batch,
+		Txs: txs,
 	}
-	return r.propose(blk, types.QC{})
+	return r.propose(blk, sigs, types.QC{})
 }
 
-// propose opens the Prepare phase for blk; justify is blk's PreCommit
-// certificate when blk is re-proposed from an earlier view. Every
+// propose opens the Prepare phase for blk, whose transactions' client
+// signatures are clientSigs; justify is blk's PreCommit certificate when
+// blk is re-proposed from an earlier view, and then clientSigs is nil. Every
 // certificate over blk carries blk's own view, so however many leaders
 // drive it, its commit certificate — and so its hash — is the same.
-func (r *Replica) propose(blk *types.TxBlock, justify types.QC) []consensus.Effect {
+func (r *Replica) propose(blk *types.TxBlock, clientSigs [][]byte, justify types.QC) []consensus.Effect {
 	digest := blk.ContentDigest()
 	inst := &instance{
 		block:  blk,
@@ -122,7 +124,7 @@ func (r *Replica) propose(blk *types.TxBlock, justify types.QC) []consensus.Effe
 	inst.coll.Add(r.cfg.Registry, r.cfg.ID, r.cfg.Keys.Sign(inst.coll.Statement()))
 	r.inflight = inst
 	r.prepared[blk.Header.N] = blk
-	prep := &Prepare{From: r.cfg.ID, V: r.view, N: blk.Header.N, Prev: blk.Header.PrevHash, Txs: blk.Txs, Justify: justify}
+	prep := &Prepare{From: r.cfg.ID, V: r.view, N: blk.Header.N, Prev: blk.Header.PrevHash, Txs: blk.Txs, ClientSigs: clientSigs, Justify: justify}
 	prep.Sig = r.cfg.Keys.Sign(prep.SigningBytes())
 	return []consensus.Effect{consensus.Broadcast{Msg: prep}}
 }
@@ -159,6 +161,11 @@ func (r *Replica) onPrepare(now time.Duration, m *Prepare) []consensus.Effect {
 	digest := blk.ContentDigest()
 	if !m.Justify.IsZero() && (m.Justify.Kind != PhasePreCommit.qcKind() || m.Justify.Seq != m.N ||
 		m.Justify.Digest != digest || r.cfg.Registry.VerifyQC(&m.Justify, types.QuorumSize(r.cfg.N)) != nil) {
+		return effs
+	}
+	// A fresh proposal must carry every client's signature: a leader
+	// cannot order a request that no client made.
+	if m.Justify.IsZero() && !r.cfg.Registry.VerifyRequests(m.Txs, m.ClientSigs) {
 		return effs
 	}
 	// Safety: locked on another block at this seq, vote only when a later
@@ -266,7 +273,7 @@ func (r *Replica) onVote(now time.Duration, m *Vote) []consensus.Effect {
 		}
 		committed := r.store.LatestTxBlock()
 		var effs []consensus.Effect
-		effs = append(effs, r.recordCommit(committed)...)
+		effs = append(effs, r.recordCommit()...)
 		dec := &Decide{From: r.cfg.ID, Block: *committed}
 		dec.Sig = r.cfg.Keys.Sign(dec.SigningBytes())
 		effs = append(effs, consensus.Broadcast{Msg: dec})
@@ -298,18 +305,20 @@ func (r *Replica) onDecide(now time.Duration, m *Decide) []consensus.Effect {
 		return nil
 	}
 	committed := r.store.LatestTxBlock()
-	effs := r.recordCommit(committed)
+	effs := r.recordCommit()
 	effs = append(effs, consensus.Commit{Block: committed})
 	// Progress resets the pacemaker.
 	effs = append(effs, consensus.SetTimer{Kind: TimerView, Key: uint64(r.view), Delay: r.cfg.ViewTimeout})
 	return effs
 }
 
-func (r *Replica) recordCommit(blk *types.TxBlock) []consensus.Effect {
+// recordCommit settles the block just appended to the ledger and notifies
+// its clients.
+func (r *Replica) recordCommit() []consensus.Effect {
+	blk, digests := r.store.LatestTxBlock(), r.store.LatestTxDigests()
 	var effs []consensus.Effect
-	for i := range blk.Txs {
+	for i, d := range digests {
 		tx := &blk.Txs[i]
-		d := tx.Digest()
 		delete(r.pendingByDigest, d)
 		delete(r.propSeen, d)
 		if v, ok := r.comptSeen[d]; ok {
@@ -358,7 +367,7 @@ func (r *Replica) onSyncResp(now time.Duration, m *types.SyncResp) []consensus.E
 			break
 		}
 		committed := r.store.LatestTxBlock()
-		effs = append(effs, r.recordCommit(committed)...)
+		effs = append(effs, r.recordCommit()...)
 		effs = append(effs, consensus.Commit{Block: committed})
 	}
 	return effs

@@ -109,3 +109,33 @@ func TestForgedProofNotCommitted(t *testing.T) {
 		t.Fatalf("genuine commit proof not committed: height %d, want 1", h)
 	}
 }
+
+// TestUnsignedRequestNotShared: a replica sends its sign share for a
+// PrePrepare only when every transaction in it carries its client's
+// signature, so a leader cannot order a request that no client made.
+func TestUnsignedRequestNotShared(t *testing.T) {
+	r, keys := follower(t)
+	_, _, ckeys := crypto.GenerateDeployment(43, 4, 1)
+	forged := types.Transaction{Client: 1, Timestamp: 1 << 62, Data: []byte("forged")}
+	shares := func(sigs [][]byte) int {
+		pp := &sbft.PrePrepare{From: 1, V: 1, N: 1, Prev: r.Store().LatestTxBlock().Hash(),
+			Txs: []types.Transaction{forged}, ClientSigs: sigs}
+		pp.Sig = keys[1].Sign(pp.SigningBytes())
+		n := 0
+		for _, e := range r.OnMessage(0, consensus.FromServer(1), pp) {
+			if s, ok := e.(consensus.Send); ok {
+				if _, ok := s.Msg.(*sbft.Share); ok {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if shares(nil) != 0 || shares([][]byte{make([]byte, 64)}) != 0 {
+		t.Fatal("replica shared for a transaction its client did not sign")
+	}
+	signed := ckeys[1].Sign(types.PropStatement(&forged, forged.Digest()))
+	if shares([][]byte{signed}) != 1 {
+		t.Fatal("replica did not share for a client-signed transaction")
+	}
+}

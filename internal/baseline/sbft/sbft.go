@@ -84,13 +84,16 @@ type PrePrepare struct {
 	N    types.SeqNum
 	Prev types.Digest
 	Txs  []types.Transaction
-	Sig  []byte
+	// ClientSigs[i] is the client signature of Txs[i] (see types.Ord).
+	ClientSigs [][]byte
+	Sig        []byte
 }
 
 // Type implements types.Message.
 func (m *PrePrepare) Type() string { return "sb.PrePrepare" }
 
-// WireSize implements types.Message.
+// WireSize implements types.Message. Like types.Ord's, it leaves
+// ClientSigs out.
 func (m *PrePrepare) WireSize() int {
 	size := 16 + 2 + 8 + 8 + 32 + 64
 	for i := range m.Txs {
@@ -205,7 +208,7 @@ type Replica struct {
 	store *ledger.Store
 	view  types.View
 
-	pending         []types.Transaction
+	pending         []types.Prop
 	pendingByDigest map[types.Digest]bool
 	batchArmed      bool
 	inflight        *instance
@@ -298,7 +301,7 @@ func (r *Replica) enterView(now time.Duration, v types.View) []consensus.Effect 
 	}
 	for _, d := range types.SortedDigestKeys(r.propSeen) {
 		r.pendingByDigest[d] = true
-		r.pending = append(r.pending, r.propSeen[d].Tx)
+		r.pending = append(r.pending, *r.propSeen[d])
 	}
 	if !r.batchArmed && len(r.pending) > 0 {
 		r.batchArmed = true
@@ -348,7 +351,7 @@ func (r *Replica) onProp(now time.Duration, m *types.Prop) []consensus.Effect {
 		return nil
 	}
 	r.pendingByDigest[m.D] = true
-	r.pending = append(r.pending, m.Tx)
+	r.pending = append(r.pending, *m)
 	effs := r.maybePropose(now, false)
 	if !r.batchArmed && (len(r.pending) > 0 || r.inflight != nil) {
 		r.batchArmed = true
@@ -367,14 +370,15 @@ func (r *Replica) maybePropose(now time.Duration, flush bool) []consensus.Effect
 	batch := r.pending
 	if len(batch) > r.cfg.BatchSize {
 		batch = batch[:r.cfg.BatchSize]
-		r.pending = append([]types.Transaction(nil), r.pending[r.cfg.BatchSize:]...)
+		r.pending = append([]types.Prop(nil), r.pending[r.cfg.BatchSize:]...)
 	} else {
 		r.pending = nil
 	}
+	txs, sigs := types.SplitProps(batch)
 	prev := r.store.LatestTxBlock()
 	blk := &types.TxBlock{
-		Header: types.TxBlockHeader{V: r.view, N: prev.Header.N + 1, PrevHash: prev.Hash(), BatchLen: uint32(len(batch))},
-		Txs:    batch,
+		Header: types.TxBlockHeader{V: r.view, N: prev.Header.N + 1, PrevHash: prev.Hash(), BatchLen: uint32(len(txs))},
+		Txs:    txs,
 	}
 	digest := blk.ContentDigest()
 	inst := &instance{
@@ -387,7 +391,7 @@ func (r *Replica) maybePropose(now time.Duration, flush bool) []consensus.Effect
 	}
 	inst.coll.Add(r.cfg.Registry, r.cfg.ID, r.cfg.Keys.Sign(inst.coll.Statement()))
 	r.inflight = inst
-	pp := &PrePrepare{From: r.cfg.ID, V: r.view, N: blk.Header.N, Prev: blk.Header.PrevHash, Txs: batch}
+	pp := &PrePrepare{From: r.cfg.ID, V: r.view, N: blk.Header.N, Prev: blk.Header.PrevHash, Txs: txs, ClientSigs: sigs}
 	pp.Sig = r.cfg.Keys.Sign(pp.SigningBytes())
 	return []consensus.Effect{
 		consensus.Broadcast{Msg: pp},
@@ -404,6 +408,11 @@ func (r *Replica) onPrePrepare(now time.Duration, m *PrePrepare) []consensus.Eff
 	}
 	height := r.store.TxHeight()
 	if m.N != height+1 || m.Prev != r.store.LatestTxBlock().Hash() {
+		return nil
+	}
+	// Every transaction must carry its client's signature: a leader cannot
+	// order a request that no client made.
+	if !r.cfg.Registry.VerifyRequests(m.Txs, m.ClientSigs) {
 		return nil
 	}
 	blk := &types.TxBlock{
@@ -490,7 +499,7 @@ func (r *Replica) finalize(now time.Duration, inst *instance, fast bool) []conse
 	effs = append(effs, consensus.CancelTimer{Kind: TimerFast, Key: uint64(committed.Header.N)})
 	// Progress resets the leader's own pacemaker.
 	effs = append(effs, consensus.SetTimer{Kind: TimerView, Key: uint64(r.view), Delay: r.cfg.ViewTimeout})
-	effs = append(effs, r.recordCommit(committed)...)
+	effs = append(effs, r.recordCommit()...)
 	pf := &Proof{From: r.cfg.ID, Stage: 2, Block: *committed}
 	pf.Sig = r.cfg.Keys.Sign(pf.SigningBytes())
 	effs = append(effs, consensus.Broadcast{Msg: pf})
@@ -542,7 +551,7 @@ func (r *Replica) onProof(now time.Duration, m *Proof) []consensus.Effect {
 			return nil
 		}
 		committed := r.store.LatestTxBlock()
-		effs := r.recordCommit(committed)
+		effs := r.recordCommit()
 		effs = append(effs, consensus.Commit{Block: committed})
 		effs = append(effs, consensus.SetTimer{Kind: TimerView, Key: uint64(r.view), Delay: r.cfg.ViewTimeout})
 		return effs
@@ -561,11 +570,13 @@ func (r *Replica) appendLoose(blk *types.TxBlock) error {
 	return r.store.AppendTxBlockUnchecked(reg, blk)
 }
 
-func (r *Replica) recordCommit(blk *types.TxBlock) []consensus.Effect {
+// recordCommit settles the block just appended to the ledger and notifies
+// its clients.
+func (r *Replica) recordCommit() []consensus.Effect {
+	blk, digests := r.store.LatestTxBlock(), r.store.LatestTxDigests()
 	var effs []consensus.Effect
-	for i := range blk.Txs {
+	for i, d := range digests {
 		tx := &blk.Txs[i]
-		d := tx.Digest()
 		delete(r.pendingByDigest, d)
 		delete(r.propSeen, d)
 		effs = append(effs, r.notifyClient(tx.Client, blk.Header.N, d, blk.Status[i]))

@@ -219,6 +219,8 @@ func MessageCostHint(msg types.Message) (nSigs, nTx int) {
 	case *types.Compt:
 		return 0, 1
 	case *types.Ord:
+		// Leader sig; the per-transaction unit covers each client
+		// signature the batch carries, checked as a Prop's is.
 		return 1, len(m.Txs)
 	case *types.VoteCP:
 		// Sender sig, plus one ordering_QC aggregate and per-tx digesting

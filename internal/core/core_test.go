@@ -804,3 +804,40 @@ func TestWarmRebootRehydratesComplaintTimers(t *testing.T) {
 		t.Fatalf("warm reboot changed state to %v", follower.state)
 	}
 }
+
+// TestForgedRequestCannotShadowClient: a Byzantine leader orders a
+// transaction for client 1 that the client never signed, with a timestamp
+// far above any it will use. Followers refuse to vote for it, so it never
+// becomes client 1's row in the client table; once the leader crashes,
+// client 1's next real request commits through its complaint and the view
+// change, instead of being answered as already covered.
+func TestForgedRequestCannotShadowClient(t *testing.T) {
+	r := newRig(t, 4)
+	r.submitFrom(2, 1) // warms the chain (height 1)
+	forged := types.Transaction{Timestamp: 1 << 62, Client: 1, Data: []byte("forged")}
+	// The leader's queue takes it unverified, as a faulty leader's would.
+	r.exec(1, r.nodes[1].enqueueTx(r.now, &types.Prop{Tx: forged, D: forged.Digest(), Sig: make([]byte, 64)}))
+	for id, node := range r.nodes {
+		if h := node.Store().TxHeight(); h != 1 {
+			t.Fatalf("server %d committed the forged transaction (height %d)", id, h)
+		}
+		if _, covered := node.Store().Covered(1, 1); covered {
+			t.Fatalf("server %d covers client 1's first request before it was made", id)
+		}
+	}
+	r.down[1] = true
+	prop := r.clientProp(1)
+	r.complain(prop)
+	r.fireTimers(2 * time.Second)
+	r.solvePuzzles()
+	for id, node := range r.nodes {
+		if r.down[id] {
+			continue
+		}
+		last, covered := node.Store().Covered(1, 1)
+		if node.Store().TxHeight() != 2 || !covered || last.Digest != prop.D {
+			t.Fatalf("server %d: height %d, client 1's row %+v; want the real request committed at seq 2",
+				id, node.Store().TxHeight(), last)
+		}
+	}
+}

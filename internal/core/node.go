@@ -221,11 +221,12 @@ func (c *Config) withDefaults() Config {
 // completes before its predecessor's "parks" (block.CommitQC set, still in
 // the window) until the chain below it is applied.
 type replInstance struct {
-	block   *types.TxBlock
-	digest  types.Digest
-	ordColl *quorum.Collector // nil for adopted instances (ordering pre-certified)
-	cmtColl *quorum.Collector
-	started time.Duration
+	block      *types.TxBlock
+	clientSigs [][]byte // the Ord's; nil for adopted instances
+	digest     types.Digest
+	ordColl    *quorum.Collector // nil for adopted instances (ordering pre-certified)
+	cmtColl    *quorum.Collector
+	started    time.Duration
 	// adopted marks an instance re-proposed from view-change evidence: its
 	// block already carries an ordering_QC from an earlier view and runs
 	// only the commit phase (via Adopt messages).
@@ -240,9 +241,10 @@ func (i *replInstance) committed() bool { return !i.block.CommitQC.IsZero() }
 // predHash caches the block's PredictedHash so successors in the replication
 // window can verify their PrevHash chaining in O(1).
 type pendingProposal struct {
-	block    types.TxBlock
-	digest   types.Digest
-	predHash types.Digest
+	block      types.TxBlock
+	clientSigs [][]byte // the Ord's, verified; nil for adopted blocks
+	digest     types.Digest
+	predHash   types.Digest
 }
 
 // Node is a PrestigeBFT server.
@@ -261,7 +263,7 @@ type Node struct {
 	leaderConfirmed bool
 
 	// --- Replication state (leader) ---
-	pending         []types.Transaction
+	pending         []types.Prop // verified proposals, client signatures kept for the Ord
 	pendingByDigest map[types.Digest]bool
 	// inflight is the replication window: every in-flight instance keyed by
 	// sequence number. By construction the keys are contiguous — the low

@@ -65,7 +65,7 @@ func (n *Node) enqueueTx(now time.Duration, m *types.Prop) []consensus.Effect {
 		return nil
 	}
 	n.pendingByDigest[m.D] = true
-	n.pending = append(n.pending, m.Tx)
+	n.pending = append(n.pending, *m)
 	var effs []consensus.Effect
 	effs = append(effs, n.maybeStartInstance(now)...)
 	effs = append(effs, n.armBatchTimer()...)
@@ -116,7 +116,7 @@ func (n *Node) maybeStartInstanceWith(now time.Duration, flush bool) []consensus
 		batch := n.pending
 		if len(batch) > n.cfg.BatchSize {
 			batch = batch[:n.cfg.BatchSize]
-			n.pending = append([]types.Transaction(nil), n.pending[n.cfg.BatchSize:]...)
+			n.pending = append([]types.Prop(nil), n.pending[n.cfg.BatchSize:]...)
 		} else {
 			n.pending = nil
 		}
@@ -127,7 +127,8 @@ func (n *Node) maybeStartInstanceWith(now time.Duration, flush bool) []consensus
 
 // startInstance opens one consensus instance for the batch at the window's
 // high watermark and broadcasts its Ord.
-func (n *Node) startInstance(now time.Duration, batch []types.Transaction) []consensus.Effect {
+func (n *Node) startInstance(now time.Duration, batch []types.Prop) []consensus.Effect {
+	txs, sigs := types.SplitProps(batch)
 	seq := n.store.TxHeight() + types.SeqNum(len(n.inflight)) + 1
 	var prevHash types.Digest
 	if prev, ok := n.inflight[seq-1]; ok {
@@ -140,20 +141,21 @@ func (n *Node) startInstance(now time.Duration, batch []types.Transaction) []con
 			V:        n.View(),
 			N:        seq,
 			PrevHash: prevHash,
-			BatchLen: uint32(len(batch)),
+			BatchLen: uint32(len(txs)),
 		},
-		Txs: batch,
+		Txs: txs,
 	}
 	digest := blk.ContentDigest()
 	inst := &replInstance{
-		block:   blk,
-		digest:  digest,
-		ordColl: quorum.NewCollector(types.QCOrdering, blk.Header.V, blk.Header.N, digest, n.quorumSize()),
-		started: now,
+		block:      blk,
+		clientSigs: sigs,
+		digest:     digest,
+		ordColl:    quorum.NewCollector(types.QCOrdering, blk.Header.V, blk.Header.N, digest, n.quorumSize()),
+		started:    now,
 	}
 	n.voteOwn(inst.ordColl)
 	n.inflight[seq] = inst
-	ord := &types.Ord{From: n.cfg.ID, V: blk.Header.V, N: blk.Header.N, Prev: blk.Header.PrevHash, Txs: batch}
+	ord := &types.Ord{From: n.cfg.ID, V: blk.Header.V, N: blk.Header.N, Prev: blk.Header.PrevHash, Txs: txs, ClientSigs: sigs}
 	ord.Sig = n.sign(ord.SigningBytes())
 	return []consensus.Effect{
 		consensus.Broadcast{Msg: ord},
@@ -190,7 +192,7 @@ func (n *Node) onInstanceTimer(now time.Duration, seq types.SeqNum) []consensus.
 		ad.Sig = n.sign(ad.SigningBytes())
 		effs = append(effs, consensus.Broadcast{Msg: ad})
 	} else {
-		ord := &types.Ord{From: n.cfg.ID, V: blk.Header.V, N: blk.Header.N, Prev: blk.Header.PrevHash, Txs: blk.Txs}
+		ord := &types.Ord{From: n.cfg.ID, V: blk.Header.V, N: blk.Header.N, Prev: blk.Header.PrevHash, Txs: blk.Txs, ClientSigs: inst.clientSigs}
 		ord.Sig = n.sign(ord.SigningBytes())
 		effs = append(effs, consensus.Broadcast{Msg: ord})
 		if inst.cmtColl != nil {
@@ -296,8 +298,14 @@ func (n *Node) onOrd(now time.Duration, m *types.Ord) []consensus.Effect {
 			return nil
 		}
 	} else {
+		// Every transaction must carry its client's signature, so a leader
+		// cannot order a request that no client made (and with it take
+		// over that client's row in the client table).
+		if !n.cfg.Registry.VerifyRequests(m.Txs, m.ClientSigs) {
+			return nil
+		}
 		n.ordVoted[m.N] = m.V
-		n.prepared[m.N] = &pendingProposal{block: blk, digest: digest, predHash: blk.PredictedHash()}
+		n.prepared[m.N] = &pendingProposal{block: blk, clientSigs: m.ClientSigs, digest: digest, predHash: blk.PredictedHash()}
 	}
 	rep := &types.OrdReply{From: n.cfg.ID, V: m.V, N: m.N, D: digest}
 	rep.Sig = n.sign(rep.SigningBytes())
@@ -523,7 +531,7 @@ func (n *Node) applyCommittedPrefix() []consensus.Effect {
 			return effs
 		}
 		committed := n.store.LatestTxBlock() // the stored copy carries Status
-		effs = append(effs, n.recordCommit(committed)...)
+		effs = append(effs, n.recordCommit()...)
 		msg := &types.TxBlockMsg{From: n.cfg.ID, Block: *committed}
 		msg.Sig = n.sign(msg.SigningBytes())
 		effs = append(effs, consensus.Broadcast{Msg: msg})
@@ -548,7 +556,7 @@ func (n *Node) onTxBlock(now time.Duration, m *types.TxBlockMsg) []consensus.Eff
 	}
 	committed := n.store.LatestTxBlock()
 	var effs []consensus.Effect
-	effs = append(effs, n.recordCommit(committed)...)
+	effs = append(effs, n.recordCommit()...)
 	effs = append(effs, consensus.Commit{Block: committed})
 	effs = append(effs, n.maybeCheckpoint()...)
 	// The next proposal may be waiting in the out-of-order buffer.
@@ -556,18 +564,17 @@ func (n *Node) onTxBlock(now time.Duration, m *types.TxBlockMsg) []consensus.Eff
 	return effs
 }
 
-// recordCommit updates commit bookkeeping and emits client notifications
-// for every transaction in the block — under one signature: the block's
-// (digest, status) pairs become the leaves of a Merkle tree, the replica
-// signs the root once, and each Notif carries that signature plus its own
-// leaf's path (types/notifproof.go). Every commit path (leader apply,
-// follower TxBlockMsg, sync replay) ends here.
-func (n *Node) recordCommit(blk *types.TxBlock) []consensus.Effect {
+// recordCommit updates commit bookkeeping for the block just appended to
+// the ledger and emits client notifications for every transaction in it —
+// under one signature: the block's (digest, status) pairs become the leaves
+// of a Merkle tree, the replica signs the root once, and each Notif carries
+// that signature plus its own leaf's path (types/notifproof.go). Every
+// commit path (leader apply, follower TxBlockMsg, sync replay) ends here.
+func (n *Node) recordCommit() []consensus.Effect {
+	blk, digests := n.store.LatestTxBlock(), n.store.LatestTxDigests()
 	seq, v := blk.Header.N, n.View()
-	digests := make([]types.Digest, len(blk.Txs))
 	leaves := make([]types.Digest, len(blk.Txs))
 	for i := range blk.Txs {
-		digests[i] = blk.Txs[i].Digest()
 		leaves[i] = types.NotifLeaf(digests[i], blk.Status[i])
 	}
 	root, paths := types.NotifProofs(leaves)

@@ -132,7 +132,7 @@ func (n *Node) onSyncResp(now time.Duration, m *types.SyncResp) []consensus.Effe
 		if err := n.store.AppendTxBlock(n.cfg.Registry, &blk); err != nil {
 			break
 		}
-		effs = append(effs, n.recordCommit(n.store.LatestTxBlock())...)
+		effs = append(effs, n.recordCommit()...)
 		effs = append(effs, consensus.Commit{Block: n.store.LatestTxBlock()})
 		effs = append(effs, n.maybeCheckpoint()...)
 	}

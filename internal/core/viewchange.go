@@ -632,7 +632,10 @@ func (n *Node) buildAdoptionPlan() (adopt []*types.TxBlock, leftover []types.Pro
 	// prepared blocks. enqueueTx deduplicates against the adopted blocks
 	// (marked in pendingByDigest by adoptInstance); transactions the
 	// ledger's client table already covers are skipped here, and the ledger
-	// would not apply them again anyway.
+	// would not apply them again anyway. A fresh Ord must carry each
+	// transaction's client signature, and this server holds them only for
+	// the Ords it voted for; the transactions of a block it never prepared
+	// stay with their clients, whose complaints re-send them signed.
 	rest := merged
 	for _, seq := range types.SortedKeys(n.prepared) {
 		if seq <= height || seq < next || rest[seq] != nil {
@@ -643,13 +646,16 @@ func (n *Node) buildAdoptionPlan() (adopt []*types.TxBlock, leftover []types.Pro
 	}
 	for _, seq := range types.SortedKeys(rest) {
 		b := rest[seq]
+		p := n.prepared[seq]
+		if p == nil || len(p.clientSigs) != len(b.Txs) || p.digest != b.ContentDigest() {
+			continue
+		}
 		for i := range b.Txs {
 			tx := b.Txs[i]
-			d := tx.Digest()
 			if _, committed := n.store.Covered(tx.Client, tx.Timestamp); committed {
 				continue
 			}
-			leftover = append(leftover, types.Prop{Tx: tx, D: d})
+			leftover = append(leftover, types.Prop{Tx: tx, D: tx.Digest(), Sig: p.clientSigs[i]})
 		}
 	}
 	return adopt, leftover

@@ -276,6 +276,23 @@ func (r *Registry) VerifyClient(id types.ClientID, msg, sig []byte) bool {
 	return ed25519.Verify(pub, msg, sig)
 }
 
+// VerifyRequests checks a proposed batch's client signatures: sigs[i] must
+// be txs[i]'s client's signature over its PropStatement. A replica checks
+// this before it votes for a proposal, so a leader cannot order a request
+// that no client signed.
+func (r *Registry) VerifyRequests(txs []types.Transaction, sigs [][]byte) bool {
+	if len(sigs) != len(txs) {
+		return false
+	}
+	for i := range txs {
+		d := txs[i].Digest()
+		if !r.VerifyClient(txs[i].Client, types.PropStatement(&txs[i], d), sigs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // VerifyQC checks that qc certifies its statement with at least threshold
 // distinct, registered signers.
 //

@@ -30,12 +30,11 @@ func (s *Store) Covered(c types.ClientID, ts int64) (LastRequest, bool) {
 	return last, ok && ts <= last.Timestamp
 }
 
-// apply runs one transaction of block seq through the client table: a
-// covered transaction never reaches the state machine and keeps the row's
-// status when it is the row's own request (false otherwise); any other is
-// applied and becomes its client's row.
-func (s *Store) apply(tx *types.Transaction, seq types.SeqNum) bool {
-	d := tx.Digest()
+// apply runs one transaction of block seq, with digest d, through the
+// client table: a covered transaction never reaches the state machine and
+// keeps the row's status when it is the row's own request (false
+// otherwise); any other is applied and becomes its client's row.
+func (s *Store) apply(tx *types.Transaction, d types.Digest, seq types.SeqNum) bool {
 	if last, covered := s.Covered(tx.Client, tx.Timestamp); covered {
 		return last.Digest == d && last.Status
 	}

@@ -136,3 +136,40 @@ func TestTamperedClientTableRefused(t *testing.T) {
 		t.Fatalf("untampered snapshot refused: %v", err)
 	}
 }
+
+// TestLatestTxDigestsMatchTheBlock: the digests the apply loop computed,
+// which the commit paths read for their Notifs, are the latest block's —
+// after an append, and after a snapshot install makes the anchor latest.
+func TestLatestTxDigestsMatchTheBlock(t *testing.T) {
+	reg, servers, _ := crypto.GenerateDeployment(21, 4, 0)
+	check := func(s *Store) {
+		t.Helper()
+		blk, ds := s.LatestTxBlock(), s.LatestTxDigests()
+		if len(ds) != len(blk.Txs) {
+			t.Fatalf("%d digests for %d transactions", len(ds), len(blk.Txs))
+		}
+		for i := range ds {
+			if ds[i] != blk.Txs[i].Digest() {
+				t.Fatalf("digest %d is not its transaction's", i)
+			}
+		}
+	}
+	src := NewStore(4, 1, NewKVStore())
+	txs := []types.Transaction{
+		{Timestamp: 1, Client: 1, Data: EncodeKVOp(KVSet, "a", []byte{1})},
+		{Timestamp: 1, Client: 2, Data: EncodeKVOp(KVSet, "b", []byte{2})},
+	}
+	if err := src.AppendTxBlock(reg, buildBlock(t, reg, servers, src.LatestTxBlock(), 1, txs)); err != nil {
+		t.Fatal(err)
+	}
+	check(src)
+	header, state := captureCheckpoint(t, src)
+	if err := src.Certify(buildCkptCert(t, reg, servers, header), state); err != nil {
+		t.Fatal(err)
+	}
+	dst := NewStore(4, 1, NewKVStore())
+	if err := dst.InstallSnapshot(reg, src.SnapshotPackage()); err != nil {
+		t.Fatal(err)
+	}
+	check(dst)
+}

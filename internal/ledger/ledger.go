@@ -88,6 +88,8 @@ type Store struct {
 	// clients is the reply table: each client's last applied request. It is
 	// replicated state, certified with the application state (clients.go).
 	clients map[types.ClientID]LastRequest
+	// latestTxDs holds the digests of LatestTxBlock's transactions.
+	latestTxDs []types.Digest
 
 	sm StateMachine
 	n  int // cluster size, for QC thresholds
@@ -167,12 +169,21 @@ func (s *Store) AppendTxBlockUnchecked(reg *crypto.Registry, b *types.TxBlock) e
 	}
 	cp := *b
 	cp.Status = make([]bool, len(cp.Txs))
+	ds := make([]types.Digest, len(cp.Txs))
 	for i := range cp.Txs {
-		cp.Status[i] = s.apply(&cp.Txs[i], cp.Header.N)
+		ds[i] = cp.Txs[i].Digest()
+		cp.Status[i] = s.apply(&cp.Txs[i], ds[i], cp.Header.N)
 	}
 	s.txBlocks = append(s.txBlocks, &cp)
+	s.latestTxDs = ds
 	return nil
 }
+
+// LatestTxDigests returns the digests of LatestTxBlock's transactions, as
+// the append that applied the block computed them for the client table. The
+// commit paths read them for their Notifs instead of hashing every
+// transaction again. Callers must not modify the slice.
+func (s *Store) LatestTxDigests() []types.Digest { return s.latestTxDs }
 
 // ValidateTxBlockQCs checks the ordering and commit certificates of b
 // without appending it.
@@ -477,6 +488,10 @@ func (s *Store) InstallSnapshot(reg *crypto.Registry, pkg *types.SnapshotPackage
 	}
 	s.clients = clients
 	s.txBlocks = []*types.TxBlock{&anchor}
+	s.latestTxDs = make([]types.Digest, len(anchor.Txs))
+	for i := range anchor.Txs {
+		s.latestTxDs[i] = anchor.Txs[i].Digest()
+	}
 	s.ckpt = &cert
 	s.ckptState = append([]byte(nil), pkg.AppState...)
 	return nil

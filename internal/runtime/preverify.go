@@ -47,6 +47,7 @@ func preverify(reg *crypto.Registry, msg types.Message) {
 		warmQC(reg, &m.RsQC)
 	case *types.Ord:
 		reg.VerifyServer(m.From, m.SigningBytes(), m.Sig)
+		reg.VerifyRequests(m.Txs, m.ClientSigs)
 	case *types.OrdReply:
 		reg.VerifyServer(m.From, m.SigningBytes(), m.Sig)
 	case *types.Cmt:

@@ -112,6 +112,7 @@ func Append(buf []byte, msg types.Message) (out []byte, ok bool) {
 		for i := range m.Txs {
 			buf = appendTx(buf, &m.Txs[i])
 		}
+		buf = appendSigs(buf, m.ClientSigs)
 		buf = appendBytes(buf, m.Sig)
 	case *types.OrdReply:
 		buf = append(buf, kindOrdReply)
@@ -287,6 +288,7 @@ func Decode(data []byte) (types.Message, error) {
 		m.N = types.SeqNum(r.uvarint())
 		r.digest(&m.Prev)
 		m.Txs = readTxs(&r)
+		m.ClientSigs = readSigs(&r)
 		m.Sig = r.bytes()
 		msg = m
 	case kindOrdReply:
@@ -489,8 +491,12 @@ func appendQC(buf []byte, qc *types.QC) []byte {
 	for _, id := range qc.Signers {
 		buf = appendUvarint(buf, uint64(id))
 	}
-	buf = appendUvarint(buf, uint64(len(qc.Sigs)))
-	for _, sig := range qc.Sigs {
+	return appendSigs(buf, qc.Sigs)
+}
+
+func appendSigs(buf []byte, sigs [][]byte) []byte {
+	buf = appendUvarint(buf, uint64(len(sigs)))
+	for _, sig := range sigs {
 		buf = appendBytes(buf, sig)
 	}
 	return buf
@@ -701,12 +707,19 @@ func readQC(r *reader, qc *types.QC) {
 			qc.Signers[i] = r.serverID()
 		}
 	}
-	if n := r.count(1); n > 0 {
-		qc.Sigs = make([][]byte, n)
-		for i := range qc.Sigs {
-			qc.Sigs[i] = r.bytes()
-		}
+	qc.Sigs = readSigs(r)
+}
+
+func readSigs(r *reader) [][]byte {
+	n := r.count(1)
+	if n == 0 {
+		return nil
 	}
+	sigs := make([][]byte, n)
+	for i := range sigs {
+		sigs[i] = r.bytes()
+	}
+	return sigs
 }
 
 func readTxBlock(r *reader, b *types.TxBlock) {

@@ -255,8 +255,8 @@ func TestGoldenBytes(t *testing.T) {
 		// The one-leaf Notif without a leader hint: leader 0, index 0, no
 		// path — three zero bytes.
 		{&types.Notif{From: 1, Sig: sig}, cat(kindNotif, 1, 0, 0, 0, dg(), 0, 0, 0, sigB)},
-		{&types.Ord{From: 1, V: 2, N: 3, Prev: types.Digest{7}, Txs: []types.Transaction{tx, {}}, Sig: sig},
-			cat(kindOrd, 1, 2, 3, dg(7), 2, txB, 0, 0, 0, sigB)},
+		{&types.Ord{From: 1, V: 2, N: 3, Prev: types.Digest{7}, Txs: []types.Transaction{tx, {}}, ClientSigs: [][]byte{{0x61}, nil}, Sig: sig},
+			cat(kindOrd, 1, 2, 3, dg(7), 2, txB, 0, 0, 0, 2, 1, 0x61, 0, sigB)},
 		{&types.OrdReply{From: 3, V: 2, N: 3, D: types.Digest{6}, Sig: sig}, cat(kindOrdReply, 3, 2, 3, dg(6), sigB)},
 		{&types.Cmt{From: 1, V: 2, N: 3, OrderingQC: qc, Sig: sig}, cat(kindCmt, 1, 2, 3, qcB, sigB)},
 		{&types.CmtReply{From: 4, V: 2, N: 3, D: types.Digest{6}, Sig: sig}, cat(kindCmtReply, 4, 2, 3, dg(6), sigB)},
@@ -653,7 +653,11 @@ func (g gen) message() types.Message {
 		}
 		return m
 	case 2:
-		return &types.Ord{From: g.server(), V: g.view(), N: g.seq(), Prev: g.digest(), Txs: g.txs(), Sig: sig}
+		m := &types.Ord{From: g.server(), V: g.view(), N: g.seq(), Prev: g.digest(), Txs: g.txs(), Sig: sig}
+		for range m.Txs {
+			m.ClientSigs = append(m.ClientSigs, g.bytes(64))
+		}
+		return m
 	case 3:
 		return &types.OrdReply{From: g.server(), V: g.view(), N: g.seq(), D: g.digest(), Sig: sig}
 	case 4:

@@ -43,14 +43,30 @@ func (m *Prop) WireSize() int {
 
 // SigningBytes covers the timestamp, digest, and client ID, matching the
 // paper's σc that signs t, d, and c.
-func (m *Prop) SigningBytes() []byte {
+func (m *Prop) SigningBytes() []byte { return PropStatement(&m.Tx, m.D) }
+func (m *Prop) Signature() []byte    { return m.Sig }
+
+// PropStatement is what a client signs for its transaction with digest d:
+// the timestamp, the digest and the client ID (the paper's σc over t, d
+// and c).
+func PropStatement(tx *Transaction, d Digest) []byte {
 	buf := make([]byte, 0, 8+32+4)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Tx.Timestamp))
-	buf = append(buf, m.D[:]...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(m.Tx.Client))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(tx.Timestamp))
+	buf = append(buf, d[:]...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(tx.Client))
 	return buf
 }
-func (m *Prop) Signature() []byte { return m.Sig }
+
+// SplitProps turns a leader's queue of verified proposals into a batch:
+// the transactions, and each one's client signature at the same index.
+func SplitProps(props []Prop) ([]Transaction, [][]byte) {
+	txs := make([]Transaction, len(props))
+	sigs := make([][]byte, len(props))
+	for i := range props {
+		txs[i], sigs[i] = props[i].Tx, props[i].Sig
+	}
+	return txs, sigs
+}
 
 // Notif notifies a client that its transaction committed. A client considers
 // its transaction committed upon receiving f+1 matching Notifs.
@@ -312,17 +328,25 @@ func (m *Rdone) Signature() []byte { return m.Sig }
 // --- Replication messages (§4.3) -------------------------------------------
 
 // Ord starts phase 1 of a replication instance: the leader assigns sequence
-// number N to a batch of proposals.
+// number N to a batch of proposals. ClientSigs[i] is the σc of Txs[i]'s
+// Prop, so a follower checks that every client signed its transaction
+// before it votes: a leader cannot order a request no client made. The
+// signatures authenticate themselves, so the leader's Sig does not cover
+// them, and the block keeps only the transactions.
 type Ord struct {
-	From ServerID
-	V    View
-	N    SeqNum
-	Prev Digest // previous txBlock hash, chaining the log
-	Txs  []Transaction
-	Sig  []byte
+	From       ServerID
+	V          View
+	N          SeqNum
+	Prev       Digest // previous txBlock hash, chaining the log
+	Txs        []Transaction
+	ClientSigs [][]byte
+	Sig        []byte
 }
 
 func (m *Ord) Type() string { return "Ord" }
+
+// WireSize leaves ClientSigs out: the simulator models a proposal without
+// its clients' signatures (ROADMAP item 1 has counting them).
 func (m *Ord) WireSize() int {
 	size := headerSize + 2 + 8 + 8 + 32 + sigSize
 	for i := range m.Txs {
