@@ -18,9 +18,7 @@ type Prepare struct {
 	N    types.SeqNum
 	Prev types.Digest
 	Txs  []types.Transaction
-	// ClientSigs[i] is the client signature of Txs[i] (see types.Ord). A
-	// re-proposal carries none: its Justify already shows a quorum voted
-	// for these transactions.
+	// ClientSigs[i] signs Txs[i] (see types.Ord); none under a Justify.
 	ClientSigs [][]byte
 	// Justify, when set, re-proposes a block a quorum locked on in an
 	// earlier view: it is that block's PreCommit certificate, and the block
@@ -32,8 +30,7 @@ type Prepare struct {
 // Type implements types.Message.
 func (m *Prepare) Type() string { return "hs.Prepare" }
 
-// WireSize implements types.Message. Like types.Ord's, it leaves
-// ClientSigs out.
+// WireSize implements types.Message.
 func (m *Prepare) WireSize() int {
 	size := headerSize + 2 + 8 + 8 + 32 + sigSize
 	for i := range m.Txs {

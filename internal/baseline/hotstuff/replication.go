@@ -90,14 +90,7 @@ func (r *Replica) maybePropose(now time.Duration, flush bool) []consensus.Effect
 	if len(r.pending) == 0 || (!flush && len(r.pending) < r.cfg.BatchSize) {
 		return nil
 	}
-	batch := r.pending
-	if len(batch) > r.cfg.BatchSize {
-		batch = batch[:r.cfg.BatchSize]
-		r.pending = append([]types.Prop(nil), r.pending[r.cfg.BatchSize:]...)
-	} else {
-		r.pending = nil
-	}
-	txs, sigs := types.SplitProps(batch)
+	txs, sigs := types.CutBatch(&r.pending, r.cfg.BatchSize)
 	prev := r.store.LatestTxBlock()
 	blk := &types.TxBlock{
 		Header: types.TxBlockHeader{
@@ -108,11 +101,11 @@ func (r *Replica) maybePropose(now time.Duration, flush bool) []consensus.Effect
 	return r.propose(blk, sigs, types.QC{})
 }
 
-// propose opens the Prepare phase for blk, whose transactions' client
-// signatures are clientSigs; justify is blk's PreCommit certificate when
-// blk is re-proposed from an earlier view, and then clientSigs is nil. Every
-// certificate over blk carries blk's own view, so however many leaders
-// drive it, its commit certificate — and so its hash — is the same.
+// propose opens the Prepare phase for blk; justify is blk's PreCommit
+// certificate when blk is re-proposed from an earlier view, clientSigs its
+// clients' signatures otherwise. Every certificate over blk carries blk's
+// own view, so however many leaders drive it, its commit certificate — and
+// so its hash — is the same.
 func (r *Replica) propose(blk *types.TxBlock, clientSigs [][]byte, justify types.QC) []consensus.Effect {
 	digest := blk.ContentDigest()
 	inst := &instance{
@@ -159,13 +152,11 @@ func (r *Replica) onPrepare(now time.Duration, m *Prepare) []consensus.Effect {
 	}
 	blk := m.Block()
 	digest := blk.ContentDigest()
-	if !m.Justify.IsZero() && (m.Justify.Kind != PhasePreCommit.qcKind() || m.Justify.Seq != m.N ||
-		m.Justify.Digest != digest || r.cfg.Registry.VerifyQC(&m.Justify, types.QuorumSize(r.cfg.N)) != nil) {
-		return effs
-	}
-	// A fresh proposal must carry every client's signature: a leader
-	// cannot order a request that no client made.
-	if m.Justify.IsZero() && !r.cfg.Registry.VerifyRequests(m.Txs, m.ClientSigs) {
+	// A fresh proposal carries its clients' signatures; a re-proposal, the
+	// certificate of a quorum that checked them.
+	if m.Justify.IsZero() && !r.cfg.Registry.VerifyRequests(m.Txs, m.ClientSigs) ||
+		!m.Justify.IsZero() && (m.Justify.Kind != PhasePreCommit.qcKind() || m.Justify.Seq != m.N ||
+			m.Justify.Digest != digest || r.cfg.Registry.VerifyQC(&m.Justify, types.QuorumSize(r.cfg.N)) != nil) {
 		return effs
 	}
 	// Safety: locked on another block at this seq, vote only when a later
@@ -312,8 +303,6 @@ func (r *Replica) onDecide(now time.Duration, m *Decide) []consensus.Effect {
 	return effs
 }
 
-// recordCommit settles the block just appended to the ledger and notifies
-// its clients.
 func (r *Replica) recordCommit() []consensus.Effect {
 	blk, digests := r.store.LatestTxBlock(), r.store.LatestTxDigests()
 	var effs []consensus.Effect

@@ -92,8 +92,7 @@ type PrePrepare struct {
 // Type implements types.Message.
 func (m *PrePrepare) Type() string { return "sb.PrePrepare" }
 
-// WireSize implements types.Message. Like types.Ord's, it leaves
-// ClientSigs out.
+// WireSize implements types.Message.
 func (m *PrePrepare) WireSize() int {
 	size := 16 + 2 + 8 + 8 + 32 + 64
 	for i := range m.Txs {
@@ -367,14 +366,7 @@ func (r *Replica) maybePropose(now time.Duration, flush bool) []consensus.Effect
 	if !flush && len(r.pending) < r.cfg.BatchSize {
 		return nil
 	}
-	batch := r.pending
-	if len(batch) > r.cfg.BatchSize {
-		batch = batch[:r.cfg.BatchSize]
-		r.pending = append([]types.Prop(nil), r.pending[r.cfg.BatchSize:]...)
-	} else {
-		r.pending = nil
-	}
-	txs, sigs := types.SplitProps(batch)
+	txs, sigs := types.CutBatch(&r.pending, r.cfg.BatchSize)
 	prev := r.store.LatestTxBlock()
 	blk := &types.TxBlock{
 		Header: types.TxBlockHeader{V: r.view, N: prev.Header.N + 1, PrevHash: prev.Hash(), BatchLen: uint32(len(txs))},
@@ -407,12 +399,8 @@ func (r *Replica) onPrePrepare(now time.Duration, m *PrePrepare) []consensus.Eff
 		return nil
 	}
 	height := r.store.TxHeight()
-	if m.N != height+1 || m.Prev != r.store.LatestTxBlock().Hash() {
-		return nil
-	}
-	// Every transaction must carry its client's signature: a leader cannot
-	// order a request that no client made.
-	if !r.cfg.Registry.VerifyRequests(m.Txs, m.ClientSigs) {
+	// A leader cannot order a request that no client signed.
+	if m.N != height+1 || m.Prev != r.store.LatestTxBlock().Hash() || !r.cfg.Registry.VerifyRequests(m.Txs, m.ClientSigs) {
 		return nil
 	}
 	blk := &types.TxBlock{
@@ -570,8 +558,6 @@ func (r *Replica) appendLoose(blk *types.TxBlock) error {
 	return r.store.AppendTxBlockUnchecked(reg, blk)
 }
 
-// recordCommit settles the block just appended to the ledger and notifies
-// its clients.
 func (r *Replica) recordCommit() []consensus.Effect {
 	blk, digests := r.store.LatestTxBlock(), r.store.LatestTxDigests()
 	var effs []consensus.Effect

@@ -113,22 +113,15 @@ func (n *Node) maybeStartInstanceWith(now time.Duration, flush bool) []consensus
 		if !flush && len(n.pending) < n.cfg.BatchSize {
 			break
 		}
-		batch := n.pending
-		if len(batch) > n.cfg.BatchSize {
-			batch = batch[:n.cfg.BatchSize]
-			n.pending = append([]types.Prop(nil), n.pending[n.cfg.BatchSize:]...)
-		} else {
-			n.pending = nil
-		}
-		effs = append(effs, n.startInstance(now, batch)...)
+		txs, sigs := types.CutBatch(&n.pending, n.cfg.BatchSize)
+		effs = append(effs, n.startInstance(now, txs, sigs)...)
 	}
 	return effs
 }
 
 // startInstance opens one consensus instance for the batch at the window's
 // high watermark and broadcasts its Ord.
-func (n *Node) startInstance(now time.Duration, batch []types.Prop) []consensus.Effect {
-	txs, sigs := types.SplitProps(batch)
+func (n *Node) startInstance(now time.Duration, txs []types.Transaction, sigs [][]byte) []consensus.Effect {
 	seq := n.store.TxHeight() + types.SeqNum(len(n.inflight)) + 1
 	var prevHash types.Digest
 	if prev, ok := n.inflight[seq-1]; ok {

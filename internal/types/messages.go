@@ -57,13 +57,21 @@ func PropStatement(tx *Transaction, d Digest) []byte {
 	return buf
 }
 
-// SplitProps turns a leader's queue of verified proposals into a batch:
-// the transactions, and each one's client signature at the same index.
-func SplitProps(props []Prop) ([]Transaction, [][]byte) {
-	txs := make([]Transaction, len(props))
-	sigs := make([][]byte, len(props))
-	for i := range props {
-		txs[i], sigs[i] = props[i].Tx, props[i].Sig
+// CutBatch takes up to size proposals off the front of a leader's queue of
+// verified proposals and returns them as a batch: the transactions, and
+// each one's client signature at the same index.
+func CutBatch(queue *[]Prop, size int) ([]Transaction, [][]byte) {
+	batch := *queue
+	if len(batch) > size {
+		batch = batch[:size]
+		*queue = append([]Prop(nil), (*queue)[size:]...)
+	} else {
+		*queue = nil
+	}
+	txs := make([]Transaction, len(batch))
+	sigs := make([][]byte, len(batch))
+	for i := range batch {
+		txs[i], sigs[i] = batch[i].Tx, batch[i].Sig
 	}
 	return txs, sigs
 }
