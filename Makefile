@@ -5,7 +5,7 @@ GO ?= go
 # against the last committed BENCH_*.json.
 BENCH_OUT ?= BENCH_PR36.json
 
-.PHONY: build test vet lint lint-tool bench bench-json bench-json-all bench-compare scenarios scenarios-live live-smoke fuzz fuzz-live fuzz-codec no-gob benchmark-smoke cluster-smoke soak clean
+.PHONY: build test vet lint lint-tool bench bench-json bench-json-all bench-compare scenarios scenarios-live live-smoke fuzz fuzz-live fuzz-codec no-gob benchmark-smoke leader-crash-smoke cluster-smoke soak clean
 
 build:
 	$(GO) build ./...
@@ -110,6 +110,13 @@ no-gob:
 # anything: they are advisory. Build output lands in .bench_build/.
 benchmark-smoke:
 	bash benchmark/run.sh --workload sat-small --seed 1 --seconds 10 --trace 0
+
+# The same correctness gate on the view-change path: the leader-crash
+# workload kills the current leader once per quarter of the window, so
+# crash → new view → queue reset → client resend and re-notify all run on
+# the real stack. Gated on the exit code only, like benchmark-smoke.
+leader-crash-smoke:
+	bash benchmark/run.sh --workload leader-crash --seed 1 --seconds 20 --trace 0
 
 # The two binaries against each other: four prestige-server processes on
 # loopback, /healthz green on each, then prestige-client for 3 s; fails

@@ -74,9 +74,6 @@ const (
 	TimerCompt
 )
 
-// batchTimeout flushes a partial batch (the same 2 ms as PrestigeBFT's).
-const batchTimeout = 2 * time.Millisecond
-
 // Config parameterizes a replica.
 type Config struct {
 	ID       types.ServerID
@@ -132,10 +129,8 @@ type Replica struct {
 	newViews map[types.View]*quorum.Collector
 	active   bool // this replica is the current view's leader and may propose
 
-	pending         []types.Prop
-	pendingByDigest map[types.Digest]bool
-	batchArmed      bool
-	inflight        *instance
+	queue    types.ProposalQueue
+	inflight *instance
 
 	prepared   map[types.SeqNum]*types.TxBlock // accepted (or, at the leader, own) proposals
 	votedPhase map[phaseKey]bool
@@ -166,15 +161,14 @@ type phaseKey struct {
 func New(cfg Config) *Replica {
 	c := cfg.withDefaults()
 	return &Replica{
-		cfg:             c,
-		store:           ledger.NewStore(c.N, LeaderOf(1, c.N), c.StateMachine),
-		view:            1,
-		newViews:        make(map[types.View]*quorum.Collector),
-		pendingByDigest: make(map[types.Digest]bool),
-		prepared:        make(map[types.SeqNum]*types.TxBlock),
-		votedPhase:      make(map[phaseKey]bool),
-		propSeen:        make(map[types.Digest]*types.Prop),
-		comptSeen:       make(map[types.Digest]types.View),
+		cfg:        c,
+		store:      ledger.NewStore(c.N, LeaderOf(1, c.N), c.StateMachine),
+		view:       1,
+		newViews:   make(map[types.View]*quorum.Collector),
+		prepared:   make(map[types.SeqNum]*types.TxBlock),
+		votedPhase: make(map[phaseKey]bool),
+		propSeen:   make(map[types.Digest]*types.Prop),
+		comptSeen:  make(map[types.Digest]types.View),
 	}
 }
 
@@ -189,7 +183,7 @@ func (r *Replica) Store() *ledger.Store { return r.store }
 
 // Pending returns the size of the leader's proposal backlog (for tests and
 // metrics).
-func (r *Replica) Pending() int { return len(r.pending) }
+func (r *Replica) Pending() int { return r.queue.Len() }
 
 // Active reports whether this replica is the current view's acting leader.
 func (r *Replica) Active() bool { return r.active }
@@ -264,13 +258,8 @@ func (r *Replica) OnTimer(now time.Duration, kind consensus.TimerKind, key uint6
 		}
 		return r.advanceView(now, r.view+1)
 	case TimerBatch:
-		r.batchArmed = false
-		effs := r.maybePropose(now, true)
-		if len(r.pending) > 0 || r.inflight != nil {
-			r.batchArmed = true
-			effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: batchTimeout})
-		}
-		return effs
+		r.queue.TimerFired()
+		return append(r.maybePropose(now, true), consensus.ArmBatchTimer(&r.queue, TimerBatch)...)
 	case TimerCompt:
 		// A complained transaction failed to commit: pacemaker timeout. A
 		// timer armed in an earlier view is stale: that view has already
@@ -301,6 +290,7 @@ func (r *Replica) advanceView(now time.Duration, v types.View) []consensus.Effec
 	r.view = v
 	r.active = false
 	r.inflight = nil
+	r.queue.Reset()
 	var effs []consensus.Effect
 	effs = append(effs, consensus.Trace{Event: consensus.TraceViewChangeStart, View: v, Server: r.cfg.ID})
 	nv := &NewView{From: r.cfg.ID, V: v, N: r.store.TxHeight()}
@@ -342,27 +332,21 @@ func (r *Replica) onNewView(now time.Duration, m *NewView) []consensus.Effect {
 	var effs []consensus.Effect
 	if m.V > r.view {
 		r.view = m.V
+		r.queue.Reset()
 		effs = append(effs, r.armTimers()...)
 	}
 	r.active = true
 	effs = append(effs, consensus.Trace{Event: consensus.TraceElected, View: r.view, Server: r.cfg.ID})
 	// Proposals observed while a follower become this leader's backlog.
-	// Sorted order: the pending queue feeds batch contents, which must not
-	// depend on map iteration.
+	// Sorted order: the queue feeds batch contents, which must not depend
+	// on map iteration.
 	for _, d := range types.SortedDigestKeys(r.propSeen) {
 		tx := r.propSeen[d].Tx
-		if _, covered := r.store.Covered(tx.Client, tx.Timestamp); covered {
-			continue
-		}
-		if !r.pendingByDigest[d] {
-			r.pendingByDigest[d] = true
-			r.pending = append(r.pending, *r.propSeen[d])
+		if _, covered := r.store.Covered(tx.Client, tx.Timestamp); !covered {
+			r.queue.Push(r.propSeen[d])
 		}
 	}
-	if !r.batchArmed && len(r.pending) > 0 {
-		r.batchArmed = true
-		effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: batchTimeout})
-	}
+	effs = append(effs, consensus.ArmBatchTimer(&r.queue, TimerBatch)...)
 	effs = append(effs, r.maybePropose(now, true)...)
 	return effs
 }

@@ -27,9 +27,6 @@ type Prepare struct {
 	Sig     []byte
 }
 
-// Type implements types.Message.
-func (m *Prepare) Type() string { return "hs.Prepare" }
-
 // WireSize implements types.Message.
 func (m *Prepare) WireSize() int {
 	size := headerSize + 2 + 8 + 8 + 32 + sigSize
@@ -37,7 +34,7 @@ func (m *Prepare) WireSize() int {
 		size += 16 + len(m.Txs[i].Data)
 	}
 	if !m.Justify.IsZero() {
-		size += m.Justify.WireSize()
+		size += m.Justify.Size()
 	}
 	return size
 }
@@ -69,9 +66,6 @@ type Vote struct {
 	Sig   []byte
 }
 
-// Type implements types.Message.
-func (m *Vote) Type() string { return "hs.Vote" }
-
 // WireSize implements types.Message.
 func (m *Vote) WireSize() int { return headerSize + 2 + 1 + 8 + 8 + 32 + sigSize }
 
@@ -93,12 +87,9 @@ type PhaseAnnounce struct {
 	Sig   []byte
 }
 
-// Type implements types.Message.
-func (m *PhaseAnnounce) Type() string { return "hs." + m.Phase.String() }
-
 // WireSize implements types.Message.
 func (m *PhaseAnnounce) WireSize() int {
-	return headerSize + 2 + 1 + 8 + 8 + m.QC.WireSize() + sigSize
+	return headerSize + 2 + 1 + 8 + 8 + m.QC.Size() + sigSize
 }
 
 // SigningBytes implements types.Signed.
@@ -121,9 +112,6 @@ type Decide struct {
 	Block types.TxBlock
 	Sig   []byte
 }
-
-// Type implements types.Message.
-func (m *Decide) Type() string { return "hs.Decide" }
 
 // WireSize implements types.Message.
 func (m *Decide) WireSize() int {
@@ -154,14 +142,11 @@ type NewView struct {
 	Sig    []byte
 }
 
-// Type implements types.Message.
-func (m *NewView) Type() string { return "hs.NewView" }
-
 // WireSize implements types.Message.
 func (m *NewView) WireSize() int {
 	size := headerSize + 2 + 8 + 8 + sigSize
 	if m.Locked != nil {
-		size += m.Lock.WireSize() + (&types.TxBlockMsg{Block: *m.Locked}).WireSize()
+		size += m.Lock.Size() + (&types.TxBlockMsg{Block: *m.Locked}).WireSize()
 	}
 	return size
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"prestigebft/internal/consensus"
+	"prestigebft/internal/ledger"
 	"prestigebft/internal/quorum"
 	"prestigebft/internal/types"
 )
@@ -11,14 +12,11 @@ import (
 // --- Client intake ------------------------------------------------------------
 
 func (r *Replica) onProp(now time.Duration, m *types.Prop) []consensus.Effect {
-	if m.Tx.Digest() != m.D {
-		return nil
-	}
-	if !r.cfg.Registry.VerifyClient(m.Tx.Client, m.SigningBytes(), m.Sig) {
+	if !r.cfg.Registry.VerifyProp(m) {
 		return nil
 	}
 	if last, covered := r.store.Covered(m.Tx.Client, m.Tx.Timestamp); covered {
-		return []consensus.Effect{r.notifyClient(m.Tx.Client, last.Seq, last.Digest, last.Status)}
+		return []consensus.Effect{r.renotify(m.Tx.Client, last)}
 	}
 	if r.active && r.isLeader() {
 		return r.enqueue(now, m)
@@ -29,12 +27,12 @@ func (r *Replica) onProp(now time.Duration, m *types.Prop) []consensus.Effect {
 
 func (r *Replica) onCompt(now time.Duration, m *types.Compt) []consensus.Effect {
 	prop := &m.Prop
-	d := prop.Tx.Digest()
-	if d != prop.D || !r.cfg.Registry.VerifyClient(prop.Tx.Client, prop.SigningBytes(), prop.Sig) {
+	if !r.cfg.Registry.VerifyProp(prop) {
 		return nil
 	}
+	d := prop.D
 	if last, covered := r.store.Covered(prop.Tx.Client, prop.Tx.Timestamp); covered {
-		return []consensus.Effect{r.notifyClient(prop.Tx.Client, last.Seq, last.Digest, last.Status)}
+		return []consensus.Effect{r.renotify(prop.Tx.Client, last)}
 	}
 	if r.active && r.isLeader() {
 		return r.enqueue(now, prop)
@@ -51,17 +49,10 @@ func (r *Replica) onCompt(now time.Duration, m *types.Compt) []consensus.Effect 
 }
 
 func (r *Replica) enqueue(now time.Duration, m *types.Prop) []consensus.Effect {
-	if r.pendingByDigest[m.D] {
+	if !r.queue.Push(m) {
 		return nil
 	}
-	r.pendingByDigest[m.D] = true
-	r.pending = append(r.pending, *m)
-	effs := r.maybePropose(now, false)
-	if !r.batchArmed && (len(r.pending) > 0 || r.inflight != nil) {
-		r.batchArmed = true
-		effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: batchTimeout})
-	}
-	return effs
+	return append(r.maybePropose(now, false), consensus.ArmBatchTimer(&r.queue, TimerBatch)...)
 }
 
 // maybePropose starts the Prepare phase for the next decision: the block a
@@ -73,24 +64,13 @@ func (r *Replica) maybePropose(now time.Duration, flush bool) []consensus.Effect
 	}
 	if blk := r.highLocked; blk != nil && blk.Header.N == r.store.TxHeight()+1 &&
 		blk.Header.PrevHash == r.store.LatestTxBlock().Hash() {
-		// Its requests leave the queue as a cut batch's would.
-		in := make(map[types.Digest]bool, len(blk.Txs))
-		for i := range blk.Txs {
-			in[blk.Txs[i].Digest()] = true
-		}
-		kept := r.pending[:0]
-		for i := range r.pending {
-			if !in[r.pending[i].D] {
-				kept = append(kept, r.pending[i])
-			}
-		}
-		r.pending = kept
+		r.queue.Hold(blk.Txs)
 		return r.propose(&types.TxBlock{Header: blk.Header, Txs: blk.Txs}, nil, r.highLock)
 	}
-	if len(r.pending) == 0 || (!flush && len(r.pending) < r.cfg.BatchSize) {
+	if r.queue.Len() == 0 || (!flush && r.queue.Len() < r.cfg.BatchSize) {
 		return nil
 	}
-	txs, sigs := types.CutBatch(&r.pending, r.cfg.BatchSize)
+	txs, sigs := r.queue.Cut(r.cfg.BatchSize)
 	prev := r.store.LatestTxBlock()
 	blk := &types.TxBlock{
 		Header: types.TxBlockHeader{
@@ -137,6 +117,7 @@ func (r *Replica) onPrepare(now time.Duration, m *Prepare) []consensus.Effect {
 		// (Blocks still commit only through QCs.)
 		r.view = m.V
 		r.inflight = nil
+		r.queue.Reset()
 		effs = r.armTimers()
 	}
 	height := r.store.TxHeight()
@@ -303,18 +284,21 @@ func (r *Replica) onDecide(now time.Duration, m *Decide) []consensus.Effect {
 	return effs
 }
 
+// recordCommit notifies the client of every transaction in the block just
+// appended, under one signature over the block (types.BlockNotifs, with no
+// leader hint).
 func (r *Replica) recordCommit() []consensus.Effect {
 	blk, digests := r.store.LatestTxBlock(), r.store.LatestTxDigests()
+	notifs := types.BlockNotifs(r.cfg.ID, 0, r.view, blk.Header.N, digests, blk.Status, r.cfg.Keys.Sign)
 	var effs []consensus.Effect
 	for i, d := range digests {
-		tx := &blk.Txs[i]
-		delete(r.pendingByDigest, d)
+		r.queue.Release(d)
 		delete(r.propSeen, d)
 		if v, ok := r.comptSeen[d]; ok {
 			delete(r.comptSeen, d)
 			effs = append(effs, consensus.CancelTimer{Kind: TimerCompt, Key: uint64(v)})
 		}
-		effs = append(effs, r.notifyClient(tx.Client, blk.Header.N, d, blk.Status[i]))
+		effs = append(effs, consensus.SendClient{To: blk.Txs[i].Client, Msg: &notifs[i]})
 	}
 	for k := range r.votedPhase {
 		if k.n == blk.Header.N {
@@ -325,10 +309,11 @@ func (r *Replica) recordCommit() []consensus.Effect {
 	return effs
 }
 
-func (r *Replica) notifyClient(client types.ClientID, seq types.SeqNum, d types.Digest, status bool) consensus.Effect {
-	notif := &types.Notif{From: r.cfg.ID, V: r.view, N: seq, TxD: d, Status: status}
-	notif.Sig = r.cfg.Keys.Sign(notif.SigningBytes())
-	return consensus.SendClient{To: client, Msg: notif}
+// renotify answers a request the client table covers with the client's
+// last request, as the one-leaf block.
+func (r *Replica) renotify(client types.ClientID, last ledger.LastRequest) consensus.Effect {
+	notif := types.BlockNotifs(r.cfg.ID, 0, r.view, last.Seq, []types.Digest{last.Digest}, []bool{last.Status}, r.cfg.Keys.Sign)
+	return consensus.SendClient{To: client, Msg: &notif[0]}
 }
 
 // --- Sync -----------------------------------------------------------------------

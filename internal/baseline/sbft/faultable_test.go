@@ -47,7 +47,7 @@ func TestMessageClassifiers(t *testing.T) {
 		{&sbft.NewView{}, false},
 	} {
 		if got := r.Replication(c.msg); got != c.replication {
-			t.Errorf("%s: replication = %v, want %v", c.msg.Type(), got, c.replication)
+			t.Errorf("%T: replication = %v, want %v", c.msg, got, c.replication)
 		}
 	}
 }
@@ -63,14 +63,14 @@ func TestForgeDoesNotMutateOriginal(t *testing.T) {
 	} {
 		forged := r.Forge(orig)
 		if forged == orig {
-			t.Errorf("%s: forge returned the original", orig.Type())
+			t.Errorf("%T: forge returned the original", orig)
 			continue
 		}
 		if len(forged.(types.Signed).Signature()) != 0 {
-			t.Errorf("%s: forge did not strip the signature", orig.Type())
+			t.Errorf("%T: forge did not strip the signature", orig)
 		}
 		if string(orig.(types.Signed).Signature()) != "valid" {
-			t.Errorf("%s: forge mutated the original message", orig.Type())
+			t.Errorf("%T: forge mutated the original message", orig)
 		}
 	}
 }

@@ -39,8 +39,8 @@ const (
 	TimerPolicy
 )
 
-// batchTimeout flushes a partial batch (the same 2 ms as PrestigeBFT's).
-const batchTimeout = 2 * time.Millisecond
+// fastTimeout bounds the fast path.
+const fastTimeout = 50 * time.Millisecond
 
 // Config parameterizes a replica.
 type Config struct {
@@ -51,8 +51,6 @@ type Config struct {
 
 	BatchSize   int
 	ViewTimeout time.Duration
-	// FastTimeout bounds the fast path. Default 50 ms.
-	FastTimeout time.Duration
 	// ViewPolicy rotates leadership on a timing policy.
 	ViewPolicy time.Duration
 
@@ -67,9 +65,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.ViewTimeout == 0 {
 		out.ViewTimeout = time.Second
-	}
-	if out.FastTimeout == 0 {
-		out.FastTimeout = 50 * time.Millisecond
 	}
 	if out.RNG == nil {
 		out.RNG = rand.New(rand.NewSource(int64(out.ID)))
@@ -86,11 +81,12 @@ type PrePrepare struct {
 	Txs  []types.Transaction
 	// ClientSigs[i] is the client signature of Txs[i] (see types.Ord).
 	ClientSigs [][]byte
-	Sig        []byte
+	// BlockV, when set, re-proposes a block first proposed in that earlier
+	// view (see maybePropose); the block keeps its view, so every commit of
+	// it has one hash. Zero: the block is new in V.
+	BlockV types.View
+	Sig    []byte
 }
-
-// Type implements types.Message.
-func (m *PrePrepare) Type() string { return "sb.PrePrepare" }
 
 // WireSize implements types.Message.
 func (m *PrePrepare) WireSize() int {
@@ -98,14 +94,24 @@ func (m *PrePrepare) WireSize() int {
 	for i := range m.Txs {
 		size += 16 + len(m.Txs[i].Data)
 	}
+	if m.BlockV != 0 {
+		size += 8
+	}
 	return size
+}
+
+// Block returns the proposed block, without certificates.
+func (m *PrePrepare) Block() *types.TxBlock {
+	v := m.V
+	if m.BlockV != 0 {
+		v = m.BlockV
+	}
+	return &types.TxBlock{Header: types.TxBlockHeader{V: v, N: m.N, PrevHash: m.Prev, BatchLen: uint32(len(m.Txs))}, Txs: m.Txs}
 }
 
 // SigningBytes implements types.Signed.
 func (m *PrePrepare) SigningBytes() []byte {
-	b := &types.TxBlock{Header: types.TxBlockHeader{V: m.V, N: m.N, PrevHash: m.Prev, BatchLen: uint32(len(m.Txs))}, Txs: m.Txs}
-	d := b.ContentDigest()
-	return types.QCStatementBytes(types.QCGeneric, m.V, m.N, d)
+	return types.QCStatementBytes(types.QCGeneric, m.V, m.N, m.Block().ContentDigest())
 }
 
 // Signature implements types.Signed.
@@ -120,9 +126,6 @@ type Share struct {
 	D     types.Digest
 	Sig   []byte
 }
-
-// Type implements types.Message.
-func (m *Share) Type() string { return "sb.Share" }
 
 // WireSize implements types.Message.
 func (m *Share) WireSize() int { return 16 + 2 + 1 + 8 + 8 + 32 + 64 }
@@ -147,9 +150,6 @@ type Proof struct {
 	Block types.TxBlock
 	Sig   []byte
 }
-
-// Type implements types.Message.
-func (m *Proof) Type() string { return "sb.Proof" }
 
 // WireSize implements types.Message.
 func (m *Proof) WireSize() int {
@@ -178,9 +178,6 @@ type NewView struct {
 	Sig  []byte
 }
 
-// Type implements types.Message.
-func (m *NewView) Type() string { return "sb.NewView" }
-
 // WireSize implements types.Message.
 func (m *NewView) WireSize() int { return 16 + 2 + 8 + 64 }
 
@@ -207,12 +204,12 @@ type Replica struct {
 	store *ledger.Store
 	view  types.View
 
-	pending         []types.Prop
-	pendingByDigest map[types.Digest]bool
-	batchArmed      bool
-	inflight        *instance
+	queue    types.ProposalQueue
+	inflight *instance
 
-	prepared map[types.SeqNum]*types.TxBlock
+	// prepared holds the proposal this replica sent a sign share for, by
+	// seq, until that seq commits.
+	prepared map[types.SeqNum]*PrePrepare
 	// propSeen holds every uncommitted client request this replica has
 	// seen, so whichever server the rotation makes leader proposes them.
 	propSeen map[types.Digest]*types.Prop
@@ -222,12 +219,11 @@ type Replica struct {
 func New(cfg Config) *Replica {
 	c := cfg.withDefaults()
 	return &Replica{
-		cfg:             c,
-		store:           ledger.NewStore(c.N, leaderOf(1, c.N), c.StateMachine),
-		view:            1,
-		pendingByDigest: make(map[types.Digest]bool),
-		prepared:        make(map[types.SeqNum]*types.TxBlock),
-		propSeen:        make(map[types.Digest]*types.Prop),
+		cfg:      c,
+		store:    ledger.NewStore(c.N, leaderOf(1, c.N), c.StateMachine),
+		view:     1,
+		prepared: make(map[types.SeqNum]*PrePrepare),
+		propSeen: make(map[types.Digest]*types.Prop),
 	}
 }
 
@@ -292,20 +288,15 @@ func (r *Replica) OnMessage(now time.Duration, from consensus.Origin, msg types.
 func (r *Replica) enterView(now time.Duration, v types.View) []consensus.Effect {
 	r.view = v
 	r.inflight = nil
-	r.pending = nil
-	r.pendingByDigest = make(map[types.Digest]bool)
+	r.queue.Reset()
 	effs := r.armTimers()
 	if !r.isLeader() {
 		return effs
 	}
 	for _, d := range types.SortedDigestKeys(r.propSeen) {
-		r.pendingByDigest[d] = true
-		r.pending = append(r.pending, *r.propSeen[d])
+		r.queue.Push(r.propSeen[d])
 	}
-	if !r.batchArmed && len(r.pending) > 0 {
-		r.batchArmed = true
-		effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: batchTimeout})
-	}
+	effs = append(effs, consensus.ArmBatchTimer(&r.queue, TimerBatch)...)
 	return append(effs, r.maybePropose(now, false)...)
 }
 
@@ -320,13 +311,8 @@ func (r *Replica) OnTimer(now time.Duration, kind consensus.TimerKind, key uint6
 		nv.Sig = r.cfg.Keys.Sign(nv.SigningBytes())
 		return append([]consensus.Effect{consensus.Broadcast{Msg: nv}}, r.enterView(now, nv.V)...)
 	case TimerBatch:
-		r.batchArmed = false
-		effs := r.maybePropose(now, true)
-		if len(r.pending) > 0 || r.inflight != nil {
-			r.batchArmed = true
-			effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: batchTimeout})
-		}
-		return effs
+		r.queue.TimerFired()
+		return append(r.maybePropose(now, true), consensus.ArmBatchTimer(&r.queue, TimerBatch)...)
 	case TimerFast:
 		return r.onFastTimeout(now, types.SeqNum(key))
 	}
@@ -339,39 +325,46 @@ func (r *Replica) OnPuzzleSolved(time.Duration, uint64, []byte, types.Digest) []
 }
 
 func (r *Replica) onProp(now time.Duration, m *types.Prop) []consensus.Effect {
-	if m.Tx.Digest() != m.D || !r.cfg.Registry.VerifyClient(m.Tx.Client, m.SigningBytes(), m.Sig) {
+	if !r.cfg.Registry.VerifyProp(m) {
 		return nil
 	}
 	if last, covered := r.store.Covered(m.Tx.Client, m.Tx.Timestamp); covered {
-		return []consensus.Effect{r.notifyClient(m.Tx.Client, last.Seq, last.Digest, last.Status)}
+		notif := types.BlockNotifs(r.cfg.ID, 0, r.view, last.Seq, []types.Digest{last.Digest}, []bool{last.Status}, r.cfg.Keys.Sign)
+		return []consensus.Effect{consensus.SendClient{To: m.Tx.Client, Msg: &notif[0]}}
 	}
 	r.propSeen[m.D] = m
-	if !r.isLeader() || r.pendingByDigest[m.D] {
+	if !r.isLeader() || !r.queue.Push(m) {
 		return nil
 	}
-	r.pendingByDigest[m.D] = true
-	r.pending = append(r.pending, *m)
-	effs := r.maybePropose(now, false)
-	if !r.batchArmed && (len(r.pending) > 0 || r.inflight != nil) {
-		r.batchArmed = true
-		effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: batchTimeout})
-	}
-	return effs
+	return append(r.maybePropose(now, false), consensus.ArmBatchTimer(&r.queue, TimerBatch)...)
 }
 
+// maybePropose proposes the next block. A block this replica shared at the
+// next seq in an earlier view comes first, as it was: its leader may have
+// committed it on the fast path — every replica shared it — and crashed
+// before its Proof went out, so a new block there would fork the chain.
 func (r *Replica) maybePropose(now time.Duration, flush bool) []consensus.Effect {
-	if !r.isLeader() || r.inflight != nil || len(r.pending) == 0 {
+	if !r.isLeader() || r.inflight != nil {
 		return nil
 	}
-	if !flush && len(r.pending) < r.cfg.BatchSize {
-		return nil
-	}
-	txs, sigs := types.CutBatch(&r.pending, r.cfg.BatchSize)
 	prev := r.store.LatestTxBlock()
-	blk := &types.TxBlock{
+	if pp, ok := r.prepared[prev.Header.N+1]; ok && pp.Prev == prev.Hash() {
+		r.queue.Hold(pp.Txs)
+		return r.propose(pp.Block(), pp.ClientSigs)
+	}
+	if r.queue.Len() == 0 || !flush && r.queue.Len() < r.cfg.BatchSize {
+		return nil
+	}
+	txs, sigs := r.queue.Cut(r.cfg.BatchSize)
+	return r.propose(&types.TxBlock{
 		Header: types.TxBlockHeader{V: r.view, N: prev.Header.N + 1, PrevHash: prev.Hash(), BatchLen: uint32(len(txs))},
 		Txs:    txs,
-	}
+	}, sigs)
+}
+
+// propose broadcasts blk's PrePrepare in the current view and collects sign
+// shares over blk's own view.
+func (r *Replica) propose(blk *types.TxBlock, clientSigs [][]byte) []consensus.Effect {
 	digest := blk.ContentDigest()
 	inst := &instance{
 		block:    blk,
@@ -379,20 +372,23 @@ func (r *Replica) maybePropose(now time.Duration, flush bool) []consensus.Effect
 		stage:    1,
 		fastOpen: true,
 		// The fast path waits for shares from all n replicas.
-		coll: quorum.NewCollector(types.QCOrdering, r.view, blk.Header.N, digest, r.cfg.N),
+		coll: quorum.NewCollector(types.QCOrdering, blk.Header.V, blk.Header.N, digest, r.cfg.N),
 	}
 	inst.coll.Add(r.cfg.Registry, r.cfg.ID, r.cfg.Keys.Sign(inst.coll.Statement()))
 	r.inflight = inst
-	pp := &PrePrepare{From: r.cfg.ID, V: r.view, N: blk.Header.N, Prev: blk.Header.PrevHash, Txs: txs, ClientSigs: sigs}
+	pp := &PrePrepare{From: r.cfg.ID, V: r.view, N: blk.Header.N, Prev: blk.Header.PrevHash, Txs: blk.Txs, ClientSigs: clientSigs}
+	if blk.Header.V != r.view {
+		pp.BlockV = blk.Header.V
+	}
 	pp.Sig = r.cfg.Keys.Sign(pp.SigningBytes())
 	return []consensus.Effect{
 		consensus.Broadcast{Msg: pp},
-		consensus.SetTimer{Kind: TimerFast, Key: uint64(blk.Header.N), Delay: r.cfg.FastTimeout},
+		consensus.SetTimer{Kind: TimerFast, Key: uint64(blk.Header.N), Delay: fastTimeout},
 	}
 }
 
 func (r *Replica) onPrePrepare(now time.Duration, m *PrePrepare) []consensus.Effect {
-	if m.V != r.view || m.From != r.leader() {
+	if m.V != r.view || m.From != r.leader() || m.BlockV >= m.V {
 		return nil
 	}
 	if !r.cfg.Registry.VerifyServer(m.From, m.SigningBytes(), m.Sig) {
@@ -403,12 +399,9 @@ func (r *Replica) onPrePrepare(now time.Duration, m *PrePrepare) []consensus.Eff
 	if m.N != height+1 || m.Prev != r.store.LatestTxBlock().Hash() || !r.cfg.Registry.VerifyRequests(m.Txs, m.ClientSigs) {
 		return nil
 	}
-	blk := &types.TxBlock{
-		Header: types.TxBlockHeader{V: m.V, N: m.N, PrevHash: m.Prev, BatchLen: uint32(len(m.Txs))},
-		Txs:    m.Txs,
-	}
-	r.prepared[m.N] = blk
-	sh := &Share{From: r.cfg.ID, Stage: 1, V: m.V, N: m.N, D: blk.ContentDigest()}
+	blk := m.Block()
+	r.prepared[m.N] = m
+	sh := &Share{From: r.cfg.ID, Stage: 1, V: blk.Header.V, N: m.N, D: blk.ContentDigest()}
 	sh.Sig = r.cfg.Keys.Sign(sh.SigningBytes())
 	return []consensus.Effect{
 		// A valid proposal is progress: reset the pacemaker.
@@ -435,7 +428,7 @@ func (r *Replica) onFastTimeout(now time.Duration, n types.SeqNum) []consensus.E
 
 func (r *Replica) onShare(now time.Duration, m *Share) []consensus.Effect {
 	inst := r.inflight
-	if inst == nil || m.V != r.view || m.N != inst.block.Header.N || m.D != inst.digest || m.Stage != inst.stage {
+	if inst == nil || m.V != inst.block.Header.V || m.N != inst.block.Header.N || m.D != inst.digest || m.Stage != inst.stage {
 		return nil
 	}
 	full := inst.coll.Add(r.cfg.Registry, m.From, m.Sig)
@@ -506,17 +499,18 @@ func (r *Replica) onProof(now time.Duration, m *Proof) []consensus.Effect {
 		// Slow-path continuation: verify the prepare proof, send a commit
 		// share.
 		prep, ok := r.prepared[blk.Header.N]
-		if !ok || blk.Header.V != r.view || m.From != r.leader() {
+		if !ok || m.From != r.leader() {
 			return nil
 		}
-		d := prep.ContentDigest()
+		pb := prep.Block()
+		d := pb.ContentDigest()
 		if blk.OrderingQC.Digest != d {
 			return nil
 		}
 		if err := r.cfg.Registry.VerifyQC(&blk.OrderingQC, types.QuorumSize(r.cfg.N)); err != nil {
 			return nil
 		}
-		sh := &Share{From: r.cfg.ID, Stage: 2, V: r.view, N: blk.Header.N, D: d}
+		sh := &Share{From: r.cfg.ID, Stage: 2, V: pb.Header.V, N: blk.Header.N, D: d}
 		sh.Sig = r.cfg.Keys.Sign(sh.SigningBytes())
 		return []consensus.Effect{consensus.Send{To: m.From, Msg: sh}}
 	case 2:
@@ -535,7 +529,8 @@ func (r *Replica) onProof(now time.Duration, m *Proof) []consensus.Effect {
 		} else if err := r.cfg.Registry.VerifyQC(&blk.OrderingQC, r.cfg.N); err != nil {
 			return nil
 		}
-		if err := r.appendLoose(blk); err != nil {
+		// Certificates checked above; the append checks chain linkage only.
+		if err := r.store.AppendTxBlockUnchecked(r.cfg.Registry, blk); err != nil {
 			return nil
 		}
 		committed := r.store.LatestTxBlock()
@@ -547,32 +542,18 @@ func (r *Replica) onProof(now time.Duration, m *Proof) []consensus.Effect {
 	return nil
 }
 
-// appendLoose appends a block whose certificates were validated by the
-// caller (the fast path's commit attestation is thinner than the ledger's
-// standard two-QC rule).
-func (r *Replica) appendLoose(blk *types.TxBlock) error {
-	reg := r.cfg.Registry
-	// Reuse the ledger by relaxing: both paths carry a full ordering QC;
-	// the ledger validates linkage, and we bypass its commit-QC threshold
-	// check by validating above.
-	return r.store.AppendTxBlockUnchecked(reg, blk)
-}
-
+// recordCommit notifies the client of every transaction in the block just
+// appended, under one signature over the block (types.BlockNotifs, with no
+// leader hint).
 func (r *Replica) recordCommit() []consensus.Effect {
 	blk, digests := r.store.LatestTxBlock(), r.store.LatestTxDigests()
-	var effs []consensus.Effect
+	notifs := types.BlockNotifs(r.cfg.ID, 0, r.view, blk.Header.N, digests, blk.Status, r.cfg.Keys.Sign)
+	effs := make([]consensus.Effect, 0, len(digests))
 	for i, d := range digests {
-		tx := &blk.Txs[i]
-		delete(r.pendingByDigest, d)
+		r.queue.Release(d)
 		delete(r.propSeen, d)
-		effs = append(effs, r.notifyClient(tx.Client, blk.Header.N, d, blk.Status[i]))
+		effs = append(effs, consensus.SendClient{To: blk.Txs[i].Client, Msg: &notifs[i]})
 	}
 	delete(r.prepared, blk.Header.N)
 	return effs
-}
-
-func (r *Replica) notifyClient(client types.ClientID, seq types.SeqNum, d types.Digest, status bool) consensus.Effect {
-	notif := &types.Notif{From: r.cfg.ID, V: r.view, N: seq, TxD: d, Status: status}
-	notif.Sig = r.cfg.Keys.Sign(notif.SigningBytes())
-	return consensus.SendClient{To: client, Msg: notif}
 }

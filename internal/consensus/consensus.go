@@ -61,6 +61,19 @@ type SetTimer struct {
 	Delay time.Duration
 }
 
+// BatchTimeout is how long a leader's partial batch waits before it is
+// proposed anyway; every protocol flushes after the same 2 ms.
+const BatchTimeout = 2 * time.Millisecond
+
+// ArmBatchTimer arms a leader's partial-batch flush timer, the timer of the
+// given kind and key 0, by its queue's rule (types.ProposalQueue.ArmTimer).
+func ArmBatchTimer(q *types.ProposalQueue, kind TimerKind) []Effect {
+	if !q.ArmTimer() {
+		return nil
+	}
+	return []Effect{SetTimer{Kind: kind, Delay: BatchTimeout}}
+}
+
 // CancelTimer disarms the timer identified by (Kind, Key).
 type CancelTimer struct {
 	Kind TimerKind

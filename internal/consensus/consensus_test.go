@@ -53,7 +53,7 @@ func TestMessageCostHintCoversAllMessages(t *testing.T) {
 	for _, m := range msgs {
 		sigs, txs := MessageCostHint(m)
 		if sigs < 0 || txs < 0 {
-			t.Errorf("%s: negative cost hint", m.Type())
+			t.Errorf("%T: negative cost hint", m)
 		}
 	}
 	// Batch sizes must flow into the hint.

@@ -88,8 +88,6 @@ const (
 const (
 	// initialLeader leads view 1.
 	initialLeader types.ServerID = 1
-	// batchTimeout flushes a partial batch.
-	batchTimeout = 2 * time.Millisecond
 	// syncTimeout bounds one SyncUp round trip; on expiry the node leaves
 	// the syncing state and replays its stash (typically re-triggering the
 	// sync).
@@ -263,16 +261,14 @@ type Node struct {
 	leaderConfirmed bool
 
 	// --- Replication state (leader) ---
-	pending         []types.Prop // verified proposals, client signatures kept for the Ord
-	pendingByDigest map[types.Digest]bool
+	queue types.ProposalQueue // verified proposals, and the digests in flight
 	// inflight is the replication window: every in-flight instance keyed by
 	// sequence number. By construction the keys are contiguous — the low
 	// watermark is TxHeight()+1 and the high watermark TxHeight()+len —
 	// because instances are admitted at consecutive sequence numbers and
 	// leave the window only through the in-order apply loop (bottom first)
 	// or a view change (all at once).
-	inflight   map[types.SeqNum]*replInstance
-	batchArmed bool
+	inflight map[types.SeqNum]*replInstance
 
 	// --- Replication state (follower) ---
 	prepared map[types.SeqNum]*pendingProposal // Ord accepted, awaiting Cmt/commit
@@ -368,16 +364,15 @@ type stashedMsg struct {
 func New(cfg Config) *Node {
 	c := cfg.withDefaults()
 	return &Node{
-		cfg:             c,
-		store:           ledger.NewStore(c.N, initialLeader, c.StateMachine),
-		inflight:        make(map[types.SeqNum]*replInstance),
-		prepared:        make(map[types.SeqNum]*pendingProposal),
-		ordStash:        make(map[types.SeqNum]*types.Ord),
-		ordVoted:        make(map[types.SeqNum]types.View),
-		compts:          make(map[types.Digest]*complaint),
-		pendingByDigest: make(map[types.Digest]bool),
-		ckptRounds:      make(map[types.SeqNum]*ckptRound),
-		ckptStash:       make(map[types.SeqNum][]*types.CkptVote),
+		cfg:        c,
+		store:      ledger.NewStore(c.N, initialLeader, c.StateMachine),
+		inflight:   make(map[types.SeqNum]*replInstance),
+		prepared:   make(map[types.SeqNum]*pendingProposal),
+		ordStash:   make(map[types.SeqNum]*types.Ord),
+		ordVoted:   make(map[types.SeqNum]types.View),
+		compts:     make(map[types.Digest]*complaint),
+		ckptRounds: make(map[types.SeqNum]*ckptRound),
+		ckptStash:  make(map[types.SeqNum][]*types.CkptVote),
 	}
 }
 
@@ -406,14 +401,14 @@ func (n *Node) ReputationPenalty(id types.ServerID) int64 {
 // and metrics: queued transactions, in-flight instances (of which parked =
 // commit_QC assembled but a predecessor still open), and whether the
 // partial-batch flush timer is armed.
-func (n *Node) WindowStats() (pending, inflight, parked int, batchArmed bool) {
+func (n *Node) WindowStats() (pending, inflight, parked int, armed bool) {
 	//lint:allow maporder counting a pure predicate into an int; order cannot escape
 	for _, inst := range n.inflight {
 		if inst.committed() {
 			parked++
 		}
 	}
-	return len(n.pending), len(n.inflight), parked, n.batchArmed
+	return n.queue.Len(), len(n.inflight), parked, n.queue.TimerArmed()
 }
 
 // Init implements consensus.Replica. The initial leader of view 1 is
@@ -439,8 +434,8 @@ func (n *Node) Init(now time.Duration) []consensus.Effect {
 
 	// --- Warm-reboot rehydration (no-op on a cold boot) ---
 	if n.state == Leader {
-		if n.batchArmed {
-			effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: batchTimeout})
+		if n.queue.TimerArmed() {
+			effs = append(effs, consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: consensus.BatchTimeout})
 		}
 		// Window keys are contiguous from the low watermark, so this
 		// iteration is deterministic without sorting.

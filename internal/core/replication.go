@@ -27,14 +27,11 @@ func (n *Node) onProp(now time.Duration, from consensus.Origin, m *types.Prop) [
 		}
 		// A verified transaction with this digest is already queued: a
 		// copy adds nothing, valid or not, so it costs no verification.
-		if n.pendingByDigest[m.D] {
+		if n.queue.Has(m.D) {
 			return nil
 		}
 	}
-	if m.Tx.Digest() != m.D {
-		return nil
-	}
-	if !n.cfg.Registry.VerifyClient(m.Tx.Client, m.SigningBytes(), m.Sig) {
+	if !n.cfg.Registry.VerifyProp(m) {
 		return nil
 	}
 	if committed {
@@ -61,35 +58,21 @@ func (n *Node) forwardProp(from consensus.Origin, m *types.Prop) []consensus.Eff
 // enqueueTx adds a verified transaction to the leader's batch queue and
 // starts replication instances while the window has room.
 func (n *Node) enqueueTx(now time.Duration, m *types.Prop) []consensus.Effect {
-	if n.pendingByDigest[m.D] {
+	if !n.queue.Push(m) {
 		return nil
 	}
-	n.pendingByDigest[m.D] = true
-	n.pending = append(n.pending, *m)
 	var effs []consensus.Effect
 	effs = append(effs, n.maybeStartInstance(now)...)
-	effs = append(effs, n.armBatchTimer()...)
+	effs = append(effs, consensus.ArmBatchTimer(&n.queue, TimerBatch)...)
 	return effs
-}
-
-// armBatchTimer arms the partial-batch flush timer when queued transactions
-// are waiting and no timer is armed. An empty queue never arms it: with
-// instances in flight but nothing queued the timer would fire, flush
-// nothing, and re-arm forever — a busy loop in otherwise idle leader traces.
-func (n *Node) armBatchTimer() []consensus.Effect {
-	if len(n.pending) == 0 || n.batchArmed {
-		return nil
-	}
-	n.batchArmed = true
-	return []consensus.Effect{consensus.SetTimer{Kind: TimerBatch, Key: 0, Delay: batchTimeout}}
 }
 
 // onBatchTimer flushes a partial batch.
 func (n *Node) onBatchTimer(now time.Duration) []consensus.Effect {
-	n.batchArmed = false
+	n.queue.TimerFired()
 	var effs []consensus.Effect
 	effs = append(effs, n.maybeStartInstanceWith(now, true)...)
-	effs = append(effs, n.armBatchTimer()...)
+	effs = append(effs, consensus.ArmBatchTimer(&n.queue, TimerBatch)...)
 	return effs
 }
 
@@ -109,11 +92,11 @@ func (n *Node) maybeStartInstanceWith(now time.Duration, flush bool) []consensus
 		return nil
 	}
 	var effs []consensus.Effect
-	for len(n.inflight) < n.cfg.PipelineDepth && len(n.pending) > 0 {
-		if !flush && len(n.pending) < n.cfg.BatchSize {
+	for len(n.inflight) < n.cfg.PipelineDepth && n.queue.Len() > 0 {
+		if !flush && n.queue.Len() < n.cfg.BatchSize {
 			break
 		}
-		txs, sigs := types.CutBatch(&n.pending, n.cfg.BatchSize)
+		txs, sigs := n.queue.Cut(n.cfg.BatchSize)
 		effs = append(effs, n.startInstance(now, txs, sigs)...)
 	}
 	return effs
@@ -558,28 +541,17 @@ func (n *Node) onTxBlock(now time.Duration, m *types.TxBlockMsg) []consensus.Eff
 }
 
 // recordCommit updates commit bookkeeping for the block just appended to
-// the ledger and emits client notifications for every transaction in it —
-// under one signature: the block's (digest, status) pairs become the leaves
-// of a Merkle tree, the replica signs the root once, and each Notif carries
-// that signature plus its own leaf's path (types/notifproof.go). Every
-// commit path (leader apply, follower TxBlockMsg, sync replay) ends here.
+// the ledger and notifies the client of every transaction in it, under one
+// signature over the block (types.BlockNotifs). Every commit path (leader
+// apply, follower TxBlockMsg, sync replay) ends here.
 func (n *Node) recordCommit() []consensus.Effect {
 	blk, digests := n.store.LatestTxBlock(), n.store.LatestTxDigests()
-	seq, v := blk.Header.N, n.View()
-	leaves := make([]types.Digest, len(blk.Txs))
-	for i := range blk.Txs {
-		leaves[i] = types.NotifLeaf(digests[i], blk.Status[i])
-	}
-	root, paths := types.NotifProofs(leaves)
-	leader := n.store.CurrentLeader()
-	sig := n.sign(types.NotifStatement(n.cfg.ID, leader, v, seq, root))
+	seq := blk.Header.N
+	notifs := types.BlockNotifs(n.cfg.ID, n.store.CurrentLeader(), n.View(), seq, digests, blk.Status, n.sign)
 	effs := make([]consensus.Effect, 0, len(digests))
 	for i, d := range digests {
-		delete(n.pendingByDigest, d)
-		effs = append(effs, consensus.SendClient{To: blk.Txs[i].Client, Msg: &types.Notif{
-			From: n.cfg.ID, Leader: leader, V: v, N: seq, TxD: d, Status: blk.Status[i],
-			Index: uint32(i), Path: paths[i], Sig: sig,
-		}})
+		n.queue.Release(d)
+		effs = append(effs, consensus.SendClient{To: blk.Txs[i].Client, Msg: &notifs[i]})
 		// A commit settles any pending complaint for the transaction.
 		if _, ok := n.compts[d]; ok {
 			effs = append(effs, consensus.CancelTimer{Kind: TimerCompt, Key: timerKeyFromDigest(d)})
@@ -594,9 +566,9 @@ func (n *Node) recordCommit() []consensus.Effect {
 
 // renotify answers a re-sent proposal or complaint that the client's row in
 // the client table covers: a Notif for the row's transaction alone (the
-// one-leaf tree), carrying where it committed and its recorded status.
+// one-leaf block), carrying where it committed and its recorded status.
 func (n *Node) renotify(client types.ClientID, last ledger.LastRequest) consensus.Effect {
-	notif := &types.Notif{From: n.cfg.ID, Leader: n.store.CurrentLeader(), V: n.View(), N: last.Seq, TxD: last.Digest, Status: last.Status}
-	notif.Sig = n.sign(notif.SigningBytes())
-	return consensus.SendClient{To: client, Msg: notif}
+	notif := types.BlockNotifs(n.cfg.ID, n.store.CurrentLeader(), n.View(), last.Seq,
+		[]types.Digest{last.Digest}, []bool{last.Status}, n.sign)
+	return consensus.SendClient{To: client, Msg: &notif[0]}
 }

@@ -21,13 +21,10 @@ func timerKeyFromDigest(d types.Digest) uint64 {
 // for the transaction to commit before suspecting the leader.
 func (n *Node) onCompt(now time.Duration, from consensus.Origin, m *types.Compt) []consensus.Effect {
 	prop := &m.Prop
-	d := prop.Tx.Digest()
-	if d != prop.D {
+	if !n.cfg.Registry.VerifyProp(prop) {
 		return nil
 	}
-	if !n.cfg.Registry.VerifyClient(prop.Tx.Client, prop.SigningBytes(), prop.Sig) {
-		return nil
-	}
+	d := prop.D
 	var effs []consensus.Effect
 	// Already applied: re-notify the client, no inspection needed.
 	if last, ok := n.store.Covered(prop.Tx.Client, prop.Tx.Timestamp); ok {
@@ -630,7 +627,7 @@ func (n *Node) buildAdoptionPlan() (adopt []*types.TxBlock, leftover []types.Pro
 	// Salvage the rest transaction-wise, in sequence order: what is left in
 	// merged (certified slots beyond the gap) plus our own uncertified
 	// prepared blocks. enqueueTx deduplicates against the adopted blocks
-	// (marked in pendingByDigest by adoptInstance); transactions the
+	// (held in the queue by adoptInstance); transactions the
 	// ledger's client table already covers are skipped here, and the ledger
 	// would not apply them again anyway. A fresh Ord must carry each
 	// transaction's client signature, and this server holds them only for
@@ -679,9 +676,7 @@ func (n *Node) adoptInstance(now time.Duration, blk *types.TxBlock) []consensus.
 	}
 	n.voteOwn(inst.cmtColl)
 	n.inflight[seq] = inst
-	for i := range cp.Txs {
-		n.pendingByDigest[cp.Txs[i].Digest()] = true
-	}
+	n.queue.Hold(cp.Txs)
 	ad := &types.Adopt{From: n.cfg.ID, V: n.View(), Block: cp}
 	ad.Sig = n.sign(ad.SigningBytes())
 	return []consensus.Effect{
@@ -759,16 +754,10 @@ func (n *Node) enterView(now time.Duration, asLeader bool) []consensus.Effect {
 	n.viewEnteredAt = now
 	n.inspecting = nil
 	effs = append(effs, n.dropWindow()...)
-	// The leader queue dies with the view: transactions whose instances
-	// were dropped belong to the next leader (via adoption, complaints, or
-	// client retries). Keeping pendingByDigest entries for them would make
-	// a re-elected leader silently dedup-drop every retry of a transaction
-	// that died in its old window — stranding those clients on the
-	// complaint path forever. A confirmed new leader rebuilds its queue
-	// right after this from the adoption plan and the complaint backlog.
-	n.pending = nil
-	n.pendingByDigest = make(map[types.Digest]bool)
-	n.batchArmed = false
+	// The leader queue dies with the view (types.ProposalQueue.Reset). A
+	// confirmed new leader rebuilds its queue right after this from the
+	// adoption plan and the complaint backlog.
+	n.queue.Reset()
 	effs = append(effs, consensus.CancelTimer{Kind: TimerBatch, Key: 0})
 	n.replStopped = false
 	n.pendingVcBlock = nil

@@ -276,6 +276,12 @@ func (r *Registry) VerifyClient(id types.ClientID, msg, sig []byte) bool {
 	return ed25519.Verify(pub, msg, sig)
 }
 
+// VerifyProp checks a client proposal at intake: D is its transaction's
+// digest, and Sig its client's signature over them.
+func (r *Registry) VerifyProp(m *types.Prop) bool {
+	return m.Tx.Digest() == m.D && r.VerifyClient(m.Tx.Client, m.SigningBytes(), m.Sig)
+}
+
 // VerifyRequests checks a proposed batch's client signatures: sigs[i] must
 // be txs[i]'s client's signature over its PropStatement. A replica checks
 // this before it votes for a proposal, so a leader cannot order a request

@@ -96,7 +96,7 @@ func TestEquivocateCorruptsOutbound(t *testing.T) {
 		}
 		if s, ok := msg.(types.Signed); ok {
 			if len(s.Signature()) != 0 {
-				t.Fatalf("equivocated %s still carries a valid-looking signature", msg.Type())
+				t.Fatalf("equivocated %T still carries a valid-looking signature", msg)
 			}
 		}
 	}
@@ -160,7 +160,7 @@ func TestRepeatedVCMisbehavesWhileLeading(t *testing.T) {
 		}
 		_, vc := msg.(*types.VoteCP)
 		if forged := len(msg.(types.Signed).Signature()) == 0; forged == vc {
-			t.Errorf("%s: forged = %v while leading", msg.Type(), forged)
+			t.Errorf("%T: forged = %v while leading", msg, forged)
 		}
 	}
 	// Leading, the F4+F2 attacker ignores replication input.

@@ -79,7 +79,7 @@ func (c *stubCluster) awaitProp() *types.Prop {
 	m := c.await()
 	prop, ok := m.(*types.Prop)
 	if !ok {
-		c.t.Fatalf("the client sent a %s, want a Prop", m.Type())
+		c.t.Fatalf("the client sent a %T, want a Prop", m)
 	}
 	return prop
 }
@@ -153,7 +153,7 @@ func TestClientHost(t *testing.T) {
 		m := c.await()
 		compt, ok := m.(*types.Compt)
 		if !ok {
-			t.Fatalf("after the timeout the client sent a %s, want a Compt", m.Type())
+			t.Fatalf("after the timeout the client sent a %T, want a Compt", m)
 		}
 		if compt.Prop.D != prop.D || !c.reg.VerifyClient(1, compt.SigningBytes(), compt.Sig) {
 			t.Fatalf("Compt for %x (outstanding %x) does not carry the client's signature", compt.Prop.D, prop.D)

@@ -120,7 +120,7 @@ func TestLinkFaultsBlock(t *testing.T) {
 	}
 	select {
 	case env := <-ch:
-		t.Fatalf("blocked link delivered %v", env.Msg.Type())
+		t.Fatalf("blocked link delivered %T", env.Msg)
 	case <-time.After(200 * time.Millisecond):
 	}
 	if st := cli.Stats(); st.Dropped != 5 || st.Sent != 5 {

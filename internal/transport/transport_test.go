@@ -73,7 +73,7 @@ func TestRoundtrip(t *testing.T) {
 	}
 	for _, m := range msgs {
 		if err := cli.Send(srv.Addr(), m); err != nil {
-			t.Fatalf("send %s: %v", m.Type(), err)
+			t.Fatalf("send %T: %v", m, err)
 		}
 	}
 	for _, want := range msgs {
@@ -82,8 +82,8 @@ func TestRoundtrip(t *testing.T) {
 			if env.FromServer != 1 {
 				t.Fatalf("sender identity lost: %+v", env)
 			}
-			if env.Msg.Type() != want.Type() {
-				t.Fatalf("got %s, want %s (in-order delivery)", env.Msg.Type(), want.Type())
+			if reflect.TypeOf(env.Msg) != reflect.TypeOf(want) {
+				t.Fatalf("got %T, want %T (in-order delivery)", env.Msg, want)
 			}
 			if cmt, ok := env.Msg.(*types.Cmt); ok {
 				if cmt.OrderingQC.Len() != 3 || string(cmt.OrderingQC.Sigs[1]) != "\x02" {
@@ -96,7 +96,7 @@ func TestRoundtrip(t *testing.T) {
 				}
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("timed out waiting for %s", want.Type())
+			t.Fatalf("timed out waiting for %T", want)
 		}
 	}
 	// Counted when the write returns, which may be after the delivery.
@@ -151,7 +151,6 @@ func TestNonWireMessageRefused(t *testing.T) {
 
 type foreignMsg struct{}
 
-func (foreignMsg) Type() string  { return "Foreign" }
 func (foreignMsg) WireSize() int { return 0 }
 
 // TestGarbageConnectionClosed: a connection that opens with bytes that are

@@ -5,11 +5,9 @@ import (
 )
 
 // Message is implemented by every protocol message exchanged between
-// servers and clients. Type identifies the message for logging and metric
-// purposes; WireSize is the modeled on-the-wire size in bytes used by the
-// simulator's bandwidth model.
+// servers and clients; its Go type names it. WireSize is the modeled
+// on-the-wire size in bytes used by the simulator's bandwidth model.
 type Message interface {
-	Type() string
 	WireSize() int
 }
 
@@ -36,7 +34,6 @@ type Prop struct {
 	Sig []byte // client signature over (t, d, c)
 }
 
-func (m *Prop) Type() string { return "Prop" }
 func (m *Prop) WireSize() int {
 	return headerSize + 8 + 32 + 4 + len(m.Tx.Data) + sigSize
 }
@@ -57,25 +54,6 @@ func PropStatement(tx *Transaction, d Digest) []byte {
 	return buf
 }
 
-// CutBatch takes up to size proposals off the front of a leader's queue of
-// verified proposals and returns them as a batch: the transactions, and
-// each one's client signature at the same index.
-func CutBatch(queue *[]Prop, size int) ([]Transaction, [][]byte) {
-	batch := *queue
-	if len(batch) > size {
-		batch = batch[:size]
-		*queue = append([]Prop(nil), (*queue)[size:]...)
-	} else {
-		*queue = nil
-	}
-	txs := make([]Transaction, len(batch))
-	sigs := make([][]byte, len(batch))
-	for i := range batch {
-		txs[i], sigs[i] = batch[i].Tx, batch[i].Sig
-	}
-	return txs, sigs
-}
-
 // Notif notifies a client that its transaction committed. A client considers
 // its transaction committed upon receiving f+1 matching Notifs.
 //
@@ -86,9 +64,10 @@ func CutBatch(queue *[]Prop, size int) ([]Transaction, [][]byte) {
 // The signature does not cover the transaction alone: it covers the root of
 // a Merkle tree over the (TxD, Status) pairs of the whole block N, and
 // (Index, Path) prove this transaction's pair is leaf Index of that tree
-// (notifproof.go). A replica therefore signs once per block, and every Notif
-// it sends for the block carries the same Sig. A Notif about one transaction
-// by itself is the one-leaf tree: Index 0, no Path.
+// (notifproof.go). Every protocol builds its Notifs with BlockNotifs, so a
+// replica signs once per block, and every Notif it sends for the block
+// carries the same Sig. A Notif about one transaction by itself is the
+// one-leaf tree: Index 0, no Path.
 type Notif struct {
 	From   ServerID
 	Leader ServerID // the sender's current leader; 0 = no hint
@@ -100,8 +79,6 @@ type Notif struct {
 	Path   []Digest // sibling hashes from the leaf up to the root
 	Sig    []byte   // over NotifStatement(From, Leader, V, N, root)
 }
-
-func (m *Notif) Type() string { return "Notif" }
 
 // WireSize counts the proof: the path's digests plus the index, which needs
 // one bit per path level — nothing for a one-leaf Notif.
@@ -129,7 +106,6 @@ type Compt struct {
 	Sig  []byte // client signature over the complaint
 }
 
-func (m *Compt) Type() string         { return "Compt" }
 func (m *Compt) WireSize() int        { return headerSize + m.Prop.WireSize() + sigSize }
 func (m *Compt) SigningBytes() []byte { return append([]byte("compt"), m.Prop.SigningBytes()...) }
 func (m *Compt) Signature() []byte    { return m.Sig }
@@ -161,7 +137,6 @@ type ConfVC struct {
 	Sig    []byte
 }
 
-func (m *ConfVC) Type() string  { return "ConfVC" }
 func (m *ConfVC) WireSize() int { return headerSize + 2 + 8 + 1 + 32 + 4 + sigSize }
 func (m *ConfVC) SigningBytes() []byte {
 	buf := make([]byte, 0, 2+8+1+32+4)
@@ -183,7 +158,6 @@ type ReVC struct {
 	Sig  []byte
 }
 
-func (m *ReVC) Type() string  { return "ReVC" }
 func (m *ReVC) WireSize() int { return headerSize + 2 + 2 + 8 + sigSize }
 func (m *ReVC) SigningBytes() []byte {
 	return QCStatementBytes(QCConf, m.V, SeqNum(m.To), Digest{})
@@ -207,9 +181,8 @@ type CampVC struct {
 	Sig    []byte
 }
 
-func (m *CampVC) Type() string { return "CampVC" }
 func (m *CampVC) WireSize() int {
-	return headerSize + 2 + m.ConfQC.WireSize() + 8*4 + 8 + len(m.Nonce) + 32 + 32 + sigSize
+	return headerSize + 2 + m.ConfQC.Size() + 8*4 + 8 + len(m.Nonce) + 32 + 32 + sigSize
 }
 func (m *CampVC) SigningBytes() []byte {
 	buf := make([]byte, 0, 128)
@@ -246,7 +219,6 @@ type VoteCP struct {
 	Sig    []byte
 }
 
-func (m *VoteCP) Type() string { return "VoteCP" }
 func (m *VoteCP) WireSize() int {
 	size := headerSize + 2 + 2 + 8 + sigSize
 	for i := range m.Locked {
@@ -267,9 +239,8 @@ type VcBlockMsg struct {
 	Sig   []byte
 }
 
-func (m *VcBlockMsg) Type() string { return "VcBlock" }
 func (m *VcBlockMsg) WireSize() int {
-	return headerSize + 2 + 8 + 2 + 32 + m.Block.ConfQC.WireSize() + m.Block.VcQC.WireSize() +
+	return headerSize + 2 + 8 + 2 + 32 + m.Block.ConfQC.Size() + m.Block.VcQC.Size() +
 		len(m.Block.RP)*18 + sigSize
 }
 func (m *VcBlockMsg) SigningBytes() []byte {
@@ -287,7 +258,6 @@ type VcYes struct {
 	Sig       []byte
 }
 
-func (m *VcYes) Type() string  { return "VcYes" }
 func (m *VcYes) WireSize() int { return headerSize + 2 + 8 + 32 + sigSize }
 func (m *VcYes) SigningBytes() []byte {
 	return QCStatementBytes(QCGeneric, m.V, 0, m.BlockHash)
@@ -303,7 +273,6 @@ type Ref struct {
 	Sig  []byte
 }
 
-func (m *Ref) Type() string  { return "Ref" }
 func (m *Ref) WireSize() int { return headerSize + 2 + 8 + sigSize }
 func (m *Ref) SigningBytes() []byte {
 	return QCStatementBytes(QCRefresh, m.V, 0, Digest{})
@@ -321,8 +290,7 @@ type Rdone struct {
 	Sig  []byte
 }
 
-func (m *Rdone) Type() string  { return "Rdone" }
-func (m *Rdone) WireSize() int { return headerSize + 2 + 8 + m.RsQC.WireSize() + 16 + sigSize }
+func (m *Rdone) WireSize() int { return headerSize + 2 + 8 + m.RsQC.Size() + 16 + sigSize }
 func (m *Rdone) SigningBytes() []byte {
 	buf := make([]byte, 0, 2+8+16)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(m.From))
@@ -351,8 +319,6 @@ type Ord struct {
 	Sig        []byte
 }
 
-func (m *Ord) Type() string { return "Ord" }
-
 // WireSize leaves ClientSigs out: the simulator models a proposal without
 // its clients' signatures (ROADMAP item 1 has counting them).
 func (m *Ord) WireSize() int {
@@ -378,7 +344,6 @@ type OrdReply struct {
 	Sig  []byte
 }
 
-func (m *OrdReply) Type() string  { return "OrdReply" }
 func (m *OrdReply) WireSize() int { return headerSize + 2 + 8 + 8 + 32 + sigSize }
 func (m *OrdReply) SigningBytes() []byte {
 	return QCStatementBytes(QCOrdering, m.V, m.N, m.D)
@@ -394,8 +359,7 @@ type Cmt struct {
 	Sig        []byte
 }
 
-func (m *Cmt) Type() string  { return "Cmt" }
-func (m *Cmt) WireSize() int { return headerSize + 2 + 8 + 8 + m.OrderingQC.WireSize() + sigSize }
+func (m *Cmt) WireSize() int { return headerSize + 2 + 8 + 8 + m.OrderingQC.Size() + sigSize }
 func (m *Cmt) SigningBytes() []byte {
 	return QCStatementBytes(QCCommit, m.V, m.N, m.OrderingQC.Digest)
 }
@@ -410,7 +374,6 @@ type CmtReply struct {
 	Sig  []byte
 }
 
-func (m *CmtReply) Type() string  { return "CmtReply" }
 func (m *CmtReply) WireSize() int { return headerSize + 2 + 8 + 8 + 32 + sigSize }
 func (m *CmtReply) SigningBytes() []byte {
 	return QCStatementBytes(QCCommit, m.V, m.N, m.D)
@@ -432,7 +395,6 @@ type Adopt struct {
 	Sig   []byte
 }
 
-func (m *Adopt) Type() string { return "Adopt" }
 func (m *Adopt) WireSize() int {
 	tb := TxBlockMsg{Block: m.Block}
 	return headerSize + 2 + 8 + (tb.WireSize() - headerSize - sigSize) + sigSize
@@ -456,9 +418,8 @@ type TxBlockMsg struct {
 	Sig   []byte
 }
 
-func (m *TxBlockMsg) Type() string { return "TxBlock" }
 func (m *TxBlockMsg) WireSize() int {
-	size := headerSize + 2 + 8*3 + 32 + m.Block.OrderingQC.WireSize() + m.Block.CommitQC.WireSize() + sigSize
+	size := headerSize + 2 + 8*3 + 32 + m.Block.OrderingQC.Size() + m.Block.CommitQC.Size() + sigSize
 	for i := range m.Block.Txs {
 		size += 16 + len(m.Block.Txs[i].Data) + 1
 	}
@@ -486,7 +447,6 @@ type CkptVote struct {
 	Sig       []byte
 }
 
-func (m *CkptVote) Type() string  { return "CkptVote" }
 func (m *CkptVote) WireSize() int { return headerSize + 2 + 8 + 32 + sigSize }
 func (m *CkptVote) SigningBytes() []byte {
 	return QCStatementBytes(QCCheckpoint, 0, m.Seq, m.StateHash)
@@ -513,7 +473,6 @@ type SyncReq struct {
 	End   uint64
 }
 
-func (m *SyncReq) Type() string  { return "SyncReq" }
 func (m *SyncReq) WireSize() int { return headerSize + 2 + 1 + 16 }
 
 // SyncResp returns the requested blocks. Blocks are self-certifying through
@@ -532,7 +491,6 @@ type SyncResp struct {
 	Snapshot *SnapshotPackage
 }
 
-func (m *SyncResp) Type() string { return "SyncResp" }
 func (m *SyncResp) WireSize() int {
 	size := headerSize + 2 + 1
 	for i := range m.TxBlocks {
@@ -546,7 +504,7 @@ func (m *SyncResp) WireSize() int {
 	if m.Snapshot != nil {
 		anchor := TxBlockMsg{Block: m.Snapshot.Anchor}
 		// Header digests + ckpt_QC (threshold-signature size) + anchor + state.
-		size += 8 + 8 + 3*32 + m.Snapshot.Cert.QC.WireSize() +
+		size += 8 + 8 + 3*32 + m.Snapshot.Cert.QC.Size() +
 			(anchor.WireSize() - headerSize - sigSize) + len(m.Snapshot.AppState)
 	}
 	return size

@@ -2,6 +2,8 @@ package types
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -71,13 +73,13 @@ func TestSigningBytesDomainSeparation(t *testing.T) {
 	notifStmt := NotifStatement(from, peer, v, n, d)
 	for _, m := range msgs {
 		if bytes.Equal(notifStmt, m.SigningBytes()) {
-			t.Errorf("Notif statement over root d equals %s signing bytes", m.Type())
+			t.Errorf("Notif statement over root d equals %T signing bytes", m)
 		}
 	}
 
 	for i, a := range msgs {
 		for _, b := range msgs[i+1:] {
-			pair := a.Type() + "/" + b.Type()
+			pair := strings.ReplaceAll(fmt.Sprintf("%T/%T", a, b), "*types.", "")
 			equal := bytes.Equal(a.SigningBytes(), b.SigningBytes())
 			if sameStatement[pair] {
 				if !equal {
@@ -86,8 +88,8 @@ func TestSigningBytesDomainSeparation(t *testing.T) {
 				continue
 			}
 			if equal {
-				t.Errorf("%s: identical signing bytes %x — a %s signature replays as a %s",
-					pair, a.SigningBytes(), a.Type(), b.Type())
+				t.Errorf("%s: identical signing bytes %x — a %T signature replays as a %T",
+					pair, a.SigningBytes(), a, b)
 			}
 		}
 	}

@@ -114,3 +114,23 @@ func NotifStatement(from, leader ServerID, v View, n SeqNum, root Digest) []byte
 	buf = binary.BigEndian.AppendUint64(buf, uint64(n))
 	return append(buf, root[:]...)
 }
+
+// BlockNotifs builds the Notifs a replica sends for the committed block seq
+// whose transactions have digests[i] and status[i], under one signature:
+// the (digest, status) pairs become the tree's leaves, sign signs the
+// root's NotifStatement once, and notifs[i] carries that signature and leaf
+// i's path. A Notif about one transaction alone is the one-leaf block.
+func BlockNotifs(from, leader ServerID, v View, seq SeqNum, digests []Digest, status []bool, sign func([]byte) []byte) []Notif {
+	leaves := make([]Digest, len(digests))
+	for i, d := range digests {
+		leaves[i] = NotifLeaf(d, status[i])
+	}
+	root, paths := NotifProofs(leaves)
+	sig := sign(NotifStatement(from, leader, v, seq, root))
+	notifs := make([]Notif, len(digests))
+	for i, d := range digests {
+		notifs[i] = Notif{From: from, Leader: leader, V: v, N: seq, TxD: d, Status: status[i],
+			Index: uint32(i), Path: paths[i], Sig: sig}
+	}
+	return notifs
+}

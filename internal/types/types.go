@@ -175,9 +175,10 @@ func (qc *QC) Len() int { return len(qc.Signers) }
 // IsZero reports whether the QC is unset.
 func (qc *QC) IsZero() bool { return qc.Kind == 0 && len(qc.Signers) == 0 }
 
-// WireSize is the modeled on-the-wire size of the certificate in bytes.
-// Threshold signatures are O(1): one 64-byte aggregate plus metadata.
-func (qc *QC) WireSize() int {
+// Size is the modeled on-the-wire size of the certificate in bytes, counted
+// into the WireSize of each message that carries it. Threshold signatures
+// are O(1): one 64-byte aggregate plus metadata.
+func (qc *QC) Size() int {
 	if qc.IsZero() {
 		return 0
 	}

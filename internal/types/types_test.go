@@ -201,10 +201,7 @@ func TestWireSizesPositive(t *testing.T) {
 	}
 	for _, m := range msgs {
 		if m.WireSize() <= 0 {
-			t.Errorf("%s has non-positive wire size", m.Type())
-		}
-		if m.Type() == "" {
-			t.Error("empty message type")
+			t.Errorf("%T has non-positive wire size", m)
 		}
 	}
 }
