@@ -1,7 +1,9 @@
 // Command prestige-client drives a live PrestigeBFT cluster with a
 // closed-loop workload and reports throughput and latency — the live-mode
 // counterpart of the simulator's workload clients: the same client.Client,
-// hosted on a TCP transport by runtime.ClientHost.
+// hosted on a TCP transport by runtime.ClientHost. The host is the one
+// liveharness runs all of its clients on; here it hosts one, so the process
+// holds one connection per server.
 package main
 
 import (
@@ -62,7 +64,7 @@ func main() {
 	host.Start()
 	time.Sleep(*duration)
 	host.Stop()
-	stats := host.Stats()
+	stats := host.Stats()[0]
 	dead := tr.Unreachable()
 	tr.Close()
 

@@ -201,7 +201,7 @@ func TestStaleComplaintTimerKeepsView(t *testing.T) {
 	compt := &types.Compt{Prop: types.Prop{Tx: tx, D: tx.Digest()}}
 	compt.Prop.Sig = clientKeys[1].Sign(compt.Prop.SigningBytes())
 	armsTimer := func(now time.Duration, view uint64) bool {
-		for _, ef := range r.OnMessage(now, consensus.Origin{Client: true, ClientID: 1}, compt) {
+		for _, ef := range r.OnMessage(now, consensus.FromClient(), compt) {
 			if st, ok := ef.(consensus.SetTimer); ok && st.Kind == hotstuff.TimerCompt && st.Key == view {
 				return true
 			}

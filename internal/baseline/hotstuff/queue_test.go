@@ -46,7 +46,7 @@ func proposes(effs []consensus.Effect, d types.Digest) bool {
 // under another leader, does not propose the request again.
 func TestReelectedLeaderDropsCommittedRequests(t *testing.T) {
 	r, keys, prop := leader(t, 10)
-	from := consensus.Origin{Client: true, ClientID: 1}
+	from := consensus.FromClient()
 	if proposes(r.OnMessage(0, from, prop), prop.D) || r.Pending() != 1 {
 		t.Fatalf("setup: want the request queued below a full batch, queue holds %d", r.Pending())
 	}
@@ -90,7 +90,7 @@ func TestReelectedLeaderDropsCommittedRequests(t *testing.T) {
 // with nothing to flush.
 func TestBatchTimerIdleNoRearm(t *testing.T) {
 	r, _, prop := leader(t, 1)
-	effs := r.OnMessage(0, consensus.Origin{Client: true, ClientID: 1}, prop)
+	effs := r.OnMessage(0, consensus.FromClient(), prop)
 	if !proposes(effs, prop.D) || !r.Inflight() || r.Pending() != 0 {
 		t.Fatal("setup: want the request in flight and the queue empty")
 	}

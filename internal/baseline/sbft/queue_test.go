@@ -22,7 +22,7 @@ func TestBatchTimerIdleNoRearm(t *testing.T) {
 	prop := &types.Prop{Tx: tx, D: tx.Digest()}
 	prop.Sig = ckeys[1].Sign(prop.SigningBytes())
 	proposed := false
-	for _, e := range r.OnMessage(0, consensus.Origin{Client: true, ClientID: 1}, prop) {
+	for _, e := range r.OnMessage(0, consensus.FromClient(), prop) {
 		if b, ok := e.(consensus.Broadcast); ok {
 			_, proposed = b.Msg.(*sbft.PrePrepare)
 		}

@@ -15,18 +15,19 @@ import (
 	"prestigebft/internal/types"
 )
 
-// Origin identifies the sender of a delivered message.
+// Origin identifies the sender of a delivered message: a server by its ID,
+// or some client. Which client is not known: one connection carries many
+// clients' requests, and a request names its client in its signed body.
 type Origin struct {
 	Client   bool
 	ServerID types.ServerID
-	ClientID types.ClientID
 }
 
 // FromServer builds a server origin.
 func FromServer(id types.ServerID) Origin { return Origin{ServerID: id} }
 
 // FromClient builds a client origin.
-func FromClient(id types.ClientID) Origin { return Origin{Client: true, ClientID: id} }
+func FromClient() Origin { return Origin{Client: true} }
 
 // TimerKind enumerates replica timers. Kinds are protocol-specific small
 // integers; Key disambiguates instances (e.g. per-transaction complaint

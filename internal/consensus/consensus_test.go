@@ -11,8 +11,8 @@ func TestOrigins(t *testing.T) {
 	if s.Client || s.ServerID != 3 {
 		t.Fatalf("server origin: %+v", s)
 	}
-	c := FromClient(7)
-	if !c.Client || c.ClientID != 7 {
+	c := FromClient()
+	if !c.Client || c.ServerID != 0 {
 		t.Fatalf("client origin: %+v", c)
 	}
 }

@@ -190,7 +190,7 @@ func (r *rig) submitFrom(c types.ClientID, seq int) *types.Prop {
 	prop := r.propFrom(c, seq)
 	for id, node := range r.nodes {
 		if !r.down[id] {
-			r.exec(id, node.OnMessage(r.now, consensus.FromClient(c), prop))
+			r.exec(id, node.OnMessage(r.now, consensus.FromClient(), prop))
 		}
 	}
 	return prop
@@ -202,7 +202,7 @@ func (r *rig) complain(prop *types.Prop) {
 	compt.Sig = r.ckeys[1].Sign(compt.SigningBytes())
 	for id, node := range r.nodes {
 		if !r.down[id] {
-			r.exec(id, node.OnMessage(r.now, consensus.FromClient(1), compt))
+			r.exec(id, node.OnMessage(r.now, consensus.FromClient(), compt))
 		}
 	}
 }

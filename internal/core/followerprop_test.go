@@ -48,7 +48,7 @@ func TestFollowerDoesNotVerifyProps(t *testing.T) {
 	r, handle := countingNode(t, 1, 0, follower)
 
 	fresh := r.clientProp(1)
-	if effs, v := handle(consensus.FromClient(1), fresh); len(effs) != 0 || v != 0 {
+	if effs, v := handle(consensus.FromClient(), fresh); len(effs) != 0 || v != 0 {
 		t.Fatalf("fresh Prop at a follower: %d effects, %d verifications, want 0 and 0", len(effs), v)
 	}
 
@@ -57,7 +57,7 @@ func TestFollowerDoesNotVerifyProps(t *testing.T) {
 	if r.nodes[follower].Store().TxBlock(1) == nil {
 		t.Fatal("block 1 did not commit on the follower")
 	}
-	effs, v := handle(consensus.FromClient(1), fresh)
+	effs, v := handle(consensus.FromClient(), fresh)
 	if v != 1 {
 		t.Fatalf("Prop for a committed digest: %d verifications, want 1", v)
 	}
@@ -72,7 +72,7 @@ func TestFollowerDoesNotVerifyProps(t *testing.T) {
 	forged := *fresh
 	forged.Sig = append([]byte(nil), fresh.Sig...)
 	forged.Sig[0] ^= 0xff
-	if effs, v := handle(consensus.FromClient(1), &forged); len(effs) != 0 || v != 1 {
+	if effs, v := handle(consensus.FromClient(), &forged); len(effs) != 0 || v != 1 {
 		t.Fatalf("forged Prop for a committed digest: %d effects, %d verifications, want 0 and 1", len(effs), v)
 	}
 }
@@ -99,17 +99,17 @@ func TestDeposedLeaderForwardsClientProps(t *testing.T) {
 		t.Fatal("at genesis only server 1 has led")
 	}
 	prop := r.clientProp(1)
-	if effs, _ := handle(consensus.FromClient(1), prop); len(effs) != 0 {
+	if effs, _ := handle(consensus.FromClient(), prop); len(effs) != 0 {
 		t.Fatalf("client Prop at a follower that never led: %#v, want no effects", effs)
 	}
 
 	node.led = true // as if it had led an earlier view
-	r.exec(deposed, node.OnMessage(r.now, consensus.FromClient(1), prop))
+	r.exec(deposed, node.OnMessage(r.now, consensus.FromClient(), prop))
 	if sent != 1 || len(r.held) != 1 || r.held[0].from != deposed || r.held[0].to != 1 {
 		t.Fatalf("client Prop at a deposed leader: %d sends, held %+v, want one to leader 1", sent, r.held)
 	}
 	// Unverified: the leader verifies what it orders.
-	if _, v := handle(consensus.FromClient(1), prop); v != 0 {
+	if _, v := handle(consensus.FromClient(), prop); v != 0 {
 		t.Fatalf("forwarding cost %d verifications, want 0", v)
 	}
 	// A copy relayed by a server is dropped, not relayed again.
@@ -119,13 +119,13 @@ func TestDeposedLeaderForwardsClientProps(t *testing.T) {
 	// Syncing, it passes the proposal on at once too: stashed and replayed
 	// after the sync, the copy could trail its own commit by far more.
 	node.syncing = true
-	effs := node.OnMessage(r.now, consensus.FromClient(1), prop)
+	effs := node.OnMessage(r.now, consensus.FromClient(), prop)
 	if fwd, ok := oneSend(effs); !ok || fwd.To != 1 || len(node.syncStash) != 0 {
 		t.Fatalf("client Prop at a syncing deposed leader: %#v, stash %d, want one forward and no stash", effs, len(node.syncStash))
 	}
 	node.syncing = false
 	// The leader never forwards: it orders.
-	effs = r.nodes[1].OnMessage(r.now, consensus.FromClient(1), prop)
+	effs = r.nodes[1].OnMessage(r.now, consensus.FromClient(), prop)
 	if len(effs) == 0 {
 		t.Fatal("the leader did nothing with a client Prop")
 	}
@@ -143,7 +143,7 @@ func TestLeaderDedupsBeforeVerifying(t *testing.T) {
 	const leader = types.ServerID(1)
 	r, handle := countingNode(t, 2, 4, leader) // β=2: one proposal stays queued
 	prop := r.clientProp(1)
-	if _, v := handle(consensus.FromClient(1), prop); v != 1 {
+	if _, v := handle(consensus.FromClient(), prop); v != 1 {
 		t.Fatalf("first copy: %d verifications, want 1", v)
 	}
 	for from := types.ServerID(2); from <= 4; from++ {

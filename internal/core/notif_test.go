@@ -91,7 +91,7 @@ func TestRenotifyCarriesCommittedStatus(t *testing.T) {
 	submit := func(seq int) *types.Prop {
 		prop := r.clientProp(seq)
 		for id := types.ServerID(4); id >= 1; id-- {
-			r.exec(id, r.nodes[id].OnMessage(r.now, consensus.FromClient(1), prop))
+			r.exec(id, r.nodes[id].OnMessage(r.now, consensus.FromClient(), prop))
 		}
 		return prop
 	}

@@ -193,7 +193,7 @@ func TestDuplicateProposals(t *testing.T) {
 			r := newRigDepth(t, 4, 1, 4)
 			prop := r.submit(1)
 			before := len(r.notifs[2])
-			r.exec(2, r.nodes[2].OnMessage(r.now, consensus.FromClient(1), prop))
+			r.exec(2, r.nodes[2].OnMessage(r.now, consensus.FromClient(), prop))
 			fresh := r.notifs[2][before:]
 			if len(fresh) != 1 || fresh[0].N != 1 {
 				t.Fatalf("follower re-notify = %+v, want one notif at seq 1", fresh)

@@ -402,7 +402,7 @@ func (rt *simRuntime) deliver(from sim.Addr, payload any, size int) {
 	cost := rt.c.Opts.Cost.MessageCost(size, nSigs, nTx)
 	origin := consensus.FromServer(types.ServerID(from.ID))
 	if from.Client {
-		origin = consensus.FromClient(types.ClientID(from.ID))
+		origin = consensus.FromClient()
 	}
 	rt.cpu.Schedule(cost, func() {
 		rt.execute(rt.replica.OnMessage(rt.now(), origin, msg))

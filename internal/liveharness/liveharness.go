@@ -128,13 +128,6 @@ func (s *server) deliver(env *transport.Envelope) {
 	}
 }
 
-// liveClient is one closed-loop workload client on its own transport.
-type liveClient struct {
-	id   types.ClientID
-	tr   *transport.Transport
-	host *runtime.ClientHost
-}
-
 // scheduledEvent is one timeline entry awaiting its wall-clock deadline.
 type scheduledEvent struct {
 	at time.Duration
@@ -147,9 +140,11 @@ type Env struct {
 	cfg Config
 
 	servers []*server
-	clients []*liveClient
 	peerMap map[types.ServerID]string
-	met     *harness.Metrics
+	// clients hosts every workload client on clientTr.
+	clientTr *transport.Transport
+	clients  *runtime.ClientHost
+	met      *harness.Metrics
 
 	events []scheduledEvent
 	stop   chan struct{}
@@ -169,8 +164,12 @@ var _ scenario.Environment = (*Env)(nil)
 
 // New builds a live cluster for the given (scenario-shaped) options. The
 // deployment registry derives from the same seed formula the simulator
-// uses, so both worlds run identical keys for identical specs. Servers
-// listen immediately but nothing runs until Start.
+// uses, so both worlds run identical keys for identical specs. Every
+// workload client runs on one runtime.ClientHost: one transport, one
+// listener and one fault layer, at whose address every replica registers
+// every client, so the cluster holds O(n) client connections however many
+// clients there are. Servers and the client host listen immediately but
+// nothing runs until Start.
 func New(o harness.Options, cfg Config) (*Env, error) {
 	o = o.WithDefaults()
 	cfg = cfg.withDefaults()
@@ -233,19 +232,18 @@ func New(o harness.Options, cfg Config) (*Env, error) {
 		addrs = append(addrs, s.addr)
 	}
 
-	// Clients, each on its own transport (the live counterpart of the
-	// simulator's client plane).
-	for i := 1; i <= o.Clients; i++ {
-		cid := types.ClientID(i)
-		tr := transport.NewClientTransport(cid)
-		tr.SetFaults(e.newLinkFaults(int64(1000 + i)))
-		lc := &liveClient{id: cid, tr: tr}
-		lc.host = runtime.NewClientHost(tr, addrs, dep.ClientConfig(cid))
-		e.clients = append(e.clients, lc)
-		if err := tr.Listen("127.0.0.1:0", lc.host.Deliver); err != nil {
-			e.Close()
-			return nil, fmt.Errorf("listen client %d: %w", cid, err)
-		}
+	// The transport is stamped with client 1's ID; a replica reads from it
+	// only that the sender is a client.
+	cfgs := make([]client.Config, o.Clients)
+	for i := range cfgs {
+		cfgs[i] = dep.ClientConfig(types.ClientID(i + 1))
+	}
+	e.clientTr = transport.NewClientTransport(1)
+	e.clientTr.SetFaults(e.newLinkFaults(1001))
+	e.clients = runtime.NewClientHost(e.clientTr, addrs, cfgs...)
+	if err := e.clientTr.Listen("127.0.0.1:0", e.clients.Deliver); err != nil {
+		e.Close()
+		return nil, fmt.Errorf("listen clients: %w", err)
 	}
 	return e, nil
 }
@@ -287,9 +285,7 @@ func (e *Env) Start() {
 	for _, s := range e.servers {
 		e.spawnRuntime(s)
 	}
-	for _, lc := range e.clients {
-		lc.host.Start()
-	}
+	e.clients.Start()
 
 	events := e.events
 	sort.SliceStable(events, func(i, j int) bool { return events[i].at < events[j].at })
@@ -347,14 +343,14 @@ func (e *Env) Close() {
 	close(e.stop)
 	e.wg.Wait()
 
-	for _, lc := range e.clients {
-		lc.host.Stop()
+	if e.clients != nil {
+		e.clients.Stop()
 	}
 	for _, s := range e.servers {
 		e.stopServer(s)
 	}
-	for _, lc := range e.clients {
-		e.retire(lc.tr)
+	if e.clientTr != nil {
+		e.retire(e.clientTr)
 	}
 	for _, s := range e.servers {
 		if s.adm != nil {
@@ -389,8 +385,8 @@ func (e *Env) spawnRuntime(s *server) {
 		// runtimes (including re-spawned ones) share the env's epoch.
 		Epoch: e.start,
 	})
-	for _, lc := range e.clients {
-		rt.RegisterClient(lc.id, lc.tr.Addr())
+	for i := 1; i <= e.dep.Opts.Clients; i++ {
+		rt.RegisterClient(types.ClientID(i), e.clientTr.Addr())
 	}
 	s.mu.Lock()
 	s.rt = rt
@@ -498,9 +494,7 @@ func (e *Env) SetFabric(f scenario.Fabric) {
 	for _, s := range e.servers {
 		e.shape(s, f)
 	}
-	for _, lc := range e.clients {
-		degrade(lc.tr.Faults(), f)
-	}
+	degrade(e.clientTr.Faults(), f)
 	e.cfg.Logf("live: fabric groups=%v degrade=%v", f.Groups, f.Degrade)
 }
 
@@ -537,11 +531,7 @@ func (e *Env) Metrics() *harness.Metrics { return e.met }
 
 // ClientStats returns every workload client's statistics so far.
 func (e *Env) ClientStats() []client.Stats {
-	stats := make([]client.Stats, len(e.clients))
-	for i, lc := range e.clients {
-		stats[i] = lc.host.Stats()
-	}
-	return stats
+	return e.clients.Stats()
 }
 
 // Traffic totals what every transport of the run sent, retired ones included.
@@ -560,11 +550,9 @@ func (e *Env) Traffic() (msgs, bytes uint64) {
 		}
 	}
 	if !closed {
-		for _, lc := range e.clients {
-			ts := lc.tr.Stats()
-			st.Sent += ts.Sent
-			st.Bytes += ts.Bytes
-		}
+		ts := e.clientTr.Stats()
+		st.Sent += ts.Sent
+		st.Bytes += ts.Bytes
 	}
 	return st.Sent, st.Bytes
 }

@@ -289,7 +289,7 @@ func (rt *Runtime) Run() {
 			case inboundEvent:
 				origin := consensus.FromServer(e.env.FromServer)
 				if e.env.FromClient != 0 {
-					origin = consensus.FromClient(e.env.FromClient)
+					origin = consensus.FromClient()
 				}
 				rt.execute(rt.cfg.Replica.OnMessage(rt.now(), origin, e.env.Msg))
 			case timerEvent:
