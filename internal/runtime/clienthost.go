@@ -132,9 +132,7 @@ func (hc *hostedClient) routeTo(msg types.Message) {
 	}
 	h := hc.h
 	h.mu.Lock()
-	if h.routes[hc.route] == hc {
-		delete(h.routes, hc.route)
-	}
+	delete(h.routes, hc.route) // a digest names its client, so the entry is hc's
 	h.routes[d] = hc
 	h.mu.Unlock()
 	hc.route = d
