@@ -5,7 +5,7 @@ GO ?= go
 # against the last committed BENCH_*.json.
 BENCH_OUT ?= BENCH_PR36.json
 
-.PHONY: build test vet lint lint-tool bench bench-json bench-json-all bench-compare scenarios scenarios-live live-smoke fuzz fuzz-live fuzz-codec no-gob benchmark-smoke leader-crash-smoke cluster-smoke soak clean
+.PHONY: build test vet lint lint-tool bench examples bench-json bench-json-all bench-compare scenarios scenarios-live live-smoke fuzz fuzz-live fuzz-codec no-gob benchmark-smoke leader-crash-smoke cluster-smoke soak clean
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,14 @@ bench:
 	$(GO) test -bench DeliverToHandled -benchmem -benchtime 2000x -run '^$$' ./internal/runtime
 	$(GO) test -bench Alarm -benchmem -benchtime 20000x -run '^$$' ./internal/alarm
 	$(GO) test -bench LoadedHops -benchtime 1x -run '^$$' ./internal/liveharness
+
+# Run every example program; each must exit 0 (kvstore panics if its
+# replicas diverge). byzantine-demo simulates 150 s of a 16-server cluster
+# and takes about 90 s of wall clock on 2 vCPUs; the rest take seconds.
+examples:
+	@for ex in quickstart kvstore bank byzantine-demo; do \
+		echo "== examples/$$ex"; $(GO) run ./examples/$$ex || exit 1; \
+	done
 
 # Regenerate the bench trajectory exactly as CI's bench job runs it:
 # fig4c + pipeline sweep + the full chaos-scenario suite, one JSON document.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"prestigebft/internal/client"
 	"prestigebft/internal/crypto"
 	"prestigebft/internal/harness"
 	"prestigebft/internal/quorum"
@@ -126,8 +127,7 @@ func BenchmarkEndToEndCommitLatency(b *testing.B) {
 		})
 		c.Start()
 		c.Run(2 * time.Second)
-		c.CollectClientStats()
-		mean = c.Metrics.MeanLatency()
+		mean = client.MergeLatencies(c.ClientStats()).Mean()
 	}
 	b.ReportMetric(float64(mean.Microseconds())/1000, "commit_latency_ms")
 }

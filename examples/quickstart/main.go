@@ -21,11 +21,11 @@ func main() {
 	cluster.Start()
 	cluster.Run(2 * time.Second) // virtual time: completes in milliseconds
 
-	cluster.CollectClientStats()
 	m := cluster.Metrics
+	lat := prestigebft.MergeLatencies(cluster.ClientStats())
 	fmt.Printf("committed %d transactions in %d blocks\n", m.TotalTxs, len(m.Commits))
 	fmt.Printf("throughput: %.0f TPS, mean latency: %v\n",
-		m.TPS(0, prestigebft.VirtualTime(2*time.Second)), m.MeanLatency().Round(time.Millisecond))
+		m.TPS(0, prestigebft.VirtualTime(2*time.Second)), lat.Mean().Round(time.Millisecond))
 
 	// Every correct replica holds the same chain.
 	for _, node := range cluster.Nodes {

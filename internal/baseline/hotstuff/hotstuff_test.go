@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"prestigebft/internal/baseline/hotstuff"
+	"prestigebft/internal/client"
 	"prestigebft/internal/faults"
 	"prestigebft/internal/harness"
 	"prestigebft/internal/ledger"
@@ -39,8 +40,7 @@ func TestNormalOperationCommits(t *testing.T) {
 	if c.Metrics.TotalTxs == 0 {
 		t.Fatal("HotStuff committed nothing under normal operation")
 	}
-	c.CollectClientStats()
-	if len(c.Metrics.Latencies) == 0 {
+	if len(client.MergeLatencies(c.ClientStats())) == 0 {
 		t.Fatal("clients saw no commits")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"prestigebft/internal/baseline/sbft"
+	"prestigebft/internal/client"
 	"prestigebft/internal/harness"
 	"prestigebft/internal/ledger"
 	"prestigebft/internal/types"
@@ -29,8 +30,7 @@ func TestFastPathCommits(t *testing.T) {
 	if c.Metrics.TotalTxs == 0 {
 		t.Fatal("SBFT fast path committed nothing")
 	}
-	c.CollectClientStats()
-	if len(c.Metrics.Latencies) == 0 {
+	if len(client.MergeLatencies(c.ClientStats())) == 0 {
 		t.Fatal("clients saw no commits")
 	}
 }

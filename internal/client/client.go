@@ -27,6 +27,7 @@
 package client
 
 import (
+	"slices"
 	"time"
 
 	"prestigebft/internal/crypto"
@@ -55,6 +56,41 @@ type Stats struct {
 	// Acked is the timestamp of the last request f+1 servers acknowledged,
 	// accepted or rejected; 0 before the first.
 	Acked int64
+}
+
+// Latencies are request latencies in ascending order.
+type Latencies []time.Duration
+
+// MergeLatencies merges the latencies of every client into one sorted slice,
+// for any number of Percentile and Mean reads.
+func MergeLatencies(stats []Stats) Latencies {
+	var ls Latencies
+	for _, st := range stats {
+		ls = append(ls, st.Latencies...)
+	}
+	slices.Sort(ls)
+	return ls
+}
+
+// Percentile returns the p-th percentile (0-100): the sample at index
+// ⌊p/100·(n−1)⌋, or 0 with no samples.
+func (ls Latencies) Percentile(p float64) time.Duration {
+	if len(ls) == 0 {
+		return 0
+	}
+	return ls[int(p/100*float64(len(ls)-1))]
+}
+
+// Mean returns the average latency, or 0 with no samples.
+func (ls Latencies) Mean() time.Duration {
+	if len(ls) == 0 {
+		return 0
+	}
+	var sum time.Duration
+	for _, l := range ls {
+		sum += l
+	}
+	return sum / time.Duration(len(ls))
 }
 
 // Config parameterizes a client.

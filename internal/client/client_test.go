@@ -1,6 +1,8 @@
 package client
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -484,5 +486,66 @@ func TestClientComplaintBackoff(t *testing.T) {
 	}
 	for _, d := range []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second, 2 * time.Second, 2 * time.Second} {
 		complainsAfter(t, c, env, d)
+	}
+}
+
+// TestMergeLatencies checks the merged set against the reference rule: copy
+// every client's samples, sort, read index ⌊p/100·(n−1)⌋, and divide the
+// integer sum by the count.
+func TestMergeLatencies(t *testing.T) {
+	ref := func(stats []Stats, p float64) (pct, mean time.Duration) {
+		var ls []time.Duration
+		for _, st := range stats {
+			ls = append(ls, st.Latencies...)
+		}
+		if len(ls) == 0 {
+			return 0, 0
+		}
+		sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+		var sum time.Duration
+		for _, l := range ls {
+			sum += l
+		}
+		return ls[int(p/100*float64(len(ls)-1))], sum / time.Duration(len(ls))
+	}
+	var many []time.Duration
+	for i := 0; i < 101; i++ {
+		many = append(many, time.Duration((i*37)%101)*time.Millisecond+time.Duration(i))
+	}
+	cases := []struct {
+		name  string
+		stats []Stats
+	}{
+		{"no clients", nil},
+		{"no samples", []Stats{{}, {}}},
+		{"one sample", []Stats{{Latencies: []time.Duration{7 * time.Millisecond}}}},
+		{"several clients", []Stats{
+			{Latencies: []time.Duration{3, 1, 2}},
+			{},
+			{Latencies: []time.Duration{5, 4, 4}},
+		}},
+		{"uneven mean", []Stats{{Latencies: []time.Duration{1, 2}}, {Latencies: []time.Duration{2}}}},
+		{"101 samples", []Stats{{Latencies: many[:40]}, {Latencies: many[40:]}}},
+	}
+	for _, tc := range cases {
+		before := make([][]time.Duration, len(tc.stats))
+		for i, st := range tc.stats {
+			before[i] = append([]time.Duration(nil), st.Latencies...)
+		}
+		ls := MergeLatencies(tc.stats)
+		for _, p := range []float64{0, 50, 95, 99, 100} {
+			want, wantMean := ref(tc.stats, p)
+			if got := ls.Percentile(p); got != want {
+				t.Errorf("%s: p%v = %v, want %v", tc.name, p, got, want)
+			}
+			if got := ls.Mean(); got != wantMean {
+				t.Errorf("%s: mean = %v, want %v", tc.name, got, wantMean)
+			}
+		}
+		for i, st := range tc.stats {
+			if !slices.Equal(st.Latencies, before[i]) {
+				t.Errorf("%s: client %d's latencies reordered to %v", tc.name, i, st.Latencies)
+			}
+		}
 	}
 }

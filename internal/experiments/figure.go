@@ -8,6 +8,7 @@ package experiments
 import (
 	"time"
 
+	"prestigebft/internal/client"
 	"prestigebft/internal/harness"
 	"prestigebft/internal/scenario"
 	"prestigebft/internal/sim"
@@ -53,9 +54,8 @@ func cell(label string, opts harness.Options, warmup, span time.Duration, read f
 func steadyCell(label string, opts harness.Options, warmup, span time.Duration) *scenario.Scenario {
 	return cell(label, opts, warmup, warmup+span, func(env scenario.Environment) func() []harness.Row {
 		return func() []harness.Row {
-			met := env.Metrics()
-			tps := met.TPS(sim.Duration(warmup), sim.Duration(warmup+span))
-			return []harness.Row{row(label, "tps", tps, "latency_ms", met.MeanLatency())}
+			tps := env.Metrics().TPS(sim.Duration(warmup), sim.Duration(warmup+span))
+			return []harness.Row{row(label, "tps", tps, "latency_ms", client.MergeLatencies(env.ClientStats()).Mean())}
 		}
 	})
 }

@@ -32,7 +32,8 @@ const (
 	// proof-of-work whose difficulty grows with every suspicion, and the
 	// penalties never decrease. The paper presents PrestigeBFT's reputation
 	// engine as a generalization of them, so its factory row is PrestigeBFT's
-	// with an engine that never compensates (Cδ = 0) and no refresh.
+	// with an engine that never compensates (Cδ = 0); like every harness
+	// deployment, it never refreshes (§4.2.5).
 	// Prosecutor's conf_QC-free campaigns and its replication without the
 	// up-to-date-leader guarantee are not modeled.
 	Prosecutor Protocol = "prosecutor"
@@ -68,7 +69,6 @@ var protocolFactories = map[Protocol]ReplicaFactory{
 		// An S2 attacker's gate reads the engine's result, not the engine
 		// attackerLevers installed, so swapping the engine keeps it.
 		cfg.Engine = &reputation.Engine{CDelta: 0}
-		cfg.RefreshThreshold = 0
 		return core.New(cfg)
 	},
 	HotStuff: func(env FactoryEnv) consensus.Replica {
@@ -114,7 +114,6 @@ func prestigeConfig(env FactoryEnv) core.Config {
 		TimeoutMin:         o.TimeoutMin,
 		TimeoutMax:         o.TimeoutMax,
 		ViewPolicy:         o.ViewPolicy,
-		RefreshThreshold:   o.RefreshThreshold,
 		PuzzleBitsPerRP:    env.PuzzleBits,
 		RNG:                env.RNG,
 		StateMachine:       newStateMachine(o),
@@ -192,8 +191,6 @@ type Options struct {
 	// complains after its own smoothed latency plus four deviations,
 	// floored at 500 ms and capped here. Default 2 s.
 	ClientTimeout time.Duration
-	// RefreshThreshold is π; zero disables refreshes.
-	RefreshThreshold int64
 
 	// Faults assigns Byzantine behavior per server.
 	Faults map[types.ServerID]faults.Spec
@@ -330,10 +327,6 @@ func (c *Cluster) Run(d time.Duration) { c.Sched.RunFor(d) }
 
 // Now returns the current virtual time.
 func (c *Cluster) Now() sim.Time { return c.Sched.Now() }
-
-// CollectClientStats folds client latencies into the metrics. Call after a
-// run, before reading latency aggregates.
-func (c *Cluster) CollectClientStats() { c.Metrics.SetClientStats(c.ClientStats()) }
 
 // ClientStats returns every workload client's statistics so far.
 func (c *Cluster) ClientStats() []client.Stats {

@@ -19,7 +19,6 @@ func run(t *testing.T, opts Options, d time.Duration) *Cluster {
 	c := NewCluster(opts)
 	c.Start()
 	c.Run(d)
-	c.CollectClientStats()
 	return c
 }
 
@@ -59,7 +58,7 @@ func TestNormalOperationCommits(t *testing.T) {
 	if c.Metrics.Elections != 0 {
 		t.Errorf("elections = %d under correct leader, want 0", c.Metrics.Elections)
 	}
-	if len(c.Metrics.Latencies) == 0 {
+	if len(client.MergeLatencies(c.ClientStats())) == 0 {
 		t.Fatal("clients observed no commits")
 	}
 }
@@ -380,7 +379,6 @@ func TestMetricsAggregation(t *testing.T) {
 	// scenario engine samples: the same 1000 blocks committed by four
 	// goroutines count once each and aggregate to what one reporter gives.
 	var clock atomic.Int64
-	lats := []client.Stats{{Latencies: []time.Duration{3, 1, 2}}, {Latencies: []time.Duration{5, 4}}}
 	collect := func(reporters int) *Metrics {
 		m := NewMetrics(func() sim.Time { return sim.Time(clock.Load()) })
 		for phase, at := range []time.Duration{500 * time.Millisecond, 1500 * time.Millisecond} {
@@ -393,8 +391,6 @@ func TestMetricsAggregation(t *testing.T) {
 					for n := phase*500 + 1; n <= phase*500+500; n++ {
 						m.OnCommit(mkBlock(types.SeqNum(n), n%7))
 						m.OnTrace(consensus.Trace{Event: consensus.TraceSyncUp})
-						m.SetClientStats(lats)
-						m.LatencyPercentile(99)
 					}
 				}()
 			}
@@ -412,8 +408,5 @@ func TestMetricsAggregation(t *testing.T) {
 		if got, want := four.TPS(from, to), one.TPS(from, to); got != want || want == 0 {
 			t.Fatalf("TPS(%v, %v) = %v with 4 reporters, %v with 1", w[0], w[1], got, want)
 		}
-	}
-	if got, want := four.LatencyPercentile(50), one.LatencyPercentile(50); got != want || want != 3 {
-		t.Fatalf("p50 latency = %v with 4 reporters, %v with 1, want 3ns", got, want)
 	}
 }

@@ -1,17 +1,16 @@
 // Package harness builds PrestigeBFT (and baseline) deployments, hosts them
 // on the discrete-event engine, and collects the measurements the paper's
-// figures report: throughput, latency, view changes, split votes,
-// reputation-penalty series, and availability. The deployment builder and
+// figures report: throughput, view changes, split votes, reputation-penalty
+// series, and availability. Client latency stays in each client's
+// client.Stats (client.MergeLatencies reads it). The deployment builder and
 // the collector are world-independent: internal/liveharness hosts the same
 // Deployment on TCP and feeds the same Metrics.
 package harness
 
 import (
-	"sort"
 	"sync"
 	"time"
 
-	"prestigebft/internal/client"
 	"prestigebft/internal/consensus"
 	"prestigebft/internal/sim"
 	"prestigebft/internal/types"
@@ -38,14 +37,14 @@ type LeaderPoint struct {
 	Leader types.ServerID
 }
 
-// Metrics aggregates everything observable from one run, simulated or live.
-// Times are offsets from cluster start on the injected clock: virtual time
-// on the simulator, wall time since the environment's epoch on a live
-// cluster. Every method locks, because a live cluster reports from one event
-// loop per replica; on the simulator the lock is never contended. The
-// exported fields are for reading once nothing reports any more (between the
-// simulator's Run calls, or after a live environment closed); a reader that
-// shares the run with its writers goes through the methods.
+// Metrics is the run's collector of commits and protocol traces, simulated
+// or live. Times are offsets from cluster start on the injected clock:
+// virtual time on the simulator, wall time since the environment's epoch on
+// a live cluster. Every method locks, because a live cluster reports from
+// one event loop per replica; on the simulator the lock is never contended.
+// The exported fields are for reading once nothing reports any more
+// (between the simulator's Run calls, or after a live environment closed); a
+// reader that shares the run with its writers goes through the methods.
 type Metrics struct {
 	now func() sim.Time
 
@@ -58,18 +57,12 @@ type Metrics struct {
 	Candidacies        int
 	Elections          int
 	SplitVotes         int
-	Refreshes          int
 	SyncUps            int
 	Checkpoints        int
 	SnapshotInstalls   int
 
 	RPSeries map[types.ServerID][]RPPoint
 	Leaders  []LeaderPoint
-
-	// Latencies are client-observed request latencies.
-	Latencies []time.Duration
-	// Complaints counts client complaints.
-	Complaints int
 }
 
 // NewMetrics creates a collector that stamps events with now.
@@ -84,7 +77,6 @@ func NewMetrics(now func() sim.Time) *Metrics {
 // Counters is a copy of the collector's protocol counters.
 type Counters struct {
 	Commits            int // committed blocks
-	TotalTxs           int
 	ViewChangesStarted int
 	Elections          int
 	SyncUps            int
@@ -99,7 +91,6 @@ func (m *Metrics) Counters() Counters {
 	defer m.mu.Unlock()
 	return Counters{
 		Commits:            len(m.Commits),
-		TotalTxs:           m.TotalTxs,
 		ViewChangesStarted: m.ViewChangesStarted,
 		Elections:          m.Elections,
 		SyncUps:            m.SyncUps,
@@ -137,28 +128,12 @@ func (m *Metrics) OnTrace(tr consensus.Trace) {
 		m.SplitVotes++
 	case consensus.TraceRPChange:
 		m.RPSeries[tr.Server] = append(m.RPSeries[tr.Server], RPPoint{At: m.now(), View: tr.View, RP: tr.Value})
-	case consensus.TraceRefresh:
-		m.Refreshes++
 	case consensus.TraceSyncUp:
 		m.SyncUps++
 	case consensus.TraceCheckpoint:
 		m.Checkpoints++
 	case consensus.TraceSnapshotInstall:
 		m.SnapshotInstalls++
-	}
-}
-
-// SetClientStats replaces the client-side aggregates (Latencies,
-// Complaints) with the fold of the given clients' statistics. Call it after
-// a run — or at a sampling point of one — before reading latency aggregates.
-func (m *Metrics) SetClientStats(stats []client.Stats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.Latencies = m.Latencies[:0]
-	m.Complaints = 0
-	for _, st := range stats {
-		m.Latencies = append(m.Latencies, st.Latencies...)
-		m.Complaints += st.Complaints
 	}
 }
 
@@ -222,33 +197,6 @@ func (m *Metrics) Availability(until sim.Time, window time.Duration) float64 {
 		}
 	}
 	return float64(n) / float64(nw)
-}
-
-// LatencyPercentile returns the p-th percentile (0-100) client latency.
-func (m *Metrics) LatencyPercentile(p float64) time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.Latencies) == 0 {
-		return 0
-	}
-	ls := append([]time.Duration(nil), m.Latencies...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-	idx := int(p / 100 * float64(len(ls)-1))
-	return ls[idx]
-}
-
-// MeanLatency returns the average client latency.
-func (m *Metrics) MeanLatency() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.Latencies) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, l := range m.Latencies {
-		sum += l
-	}
-	return sum / time.Duration(len(m.Latencies))
 }
 
 // LeaderShare returns, per server, the fraction of installed views it led —

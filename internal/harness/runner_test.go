@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"prestigebft/internal/client"
 	"prestigebft/internal/sim"
 )
 
@@ -26,9 +27,8 @@ func smallGrid(workers int) *Grid {
 			c := NewCluster(Options{N: 4, Clients: 8, BatchSize: 8, Seed: int64(100 + i)})
 			c.Start()
 			c.Run(500 * time.Millisecond)
-			c.CollectClientStats()
 			tps := c.Metrics.TPS(sim.Duration(100*time.Millisecond), sim.Duration(500*time.Millisecond))
-			return []Row{NewRow(fmt.Sprintf("cell%d", i), "tps", tps, "latency_ms", c.Metrics.MeanLatency())}
+			return []Row{NewRow(fmt.Sprintf("cell%d", i), "tps", tps, "latency_ms", client.MergeLatencies(c.ClientStats()).Mean())}
 		})
 	}
 	return g

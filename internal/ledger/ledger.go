@@ -77,7 +77,6 @@ func (s *AcceptAll) RestoreState(data []byte) error {
 type Store struct {
 	txBlocks []*types.TxBlock // [0] is the anchor at LogBase()
 	vcBlocks []*types.VcBlock // ordered by view; [0] is genesis (view 1)
-	vcByView map[types.View]int
 
 	// ckpt is the latest certified checkpoint (the log base's certificate)
 	// and ckptState the encoded application state it covers — retained so
@@ -102,15 +101,12 @@ func NewStore(n int, initialLeader types.ServerID, sm StateMachine) *Store {
 		sm = &AcceptAll{}
 	}
 	s := &Store{
-		vcByView: make(map[types.View]int),
-		clients:  make(map[types.ClientID]LastRequest),
-		sm:       sm,
-		n:        n,
+		clients: make(map[types.ClientID]LastRequest),
+		sm:      sm,
+		n:       n,
 	}
 	s.txBlocks = append(s.txBlocks, types.GenesisTxBlock())
-	gvc := types.GenesisVcBlock(n, initialLeader, 1, 1)
-	s.vcBlocks = append(s.vcBlocks, gvc)
-	s.vcByView[gvc.V] = 0
+	s.vcBlocks = append(s.vcBlocks, types.GenesisVcBlock(n, initialLeader, 1, 1))
 	return s
 }
 
@@ -239,15 +235,6 @@ func (s *Store) CurrentView() types.View { return s.LatestVcBlock().V }
 // CurrentLeader returns the leader of the current view.
 func (s *Store) CurrentLeader() types.ServerID { return s.LatestVcBlock().LeaderID }
 
-// VcBlockAt returns the vcBlock for an exact view, or nil.
-func (s *Store) VcBlockAt(v types.View) *types.VcBlock {
-	i, ok := s.vcByView[v]
-	if !ok {
-		return nil
-	}
-	return s.vcBlocks[i]
-}
-
 // AppendVcBlock validates and appends a view-change result. Views may skip
 // numbers (campaigns increment beyond V+1 after split votes), but must be
 // strictly increasing.
@@ -265,7 +252,6 @@ func (s *Store) AppendVcBlock(reg *crypto.Registry, b *types.VcBlock) error {
 	cp := *b
 	cp.RP, cp.CI = b.CloneReputation()
 	s.vcBlocks = append(s.vcBlocks, &cp)
-	s.vcByView[cp.V] = len(s.vcBlocks) - 1
 	return nil
 }
 

@@ -42,9 +42,6 @@ func NewCollector(kind types.QCKind, view types.View, seq types.SeqNum, digest t
 // Statement returns the canonical statement bytes signers must sign.
 func (c *Collector) Statement() []byte { return c.stmt }
 
-// Threshold returns the number of distinct signers required.
-func (c *Collector) Threshold() int { return c.threshold }
-
 // Count returns the number of valid signatures collected so far.
 func (c *Collector) Count() int { return len(c.signers) }
 

@@ -121,11 +121,9 @@ type fileDegrade struct {
 
 type fileInvariants struct {
 	RecoverWithin     jsonDur        `json:"recover_within,omitempty"`
-	RecoveryFraction  float64        `json:"recovery_fraction,omitempty"`
 	RequireViewChange bool           `json:"require_view_change,omitempty"`
 	RequireSyncUp     bool           `json:"require_sync_up,omitempty"`
 	CatchUpServer     types.ServerID `json:"catch_up_server,omitempty"`
-	CatchUpLag        types.SeqNum   `json:"catch_up_lag,omitempty"`
 	StallFrom         jsonDur        `json:"stall_from,omitempty"`
 	StallTo           jsonDur        `json:"stall_to,omitempty"`
 	RequireCheckpoint bool           `json:"require_checkpoint,omitempty"`
@@ -167,11 +165,9 @@ func MarshalScenario(s *Scenario) ([]byte, error) {
 		},
 		Invariants: fileInvariants{
 			RecoverWithin:     jsonDur(s.Invariants.RecoverWithin),
-			RecoveryFraction:  s.Invariants.RecoveryFraction,
 			RequireViewChange: s.Invariants.RequireViewChange,
 			RequireSyncUp:     s.Invariants.RequireSyncUp,
 			CatchUpServer:     s.Invariants.CatchUpServer,
-			CatchUpLag:        s.Invariants.CatchUpLag,
 			StallFrom:         jsonDur(s.Invariants.StallFrom),
 			StallTo:           jsonDur(s.Invariants.StallTo),
 			RequireCheckpoint: s.Invariants.RequireCheckpoint,
@@ -241,11 +237,9 @@ func UnmarshalScenario(data []byte) (*Scenario, error) {
 		},
 		Invariants: Invariants{
 			RecoverWithin:     time.Duration(fs.Invariants.RecoverWithin),
-			RecoveryFraction:  fs.Invariants.RecoveryFraction,
 			RequireViewChange: fs.Invariants.RequireViewChange,
 			RequireSyncUp:     fs.Invariants.RequireSyncUp,
 			CatchUpServer:     fs.Invariants.CatchUpServer,
-			CatchUpLag:        fs.Invariants.CatchUpLag,
 			StallFrom:         time.Duration(fs.Invariants.StallFrom),
 			StallTo:           time.Duration(fs.Invariants.StallTo),
 			RequireCheckpoint: fs.Invariants.RequireCheckpoint,

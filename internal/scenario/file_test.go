@@ -43,11 +43,9 @@ func fullScenario() *Scenario {
 		},
 		Invariants: Invariants{
 			RecoverWithin:     15 * time.Second,
-			RecoveryFraction:  0.4,
 			RequireViewChange: true,
 			RequireSyncUp:     true,
 			CatchUpServer:     2,
-			CatchUpLag:        3,
 			StallFrom:         5500 * time.Millisecond,
 			StallTo:           7 * time.Second,
 			RequireCheckpoint: true,

@@ -28,15 +28,10 @@ type Report struct {
 	// declared fraction of steady state; -1 when not measured or never.
 	Recovery time.Duration
 
-	Commits     int
-	TotalTxs    int
-	ViewChanges int
-	Elections   int
-	SyncUps     int
-	Checkpoints int
-	Snapshots   int
-	Msgs        uint64
-	Bytes       uint64
+	// Counters are the collector's protocol counters at the end of the run;
+	// Msgs and Bytes are the traffic the replicas sent.
+	harness.Counters
+	Msgs, Bytes uint64
 
 	Violations []string
 
@@ -66,11 +61,11 @@ func (r *Report) Row() harness.Row {
 		"p95_ms", float64(r.P95.Microseconds())/1000,
 		"p99_ms", float64(r.P99.Microseconds())/1000,
 		"recovery_s", rec,
-		"view_changes", float64(r.ViewChanges),
+		"view_changes", float64(r.ViewChangesStarted),
 		"elections", float64(r.Elections),
 		"sync_ups", float64(r.SyncUps),
 		"checkpoints", float64(r.Checkpoints),
-		"snapshots", float64(r.Snapshots),
+		"snapshots", float64(r.SnapshotInstalls),
 		"msgs", float64(r.Msgs),
 		"mbytes", float64(r.Bytes)/(1<<20),
 	)

@@ -41,22 +41,17 @@ import (
 // opt-in.
 type Invariants struct {
 	// RecoverWithin bounds the liveness recovery time: after the last event
-	// fires, windowed throughput must return to RecoveryFraction of the
+	// fires, windowed throughput must return to recoveryFraction of the
 	// steady-state level within this duration. Zero skips the check.
 	RecoverWithin time.Duration
-	// RecoveryFraction is the fraction of steady-state TPS that counts as
-	// recovered. Zero means 0.3.
-	RecoveryFraction float64
 	// RequireViewChange asserts at least one election completed (scenarios
 	// that kill or degrade the leader must dethrone it).
 	RequireViewChange bool
 	// RequireSyncUp asserts the state-transfer path (§4.2.3) ran.
 	RequireSyncUp bool
 	// CatchUpServer, when nonzero, asserts that server's chain ends within
-	// CatchUpLag blocks of the highest chain (late-joiner catch-up).
+	// catchUpLag blocks of the highest chain (late-joiner catch-up).
 	CatchUpServer types.ServerID
-	// CatchUpLag is the allowed height gap for CatchUpServer. Zero means 2.
-	CatchUpLag types.SeqNum
 	// StallFrom/StallTo assert that NO block commits inside (StallFrom,
 	// StallTo]. Majority-partition scenarios use it: a commit while no side
 	// holds a quorum would reveal a quorum-intersection bug, the most
@@ -124,30 +119,24 @@ type Event struct {
 	Action Action
 }
 
-// recoveryWindow is the throughput-measurement window of the liveness check:
-// recovery is declared at the first window whose TPS reaches the target
-// fraction of steady state.
-const recoveryWindow = time.Second
+const (
+	// recoveryWindow is the throughput-measurement window of the liveness
+	// check: recovery is declared at the first window whose TPS reaches
+	// recoveryFraction of steady state.
+	recoveryWindow = time.Second
+	// recoveryFraction is the fraction of steady-state TPS that counts as
+	// recovered.
+	recoveryFraction = 0.3
+	// catchUpLag is the height gap Invariants.CatchUpServer may end behind
+	// the highest chain.
+	catchUpLag types.SeqNum = 2
+)
 
 func (s *Scenario) warmup() time.Duration {
 	if s.Warmup == 0 {
 		return 2 * time.Second
 	}
 	return s.Warmup
-}
-
-func (s *Scenario) recoveryFraction() float64 {
-	if f := s.Invariants.RecoveryFraction; f > 0 {
-		return f
-	}
-	return 0.3
-}
-
-func (s *Scenario) catchUpLag() types.SeqNum {
-	if s.Invariants.CatchUpLag > 0 {
-		return s.Invariants.CatchUpLag
-	}
-	return 2
 }
 
 // lastEventAt returns the fire time of the final event (0 with no events).
@@ -298,8 +287,7 @@ func (s *Scenario) RunWith(newEnv func(harness.Options) (Environment, error)) *R
 		scrapes.steady = me.ScrapeAll()
 	}
 	if s.Invariants.MaxP99Factor > 0 {
-		met.SetClientStats(env.ClientStats())
-		rep.SteadyP99 = met.LatencyPercentile(99)
+		rep.SteadyP99 = client.MergeLatencies(env.ClientStats()).Percentile(99)
 	}
 	env.RunUntil(s.Span)
 	if scrapes != nil {
@@ -323,18 +311,9 @@ func (s *Scenario) evaluate(env Environment, rep *Report) {
 	dep, met := env.Deployment(), env.Metrics()
 	tps := func(from, to time.Duration) float64 { return met.TPS(sim.Duration(from), sim.Duration(to)) }
 	stats := env.ClientStats()
-	met.SetClientStats(stats)
-	rep.P50 = met.LatencyPercentile(50)
-	rep.P95 = met.LatencyPercentile(95)
-	rep.P99 = met.LatencyPercentile(99)
-	c := met.Counters()
-	rep.Commits = c.Commits
-	rep.TotalTxs = c.TotalTxs
-	rep.ViewChanges = c.ViewChangesStarted
-	rep.Elections = c.Elections
-	rep.SyncUps = c.SyncUps
-	rep.Checkpoints = c.Checkpoints
-	rep.Snapshots = c.SnapshotInstalls
+	lat := client.MergeLatencies(stats)
+	rep.P50, rep.P95, rep.P99 = lat.Percentile(50), lat.Percentile(95), lat.Percentile(99)
+	rep.Counters = met.Counters()
 	rep.Msgs, rep.Bytes = env.Traffic()
 	lastAt := s.lastEventAt()
 	rep.FinalTPS = tps(lastAt, s.Span)
@@ -347,7 +326,7 @@ func (s *Scenario) evaluate(env Environment, rep *Report) {
 	inv := s.Invariants
 	slack, margin := env.Timing()
 	if inv.RecoverWithin > 0 {
-		target := s.recoveryFraction() * rep.SteadyTPS
+		target := recoveryFraction * rep.SteadyTPS
 		const step = 250 * time.Millisecond
 		for t := lastAt; t+recoveryWindow <= s.Span; t += step {
 			if tps(t, t+recoveryWindow) >= target {
@@ -363,7 +342,7 @@ func (s *Scenario) evaluate(env Environment, rep *Report) {
 		case rep.Recovery < 0:
 			rep.Violations = append(rep.Violations,
 				fmt.Sprintf("liveness: throughput never recovered to %.0f%% of steady state (%.0f tps) after the last event at %v",
-					s.recoveryFraction()*100, rep.SteadyTPS, lastAt))
+					recoveryFraction*100, rep.SteadyTPS, lastAt))
 		case rep.Recovery > bound:
 			rep.Violations = append(rep.Violations,
 				fmt.Sprintf("liveness: recovery took %v, bound is %v", rep.Recovery, bound))
@@ -390,7 +369,7 @@ func (s *Scenario) evaluate(env Environment, rep *Report) {
 	if inv.RequireCheckpoint && rep.Checkpoints == 0 {
 		rep.Violations = append(rep.Violations, "no checkpoint certificate assembled, but the scenario requires log compaction")
 	}
-	if inv.RequireSnapshot && rep.Snapshots == 0 {
+	if inv.RequireSnapshot && rep.SnapshotInstalls == 0 {
 		rep.Violations = append(rep.Violations, "no certified snapshot installed: catch-up replayed history instead of using the snapshot path")
 	}
 	if inv.MaxP99Factor > 0 {
@@ -424,10 +403,10 @@ func (s *Scenario) evaluate(env Environment, rep *Report) {
 		h, ok := dep.ChainHeight(id)
 		if !ok {
 			rep.Violations = append(rep.Violations, fmt.Sprintf("catch-up server %d is not a PrestigeBFT node", id))
-		} else if h+s.catchUpLag() < maxH {
+		} else if h+catchUpLag < maxH {
 			rep.Violations = append(rep.Violations,
 				fmt.Sprintf("catch-up: server %d ended at height %d, %d behind the head (%d); allowed lag %d",
-					id, h, maxH-h, maxH, s.catchUpLag()))
+					id, h, maxH-h, maxH, catchUpLag))
 		}
 	}
 }

@@ -15,6 +15,8 @@
 //	cluster.Start()
 //	cluster.Run(2 * time.Second) // two seconds of *virtual* time
 //	fmt.Println(cluster.Metrics.TotalTxs, "transactions committed")
+//	lat := prestigebft.MergeLatencies(cluster.ClientStats())
+//	fmt.Println("p99 latency:", lat.Percentile(99))
 //
 // The simulator runs a whole BFT deployment — servers, clients, network,
 // CPU costs, proof-of-work — inside one goroutine under a virtual clock, so
@@ -42,6 +44,7 @@ import (
 	"sort"
 	"time"
 
+	"prestigebft/internal/client"
 	"prestigebft/internal/core"
 	"prestigebft/internal/experiments"
 	"prestigebft/internal/faults"
@@ -92,8 +95,12 @@ type (
 	ClusterOptions = harness.Options
 	// Cluster is a simulated deployment.
 	Cluster = harness.Cluster
-	// Metrics aggregates a run's measurements.
+	// Metrics collects a run's commits and protocol traces.
 	Metrics = harness.Metrics
+	// ClientStats is one client's results, latencies included.
+	ClientStats = client.Stats
+	// Latencies are client latencies in ascending order.
+	Latencies = client.Latencies
 
 	// NodeConfig parameterizes a single PrestigeBFT node for embedding in
 	// custom runtimes.
@@ -126,6 +133,10 @@ const (
 
 // NewSimCluster builds a simulated cluster. Call Start, then Run.
 func NewSimCluster(opts ClusterOptions) *Cluster { return harness.NewCluster(opts) }
+
+// MergeLatencies merges the latencies of every client (Cluster.ClientStats)
+// into one sorted set, for its Percentile and Mean.
+func MergeLatencies(stats []ClientStats) Latencies { return client.MergeLatencies(stats) }
 
 // NewReputationEngine returns a reputation engine with the paper's defaults
 // (Cδ = 1).
