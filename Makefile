@@ -3,7 +3,7 @@ GO ?= go
 # The committed bench-trajectory document for this PR sequence. CI's bench
 # job regenerates the same document and gates on >10% throughput regressions
 # against the last committed BENCH_*.json.
-BENCH_OUT ?= BENCH_PR36.json
+BENCH_OUT ?= BENCH_PR42.json
 
 .PHONY: build test vet lint lint-tool bench examples bench-json bench-json-all bench-compare scenarios scenarios-live live-smoke fuzz fuzz-live fuzz-codec no-gob benchmark-smoke leader-crash-smoke cluster-smoke soak clean
 
@@ -45,6 +45,7 @@ test-short:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 	$(GO) test -bench DeliverToHandled -benchmem -benchtime 2000x -run '^$$' ./internal/runtime
+	$(GO) test -bench EncodeFrame -benchmem -benchtime 20000x -run '^$$' ./internal/transport
 	$(GO) test -bench Alarm -benchmem -benchtime 20000x -run '^$$' ./internal/alarm
 	$(GO) test -bench LoadedHops -benchtime 1x -run '^$$' ./internal/liveharness
 

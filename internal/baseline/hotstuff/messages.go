@@ -6,11 +6,6 @@ import (
 	"prestigebft/internal/types"
 )
 
-const (
-	sigSize    = 64
-	headerSize = 16
-)
-
 // Prepare is the leader's proposal for one decision.
 type Prepare struct {
 	From types.ServerID
@@ -27,17 +22,8 @@ type Prepare struct {
 	Sig     []byte
 }
 
-// WireSize implements types.Message.
-func (m *Prepare) WireSize() int {
-	size := headerSize + 2 + 8 + 8 + 32 + sigSize
-	for i := range m.Txs {
-		size += 16 + len(m.Txs[i].Data)
-	}
-	if !m.Justify.IsZero() {
-		size += m.Justify.Size()
-	}
-	return size
-}
+// ProtocolMessage implements types.Message.
+func (*Prepare) ProtocolMessage() {}
 
 // Block returns the proposed block, without certificates.
 func (m *Prepare) Block() *types.TxBlock {
@@ -66,8 +52,8 @@ type Vote struct {
 	Sig   []byte
 }
 
-// WireSize implements types.Message.
-func (m *Vote) WireSize() int { return headerSize + 2 + 1 + 8 + 8 + 32 + sigSize }
+// ProtocolMessage implements types.Message.
+func (*Vote) ProtocolMessage() {}
 
 // SigningBytes implements types.Signed.
 func (m *Vote) SigningBytes() []byte {
@@ -87,10 +73,8 @@ type PhaseAnnounce struct {
 	Sig   []byte
 }
 
-// WireSize implements types.Message.
-func (m *PhaseAnnounce) WireSize() int {
-	return headerSize + 2 + 1 + 8 + 8 + m.QC.Size() + sigSize
-}
+// ProtocolMessage implements types.Message.
+func (*PhaseAnnounce) ProtocolMessage() {}
 
 // SigningBytes implements types.Signed.
 func (m *PhaseAnnounce) SigningBytes() []byte {
@@ -113,11 +97,8 @@ type Decide struct {
 	Sig   []byte
 }
 
-// WireSize implements types.Message.
-func (m *Decide) WireSize() int {
-	b := types.TxBlockMsg{Block: m.Block}
-	return b.WireSize()
-}
+// ProtocolMessage implements types.Message.
+func (*Decide) ProtocolMessage() {}
 
 // SigningBytes implements types.Signed.
 func (m *Decide) SigningBytes() []byte {
@@ -142,14 +123,8 @@ type NewView struct {
 	Sig    []byte
 }
 
-// WireSize implements types.Message.
-func (m *NewView) WireSize() int {
-	size := headerSize + 2 + 8 + 8 + sigSize
-	if m.Locked != nil {
-		size += m.Lock.Size() + (&types.TxBlockMsg{Block: *m.Locked}).WireSize()
-	}
-	return size
-}
+// ProtocolMessage implements types.Message.
+func (*NewView) ProtocolMessage() {}
 
 // SigningBytes implements types.Signed.
 func (m *NewView) SigningBytes() []byte {

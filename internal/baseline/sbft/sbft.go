@@ -88,17 +88,8 @@ type PrePrepare struct {
 	Sig    []byte
 }
 
-// WireSize implements types.Message.
-func (m *PrePrepare) WireSize() int {
-	size := 16 + 2 + 8 + 8 + 32 + 64
-	for i := range m.Txs {
-		size += 16 + len(m.Txs[i].Data)
-	}
-	if m.BlockV != 0 {
-		size += 8
-	}
-	return size
-}
+// ProtocolMessage implements types.Message.
+func (*PrePrepare) ProtocolMessage() {}
 
 // Block returns the proposed block, without certificates.
 func (m *PrePrepare) Block() *types.TxBlock {
@@ -127,8 +118,8 @@ type Share struct {
 	Sig   []byte
 }
 
-// WireSize implements types.Message.
-func (m *Share) WireSize() int { return 16 + 2 + 1 + 8 + 8 + 32 + 64 }
+// ProtocolMessage implements types.Message.
+func (*Share) ProtocolMessage() {}
 
 // SigningBytes implements types.Signed.
 func (m *Share) SigningBytes() []byte {
@@ -151,11 +142,8 @@ type Proof struct {
 	Sig   []byte
 }
 
-// WireSize implements types.Message.
-func (m *Proof) WireSize() int {
-	b := types.TxBlockMsg{Block: m.Block}
-	return b.WireSize() + 1
-}
+// ProtocolMessage implements types.Message.
+func (*Proof) ProtocolMessage() {}
 
 // SigningBytes implements types.Signed.
 func (m *Proof) SigningBytes() []byte {
@@ -178,8 +166,8 @@ type NewView struct {
 	Sig  []byte
 }
 
-// WireSize implements types.Message.
-func (m *NewView) WireSize() int { return 16 + 2 + 8 + 64 }
+// ProtocolMessage implements types.Message.
+func (*NewView) ProtocolMessage() {}
 
 // SigningBytes implements types.Signed.
 func (m *NewView) SigningBytes() []byte {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"prestigebft/internal/ledger"
 	"prestigebft/internal/reputation"
 	"prestigebft/internal/sim"
+	"prestigebft/internal/transport/codec"
 	"prestigebft/internal/types"
 )
 
@@ -284,6 +286,20 @@ type Cluster struct {
 	Clients []*client.Client
 
 	runtimes []*simRuntime
+	// wire is the buffer wireSize encodes into. A cluster runs on
+	// one goroutine, so one buffer serves every send.
+	wire []byte
+}
+
+// wireSize is the byte model: msg's length in the codec, the bytes the live
+// transport writes for it less the frame envelope (DESIGN.md §4).
+func (c *Cluster) wireSize(msg types.Message) int {
+	buf, ok := codec.Append(c.wire[:0], msg)
+	if !ok {
+		panic(fmt.Sprintf("harness: %T has no wire encoding", msg))
+	}
+	c.wire = buf
+	return len(buf)
 }
 
 // NewCluster builds a deployment. Call Start, then Run.
@@ -408,15 +424,16 @@ func (rt *simRuntime) execute(effs []consensus.Effect) {
 	for _, e := range effs {
 		switch ef := e.(type) {
 		case consensus.Send:
-			rt.sendServer(ef.To, ef.Msg)
+			rt.sendServer(ef.To, ef.Msg, rt.c.wireSize(ef.Msg))
 		case consensus.Broadcast:
+			size := rt.c.wireSize(ef.Msg)
 			for i := 1; i <= opts.N; i++ {
 				if types.ServerID(i) != rt.id {
-					rt.sendServer(types.ServerID(i), ef.Msg)
+					rt.sendServer(types.ServerID(i), ef.Msg, size)
 				}
 			}
 		case consensus.SendClient:
-			size := ef.Msg.WireSize()
+			size := rt.c.wireSize(ef.Msg)
 			rt.chargeSend(size)
 			rt.c.Net.Send(rt.addr, sim.ClientAddr(uint32(ef.To)), ef.Msg, size)
 		case consensus.SetTimer:
@@ -452,9 +469,9 @@ func (rt *simRuntime) execute(effs []consensus.Effect) {
 	}
 }
 
-// sendServer transmits to a peer, charging serialization cost.
-func (rt *simRuntime) sendServer(to types.ServerID, msg types.Message) {
-	size := msg.WireSize()
+// sendServer transmits size bytes of msg to a peer, charging serialization
+// cost.
+func (rt *simRuntime) sendServer(to types.ServerID, msg types.Message, size int) {
 	rt.chargeSend(size)
 	rt.c.Net.Send(rt.addr, sim.ServerAddr(uint16(to)), msg, size)
 }
@@ -505,12 +522,13 @@ type clientEnv struct {
 func (e *clientEnv) Now() time.Duration { return e.cluster.Sched.Now().ToDuration() }
 
 func (e *clientEnv) Send(to types.ServerID, msg types.Message) {
-	e.cluster.Net.Send(e.addr, sim.ServerAddr(uint16(to)), msg, msg.WireSize())
+	e.cluster.Net.Send(e.addr, sim.ServerAddr(uint16(to)), msg, e.cluster.wireSize(msg))
 }
 
 func (e *clientEnv) Broadcast(msg types.Message) {
+	size := e.cluster.wireSize(msg)
 	for i := 1; i <= e.cluster.Opts.N; i++ {
-		e.Send(types.ServerID(i), msg)
+		e.cluster.Net.Send(e.addr, sim.ServerAddr(uint16(i)), msg, size)
 	}
 }
 

@@ -8,8 +8,8 @@ import "prestigebft/internal/types"
 // LocalPing is a package-local wire message, for the `local` spec.
 type LocalPing struct{}
 
-func (*LocalPing) Type() string  { return "ping" }
-func (*LocalPing) WireSize() int { return 0 }
+func (*LocalPing) Type() string     { return "ping" }
+func (*LocalPing) ProtocolMessage() {}
 
 type undeclared struct{}
 

@@ -199,13 +199,14 @@ func (n *Network) SetBandwidth(bps float64) { n.cfg.Bandwidth = bps }
 // scenarios restore after a degradation window).
 func (n *Network) Config() NetworkConfig { return n.cfg }
 
-// Send queues a message for delivery. size is the modeled wire size in
-// bytes; it drives bandwidth serialization. Delivery order between a pair of
-// endpoints follows the per-link FIFO queue (TCP-like), but different links
-// are independent.
+// Send queues a message for delivery. size is the message's wire size in
+// bytes; it drives bandwidth serialization and counts into Bytes once the
+// message leaves the sender — a severed link or a loss drops it first, as a
+// live peer counts only what it writes to the socket. Delivery order between
+// a pair of endpoints follows the per-link FIFO queue (TCP-like), but
+// different links are independent.
 func (n *Network) Send(from, to Addr, payload any, size int) {
 	n.Sent++
-	n.Bytes += uint64(size)
 	if n.severed(from, to) {
 		n.Dropped++
 		return
@@ -214,6 +215,7 @@ func (n *Network) Send(from, to Addr, payload any, size int) {
 		n.Dropped++
 		return
 	}
+	n.Bytes += uint64(size)
 	now := n.sched.Now()
 	depart := now
 	if n.cfg.Bandwidth > 0 {

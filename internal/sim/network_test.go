@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// TestNetworkDeliveryStats: the Sent/Delivered/Dropped/Bytes counters account
-// for every message exactly once, whether it is delivered, lost to a cut, or
-// sent to an endpoint with no handler.
+// TestNetworkDeliveryStats: the Sent/Delivered/Dropped counters account for
+// every message exactly once, whether it is delivered, lost to a cut, or
+// sent to an endpoint with no handler; Bytes counts what left the sender.
 func TestNetworkDeliveryStats(t *testing.T) {
 	s := NewScheduler(11)
 	n := NewNetwork(s, NetworkConfig{Latency: FixedLatency(time.Millisecond)})
@@ -31,8 +31,8 @@ func TestNetworkDeliveryStats(t *testing.T) {
 	if n.Dropped != 2 {
 		t.Errorf("Dropped = %d, want 2 (one cut, one unregistered)", n.Dropped)
 	}
-	if n.Bytes != 175 {
-		t.Errorf("Bytes = %d, want 175 (drops still count as offered load)", n.Bytes)
+	if n.Bytes != 125 {
+		t.Errorf("Bytes = %d, want 125 (the cut message never leaves its sender; the unregistered one does)", n.Bytes)
 	}
 	if n.Sent != n.Delivered+n.Dropped {
 		t.Errorf("Sent (%d) != Delivered (%d) + Dropped (%d) after drain", n.Sent, n.Delivered, n.Dropped)

@@ -1,5 +1,7 @@
-// Package codec is the hand-rolled binary wire codec for every PrestigeBFT
-// message: the one format the live transport speaks (DESIGN.md §14).
+// Package codec is the hand-rolled binary wire codec for every protocol
+// message: the one format the live transport speaks, and the one byte model
+// the simulator charges (DESIGN.md §4, §14). It encodes the 20 PrestigeBFT
+// kinds and the 9 sim-only kinds of the HotStuff and SBFT baselines.
 //
 // Encoding rules:
 //   - integers (views, sequence numbers, lengths, counts, timestamps) are
@@ -16,7 +18,8 @@
 //     CampVC.Nonce is additionally capped at MaxNonceLen;
 //   - repeated fields are a uvarint count followed by the elements; count 0
 //     decodes as nil maps/slices;
-//   - optional fields (SyncResp.Snapshot) are a presence byte (0/1);
+//   - optional fields (SyncResp.Snapshot, hotstuff.NewView.Locked) are a
+//     presence byte (0/1);
 //   - maps (VcBlock.RP/CI) are encoded in ascending key order.
 //
 // The encoding is canonical: Decode accepts exactly the byte strings Append
@@ -33,7 +36,11 @@
 //
 // Each message is framed as one kind byte followed by its body. Kind numbers
 // are the wire protocol; new kinds may be appended but existing numbers
-// never change.
+// never change. Messages of one shape share a body writer — proposal
+// (Ord, hotstuff.Prepare, sbft.PrePrepare), vote (OrdReply, CmtReply,
+// hotstuff.Vote, sbft.Share), certificate (Cmt, hotstuff.PhaseAnnounce) and
+// block (TxBlockMsg, hotstuff.Decide, sbft.Proof) — and a baseline kind's
+// extra fields sit between its kind byte and that body.
 package codec
 
 import (
@@ -42,6 +49,8 @@ import (
 	"fmt"
 	"math"
 
+	"prestigebft/internal/baseline/hotstuff"
+	"prestigebft/internal/baseline/sbft"
 	"prestigebft/internal/types"
 )
 
@@ -68,6 +77,16 @@ const (
 	kindVcYes
 	kindRef
 	kindRdone
+	// The baselines' sim-only kinds: live clusters run PrestigeBFT alone.
+	kindHSPrepare
+	kindHSVote
+	kindHSPhaseAnnounce
+	kindHSDecide
+	kindHSNewView
+	kindSBPrePrepare
+	kindSBShare
+	kindSBProof
+	kindSBNewView
 )
 
 // MaxNonceLen caps CampVC.Nonce on decode. Honest proof-of-work nonces are 8
@@ -81,8 +100,8 @@ var ErrUnknownKind = errors.New("codec: unknown message kind")
 var errMalformed = errors.New("codec: truncated, out-of-range or non-canonical field")
 
 // Append encodes msg (kind byte + body) onto buf and returns the extended
-// slice. ok is false when msg is not one of the wire set's 20 kinds (the
-// sim-only baseline messages); buf is returned unchanged in that case.
+// slice. ok is false when msg is not one of the 29 kinds; buf is returned
+// unchanged in that case.
 func Append(buf []byte, msg types.Message) (out []byte, ok bool) {
 	switch m := msg.(type) {
 	case *types.Prop:
@@ -104,37 +123,16 @@ func Append(buf []byte, msg types.Message) (out []byte, ok bool) {
 		buf = appendBytes(buf, m.Sig)
 	case *types.Ord:
 		buf = append(buf, kindOrd)
-		buf = appendUvarint(buf, uint64(m.From))
-		buf = appendUvarint(buf, uint64(m.V))
-		buf = appendUvarint(buf, uint64(m.N))
-		buf = append(buf, m.Prev[:]...)
-		buf = appendUvarint(buf, uint64(len(m.Txs)))
-		for i := range m.Txs {
-			buf = appendTx(buf, &m.Txs[i])
-		}
-		buf = appendSigs(buf, m.ClientSigs)
-		buf = appendBytes(buf, m.Sig)
+		buf = appendProposal(buf, m.From, m.V, m.N, &m.Prev, m.Txs, m.ClientSigs, m.Sig)
 	case *types.OrdReply:
 		buf = append(buf, kindOrdReply)
-		buf = appendUvarint(buf, uint64(m.From))
-		buf = appendUvarint(buf, uint64(m.V))
-		buf = appendUvarint(buf, uint64(m.N))
-		buf = append(buf, m.D[:]...)
-		buf = appendBytes(buf, m.Sig)
+		buf = appendVote(buf, m.From, m.V, m.N, &m.D, m.Sig)
 	case *types.Cmt:
 		buf = append(buf, kindCmt)
-		buf = appendUvarint(buf, uint64(m.From))
-		buf = appendUvarint(buf, uint64(m.V))
-		buf = appendUvarint(buf, uint64(m.N))
-		buf = appendQC(buf, &m.OrderingQC)
-		buf = appendBytes(buf, m.Sig)
+		buf = appendCert(buf, m.From, m.V, m.N, &m.OrderingQC, m.Sig)
 	case *types.CmtReply:
 		buf = append(buf, kindCmtReply)
-		buf = appendUvarint(buf, uint64(m.From))
-		buf = appendUvarint(buf, uint64(m.V))
-		buf = appendUvarint(buf, uint64(m.N))
-		buf = append(buf, m.D[:]...)
-		buf = appendBytes(buf, m.Sig)
+		buf = appendVote(buf, m.From, m.V, m.N, &m.D, m.Sig)
 	case *types.Adopt:
 		buf = append(buf, kindAdopt)
 		buf = appendUvarint(buf, uint64(m.From))
@@ -143,9 +141,7 @@ func Append(buf []byte, msg types.Message) (out []byte, ok bool) {
 		buf = appendBytes(buf, m.Sig)
 	case *types.TxBlockMsg:
 		buf = append(buf, kindTxBlockMsg)
-		buf = appendUvarint(buf, uint64(m.From))
-		buf = appendTxBlock(buf, &m.Block)
-		buf = appendBytes(buf, m.Sig)
+		buf = appendBlock(buf, m.From, &m.Block, m.Sig)
 	case *types.VoteCP:
 		buf = append(buf, kindVoteCP)
 		buf = appendUvarint(buf, uint64(m.From))
@@ -250,6 +246,47 @@ func Append(buf []byte, msg types.Message) (out []byte, ok bool) {
 		buf = appendUvarint(buf, uint64(m.RP))
 		buf = appendUvarint(buf, uint64(m.CI))
 		buf = appendBytes(buf, m.Sig)
+	case *hotstuff.Prepare:
+		buf = append(buf, kindHSPrepare)
+		buf = appendQC(buf, &m.Justify)
+		buf = appendProposal(buf, m.From, m.V, m.N, &m.Prev, m.Txs, m.ClientSigs, m.Sig)
+	case *hotstuff.Vote:
+		buf = append(buf, kindHSVote, byte(m.Phase))
+		buf = appendVote(buf, m.From, m.V, m.N, &m.D, m.Sig)
+	case *hotstuff.PhaseAnnounce:
+		buf = append(buf, kindHSPhaseAnnounce, byte(m.Phase))
+		buf = appendCert(buf, m.From, m.V, m.N, &m.QC, m.Sig)
+	case *hotstuff.Decide:
+		buf = append(buf, kindHSDecide)
+		buf = appendBlock(buf, m.From, &m.Block, m.Sig)
+	case *hotstuff.NewView:
+		buf = append(buf, kindHSNewView)
+		buf = appendUvarint(buf, uint64(m.From))
+		buf = appendUvarint(buf, uint64(m.V))
+		buf = appendUvarint(buf, uint64(m.N))
+		buf = appendQC(buf, &m.Lock)
+		if m.Locked == nil {
+			buf = append(buf, 0)
+		} else {
+			buf = append(buf, 1)
+			buf = appendTxBlock(buf, m.Locked)
+		}
+		buf = appendBytes(buf, m.Sig)
+	case *sbft.PrePrepare:
+		buf = append(buf, kindSBPrePrepare)
+		buf = appendUvarint(buf, uint64(m.BlockV))
+		buf = appendProposal(buf, m.From, m.V, m.N, &m.Prev, m.Txs, m.ClientSigs, m.Sig)
+	case *sbft.Share:
+		buf = append(buf, kindSBShare, m.Stage)
+		buf = appendVote(buf, m.From, m.V, m.N, &m.D, m.Sig)
+	case *sbft.Proof:
+		buf = append(buf, kindSBProof, m.Stage)
+		buf = appendBlock(buf, m.From, &m.Block, m.Sig)
+	case *sbft.NewView:
+		buf = append(buf, kindSBNewView)
+		buf = appendUvarint(buf, uint64(m.From))
+		buf = appendUvarint(buf, uint64(m.V))
+		buf = appendBytes(buf, m.Sig)
 	default:
 		return buf, false
 	}
@@ -283,37 +320,19 @@ func Decode(data []byte) (types.Message, error) {
 		msg = m
 	case kindOrd:
 		m := &types.Ord{}
-		m.From = r.serverID()
-		m.V = types.View(r.uvarint())
-		m.N = types.SeqNum(r.uvarint())
-		r.digest(&m.Prev)
-		m.Txs = readTxs(&r)
-		m.ClientSigs = readSigs(&r)
-		m.Sig = r.bytes()
+		readProposal(&r, &m.From, &m.V, &m.N, &m.Prev, &m.Txs, &m.ClientSigs, &m.Sig)
 		msg = m
 	case kindOrdReply:
 		m := &types.OrdReply{}
-		m.From = r.serverID()
-		m.V = types.View(r.uvarint())
-		m.N = types.SeqNum(r.uvarint())
-		r.digest(&m.D)
-		m.Sig = r.bytes()
+		readVote(&r, &m.From, &m.V, &m.N, &m.D, &m.Sig)
 		msg = m
 	case kindCmt:
 		m := &types.Cmt{}
-		m.From = r.serverID()
-		m.V = types.View(r.uvarint())
-		m.N = types.SeqNum(r.uvarint())
-		readQC(&r, &m.OrderingQC)
-		m.Sig = r.bytes()
+		readCert(&r, &m.From, &m.V, &m.N, &m.OrderingQC, &m.Sig)
 		msg = m
 	case kindCmtReply:
 		m := &types.CmtReply{}
-		m.From = r.serverID()
-		m.V = types.View(r.uvarint())
-		m.N = types.SeqNum(r.uvarint())
-		r.digest(&m.D)
-		m.Sig = r.bytes()
+		readVote(&r, &m.From, &m.V, &m.N, &m.D, &m.Sig)
 		msg = m
 	case kindAdopt:
 		m := &types.Adopt{}
@@ -324,9 +343,7 @@ func Decode(data []byte) (types.Message, error) {
 		msg = m
 	case kindTxBlockMsg:
 		m := &types.TxBlockMsg{}
-		m.From = r.serverID()
-		readTxBlock(&r, &m.Block)
-		m.Sig = r.bytes()
+		readBlock(&r, &m.From, &m.Block, &m.Sig)
 		msg = m
 	case kindVoteCP:
 		m := &types.VoteCP{}
@@ -440,6 +457,53 @@ func Decode(data []byte) (types.Message, error) {
 		m.CI = int64(r.uvarint())
 		m.Sig = r.bytes()
 		msg = m
+	case kindHSPrepare:
+		m := &hotstuff.Prepare{}
+		readQC(&r, &m.Justify)
+		readProposal(&r, &m.From, &m.V, &m.N, &m.Prev, &m.Txs, &m.ClientSigs, &m.Sig)
+		msg = m
+	case kindHSVote:
+		m := &hotstuff.Vote{Phase: hotstuff.Phase(r.byte())}
+		readVote(&r, &m.From, &m.V, &m.N, &m.D, &m.Sig)
+		msg = m
+	case kindHSPhaseAnnounce:
+		m := &hotstuff.PhaseAnnounce{Phase: hotstuff.Phase(r.byte())}
+		readCert(&r, &m.From, &m.V, &m.N, &m.QC, &m.Sig)
+		msg = m
+	case kindHSDecide:
+		m := &hotstuff.Decide{}
+		readBlock(&r, &m.From, &m.Block, &m.Sig)
+		msg = m
+	case kindHSNewView:
+		m := &hotstuff.NewView{}
+		m.From = r.serverID()
+		m.V = types.View(r.uvarint())
+		m.N = types.SeqNum(r.uvarint())
+		readQC(&r, &m.Lock)
+		if r.bool() {
+			m.Locked = &types.TxBlock{}
+			readTxBlock(&r, m.Locked)
+		}
+		m.Sig = r.bytes()
+		msg = m
+	case kindSBPrePrepare:
+		m := &sbft.PrePrepare{BlockV: types.View(r.uvarint())}
+		readProposal(&r, &m.From, &m.V, &m.N, &m.Prev, &m.Txs, &m.ClientSigs, &m.Sig)
+		msg = m
+	case kindSBShare:
+		m := &sbft.Share{Stage: r.byte()}
+		readVote(&r, &m.From, &m.V, &m.N, &m.D, &m.Sig)
+		msg = m
+	case kindSBProof:
+		m := &sbft.Proof{Stage: r.byte()}
+		readBlock(&r, &m.From, &m.Block, &m.Sig)
+		msg = m
+	case kindSBNewView:
+		m := &sbft.NewView{}
+		m.From = r.serverID()
+		m.V = types.View(r.uvarint())
+		m.Sig = r.bytes()
+		msg = m
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, data[0])
 	}
@@ -474,6 +538,50 @@ func appendProp(buf []byte, m *types.Prop) []byte {
 	buf = appendTx(buf, &m.Tx)
 	buf = append(buf, m.D[:]...)
 	return appendBytes(buf, m.Sig)
+}
+
+// appendProposal writes a leader's batch proposal: the body of Ord,
+// hotstuff.Prepare and sbft.PrePrepare.
+func appendProposal(buf []byte, from types.ServerID, v types.View, n types.SeqNum, prev *types.Digest,
+	txs []types.Transaction, clientSigs [][]byte, sig []byte) []byte {
+	buf = appendUvarint(buf, uint64(from))
+	buf = appendUvarint(buf, uint64(v))
+	buf = appendUvarint(buf, uint64(n))
+	buf = append(buf, prev[:]...)
+	buf = appendUvarint(buf, uint64(len(txs)))
+	for i := range txs {
+		buf = appendTx(buf, &txs[i])
+	}
+	buf = appendSigs(buf, clientSigs)
+	return appendBytes(buf, sig)
+}
+
+// appendVote writes a signed vote on one digest: the body of OrdReply,
+// CmtReply, hotstuff.Vote and sbft.Share.
+func appendVote(buf []byte, from types.ServerID, v types.View, n types.SeqNum, d *types.Digest, sig []byte) []byte {
+	buf = appendUvarint(buf, uint64(from))
+	buf = appendUvarint(buf, uint64(v))
+	buf = appendUvarint(buf, uint64(n))
+	buf = append(buf, d[:]...)
+	return appendBytes(buf, sig)
+}
+
+// appendCert writes a signed certificate announcement: the body of Cmt and
+// hotstuff.PhaseAnnounce.
+func appendCert(buf []byte, from types.ServerID, v types.View, n types.SeqNum, qc *types.QC, sig []byte) []byte {
+	buf = appendUvarint(buf, uint64(from))
+	buf = appendUvarint(buf, uint64(v))
+	buf = appendUvarint(buf, uint64(n))
+	buf = appendQC(buf, qc)
+	return appendBytes(buf, sig)
+}
+
+// appendBlock writes a signed, certified block: the body of TxBlockMsg,
+// hotstuff.Decide and sbft.Proof.
+func appendBlock(buf []byte, from types.ServerID, b *types.TxBlock, sig []byte) []byte {
+	buf = appendUvarint(buf, uint64(from))
+	buf = appendTxBlock(buf, b)
+	return appendBytes(buf, sig)
 }
 
 func appendTx(buf []byte, t *types.Transaction) []byte {
@@ -676,6 +784,39 @@ func readProp(r *reader, m *types.Prop) {
 	readTx(r, &m.Tx)
 	r.digest(&m.D)
 	m.Sig = r.bytes()
+}
+
+func readProposal(r *reader, from *types.ServerID, v *types.View, n *types.SeqNum, prev *types.Digest,
+	txs *[]types.Transaction, clientSigs *[][]byte, sig *[]byte) {
+	*from = r.serverID()
+	*v = types.View(r.uvarint())
+	*n = types.SeqNum(r.uvarint())
+	r.digest(prev)
+	*txs = readTxs(r)
+	*clientSigs = readSigs(r)
+	*sig = r.bytes()
+}
+
+func readVote(r *reader, from *types.ServerID, v *types.View, n *types.SeqNum, d *types.Digest, sig *[]byte) {
+	*from = r.serverID()
+	*v = types.View(r.uvarint())
+	*n = types.SeqNum(r.uvarint())
+	r.digest(d)
+	*sig = r.bytes()
+}
+
+func readCert(r *reader, from *types.ServerID, v *types.View, n *types.SeqNum, qc *types.QC, sig *[]byte) {
+	*from = r.serverID()
+	*v = types.View(r.uvarint())
+	*n = types.SeqNum(r.uvarint())
+	readQC(r, qc)
+	*sig = r.bytes()
+}
+
+func readBlock(r *reader, from *types.ServerID, b *types.TxBlock, sig *[]byte) {
+	*from = r.serverID()
+	readTxBlock(r, b)
+	*sig = r.bytes()
 }
 
 func readTx(r *reader, t *types.Transaction) {

@@ -14,6 +14,8 @@ import (
 	"strings"
 	"testing"
 
+	"prestigebft/internal/baseline/hotstuff"
+	"prestigebft/internal/baseline/sbft"
 	"prestigebft/internal/types"
 )
 
@@ -102,6 +104,18 @@ func sampleMessages() []types.Message {
 		&types.Ref{From: 4, V: 5, Sig: []byte("ref")},
 		&types.Rdone{From: 4, V: 5, RsQC: types.QC{Kind: types.QCRefresh, View: 5, Signers: []types.ServerID{1, 2, 4}, Sigs: [][]byte{{1}, {2}, {4}}},
 			RP: 1, CI: 9, Sig: []byte("rdone")},
+		&hotstuff.Prepare{From: 1, V: 2, N: 5, Prev: types.Digest{7}, Txs: block.Txs, ClientSigs: [][]byte{{0x61}, nil}, Sig: []byte("hs-prep")},
+		&hotstuff.Prepare{From: 2, V: 4, N: 5, Txs: block.Txs, Justify: qc, Sig: []byte("re-propose")},
+		&hotstuff.Vote{From: 3, Phase: hotstuff.PhasePreCommit, V: 2, N: 5, D: types.Digest{3}, Sig: []byte("hs-vote")},
+		&hotstuff.PhaseAnnounce{From: 1, Phase: hotstuff.PhaseCommit, V: 2, N: 5, QC: qc, Sig: []byte("hs-ann")},
+		&hotstuff.Decide{From: 1, Block: block, Sig: []byte("hs-decide")},
+		&hotstuff.NewView{From: 2, V: 3, N: 4, Sig: []byte("hs-nv")},
+		&hotstuff.NewView{From: 2, V: 3, N: 4, Lock: qc, Locked: &block, Sig: []byte("hs-nv-locked")},
+		&sbft.PrePrepare{From: 1, V: 2, N: 5, Prev: types.Digest{7}, Txs: block.Txs, ClientSigs: [][]byte{{0x61}, {0x62}}, Sig: []byte("sb-pp")},
+		&sbft.PrePrepare{From: 1, V: 3, N: 5, BlockV: 2, Sig: []byte("sb-repropose")},
+		&sbft.Share{From: 3, Stage: 2, V: 2, N: 5, D: types.Digest{3}, Sig: []byte("sb-share")},
+		&sbft.Proof{From: 1, Stage: 2, Block: block, Sig: []byte("sb-proof")},
+		&sbft.NewView{From: 4, V: 3, Sig: []byte("sb-nv")},
 	}
 }
 
@@ -132,10 +146,11 @@ func mustRoundTrip(t testing.TB, msg types.Message) {
 	}
 }
 
-// kindName names a message kind for a subtest: its Go type without the
-// package and without a trailing "Msg" (TxBlockMsg is "TxBlock").
+// kindName names a message kind for a subtest: its Go type without a
+// trailing "Msg" (TxBlockMsg is "TxBlock"), qualified by its package
+// outside package types (hotstuff.NewView, sbft.NewView).
 func kindName(m types.Message) string {
-	return strings.TrimSuffix(reflect.TypeOf(m).Elem().Name(), "Msg")
+	return strings.TrimSuffix(strings.TrimPrefix(reflect.TypeOf(m).Elem().String(), "types."), "Msg")
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -144,50 +159,46 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireSetIsExhaustive: every message type of package types — the set a
-// `//lint:dispatch prestigebft/internal/types` switch must cover — has an
-// encoding, and sampleMessages exercises each of them. A message added to
-// package types without a codec kind fails here, not on a live socket.
+// TestWireSetIsExhaustive: every message type — each type in package types,
+// hotstuff or sbft with the types.Message marker method, the set a
+// //lint:dispatch switch covers — has an encoding, and sampleMessages
+// exercises each of them with a non-empty body. A message added without a
+// codec kind fails here, not on a live socket or as an uncharged send in the
+// simulator.
 func TestWireSetIsExhaustive(t *testing.T) {
-	pkgs, err := parser.ParseDir(token.NewFileSet(), "../../types", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	methods := map[string]map[string]bool{} // receiver type → method names
-	for _, f := range pkgs["types"].Files {
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil {
-				continue
-			}
-			star, ok := fn.Recv.List[0].Type.(*ast.StarExpr)
-			if !ok {
-				continue
-			}
-			recv := star.X.(*ast.Ident).Name
-			if methods[recv] == nil {
-				methods[recv] = map[string]bool{}
-			}
-			methods[recv][fn.Name.Name] = true
-		}
-	}
 	var wireSet []string
-	for recv, ms := range methods {
-		if ms["WireSize"] && ast.IsExported(recv) {
-			wireSet = append(wireSet, recv)
+	for _, dir := range []string{"../../types", "../../baseline/hotstuff", "../../baseline/sbft"} {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				for _, d := range f.Decls {
+					fn, ok := d.(*ast.FuncDecl)
+					if !ok || fn.Recv == nil || fn.Name.Name != "ProtocolMessage" {
+						continue
+					}
+					recv := fn.Recv.List[0].Type.(*ast.StarExpr).X.(*ast.Ident).Name
+					wireSet = append(wireSet, name+"."+recv)
+				}
+			}
 		}
 	}
 	sort.Strings(wireSet)
-	if len(wireSet) != 20 {
-		t.Fatalf("package types declares %d message types, DESIGN.md §14 documents 20: %v", len(wireSet), wireSet)
+	if len(wireSet) != 29 {
+		t.Fatalf("%d message types carry the marker, DESIGN.md §14 documents 29: %v", len(wireSet), wireSet)
 	}
 	sampled := map[string]bool{}
 	for _, msg := range sampleMessages() {
-		sampled[reflect.TypeOf(msg).Elem().Name()] = true
+		sampled[reflect.TypeOf(msg).Elem().String()] = true
+		if buf := mustAppend(t, msg); len(buf) < 2 {
+			t.Errorf("%T encodes to %d bytes", msg, len(buf))
+		}
 	}
 	for _, name := range wireSet {
 		if !sampled[name] {
-			t.Errorf("types.%s has no sample (and so no proof it encodes)", name)
+			t.Errorf("%s has no sample (and so no proof it encodes)", name)
 		}
 	}
 	if _, ok := Append(nil, nonWire{}); ok {
@@ -197,7 +208,7 @@ func TestWireSetIsExhaustive(t *testing.T) {
 
 type nonWire struct{}
 
-func (nonWire) WireSize() int { return 0 }
+func (nonWire) ProtocolMessage() {}
 
 // --- golden bytes -----------------------------------------------------------
 
@@ -224,9 +235,10 @@ func cat(parts ...any) []byte {
 // dg is a 32-byte digest spelled by its leading bytes.
 func dg(first ...byte) []byte { return append(first, make([]byte, 32-len(first))...) }
 
-// TestGoldenBytes pins the layout of all 20 kinds byte for byte (DESIGN.md
-// §14), written out by hand rather than derived from Append: the repo, not a
-// second codec, is what holds the format still.
+// TestGoldenBytes pins the layout of the 20 PrestigeBFT kinds and of one
+// baseline kind byte for byte (DESIGN.md §14), written out by hand rather
+// than derived from Append: the repo, not a second codec, is what holds the
+// format still.
 func TestGoldenBytes(t *testing.T) {
 	// Shared parts and their encodings.
 	tx := types.Transaction{Timestamp: 1111, Client: 7, Data: []byte("ab")}
@@ -292,6 +304,9 @@ func TestGoldenBytes(t *testing.T) {
 		{&types.VcYes{From: 3, V: 5, BlockHash: types.Digest{0xB1}, Sig: sig}, cat(kindVcYes, 3, 5, dg(0xB1), sigB)},
 		{&types.Ref{From: 4, V: 5, Sig: sig}, cat(kindRef, 4, 5, sigB)},
 		{&types.Rdone{From: 4, V: 5, RsQC: qc, RP: 1, CI: 9, Sig: sig}, cat(kindRdone, 4, 5, qcB, 1, 9, sigB)},
+		// A baseline kind: the justification, then Ord's body.
+		{&hotstuff.Prepare{From: 1, V: 4, N: 3, Prev: types.Digest{7}, Txs: []types.Transaction{tx}, Justify: qc, Sig: sig},
+			cat(kindHSPrepare, qcB, 1, 4, 3, dg(7), 1, txB, 0, sigB)},
 	} {
 		t.Run(kindName(tc.msg), func(t *testing.T) {
 			if got := mustAppend(t, tc.msg); !bytes.Equal(got, tc.want) {
@@ -310,7 +325,9 @@ func TestGoldenBytes(t *testing.T) {
 	// Kind numbers are the protocol: append-only, never renumbered.
 	kinds := []byte{kindProp, kindNotif, kindOrd, kindOrdReply, kindCmt, kindCmtReply, kindAdopt,
 		kindTxBlockMsg, kindVoteCP, kindSyncReq, kindSyncResp, kindCkptVote, kindCompt, kindConfVC,
-		kindReVC, kindCampVC, kindVcBlockMsg, kindVcYes, kindRef, kindRdone}
+		kindReVC, kindCampVC, kindVcBlockMsg, kindVcYes, kindRef, kindRdone,
+		kindHSPrepare, kindHSVote, kindHSPhaseAnnounce, kindHSDecide, kindHSNewView,
+		kindSBPrePrepare, kindSBShare, kindSBProof, kindSBNewView}
 	for i, k := range kinds {
 		if int(k) != i+1 {
 			t.Errorf("kind #%d renumbered to %d", i+1, k)
@@ -325,10 +342,10 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		nil,
 		{},
 		{kindInvalid},
-		{0xFF},             // unknown kind
-		{kindRdone + 1},    // first unassigned kind
-		{kindCmt},          // truncated body
-		{kindOrd, 1, 1, 1}, // truncated digest
+		{0xFF},              // unknown kind
+		{kindSBNewView + 1}, // first unassigned kind
+		{kindCmt},           // truncated body
+		{kindOrd, 1, 1, 1},  // truncated digest
 	}
 	for _, data := range cases {
 		if _, err := Decode(data); err == nil {
@@ -646,7 +663,7 @@ func (g gen) prop() types.Prop { return types.Prop{Tx: g.tx(), D: g.digest(), Si
 
 func (g gen) message() types.Message {
 	sig := g.bytes(64)
-	switch g.Intn(20) {
+	switch g.Intn(29) {
 	case 0:
 		p := g.prop()
 		return &p
@@ -711,8 +728,39 @@ func (g gen) message() types.Message {
 		return &types.VcYes{From: g.server(), V: g.view(), BlockHash: g.digest(), Sig: sig}
 	case 18:
 		return &types.Ref{From: g.server(), V: g.view(), Sig: sig}
-	default:
+	case 19:
 		return &types.Rdone{From: g.server(), V: g.view(), RsQC: g.qc(), RP: int64(g.u64()), CI: int64(g.u64()), Sig: sig}
+	case 20:
+		m := &hotstuff.Prepare{From: g.server(), V: g.view(), N: g.seq(), Prev: g.digest(), Txs: g.txs(), Justify: g.qc(), Sig: sig}
+		for range m.Txs {
+			m.ClientSigs = append(m.ClientSigs, g.bytes(64))
+		}
+		return m
+	case 21:
+		return &hotstuff.Vote{From: g.server(), Phase: hotstuff.Phase(g.Intn(256)), V: g.view(), N: g.seq(), D: g.digest(), Sig: sig}
+	case 22:
+		return &hotstuff.PhaseAnnounce{From: g.server(), Phase: hotstuff.Phase(g.Intn(256)), V: g.view(), N: g.seq(), QC: g.qc(), Sig: sig}
+	case 23:
+		return &hotstuff.Decide{From: g.server(), Block: g.txBlock(), Sig: sig}
+	case 24:
+		m := &hotstuff.NewView{From: g.server(), V: g.view(), N: g.seq(), Lock: g.qc(), Sig: sig}
+		if g.Intn(2) == 1 {
+			b := g.txBlock()
+			m.Locked = &b
+		}
+		return m
+	case 25:
+		m := &sbft.PrePrepare{From: g.server(), V: g.view(), N: g.seq(), Prev: g.digest(), Txs: g.txs(), BlockV: g.view(), Sig: sig}
+		for range m.Txs {
+			m.ClientSigs = append(m.ClientSigs, g.bytes(64))
+		}
+		return m
+	case 26:
+		return &sbft.Share{From: g.server(), Stage: uint8(g.Intn(256)), V: g.view(), N: g.seq(), D: g.digest(), Sig: sig}
+	case 27:
+		return &sbft.Proof{From: g.server(), Stage: uint8(g.Intn(256)), Block: g.txBlock(), Sig: sig}
+	default:
+		return &sbft.NewView{From: g.server(), V: g.view(), Sig: sig}
 	}
 }
 
@@ -726,8 +774,8 @@ func TestGeneratedRoundTrip(t *testing.T) {
 		seen[kindName(msg)]++
 		mustRoundTrip(t, msg)
 	}
-	if len(seen) != 20 {
-		t.Fatalf("generator produced %d kinds, want 20: %v", len(seen), seen)
+	if len(seen) != 29 {
+		t.Fatalf("generator produced %d kinds, want 29: %v", len(seen), seen)
 	}
 }
 

@@ -136,13 +136,19 @@ func (t *Transport) Stats() Stats {
 	}
 }
 
+// frameCap is a new frame buffer's capacity: room for the length hole, the
+// sender IDs and any per-transaction message (a Prop, OrdReply or CmtReply
+// encodes to about 100–140 bytes, a Notif with a 7-deep proof path to about
+// 330). Block-sized frames grow by append.
+const frameCap = 384
+
 // encode builds msg's frame: the uvarint body length, then the sender IDs
 // and the message.
 func (t *Transport) encode(msg types.Message) ([]byte, error) {
 	// Build the body after a MaxVarintLen64 hole, then back-fill the length
 	// prefix so the frame is one contiguous slice.
 	const hole = binary.MaxVarintLen64
-	buf := make([]byte, hole, hole+16+msg.WireSize())
+	buf := make([]byte, hole, frameCap)
 	buf = binary.AppendUvarint(buf, uint64(t.self.FromServer))
 	buf = binary.AppendUvarint(buf, uint64(t.self.FromClient))
 	buf, ok := codec.Append(buf, msg)

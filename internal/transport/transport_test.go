@@ -124,9 +124,8 @@ func TestRoundtrip(t *testing.T) {
 	}
 }
 
-// TestNonWireMessageRefused: a message outside the codec's wire set (the
-// sim-only baselines' kinds) fails the send and counts as dropped; it never
-// reaches the socket.
+// TestNonWireMessageRefused: a message the codec has no kind for fails the
+// send and counts as dropped; it never reaches the socket.
 func TestNonWireMessageRefused(t *testing.T) {
 	h, ch := collect()
 	srv := NewServerTransport(2)
@@ -151,7 +150,7 @@ func TestNonWireMessageRefused(t *testing.T) {
 
 type foreignMsg struct{}
 
-func (foreignMsg) WireSize() int { return 0 }
+func (foreignMsg) ProtocolMessage() {}
 
 // TestGarbageConnectionClosed: a connection that opens with bytes that are
 // not a frame — an HTTP request, the retired "PBW1" preamble, a runaway

@@ -5,10 +5,13 @@ import (
 )
 
 // Message is implemented by every protocol message exchanged between
-// servers and clients; its Go type names it. WireSize is the modeled
-// on-the-wire size in bytes used by the simulator's bandwidth model.
+// servers and clients; its Go type names it. ProtocolMessage is a no-op
+// marker (the proto.Message idiom) that keeps arbitrary values out of the
+// interface and lets the msgswitch analyzer and the codec's exhaustiveness
+// test find the message set. A message's size is its encoding's length
+// (transport/codec): the live wire and the simulator's byte model alike.
 type Message interface {
-	WireSize() int
+	ProtocolMessage()
 }
 
 // Signed is implemented by messages that carry a signature over their
@@ -18,11 +21,6 @@ type Signed interface {
 	SigningBytes() []byte
 	Signature() []byte
 }
-
-const (
-	sigSize    = 64 // ed25519 signature
-	headerSize = 16 // modeled per-message framing overhead
-)
 
 // --- Client-facing messages ------------------------------------------------
 
@@ -34,9 +32,7 @@ type Prop struct {
 	Sig []byte // client signature over (t, d, c)
 }
 
-func (m *Prop) WireSize() int {
-	return headerSize + 8 + 32 + 4 + len(m.Tx.Data) + sigSize
-}
+func (*Prop) ProtocolMessage() {}
 
 // SigningBytes covers the timestamp, digest, and client ID, matching the
 // paper's σc that signs t, d, and c.
@@ -80,11 +76,7 @@ type Notif struct {
 	Sig    []byte   // over NotifStatement(From, Leader, V, N, root)
 }
 
-// WireSize counts the proof: the path's digests plus the index, which needs
-// one bit per path level — nothing for a one-leaf Notif.
-func (m *Notif) WireSize() int {
-	return headerSize + 2 + 2 + 8 + 8 + 32 + 1 + (len(m.Path)+7)/8 + 32*len(m.Path) + sigSize
-}
+func (*Notif) ProtocolMessage() {}
 
 // SigningBytes recomputes the root from (TxD, Status, Index, Path), so one
 // signature check proves both that From signed the block's root and that
@@ -106,7 +98,7 @@ type Compt struct {
 	Sig  []byte // client signature over the complaint
 }
 
-func (m *Compt) WireSize() int        { return headerSize + m.Prop.WireSize() + sigSize }
+func (*Compt) ProtocolMessage()       {}
 func (m *Compt) SigningBytes() []byte { return append([]byte("compt"), m.Prop.SigningBytes()...) }
 func (m *Compt) Signature() []byte    { return m.Sig }
 
@@ -137,7 +129,7 @@ type ConfVC struct {
 	Sig    []byte
 }
 
-func (m *ConfVC) WireSize() int { return headerSize + 2 + 8 + 1 + 32 + 4 + sigSize }
+func (*ConfVC) ProtocolMessage() {}
 func (m *ConfVC) SigningBytes() []byte {
 	buf := make([]byte, 0, 2+8+1+32+4)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(m.From))
@@ -158,7 +150,7 @@ type ReVC struct {
 	Sig  []byte
 }
 
-func (m *ReVC) WireSize() int { return headerSize + 2 + 2 + 8 + sigSize }
+func (*ReVC) ProtocolMessage() {}
 func (m *ReVC) SigningBytes() []byte {
 	return QCStatementBytes(QCConf, m.V, SeqNum(m.To), Digest{})
 }
@@ -181,9 +173,7 @@ type CampVC struct {
 	Sig    []byte
 }
 
-func (m *CampVC) WireSize() int {
-	return headerSize + 2 + m.ConfQC.Size() + 8*4 + 8 + len(m.Nonce) + 32 + 32 + sigSize
-}
+func (*CampVC) ProtocolMessage() {}
 func (m *CampVC) SigningBytes() []byte {
 	buf := make([]byte, 0, 128)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(m.From))
@@ -219,14 +209,7 @@ type VoteCP struct {
 	Sig    []byte
 }
 
-func (m *VoteCP) WireSize() int {
-	size := headerSize + 2 + 2 + 8 + sigSize
-	for i := range m.Locked {
-		tb := TxBlockMsg{Block: m.Locked[i]}
-		size += tb.WireSize() - headerSize - sigSize
-	}
-	return size
-}
+func (*VoteCP) ProtocolMessage() {}
 func (m *VoteCP) SigningBytes() []byte {
 	return QCStatementBytes(QCVote, m.VPrime, SeqNum(m.Cand), Digest{})
 }
@@ -239,10 +222,7 @@ type VcBlockMsg struct {
 	Sig   []byte
 }
 
-func (m *VcBlockMsg) WireSize() int {
-	return headerSize + 2 + 8 + 2 + 32 + m.Block.ConfQC.Size() + m.Block.VcQC.Size() +
-		len(m.Block.RP)*18 + sigSize
-}
+func (*VcBlockMsg) ProtocolMessage() {}
 func (m *VcBlockMsg) SigningBytes() []byte {
 	d := m.Block.Hash()
 	return append([]byte("vcblock"), d[:]...)
@@ -258,7 +238,7 @@ type VcYes struct {
 	Sig       []byte
 }
 
-func (m *VcYes) WireSize() int { return headerSize + 2 + 8 + 32 + sigSize }
+func (*VcYes) ProtocolMessage() {}
 func (m *VcYes) SigningBytes() []byte {
 	return QCStatementBytes(QCGeneric, m.V, 0, m.BlockHash)
 }
@@ -273,7 +253,7 @@ type Ref struct {
 	Sig  []byte
 }
 
-func (m *Ref) WireSize() int { return headerSize + 2 + 8 + sigSize }
+func (*Ref) ProtocolMessage() {}
 func (m *Ref) SigningBytes() []byte {
 	return QCStatementBytes(QCRefresh, m.V, 0, Digest{})
 }
@@ -290,7 +270,7 @@ type Rdone struct {
 	Sig  []byte
 }
 
-func (m *Rdone) WireSize() int { return headerSize + 2 + 8 + m.RsQC.Size() + 16 + sigSize }
+func (*Rdone) ProtocolMessage() {}
 func (m *Rdone) SigningBytes() []byte {
 	buf := make([]byte, 0, 2+8+16)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(m.From))
@@ -319,15 +299,7 @@ type Ord struct {
 	Sig        []byte
 }
 
-// WireSize leaves ClientSigs out: the simulator models a proposal without
-// its clients' signatures (ROADMAP item 1 has counting them).
-func (m *Ord) WireSize() int {
-	size := headerSize + 2 + 8 + 8 + 32 + sigSize
-	for i := range m.Txs {
-		size += 16 + len(m.Txs[i].Data)
-	}
-	return size
-}
+func (*Ord) ProtocolMessage() {}
 func (m *Ord) SigningBytes() []byte {
 	b := &TxBlock{Header: TxBlockHeader{V: m.V, N: m.N, PrevHash: m.Prev, BatchLen: uint32(len(m.Txs))}, Txs: m.Txs}
 	d := b.ContentDigest()
@@ -344,7 +316,7 @@ type OrdReply struct {
 	Sig  []byte
 }
 
-func (m *OrdReply) WireSize() int { return headerSize + 2 + 8 + 8 + 32 + sigSize }
+func (*OrdReply) ProtocolMessage() {}
 func (m *OrdReply) SigningBytes() []byte {
 	return QCStatementBytes(QCOrdering, m.V, m.N, m.D)
 }
@@ -359,7 +331,7 @@ type Cmt struct {
 	Sig        []byte
 }
 
-func (m *Cmt) WireSize() int { return headerSize + 2 + 8 + 8 + m.OrderingQC.Size() + sigSize }
+func (*Cmt) ProtocolMessage() {}
 func (m *Cmt) SigningBytes() []byte {
 	return QCStatementBytes(QCCommit, m.V, m.N, m.OrderingQC.Digest)
 }
@@ -374,7 +346,7 @@ type CmtReply struct {
 	Sig  []byte
 }
 
-func (m *CmtReply) WireSize() int { return headerSize + 2 + 8 + 8 + 32 + sigSize }
+func (*CmtReply) ProtocolMessage() {}
 func (m *CmtReply) SigningBytes() []byte {
 	return QCStatementBytes(QCCommit, m.V, m.N, m.D)
 }
@@ -395,10 +367,7 @@ type Adopt struct {
 	Sig   []byte
 }
 
-func (m *Adopt) WireSize() int {
-	tb := TxBlockMsg{Block: m.Block}
-	return headerSize + 2 + 8 + (tb.WireSize() - headerSize - sigSize) + sigSize
-}
+func (*Adopt) ProtocolMessage() {}
 func (m *Adopt) SigningBytes() []byte {
 	d := m.Block.ContentDigest()
 	buf := make([]byte, 0, 5+2+8+32)
@@ -418,13 +387,7 @@ type TxBlockMsg struct {
 	Sig   []byte
 }
 
-func (m *TxBlockMsg) WireSize() int {
-	size := headerSize + 2 + 8*3 + 32 + m.Block.OrderingQC.Size() + m.Block.CommitQC.Size() + sigSize
-	for i := range m.Block.Txs {
-		size += 16 + len(m.Block.Txs[i].Data) + 1
-	}
-	return size
-}
+func (*TxBlockMsg) ProtocolMessage() {}
 func (m *TxBlockMsg) SigningBytes() []byte {
 	d := m.Block.Hash()
 	return append([]byte("txblock"), d[:]...)
@@ -447,7 +410,7 @@ type CkptVote struct {
 	Sig       []byte
 }
 
-func (m *CkptVote) WireSize() int { return headerSize + 2 + 8 + 32 + sigSize }
+func (*CkptVote) ProtocolMessage() {}
 func (m *CkptVote) SigningBytes() []byte {
 	return QCStatementBytes(QCCheckpoint, 0, m.Seq, m.StateHash)
 }
@@ -473,7 +436,7 @@ type SyncReq struct {
 	End   uint64
 }
 
-func (m *SyncReq) WireSize() int { return headerSize + 2 + 1 + 16 }
+func (*SyncReq) ProtocolMessage() {}
 
 // SyncResp returns the requested blocks. Blocks are self-certifying through
 // their QCs, so the response itself is unsigned.
@@ -491,21 +454,4 @@ type SyncResp struct {
 	Snapshot *SnapshotPackage
 }
 
-func (m *SyncResp) WireSize() int {
-	size := headerSize + 2 + 1
-	for i := range m.TxBlocks {
-		tb := TxBlockMsg{Block: m.TxBlocks[i]}
-		size += tb.WireSize()
-	}
-	for i := range m.VcBlocks {
-		vb := VcBlockMsg{Block: m.VcBlocks[i]}
-		size += vb.WireSize()
-	}
-	if m.Snapshot != nil {
-		anchor := TxBlockMsg{Block: m.Snapshot.Anchor}
-		// Header digests + ckpt_QC (threshold-signature size) + anchor + state.
-		size += 8 + 8 + 3*32 + m.Snapshot.Cert.QC.Size() +
-			(anchor.WireSize() - headerSize - sigSize) + len(m.Snapshot.AppState)
-	}
-	return size
-}
+func (*SyncResp) ProtocolMessage() {}

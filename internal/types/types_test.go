@@ -191,21 +191,6 @@ func TestMessageSigningBytesDistinct(t *testing.T) {
 	}
 }
 
-func TestWireSizesPositive(t *testing.T) {
-	msgs := []Message{
-		&Prop{Tx: Transaction{Data: make([]byte, 32)}},
-		&Notif{}, &Compt{}, &ConfVC{}, &ReVC{}, &CampVC{Nonce: make([]byte, 8)},
-		&VoteCP{}, &VcBlockMsg{}, &VcYes{}, &Ref{}, &Rdone{},
-		&Ord{Txs: make([]Transaction, 3)}, &OrdReply{}, &Cmt{}, &CmtReply{},
-		&TxBlockMsg{}, &SyncReq{}, &SyncResp{},
-	}
-	for _, m := range msgs {
-		if m.WireSize() <= 0 {
-			t.Errorf("%T has non-positive wire size", m)
-		}
-	}
-}
-
 func TestQCStatementBytesInjective(t *testing.T) {
 	f := func(k1, k2 uint8, v1, v2 uint32, s1, s2 uint32) bool {
 		kind1 := QCKind(k1%6) + 1
